@@ -13,6 +13,10 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# Fresh bench reports land here; the checked-in BENCH_*.json files are
+# history and are never rewritten.
+CI_OUT=target/ci
+
 # step <name> <command...>: run a command, report its wall time
 step() {
     local name=$1
@@ -57,9 +61,10 @@ quick_bench() {
     # the guard below needs a stable best-of-many, and the whole suite
     # still measures in ~2s. The checked-in tuning DB is installed so
     # the report reflects the tuned schedules a user actually gets.
+    mkdir -p "$CI_OUT"
     LORASTENCIL_TUNING_DB="$PWD/tuning.json" \
         cargo bench --offline -p bench-suite --bench executors -- \
-        --baseline "$PWD/BENCH_pr2.json" --json "$PWD/BENCH_pr7.json"
+        --baseline "$PWD/BENCH_pr2.json" --json "$PWD/$CI_OUT/executors.json"
 }
 
 bench_guard() {
@@ -70,7 +75,7 @@ bench_guard() {
     local attempt
     for attempt in 1 2 3; do
         if cargo run --release --offline -p bench-suite --bin bench_guard -- \
-            --json "$PWD/BENCH_pr7.json" --max-regression 0.10; then
+            --json "$PWD/$CI_OUT/executors.json" --max-regression 0.10; then
             return 0
         fi
         if [ "$attempt" -lt 3 ]; then
@@ -242,11 +247,12 @@ serve_smoke() {
 loadgen_bench() {
     # drive the daemon core in-process: warm cache-hit throughput must
     # beat cold re-planning by >=5x (the loadgen retries 3 times before
-    # failing), and open-loop p50/p99 latency lands in BENCH_pr8.json.
+    # failing), and open-loop p50/p99 latency lands in $CI_OUT/loadgen.json.
     # The report entries carry no speedup_vs_baseline, so bench_guard
     # treats them as informational; the >=5x gate is loadgen's own.
+    mkdir -p "$CI_OUT"
     cargo run --release --offline -p bench-suite --bin loadgen -- \
-        --json "$PWD/BENCH_pr8.json" | sed 's/^/   /'
+        --json "$PWD/$CI_OUT/loadgen.json" | sed 's/^/   /'
 }
 
 emit_smoke() {
@@ -303,14 +309,14 @@ step "cargo test -q --offline" cargo test -q --offline --workspace
 step "cargo test -q --offline (FOUNDATION_THREADS=1)" serial_tests
 step "examples (cargo run --release --example *)" run_examples
 step "bounded fuzz (STENCIL_VERIFY_CASES=${STENCIL_VERIFY_CASES:-25})" fuzz_bounded
-step "quick executor bench (tuned schedules, writes BENCH_pr7.json)" quick_bench
+step "quick executor bench (tuned schedules, writes $CI_OUT/executors.json)" quick_bench
 step "bench regression guard (>10% vs BENCH_pr2.json fails)" bench_guard
 step "tune smoke (bounded autotune + invariant-counter check)" tune_smoke
 step "backend smoke (4 backends x 3 dims, verify + in-family bit-identity)" backend_smoke
 step "profile smoke (stencil-cli profile + trace validation)" profile_smoke
 step "crash-resume smoke (run, tear newest snapshot, resume)" crash_resume_smoke
 step "serve smoke (daemon over unix socket: parity, errors, shutdown)" serve_smoke
-step "serve loadgen (hit vs cold-plan >=5x gate, writes BENCH_pr8.json)" loadgen_bench
+step "serve loadgen (hit vs cold-plan >=5x gate, writes $CI_OUT/loadgen.json)" loadgen_bench
 step "emit smoke (3 targets x 4 backends x 3 dims; CUDA golden + alias diff)" emit_smoke
 step "checkpoint battery (FOUNDATION_THREADS=1)" checkpoint_battery
 step "dependency audit (workspace members only)" dep_audit

@@ -100,6 +100,7 @@ impl XFragments {
     /// tile: the fragments cover the S×S window whose top-left corner is
     /// `(r_off, c_off)` inside `tile`. Macro-tiled schedules stage one
     /// large window and rebuild fragments per 8×8 sub-tile through this.
+    #[inline(always)]
     pub fn load_into_at(
         &mut self,
         ctx: &mut SimContext,
@@ -135,6 +136,7 @@ impl XFragments {
 
     /// Element `(r, c)` of the underlying tile, reconstructed from the
     /// owning fragment (register re-use; charges nothing).
+    #[inline]
     pub fn peek(&self, r: usize, c: usize) -> f64 {
         self.frag(r / MMA_K, c / MMA_N).get(r % MMA_K, c % MMA_N)
     }
@@ -313,6 +315,7 @@ pub const MAX_MMA_BATCH: usize = 16;
 /// bit-identical and charges the same counters — only the host-side
 /// accumulator traffic changes. The step-2 MMAs cannot chain across
 /// column blocks (each consumes a freshly extracted A fragment).
+#[inline(always)]
 pub fn rdg_apply_term_frags_into(
     ctx: &mut SimContext,
     x: &XFragments,
@@ -366,6 +369,7 @@ pub fn rdg_apply_term_frags_into(
 /// Results are bit-identical to the dense path: the pruned step-1
 /// products are signed zeros and the surviving ones accumulate in the
 /// same increasing-K order (see [`SimContext::mma_sp_into`]).
+#[inline(always)]
 pub fn rdg_apply_term_sparse_into(
     ctx: &mut SimContext,
     x: &XFragments,
@@ -397,6 +401,7 @@ pub fn rdg_apply_term_sparse_into(
 /// Apply the pointwise pyramid tip: `acc[r][q] += pw · X[h+r][h+q]`,
 /// executed on CUDA cores (the 1×1 term needs no matrix multiply,
 /// §III-C); input values are register re-uses of already-loaded fragments.
+#[inline(always)]
 pub fn apply_pointwise(ctx: &mut SimContext, x: &XFragments, pw: f64, acc: &mut FragAcc) {
     if pw == 0.0 {
         return;
@@ -421,6 +426,7 @@ pub const CUDA_RDG_ISSUE_OVERHEAD: u64 = 14;
 /// same `U · X · V` chain evaluated with scalar FMAs, charging CUDA-core
 /// FLOPs (and no MMAs). Band sparsity is exploited, as a hand-written
 /// CUDA-core kernel would.
+#[inline(always)]
 pub fn rdg_apply_term_cuda(
     ctx: &mut SimContext,
     x: &XFragments,
@@ -431,8 +437,10 @@ pub fn rdg_apply_term_cuda(
     let n_t = term.u.len();
     let shift = geo.h - term.radius();
     // T = U · X (8 × S semi-gather matrix), then R += T · V
-    let mut t_mat = vec![vec![0.0f64; geo.s]; MMA_M];
-    for (p, row) in t_mat.iter_mut().enumerate() {
+    let (mut t_stack, mut t_heap) = ([0.0f64; SIMD_MAX_S * MMA_M], Vec::new());
+    let (t_buf, stride) = t_buffer(geo.s, &mut t_stack, &mut t_heap);
+    for p in 0..MMA_M {
+        let row = &mut t_buf[p * stride..p * stride + geo.s];
         for (c, out) in row.iter_mut().enumerate() {
             let mut s = 0.0;
             for (k, &w) in term.u.iter().enumerate() {
@@ -443,13 +451,14 @@ pub fn rdg_apply_term_cuda(
     }
     ctx.cuda_flops((2 * n_t * MMA_M * geo.s) as u64 * CUDA_RDG_ISSUE_OVERHEAD);
     // R += T · V
-    for (p, row) in t_mat.iter().enumerate() {
-        for q in 0..MMA_N {
+    for (p, acc_row) in acc.iter_mut().enumerate() {
+        let row = &t_buf[p * stride..p * stride + geo.s];
+        for (q, a) in acc_row.iter_mut().enumerate() {
             let mut s = 0.0;
             for (k, &w) in term.v.iter().enumerate() {
                 s += w * row[q + shift + k];
             }
-            acc[p][q] += s;
+            *a += s;
         }
     }
     ctx.cuda_flops((2 * n_t * MMA_M * MMA_N + MMA_M * MMA_N) as u64 * CUDA_RDG_ISSUE_OVERHEAD);
@@ -465,9 +474,26 @@ pub const SIMD_RDG_ISSUE_OVERHEAD: u64 = 2;
 /// Width of one SIMD chunk (`f64x4`: one AVX2 register / NEON pair).
 pub const SIMD_LANES: usize = 4;
 
-/// Stack capacity of the SIMD path's per-row T buffer; covers radii ≤ 32
+/// Stack capacity of the scalar and SIMD paths' T buffer; covers radii ≤ 32
 /// (`S = 8 + 2·32 = 72`). Larger radii spill to one heap buffer.
 pub const SIMD_MAX_S: usize = 72;
+
+/// The 8 × S row-major T matrix of the scalar and SIMD RDG paths and its
+/// row stride: the caller's stack buffer for `S ≤ SIMD_MAX_S`, so both
+/// paths allocate nothing up to radius 32; `heap` past it.
+#[inline(always)]
+fn t_buffer<'a>(
+    s: usize,
+    stack: &'a mut [f64; SIMD_MAX_S * MMA_M],
+    heap: &'a mut Vec<f64>,
+) -> (&'a mut [f64], usize) {
+    if s <= SIMD_MAX_S {
+        (&mut stack[..], SIMD_MAX_S)
+    } else {
+        heap.resize(MMA_M * s, 0.0);
+        (&mut heap[..], s)
+    }
+}
 
 /// Tuned host-SIMD reference path (the honest "no tensor cores" compare
 /// point): the same `U · X · V` chain as [`rdg_apply_term_cuda`], but
@@ -478,6 +504,7 @@ pub const SIMD_MAX_S: usize = 72;
 /// bit-identical to [`rdg_apply_term_cuda`]; only the charged issue
 /// overhead differs ([`SIMD_RDG_ISSUE_OVERHEAD`] vs
 /// [`CUDA_RDG_ISSUE_OVERHEAD`]).
+#[inline(always)]
 pub fn rdg_apply_term_simd(
     ctx: &mut SimContext,
     x: &XFragments,
@@ -490,14 +517,8 @@ pub fn rdg_apply_term_simd(
     // T = U · X, register-blocked: SIMD_LANES independent column lanes
     // per chunk, each lane summing taps in increasing-k order (the same
     // per-element order as the scalar path)
-    let mut t_stack = [0.0f64; SIMD_MAX_S * MMA_M];
-    let mut t_heap: Vec<f64> = Vec::new();
-    let (t_buf, stride) = if geo.s <= SIMD_MAX_S {
-        (&mut t_stack[..], SIMD_MAX_S)
-    } else {
-        t_heap.resize(MMA_M * geo.s, 0.0);
-        (&mut t_heap[..], geo.s)
-    };
+    let (mut t_stack, mut t_heap) = ([0.0f64; SIMD_MAX_S * MMA_M], Vec::new());
+    let (t_buf, stride) = t_buffer(geo.s, &mut t_stack, &mut t_heap);
     for p in 0..MMA_M {
         let row = &mut t_buf[p * stride..p * stride + geo.s];
         let mut c = 0;

@@ -81,6 +81,7 @@ impl Default for TcuF64 {
 }
 
 impl Backend for TcuF64 {
+    #[inline(always)]
     fn term_chain(
         &mut self,
         ctx: &mut SimContext,
@@ -102,6 +103,7 @@ impl Backend for TcuF64 {
         }
     }
 
+    #[inline(always)]
     fn gather_1d(&mut self, ctx: &mut SimContext, tile: &SharedTile, sched: &Schedule) {
         let _mma_batch = foundation::obs::span("mma_batch");
         if sched.mma_batch <= 1 {
@@ -135,10 +137,12 @@ impl Backend for TcuF64 {
         }
     }
 
+    #[inline]
     fn vals_mut(&mut self) -> &mut [[f64; MMA_N]; TILE_M] {
         &mut self.vals
     }
 
+    #[inline]
     fn finish(&mut self, fold: AccFold) -> [[f64; MMA_N]; TILE_M] {
         match fold {
             AccFold::FragOnly => self.frag.to_matrix(),
@@ -172,6 +176,7 @@ impl SparseTcu {
 }
 
 impl Backend for SparseTcu {
+    #[inline(always)]
     fn term_chain(
         &mut self,
         ctx: &mut SimContext,
@@ -202,10 +207,12 @@ impl Backend for SparseTcu {
         unreachable!("1-D lowering always selects the dense tensor-core backend (§IV-C)");
     }
 
+    #[inline]
     fn vals_mut(&mut self) -> &mut [[f64; MMA_N]; TILE_M] {
         self.inner.vals_mut()
     }
 
+    #[inline]
     fn finish(&mut self, fold: AccFold) -> [[f64; MMA_N]; TILE_M] {
         self.inner.finish(fold)
     }
@@ -231,6 +238,7 @@ impl Default for CudaCore {
 }
 
 impl Backend for CudaCore {
+    #[inline(always)]
     fn term_chain(
         &mut self,
         ctx: &mut SimContext,
@@ -260,10 +268,12 @@ impl Backend for CudaCore {
         unreachable!("1-D lowering always selects the tensor-core backend (§IV-C)");
     }
 
+    #[inline]
     fn vals_mut(&mut self) -> &mut [[f64; MMA_N]; TILE_M] {
         &mut self.vals
     }
 
+    #[inline]
     fn finish(&mut self, _fold: AccFold) -> [[f64; MMA_N]; TILE_M] {
         self.vals
     }
@@ -286,6 +296,7 @@ impl SimdCore {
 }
 
 impl Backend for SimdCore {
+    #[inline(always)]
     fn term_chain(
         &mut self,
         ctx: &mut SimContext,
@@ -317,10 +328,12 @@ impl Backend for SimdCore {
         unreachable!("1-D lowering always selects the tensor-core backend (§IV-C)");
     }
 
+    #[inline]
     fn vals_mut(&mut self) -> &mut [[f64; MMA_N]; TILE_M] {
         self.inner.vals_mut()
     }
 
+    #[inline]
     fn finish(&mut self, fold: AccFold) -> [[f64; MMA_N]; TILE_M] {
         self.inner.finish(fold)
     }

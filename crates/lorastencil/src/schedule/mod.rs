@@ -35,7 +35,7 @@ mod stepper;
 pub use backend::{Backend, CudaCore, SimdCore, SparseTcu, TcuF64};
 pub use params::{ScheduleParams, Staging};
 pub use session::ExecSession;
-pub use stepper::{apply_once, apply_once_planes, run, run_tuned, Stepper, Workspace};
+pub use stepper::{apply_once, apply_once_planes, host_isa, run, run_tuned, Stepper, Workspace};
 
 use crate::decompose::RankOneTerm;
 use crate::plan::{Plan, PlanKind};

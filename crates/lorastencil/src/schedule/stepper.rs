@@ -55,7 +55,11 @@ fn eff_slot(sched: &Schedule, job_i: usize, slot: u8) -> usize {
 /// for 1-D), compute each with a stack-local backend, and write the
 /// disjoint output bands directly. One tile-local context accumulates
 /// the whole job's counters.
+///
+/// This is the portable instance of the job loop; [`HostIsa`] compiles
+/// it again for wider vector units.
 #[allow(clippy::too_many_arguments)]
+#[inline(always)]
 fn run_job(
     planes: &[GlobalArray],
     sched: &Schedule,
@@ -121,6 +125,7 @@ fn run_job(
 /// One sub-tile's op walk with a stack-local backend (no allocation on
 /// the TCU path).
 #[allow(clippy::too_many_arguments)]
+#[inline(always)]
 fn compute_subtile(
     planes: &[GlobalArray],
     sched: &Schedule,
@@ -160,6 +165,7 @@ fn compute_subtile(
 }
 
 #[allow(clippy::too_many_arguments)]
+#[inline(always)]
 fn subtile_on<B: Backend>(
     backend: &mut B,
     planes: &[GlobalArray],
@@ -320,6 +326,123 @@ fn subtile_on<B: Backend>(
     vals
 }
 
+/// A compiled instance of [`run_job`].
+///
+/// # Safety
+///
+/// The host must support the instance's target features; obtain the
+/// pointer from [`HostIsa::job_fn`], which checks that.
+type JobFn = unsafe fn(
+    &[GlobalArray],
+    &Schedule,
+    usize,
+    usize,
+    Tile2D,
+    *mut f64,
+    usize,
+    &mut TileScratch,
+) -> PerfCounters;
+
+/// [`run_job`] recompiled with extra target features. The job loop and
+/// everything beneath it is `#[inline]`, so the whole loop — op walk,
+/// backend bodies, RDG term chains, tcu-sim primitives — is compiled for
+/// the wider vector unit. Rust never contracts `a * b + c` into an FMA
+/// and never reassociates, so vectorization only packs independent
+/// accumulator lanes: every output element keeps its operation sequence
+/// and the results are bit-identical to the portable instance.
+macro_rules! job_instance {
+    ($name:ident, $feature:literal) => {
+        #[cfg(target_arch = "x86_64")]
+        #[target_feature(enable = $feature)]
+        #[allow(clippy::too_many_arguments)]
+        fn $name(
+            planes: &[GlobalArray],
+            sched: &Schedule,
+            job_i: usize,
+            z: usize,
+            t: Tile2D,
+            base: *mut f64,
+            cols: usize,
+            scratch: &mut TileScratch,
+        ) -> PerfCounters {
+            run_job(planes, sched, job_i, z, t, base, cols, scratch)
+        }
+    };
+}
+
+job_instance!(run_job_avx512f, "avx512f");
+job_instance!(run_job_avx2, "avx2");
+
+/// The compiled instances of the job loop, best first. The host picks
+/// the best one it supports once per application; nothing configures
+/// the choice, because every instance computes the same bits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum HostIsa {
+    /// x86-64 with AVX-512F (512-bit vectors).
+    Avx512f,
+    /// x86-64 with AVX2 (256-bit vectors).
+    Avx2,
+    /// Baseline code for the target (SSE2 on x86-64); the reference
+    /// the vector instances are tested against.
+    Portable,
+}
+
+impl HostIsa {
+    /// Every instance, best first.
+    const ALL: [HostIsa; 3] = [HostIsa::Avx512f, HostIsa::Avx2, HostIsa::Portable];
+
+    /// Stable name, as reported by [`host_isa`].
+    fn name(self) -> &'static str {
+        match self {
+            HostIsa::Avx512f => "avx512f",
+            HostIsa::Avx2 => "avx2",
+            HostIsa::Portable => "portable",
+        }
+    }
+
+    /// Whether this host can run the instance (a cached feature probe).
+    fn supported(self) -> bool {
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            HostIsa::Avx512f => std::is_x86_feature_detected!("avx512f"),
+            #[cfg(target_arch = "x86_64")]
+            HostIsa::Avx2 => std::is_x86_feature_detected!("avx2"),
+            HostIsa::Portable => true,
+            #[cfg(not(target_arch = "x86_64"))]
+            _ => false,
+        }
+    }
+
+    /// The best instance this host supports.
+    fn detect() -> HostIsa {
+        HostIsa::ALL.into_iter().find(|isa| isa.supported()).unwrap_or(HostIsa::Portable)
+    }
+
+    /// The instance's job loop.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the host lacks the instance's target features.
+    fn job_fn(self) -> JobFn {
+        assert!(self.supported(), "host cannot run the {} job loop", self.name());
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            HostIsa::Avx512f => run_job_avx512f,
+            #[cfg(target_arch = "x86_64")]
+            HostIsa::Avx2 => run_job_avx2,
+            _ => run_job,
+        }
+    }
+}
+
+/// Which compiled instance of the job loop this host runs: `"avx512f"`,
+/// `"avx2"` or `"portable"`. Host-time numbers are only comparable
+/// between runs of the same instance; values and counters are identical
+/// across all of them.
+pub fn host_isa() -> &'static str {
+    HostIsa::detect().name()
+}
+
 /// The reusable per-apply buffers of a plan on a fixed grid shape: the
 /// lowered schedule, the `(plane, tile)` job list, the counter slots and
 /// the output-pointer table. Callers that manage their own grids (the
@@ -378,12 +501,25 @@ impl Workspace {
     /// (each band write charges the same `global_bytes_written` a
     /// `store_span` would); per-job counters go to preallocated slots
     /// and merge sequentially in job order, keeping the totals
-    /// independent of scheduling.
+    /// independent of scheduling. The job loop runs on the best compiled
+    /// instance this host supports ([`host_isa`]).
     pub fn apply_planes(
         &mut self,
         planes: &[GlobalArray],
         out: &mut [GlobalArray],
     ) -> PerfCounters {
+        self.apply_planes_on(HostIsa::detect(), planes, out)
+    }
+
+    /// [`Workspace::apply_planes`] on a given job-loop instance (the
+    /// ISA-identity test compares them).
+    fn apply_planes_on(
+        &mut self,
+        isa: HostIsa,
+        planes: &[GlobalArray],
+        out: &mut [GlobalArray],
+    ) -> PerfCounters {
+        let job = isa.job_fn();
         let _apply = foundation::obs::span("apply");
         let cols = planes[0].cols();
         self.slots.clear();
@@ -398,8 +534,9 @@ impl Workspace {
             for_each_index(jobs.len(), |i| {
                 let (z, t) = jobs[i];
                 let base = sinks[z] as *mut f64;
+                // SAFETY: `job_fn` checked the host supports the instance
                 let counters =
-                    with_tile_scratch(|s| run_job(planes, sched, i, z, t, base, cols, s));
+                    with_tile_scratch(|s| unsafe { job(planes, sched, i, z, t, base, cols, s) });
                 // SAFETY: each index is written by exactly one job
                 unsafe { slot_sink.write(i, counters) };
             });
@@ -576,4 +713,109 @@ fn run_with_plans(
         cur = stepper.into_planes();
     }
     (cur, counters, block)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::plan::DeviceBackend;
+    use std::io::Write;
+    use stencil_core::kernels;
+
+    fn wavy(rows: usize, cols: usize, salt: usize) -> GlobalArray {
+        GlobalArray::from_vec(
+            rows,
+            cols,
+            (0..rows * cols)
+                .map(|i| ((salt * 7919 + i) as f64 * 0.13).sin() * 3.0 + (i % 11) as f64 * 0.1)
+                .collect(),
+        )
+    }
+
+    /// The vector instances of the job loop must reproduce the portable
+    /// instance exactly — every output bit and every counter — over every
+    /// registry kernel, backend, toggle set and schedule shape.
+    #[test]
+    fn every_host_isa_instance_matches_the_portable_one_bitwise() {
+        let mut vector = Vec::new();
+        for isa in HostIsa::ALL.into_iter().filter(|&isa| isa != HostIsa::Portable) {
+            if isa.supported() {
+                vector.push(isa);
+            } else {
+                // stderr directly: a skipped instance must show even when
+                // the harness captures test output
+                let _ = writeln!(
+                    std::io::stderr(),
+                    "note: host lacks {}; its job loop is not checked here",
+                    isa.name()
+                );
+            }
+        }
+        let full = ExecConfig::full();
+        let configs = [
+            full,
+            ExecConfig { allow_fusion: false, ..full },
+            ExecConfig { use_bvs: false, ..full },
+        ];
+        let params = [
+            ScheduleParams::default(),
+            ScheduleParams {
+                tile_rows: 64,
+                tile_cols: 64,
+                mma_batch: 2,
+                ..ScheduleParams::default()
+            },
+            ScheduleParams {
+                tile_rows: 16,
+                tile_cols: 16,
+                staging: Staging::Double,
+                mma_batch: 4,
+                fuse_override: None,
+            },
+        ];
+        for kernel in kernels::all_kernels() {
+            let planes: Vec<GlobalArray> = match kernel.dims() {
+                1 => vec![wavy(1, 157, 0)],
+                2 => vec![wavy(24, 40, 1)],
+                _ => (0..4).map(|z| wavy(11, 13, z + 2)).collect(),
+            };
+            let extents = grid_extents(&kernel, &planes);
+            for backend in DeviceBackend::all() {
+                for config in configs {
+                    let config = ExecConfig { backend, ..config };
+                    for p in params {
+                        let plan = Plan::new_with_params(&kernel, config, p);
+                        let mut ws = Workspace::new(&plan, &extents);
+                        let mut run = |isa| {
+                            let mut out: Vec<GlobalArray> = planes
+                                .iter()
+                                .map(|p| GlobalArray::new(p.rows(), p.cols()))
+                                .collect();
+                            let counters = ws.apply_planes_on(isa, &planes, &mut out);
+                            (out, counters)
+                        };
+                        let (want, want_counters) = run(HostIsa::Portable);
+                        for &isa in &vector {
+                            let case = format!(
+                                "{} on {} ({config:?}, {})",
+                                kernel.name,
+                                isa.name(),
+                                p.describe()
+                            );
+                            let (got, counters) = run(isa);
+                            for (g, w) in got.iter().zip(&want) {
+                                let same = g
+                                    .as_slice()
+                                    .iter()
+                                    .zip(w.as_slice())
+                                    .all(|(a, b)| a.to_bits() == b.to_bits());
+                                assert!(same, "{case}: values differ");
+                            }
+                            assert_eq!(counters.fields(), want_counters.fields(), "{case}");
+                        }
+                    }
+                }
+            }
+        }
+    }
 }

@@ -436,12 +436,14 @@ pub fn profile_report(
     let trace = foundation::obs::drain();
     let outcome = result?;
 
+    // host time depends on which compiled job loop ran; name it
     let mut out = format!(
-        "profiling {} on {} {:?} for {} iterations\n\n",
+        "profiling {} on {} {:?} for {} iterations (host_isa: {})\n\n",
         method.name(),
         kernel.name,
         dims,
-        iters
+        iters,
+        lorastencil::schedule::host_isa()
     );
     let breakdown = foundation::obs::phase_breakdown();
     out.push_str(&foundation::obs::render_breakdown(&breakdown, wall_ns));
@@ -665,6 +667,8 @@ weights1d:
         let k = find_kernel("Box-2D9P").unwrap();
         let m = find_method("LoRAStencil", ExecConfig::full()).unwrap();
         let r = profile_report(&k, m.as_ref(), &[48], 2, 7, p).unwrap();
+        let isa = format!("(host_isa: {})", lorastencil::schedule::host_isa());
+        assert!(r.lines().next().unwrap().contains(&isa), "header must name the job loop:\n{r}");
         for phase in ["plan", "decompose", "apply", "rdg_gather", "mma_batch", "pointwise"] {
             assert!(r.contains(phase), "breakdown is missing {phase}:\n{r}");
         }

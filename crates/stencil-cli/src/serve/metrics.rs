@@ -1,9 +1,12 @@
-//! Serve-side observability: process-wide counters/histograms from
-//! [`foundation::obs`], plus per-tenant accounting.
+//! Serve-side observability: process-wide counters from
+//! [`foundation::obs`], a per-server latency histogram, plus per-tenant
+//! accounting.
 //!
-//! Handles to the named metrics are resolved once at server start (the
+//! Handles to the named counters are resolved once at server start (the
 //! registry lookup scans a `Mutex<Vec>`; caching the `&'static`
-//! references keeps the request path down to relaxed atomic adds).
+//! references keeps the request path down to relaxed atomic adds). The
+//! latency histogram belongs to the server, not the registry, so `stats`
+//! on one server never reports another server's jobs.
 //! Tenant stats live behind a `Mutex<HashMap>` — lookups by `&str`
 //! allocate nothing once a tenant exists, so the steady-state guarantee
 //! covers multi-tenant traffic too.
@@ -13,7 +16,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use foundation::json::{Json, ToJson};
-use foundation::obs::{counter, histogram, Counter, Histogram};
+use foundation::obs::{counter, Counter, Histogram};
 
 /// Per-tenant accounting: request counts and a latency histogram.
 pub struct TenantStats {
@@ -45,8 +48,8 @@ pub struct ServerMetrics {
     pub batches: &'static Counter,
     pub batched_jobs: &'static Counter,
     pub rejected: &'static Counter,
-    /// End-to-end job latency (parse to response-ready).
-    pub latency: &'static Histogram,
+    /// End-to-end job latency (parse to response-ready) of this server.
+    pub latency: Histogram,
     tenants: Mutex<HashMap<String, Arc<TenantStats>>>,
 }
 
@@ -60,7 +63,7 @@ impl ServerMetrics {
             batches: counter("serve_batches"),
             batched_jobs: counter("serve_batched_jobs"),
             rejected: counter("serve_rejected"),
-            latency: histogram("serve_latency"),
+            latency: Histogram::new(),
             tenants: Mutex::new(HashMap::new()),
         }
     }

@@ -731,6 +731,7 @@ impl ServerCore {
             ("op".into(), "stats".to_json()),
             ("uptime_ns".into(), elapsed_ns(self.started).to_json()),
             ("threads".into(), (par::num_threads() as u64).to_json()),
+            ("host_isa".into(), lorastencil::schedule::host_isa().to_json()),
             (
                 "cache".into(),
                 Json::obj([

@@ -53,7 +53,7 @@ impl SimContext {
     /// instead of being zeroed and copied per instruction. The per-element
     /// FMA order matches real accumulator semantics (`c + a0·b0 + a1·b1 +
     /// a2·b2 + a3·b3`), so results are bit-identical to [`SimContext::mma`].
-    #[inline]
+    #[inline(always)]
     pub fn mma_into(&mut self, a: &FragA, b: &FragB, c: &mut FragAcc) {
         self.counters.mma_ops += 1;
         self.record(TraceEvent::Mma);
@@ -75,7 +75,7 @@ impl SimContext {
     /// # Panics
     ///
     /// Panics if `a` and `b` differ in length.
-    #[inline]
+    #[inline(always)]
     pub fn mma_chain_into(&mut self, a: &[&FragA], b: &[&FragB], c: &mut FragAcc) {
         assert_eq!(a.len(), b.len(), "mma_chain_into needs matched A/B fragment chains");
         self.counters.mma_ops += a.len() as u64;
@@ -133,7 +133,7 @@ impl SimContext {
     /// Charges one `mma_sp_ops`; metadata-register traffic is charged
     /// separately via [`SimContext::metadata_loads`] so schedules can
     /// amortize one metadata load across many column blocks.
-    #[inline]
+    #[inline(always)]
     pub fn mma_sp_into(&mut self, a: &FragASp, b: &FragB, c: &mut FragAcc) {
         self.counters.mma_sp_ops += 1;
         self.record(TraceEvent::MmaSp);
@@ -161,6 +161,7 @@ impl SimContext {
     /// fragment whose 2-bit indices are brought into the metadata
     /// registers; reusable across the column blocks that share the
     /// fragment).
+    #[inline]
     pub fn metadata_loads(&mut self, n: u64) {
         self.counters.metadata_loads += n;
         self.record(TraceEvent::MetaLoad(n));
@@ -170,6 +171,7 @@ impl SimContext {
     /// shuffle instructions the chosen column set costs on real hardware
     /// (0 for the butterfly sets, 2 for the natural contiguous split —
     /// see [`FragAcc::extract_a`]).
+    #[inline(always)]
     pub fn acc_to_a(&mut self, acc: &FragAcc, cols: [usize; MMA_K]) -> FragA {
         let (frag, shuffles) = acc.extract_a(cols);
         self.counters.shuffle_ops += shuffles;
@@ -178,6 +180,7 @@ impl SimContext {
     }
 
     /// Charge `n` scalar FP64 operations executed on CUDA cores.
+    #[inline]
     pub fn cuda_flops(&mut self, n: u64) {
         self.counters.cuda_flops += n;
         self.record(TraceEvent::CudaFlops(n));
@@ -191,6 +194,7 @@ impl SimContext {
     }
 
     /// Record one stencil-point update completion.
+    #[inline]
     pub fn points(&mut self, n: u64) {
         self.counters.points_updated += n;
     }

@@ -285,7 +285,7 @@ impl FragAcc {
     ///   (the Butterfly Vector Swapping guarantee, §III-D);
     /// * the natural splits `{0,1,2,3}` / `{4,5,6,7}` need both registers
     ///   moved across lanes → 2 shuffles each.
-    #[inline]
+    #[inline(always)]
     pub fn extract_a(&self, cols: [usize; MMA_K]) -> (FragA, u64) {
         // The butterfly sets map element (r, cols[j]) from lane 4r+j,
         // register `reg`, to lane 4r+j of the A fragment: the extraction

@@ -151,6 +151,7 @@ impl GlobalArray {
     /// compulsory pass — matching how the A100's 40 MB L2 serves halo
     /// overlap between adjacent thread blocks.
     #[allow(clippy::too_many_arguments)]
+    #[inline]
     pub fn copy_to_shared_reuse(
         &self,
         ctx: &mut SimContext,

@@ -105,7 +105,7 @@ impl SharedTile {
     /// Warp-load an 8×4 A fragment whose top-left corner is `(r0, c0)`.
     /// Out-of-bounds elements read as zero (the zero-padded borders the
     /// paper's weight matrices rely on).
-    #[inline]
+    #[inline(always)]
     pub fn load_frag_a(&self, ctx: &mut SimContext, r0: isize, c0: isize) -> FragA {
         ctx.counters.shared_load_requests += 1;
         ctx.record(TraceEvent::SharedLoad);
@@ -129,7 +129,7 @@ impl SharedTile {
     }
 
     /// Warp-load a 4×8 B fragment whose top-left corner is `(r0, c0)`.
-    #[inline]
+    #[inline(always)]
     pub fn load_frag_b(&self, ctx: &mut SimContext, r0: isize, c0: isize) -> FragB {
         ctx.counters.shared_load_requests += 1;
         ctx.record(TraceEvent::SharedLoad);

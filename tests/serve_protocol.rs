@@ -334,6 +334,13 @@ fn degenerate_server_configs_answer_normally() {
     for q in ["p50_ns", "p99_ns", "max_ns"] {
         assert_eq!(jobs.get(q).and_then(Json::as_f64), Some(0.0), "{q}: {}", conn.resp);
     }
+    // which compiled job loop produced this server's host times
+    assert_eq!(
+        doc.get("host_isa").and_then(Json::as_str),
+        Some(lorastencil::schedule::host_isa()),
+        "{}",
+        conn.resp
+    );
 
     // capacity-0 cache: runs still execute (plans are just never kept)
     let core = ServerCore::new(ServeConfig { cache_capacity: 0, ..ServeConfig::default() });

@@ -13,7 +13,7 @@
 
 use foundation::alloc_counter::{allocation_count, CountingAllocator};
 use foundation::par::threads_spawned;
-use lorastencil::{ExecConfig, Plan, Stepper};
+use lorastencil::{DeviceBackend, ExecConfig, Plan, Stepper};
 use stencil_core::kernels;
 use tcu_sim::GlobalArray;
 
@@ -54,6 +54,25 @@ fn steady_state_steps_allocate_nothing_and_spawn_nothing() {
         allocs,
         "steady-state steps must not allocate (FOUNDATION_THREADS=1)"
     );
+
+    // Every device backend keeps the guarantee, the scalar CUDA-core
+    // path included: its per-term T matrix lives on the stack.
+    for backend in DeviceBackend::all() {
+        let config = ExecConfig { backend, ..ExecConfig::full() };
+        let mut stepper =
+            Stepper::from_grid(Plan::new(&kernels::heat_2d(), config), stepper.grid().clone());
+        stepper.step();
+        stepper.step();
+        let allocs = allocation_count();
+        for _ in 0..4 {
+            stepper.step();
+        }
+        assert_eq!(
+            allocation_count(),
+            allocs,
+            "{backend:?}: steady-state steps must not allocate (FOUNDATION_THREADS=1)"
+        );
+    }
 
     // Checkpointing must not poison the hot loop: capturing and
     // persisting a snapshot allocates (it clones the live planes and
