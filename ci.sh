@@ -111,8 +111,8 @@ tune_smoke() {
 }
 
 backend_smoke() {
-    # one kernel per dimension on all four device backends, each
-    # verified against the naive reference. Within a backend family the
+    # one kernel per dimension, plus the headline Box-2D49P, on all four
+    # device backends, each verified against the naive reference. Within a backend family the
     # outputs are bit-identical (sparse tensor cores skip only exact-zero
     # products; SIMD keeps the scalar path's per-element tap order), so
     # the saved grids are compared byte-for-byte: sparse vs tcu, simd vs
@@ -120,7 +120,7 @@ backend_smoke() {
     # what --verify is for.
     local cli="cargo run --release --offline -p stencil-cli --bin lorastencil-cli --"
     local kernel size out
-    for spec in "Heat-1D:4096" "Heat-2D:96x96" "Heat-3D:8x24x24"; do
+    for spec in "Heat-1D:4096" "Heat-2D:96x96" "Box-2D49P:96x96" "Heat-3D:8x24x24"; do
         kernel=${spec%%:*}; size=${spec##*:}
         local backend
         for backend in tcu sparse simd cuda; do

@@ -11,7 +11,7 @@
 //! because a job computation never blocks or nests a parallel call —
 //! the `RefCell` borrow is released before any join point.
 
-use crate::rdg::{RdgGeometry, XFragments};
+use crate::rdg::{BandWindow, RdgGeometry, XFragments};
 use std::cell::RefCell;
 use tcu_sim::SharedTile;
 
@@ -22,12 +22,16 @@ pub(crate) struct TileScratch {
     pub tiles: [SharedTile; 2],
     /// The tile's B fragments (refilled per sub-tile).
     pub x: XFragments,
+    /// The band evaluator's transposed window (fixed size), which a
+    /// tensor-core `FragBuild` stages in place of `x`.
+    pub band: BandWindow,
 }
 
 thread_local! {
     static SCRATCH: RefCell<TileScratch> = RefCell::new(TileScratch {
         tiles: [SharedTile::new(0, 0), SharedTile::new(0, 0)],
         x: XFragments::empty(RdgGeometry::for_radius(1)),
+        band: BandWindow::new(),
     });
 }
 

@@ -208,6 +208,194 @@ fn split_cols(use_bvs: bool) -> [[usize; MMA_K]; 2] {
     }
 }
 
+/// Largest tile side `S` the band evaluator handles (radius ≤ 12).
+/// Larger geometries run every term on the fragment path.
+pub const BAND_MAX_S: usize = 32;
+
+/// Most taps a term has on a [`BAND_MAX_S`] geometry (`2h + 1`).
+const BAND_MAX_TAPS: usize = BAND_MAX_S - TILE_M + 1;
+
+/// Largest `Σ|u| · max|X|` for which the band evaluator runs a term.
+/// Below it no step-1 partial sum can overflow, so every `T` element is
+/// finite and each skipped `T · 0` product is a signed zero.
+const BAND_T_LIMIT: f64 = f64::MAX / 4.0;
+
+/// One term's plan-time tables for [`rdg_apply_term_band`]. Fixed-size
+/// arrays, so building a schedule allocates nothing extra for them.
+#[derive(Debug, Clone)]
+struct BandTable {
+    /// Band offset of the term inside the kernel's tile (`h − h_t`).
+    shift: usize,
+    /// Tap count `n_t`.
+    taps: usize,
+    /// `u`, zero-padded.
+    u: [f64; BAND_MAX_TAPS],
+    /// `v`, zero-padded.
+    v: [f64; BAND_MAX_TAPS],
+    /// `Σ|u[t]|`: `|T| ≤ Σ|u| · max|X|` (the overflow guard).
+    u_abs: f64,
+    /// The `T` columns step 2 reads, in the MMA order `(col block j, split
+    /// half, k)`, each with the inclusive range of output columns `q`
+    /// whose banded `V` entry in that row is nonzero: `[c, q_lo, q_hi]`.
+    steps: [[u8; 3]; BAND_MAX_S],
+    /// Used prefix of `steps`.
+    n_steps: usize,
+    /// Shuffles the term's `2 · S/8` accumulator splits charge.
+    shuffles: u64,
+}
+
+impl BandTable {
+    /// The tables for `term`, or `None` when `S > BAND_MAX_S`. The step-2
+    /// order walks the same `cols` split [`build_v_frags`] permutes `V` by.
+    fn build(term: &RankOneTerm, geo: RdgGeometry, cols: [[usize; MMA_K]; 2]) -> Option<Self> {
+        if geo.s > BAND_MAX_S {
+            return None;
+        }
+        let shift = geo.h - term.radius();
+        let taps = term.u.len();
+        let mut u = [0.0; BAND_MAX_TAPS];
+        let mut v = [0.0; BAND_MAX_TAPS];
+        u[..taps].copy_from_slice(&term.u);
+        v[..taps].copy_from_slice(&term.v);
+        let mut steps = [[0u8; 3]; BAND_MAX_S];
+        let mut n_steps = 0;
+        for j in 0..geo.col_blocks() {
+            for half in cols {
+                for k in half {
+                    // V[c][q] = v[c − shift − q] for q in
+                    // [c − shift − (n_t − 1), c − shift] ∩ [0, 8)
+                    let c = j * MMA_N + k;
+                    let Some(top) = c.checked_sub(shift) else { continue };
+                    let lo = top.saturating_sub(taps - 1);
+                    if lo < MMA_N {
+                        steps[n_steps] = [c as u8, lo as u8, top.min(MMA_N - 1) as u8];
+                        n_steps += 1;
+                    }
+                }
+            }
+        }
+        let shuffles = cols.iter().map(|&c| FragAcc::zero().extract_a(c).1).sum::<u64>()
+            * geo.col_blocks() as u64;
+        Some(BandTable {
+            shift,
+            taps,
+            u,
+            v,
+            u_abs: term.u.iter().map(|w| w.abs()).sum(),
+            steps,
+            n_steps,
+            shuffles,
+        })
+    }
+}
+
+/// The staged S×S window as the band evaluator reads it: transposed, so
+/// `xt[c·S + r] = X[r][c]` and 8 consecutive rows of one column are one
+/// contiguous 8-lane vector. Lives in the per-worker scratch next to the
+/// [`XFragments`] it stands in for: a tensor-core `FragBuild` stages the
+/// window here instead of building fragments, and the fragments are built
+/// from it only if a term falls back to the fragment path. Nothing in it
+/// is re-zeroed.
+#[derive(Debug, Clone)]
+pub struct BandWindow {
+    geo: RdgGeometry,
+    xt: [f64; BAND_MAX_S * BAND_MAX_S],
+    /// Largest `|X|` in the window; NaN or `+inf` when it holds a
+    /// non-finite value.
+    max_abs: f64,
+    /// Whether the window holds the current tile (the last `FragBuild`
+    /// staged it rather than building fragments).
+    staged: bool,
+    /// Whether the paired [`XFragments`] still lack the staged tile.
+    frags_pending: bool,
+}
+
+impl BandWindow {
+    /// An empty window, filled by [`BandWindow::load_at`].
+    pub fn new() -> Self {
+        BandWindow {
+            geo: RdgGeometry::for_radius(1),
+            xt: [0.0; BAND_MAX_S * BAND_MAX_S],
+            max_abs: 0.0,
+            staged: false,
+            frags_pending: false,
+        }
+    }
+
+    /// [`XFragments::load_into_at`] in band form: stage the S×S window at
+    /// `(r_off, c_off)` of `tile` transposed, charging the same `S/4 × S/8`
+    /// fragment loads, and leave the fragments to [`BandWindow::frags`].
+    /// Needs `S ≤ BAND_MAX_S`, as the band tables do.
+    #[inline(always)]
+    pub fn load_at(
+        &mut self,
+        ctx: &mut SimContext,
+        tile: &SharedTile,
+        geo: RdgGeometry,
+        r_off: usize,
+        c_off: usize,
+    ) {
+        let s = geo.s;
+        self.geo = geo;
+        let xt = &mut self.xt[..s * s];
+        tile.load_window_transposed(ctx, r_off as isize, c_off as isize, s, xt);
+        // NaN bit patterns sort above +inf's, so the maximum is finite
+        // exactly when every value is
+        let max_bits = xt.iter().fold(0u64, |m, v| m.max(v.to_bits() & !(1 << 63)));
+        self.max_abs = f64::from_bits(max_bits);
+        self.staged = true;
+        self.frags_pending = true;
+    }
+
+    /// Mark the window stale: the last `FragBuild` built fragments.
+    #[inline(always)]
+    pub fn unstage(&mut self) {
+        self.staged = false;
+        self.frags_pending = false;
+    }
+
+    /// Whether the band evaluator may run on the window: it holds the
+    /// current tile and every value is finite (`0 · inf` is NaN, so a
+    /// skipped product is a zero only for finite `X`).
+    #[inline(always)]
+    pub fn ready(&self) -> bool {
+        self.staged && self.max_abs.is_finite()
+    }
+
+    /// `x` holding the current tile's fragments, built from the window on
+    /// first use (charging nothing: [`BandWindow::load_at`] charged the
+    /// loads).
+    #[inline(always)]
+    pub fn frags<'a>(&mut self, x: &'a mut XFragments) -> &'a XFragments {
+        if self.frags_pending {
+            self.frags_pending = false;
+            let geo = self.geo;
+            x.geo = geo;
+            x.frags.clear();
+            for rb in 0..geo.row_blocks() {
+                for cb in 0..geo.col_blocks() {
+                    // lane 4c + k holds X[4rb + k][8cb + c]: eight 4-row
+                    // pieces of the window's columns
+                    let mut f = FragB::zero();
+                    for c in 0..MMA_N {
+                        let src = (cb * MMA_N + c) * geo.s + rb * MMA_K;
+                        f.lanes[MMA_K * c..MMA_K * (c + 1)]
+                            .copy_from_slice(&self.xt[src..src + MMA_K]);
+                    }
+                    x.frags.push(f);
+                }
+            }
+        }
+        x
+    }
+}
+
+impl Default for BandWindow {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 /// One rank-1 term's weight fragments, prebuilt once per plan: they
 /// depend only on `(term, geometry, use_bvs)`, never on the input tile,
 /// so the executors hoist them out of the per-tile loop (on real
@@ -224,16 +412,20 @@ pub struct TermFrags {
     v: Vec<FragB>,
     /// Accumulator column split matching `v`'s permutation.
     cols: [[usize; MMA_K]; 2],
+    /// The band evaluator's tables; `None` when `S > BAND_MAX_S`.
+    band: Option<BandTable>,
 }
 
 impl TermFrags {
     /// Build the fragments for one term on the given geometry.
     pub fn build(term: &RankOneTerm, geo: RdgGeometry, use_bvs: bool) -> Self {
+        let cols = split_cols(use_bvs);
         TermFrags {
             u: build_u_frags(term, geo),
             u_sp: None,
             v: build_v_frags(term, geo, use_bvs),
-            cols: split_cols(use_bvs),
+            cols,
+            band: BandTable::build(term, geo, cols),
         }
     }
 
@@ -259,6 +451,26 @@ impl TermFrags {
     /// Build the fragments for every term of a decomposition.
     pub fn build_all(terms: &[RankOneTerm], geo: RdgGeometry, use_bvs: bool) -> Vec<TermFrags> {
         terms.iter().map(|t| TermFrags::build(t, geo, use_bvs)).collect()
+    }
+
+    /// Whether the term has band tables (`S ≤ BAND_MAX_S`).
+    pub fn has_band(&self) -> bool {
+        self.band.is_some()
+    }
+
+    /// Whether [`rdg_apply_term_band`] may evaluate this term on `w`: the
+    /// term has band tables and no `T` element can overflow.
+    #[inline(always)]
+    pub fn fits_band(&self, w: &BandWindow) -> bool {
+        self.band.as_ref().is_some_and(|bt| bt.u_abs * w.max_abs <= BAND_T_LIMIT)
+    }
+
+    /// Drop the band tables, sending the term down the fragment path (the
+    /// band-vs-fragment differential tests force it this way, through
+    /// `Schedule::drop_band_tables`).
+    #[cfg(test)]
+    pub(crate) fn drop_band(&mut self) {
+        self.band = None;
     }
 }
 
@@ -396,6 +608,91 @@ pub fn rdg_apply_term_sparse_into(
             ctx.mma_into(&a, &tf.v[2 * j + half], out);
         }
     }
+}
+
+/// Band form of [`rdg_apply_term_frags_into`] and, with `sparse`, of
+/// [`rdg_apply_term_sparse_into`]: the same `acc += U·X·V` with the
+/// structural zeros of the banded `U` and `V` skipped on the host. `acc`
+/// is the output accumulator transposed (`acc[q][p]`), `w` a
+/// [ready](BandWindow::ready) window `tf` [fits](TermFrags::fits_band).
+///
+/// * Step 1: `T[p][c] = Σ_t u[t]·X[p+shift+t][c]`, seeded at `+0.0`, taps
+///   in increasing `t`: the fragment chain's k-loop minus its zero
+///   products.
+/// * Step 2: `acc[q][p] += T[p][c]·V[c][q]` over the band, visiting `c` in
+///   the chain's MMA order `(col block, split half, k)`.
+///
+/// Every skipped product is `0·x` for a finite `x`, a signed zero. A
+/// `+0.0`-seeded round-to-nearest sum never reaches `-0.0`, so adding one
+/// is the identity: each output element runs the fragment chain's exact
+/// operation sequence minus identities, and the bits match. The modeled
+/// device still issues every MMA, so the counters come from their closed
+/// forms: `mma_per_term()` dense MMAs, or for a 2:4-compressed term on the
+/// sparse backend `rb·cb` sparse MMAs, `rb` metadata loads and `2·cb`
+/// dense step-2 MMAs; plus the shuffles the accumulator splits cost.
+#[inline(always)]
+pub fn rdg_apply_term_band(
+    ctx: &mut SimContext,
+    w: &BandWindow,
+    tf: &TermFrags,
+    sparse: bool,
+    acc: &mut [[f64; MMA_M]; MMA_N],
+) {
+    let bt = tf.band.as_ref().expect("fits_band checked the band tables");
+    let geo = w.geo;
+    let (u, v) = (&bt.u[..bt.taps], &bt.v[..bt.taps]);
+    for &[c, lo, hi] in &bt.steps[..bt.n_steps] {
+        let c = usize::from(c);
+        let base = c * geo.s + bt.shift;
+        let col = &w.xt[base..base + bt.taps - 1 + MMA_M];
+        // step 1: rows 0..8 of T's column c
+        let mut t = [0.0f64; MMA_M];
+        for (i, &ui) in u.iter().enumerate() {
+            let x: &[f64; MMA_M] = col[i..i + MMA_M].try_into().expect("8 rows");
+            for (tp, &xp) in t.iter_mut().zip(x) {
+                *tp += ui * xp;
+            }
+        }
+        // step 2: every output column whose V entry in row c is banded
+        for q in usize::from(lo)..=usize::from(hi) {
+            let vw = v[c - bt.shift - q];
+            for (a, &tp) in acc[q].iter_mut().zip(&t) {
+                *a += tp * vw;
+            }
+        }
+    }
+    let (rb, cb) = (geo.row_blocks() as u64, geo.col_blocks() as u64);
+    let counters = &mut ctx.counters;
+    if sparse && tf.u_sp.is_some() {
+        counters.metadata_loads += rb;
+        counters.mma_sp_ops += rb * cb;
+        counters.mma_ops += 2 * cb;
+    } else {
+        counters.mma_ops += geo.mma_per_term();
+    }
+    counters.shuffle_ops += bt.shuffles;
+}
+
+/// Band form of [`apply_pointwise`] on a transposed accumulator: the same
+/// `acc + pw·X[h+p][h+q]` per element, eight rows at a time.
+#[inline(always)]
+pub fn apply_pointwise_band(
+    ctx: &mut SimContext,
+    w: &BandWindow,
+    pw: f64,
+    acc: &mut [[f64; MMA_M]; MMA_N],
+) {
+    if pw == 0.0 {
+        return;
+    }
+    let (h, s) = (w.geo.h, w.geo.s);
+    for (q, col) in acc.iter_mut().enumerate() {
+        let base = (h + q) * s + h;
+        for (a, &x) in col.iter_mut().zip(&w.xt[base..base + MMA_M]) {
+            *a += pw * x;
+        }
+    }
+    ctx.cuda_flops(2 * (MMA_M * MMA_N) as u64);
 }
 
 /// Apply the pointwise pyramid tip: `acc[r][q] += pw · X[h+r][h+q]`,
@@ -946,6 +1243,117 @@ mod tests {
             for q in 0..MMA_N {
                 assert_eq!(acc.get(p, q).to_bits(), want.get(p, q).to_bits());
             }
+        }
+    }
+
+    #[test]
+    fn band_evaluator_matches_the_fragment_chain_bitwise() {
+        // full-radius and centered pyramid terms, 2:4-compressible and
+        // not, under both accumulator splits, on both backends' charges
+        for h in [1usize, 3, 5] {
+            let geo = RdgGeometry::for_radius(h);
+            let (tile, _) = random_tile(geo.s, 300 + h as u64);
+            let taps = 2 * h + 1;
+            let terms = [
+                RankOneTerm::new(
+                    (0..taps).map(|t| 0.3 + 0.1 * t as f64).collect(),
+                    (0..taps).map(|t| 1.1 - 0.2 * t as f64).collect(),
+                ),
+                RankOneTerm::new(vec![0.75, 0.0, -0.25], vec![0.5, 1.0, 1.25]),
+            ];
+            for (term, use_bvs, sparse) in terms.iter().flat_map(|t| {
+                [(t, true, false), (t, false, false), (t, true, true), (t, false, true)]
+            }) {
+                let case = format!("h={h} taps={} bvs={use_bvs} sparse={sparse}", term.u.len());
+                let tf = if sparse {
+                    TermFrags::build_sparse(term, geo, use_bvs)
+                } else {
+                    TermFrags::build(term, geo, use_bvs)
+                };
+                let mut ctx_f = SimContext::new();
+                let x = XFragments::load(&mut ctx_f, &tile, geo);
+                let mut acc_f = FragAcc::zero();
+                if sparse {
+                    rdg_apply_term_sparse_into(&mut ctx_f, &x, &tf, &mut acc_f, 1);
+                } else {
+                    rdg_apply_term_frags_into(&mut ctx_f, &x, &tf, &mut acc_f, 1);
+                }
+
+                let mut ctx_b = SimContext::new();
+                let mut w = BandWindow::new();
+                w.load_at(&mut ctx_b, &tile, geo, 0, 0);
+                assert!(w.ready() && tf.fits_band(&w), "{case}");
+                let mut acc_b = [[0.0; MMA_M]; MMA_N];
+                rdg_apply_term_band(&mut ctx_b, &w, &tf, sparse, &mut acc_b);
+
+                for p in 0..MMA_M {
+                    for q in 0..MMA_N {
+                        assert_eq!(
+                            acc_b[q][p].to_bits(),
+                            acc_f.get(p, q).to_bits(),
+                            "{case} ({p},{q})"
+                        );
+                    }
+                }
+                assert_eq!(ctx_b.counters.fields(), ctx_f.counters.fields(), "{case}");
+            }
+        }
+    }
+
+    #[test]
+    fn band_window_rejects_non_finite_values_and_overflowing_terms() {
+        let geo = RdgGeometry::for_radius(1);
+        let term = RankOneTerm::new(vec![1.0, 2.0, 1.0], vec![1.0, 2.0, 1.0]);
+        let tf = TermFrags::build(&term, geo, true);
+        let mut tile = SharedTile::new(geo.s, geo.s);
+        let mut w = BandWindow::new();
+        let mut refill = |tile: &SharedTile| {
+            w.load_at(&mut SimContext::new(), tile, geo, 0, 0);
+            (w.ready(), tf.fits_band(&w))
+        };
+        tile.poke(3, 4, -1e300);
+        assert_eq!(refill(&tile), (true, true), "|T| ≤ 4e300 cannot overflow");
+        tile.poke(5, 6, f64::MAX);
+        assert_eq!(refill(&tile), (true, false), "|T| ≤ 4·MAX could");
+        for bad in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            tile.poke(7, 9, bad);
+            assert!(!refill(&tile).0, "{bad} is not finite");
+        }
+        w.unstage();
+        assert!(!w.ready(), "a window the last FragBuild did not stage is stale");
+        // a window larger than the tables' capacity never gets tables
+        let big = RdgGeometry::for_radius(BAND_MAX_S / 2);
+        assert!(big.s > BAND_MAX_S);
+        let wide = RankOneTerm::new(vec![1.0; 2 * big.h + 1], vec![1.0; 2 * big.h + 1]);
+        assert!(!TermFrags::build(&wide, big, true).has_band());
+    }
+
+    #[test]
+    fn fragments_built_from_a_staged_window_match_loaded_ones() {
+        for h in [1usize, 3, 7] {
+            let geo = RdgGeometry::for_radius(h);
+            let (small, _) = random_tile(geo.s, 500 + h as u64);
+            // a larger staged tile with the window at an offset
+            let mut tile = SharedTile::new(geo.s + 8, geo.s + 8);
+            for r in 0..geo.s {
+                for c in 0..geo.s {
+                    tile.poke(r + 8, c + 3, small.peek(r, c));
+                }
+            }
+            let mut ctx_f = SimContext::new();
+            let want = XFragments::load(&mut ctx_f, &small, geo);
+            let mut ctx_b = SimContext::new();
+            let mut w = BandWindow::new();
+            w.load_at(&mut ctx_b, &tile, geo, 8, 3);
+            let mut x = XFragments::empty(RdgGeometry::for_radius(1));
+            let got = w.frags(&mut x);
+            assert_eq!(got.geometry(), geo);
+            for rb in 0..geo.row_blocks() {
+                for cb in 0..geo.col_blocks() {
+                    assert_eq!(got.frag(rb, cb).lanes, want.frag(rb, cb).lanes, "h={h}");
+                }
+            }
+            assert_eq!(ctx_b.counters.fields(), ctx_f.counters.fields(), "h={h}");
         }
     }
 

@@ -8,13 +8,16 @@
 //! touching the per-dimension lowering. Four implementations:
 //!
 //! * [`TcuF64`] — the simulated A100 FP64 tensor-core path (MMA chains
-//!   via prebuilt fragments, pointwise tip on CUDA cores).
+//!   via prebuilt fragments, pointwise tip on CUDA cores). The chains
+//!   run in band form ([`rdg_apply_term_band`]) whenever the input
+//!   allows, and on the lane-exact fragments otherwise.
 //! * [`SparseTcu`] — the structured-sparse tensor-core path: terms whose
 //!   banded `U` fragments satisfy the 2:4 constraint run as `mma.sp`
 //!   chains (half the tensor FLOPs, plus metadata-register loads); terms
 //!   that don't fall back to the dense chain per term. Bit-identical to
 //!   [`TcuF64`] — skipping zero products cannot change a
-//!   round-to-nearest sum seeded at `+0.0`.
+//!   round-to-nearest sum seeded at `+0.0` — and sharing its band
+//!   evaluator.
 //! * [`SimdCore`] — the tuned host-SIMD path: the same `U·X·V` math,
 //!   register-blocked with `f64x4`-style chunked unrolling, charged at
 //!   [`SIMD_RDG_ISSUE_OVERHEAD`](crate::rdg::SIMD_RDG_ISSUE_OVERHEAD)
@@ -28,10 +31,21 @@
 
 use super::{AccFold, LoweredTerm, Schedule};
 use crate::rdg::{
-    apply_pointwise, rdg_apply_term_cuda, rdg_apply_term_frags_into, rdg_apply_term_simd,
-    rdg_apply_term_sparse_into, XFragments, MAX_MMA_BATCH, TILE_M,
+    apply_pointwise, apply_pointwise_band, rdg_apply_term_band, rdg_apply_term_cuda,
+    rdg_apply_term_frags_into, rdg_apply_term_simd, rdg_apply_term_sparse_into, BandWindow,
+    XFragments, MAX_MMA_BATCH, TILE_M,
 };
-use tcu_sim::{FragA, FragAcc, SharedTile, SimContext, MMA_K, MMA_N};
+use foundation::obs::Counter;
+use std::sync::OnceLock;
+use tcu_sim::{FragA, FragAcc, SharedTile, SimContext, MMA_K, MMA_M, MMA_N};
+
+/// The `obs` counter `rdg_band_fallback`: tensor-core terms evaluated on
+/// the fragment path instead of in band form (a non-finite window, a `T`
+/// that could overflow, a tracing context, or `S > BAND_MAX_S`).
+pub fn band_fallbacks() -> &'static Counter {
+    static COUNTER: OnceLock<&'static Counter> = OnceLock::new();
+    COUNTER.get_or_init(|| foundation::obs::counter("rdg_band_fallback"))
+}
 
 /// Device-specific compute for one output tile. One instance lives on
 /// the interpreter's stack per tile; accumulators start at zero.
@@ -39,11 +53,14 @@ pub trait Backend {
     /// Run the RDG chains of `terms` (all against the currently staged
     /// X fragments), then the pointwise pyramid tip if `pointwise` is
     /// present (its weight may be `0.0` — the backend still owns the
-    /// span structure).
+    /// span structure). When the schedule runs in band form the
+    /// `FragBuild` staged the tile in `band` rather than `x`, and
+    /// [`BandWindow::frags`] builds `x` on demand.
     fn term_chain(
         &mut self,
         ctx: &mut SimContext,
-        x: &XFragments,
+        x: &mut XFragments,
+        band: &mut BandWindow,
         sched: &Schedule,
         terms: &[LoweredTerm],
         pointwise: Option<f64>,
@@ -60,17 +77,135 @@ pub trait Backend {
     fn finish(&mut self, fold: AccFold) -> [[f64; MMA_N]; TILE_M];
 }
 
+/// Which form a tensor-core backend's output accumulator is in. Both
+/// forms start at zero, so a sub-tile that stays on one path never
+/// converts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Live {
+    /// Nothing accumulated yet.
+    Zero,
+    /// In the [`FragAcc`] (fragment path, 1-D gather).
+    Frag,
+    /// In the transposed band accumulator.
+    Band,
+}
+
 /// The simulated FP64 tensor-core backend.
 #[derive(Debug)]
 pub struct TcuF64 {
     frag: FragAcc,
+    /// The band evaluator's accumulator, transposed: `band[q][p]` is
+    /// output `(p, q)`.
+    band: [[f64; MMA_M]; MMA_N],
+    live: Live,
     vals: [[f64; MMA_N]; TILE_M],
 }
 
 impl TcuF64 {
     /// Fresh zeroed accumulators.
     pub fn new() -> Self {
-        TcuF64 { frag: FragAcc::zero(), vals: [[0.0; MMA_N]; TILE_M] }
+        TcuF64 {
+            frag: FragAcc::zero(),
+            band: [[0.0; MMA_M]; MMA_N],
+            live: Live::Zero,
+            vals: [[0.0; MMA_N]; TILE_M],
+        }
+    }
+
+    /// The accumulator as a fragment, moved out of band form if needed.
+    #[inline(always)]
+    fn frag_acc(&mut self) -> &mut FragAcc {
+        if self.live == Live::Band {
+            for (q, col) in self.band.iter().enumerate() {
+                for (p, &v) in col.iter().enumerate() {
+                    self.frag.set(p, q, v);
+                }
+            }
+        }
+        self.live = Live::Frag;
+        &mut self.frag
+    }
+
+    /// The accumulator in band form, moved out of the fragment if needed.
+    #[inline(always)]
+    fn band_acc(&mut self) -> &mut [[f64; MMA_M]; MMA_N] {
+        if self.live == Live::Frag {
+            for (q, col) in self.band.iter_mut().enumerate() {
+                for (p, v) in col.iter_mut().enumerate() {
+                    *v = self.frag.get(p, q);
+                }
+            }
+        }
+        self.live = Live::Band;
+        &mut self.band
+    }
+
+    /// The accumulator as a row-major 8×8 matrix.
+    #[inline]
+    fn matrix(&self) -> [[f64; MMA_N]; TILE_M] {
+        if self.live != Live::Band {
+            return self.frag.to_matrix();
+        }
+        let mut m = [[0.0; MMA_N]; TILE_M];
+        for (q, col) in self.band.iter().enumerate() {
+            for (p, &v) in col.iter().enumerate() {
+                m[p][q] = v;
+            }
+        }
+        m
+    }
+
+    /// The term chain of both tensor-core backends (`sparse` selects
+    /// [`SparseTcu`]'s `mma.sp` charges and fragment path). Each term runs
+    /// in band form when the `FragBuild` staged a finite window and the
+    /// term's `T` cannot overflow; otherwise on the fragment path, which
+    /// is the reference the band form reproduces bit for bit.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    fn chain(
+        &mut self,
+        ctx: &mut SimContext,
+        x: &mut XFragments,
+        band: &mut BandWindow,
+        sched: &Schedule,
+        terms: &[LoweredTerm],
+        pointwise: Option<f64>,
+        sparse: bool,
+    ) {
+        let in_band = band.ready();
+        {
+            let _mma_batch = foundation::obs::span("mma_batch");
+            let mut fallbacks = 0;
+            for lt in terms {
+                let tf = lt.frags.as_ref().expect("TCU backend needs prebuilt fragments");
+                if in_band && tf.fits_band(band) {
+                    rdg_apply_term_band(ctx, band, tf, sparse, self.band_acc());
+                    continue;
+                }
+                fallbacks += 1;
+                let x = band.frags(x);
+                let frag = self.frag_acc();
+                if sparse {
+                    // sparse chain when this term compressed; dense
+                    // fallback (inside) when it didn't — per term, not
+                    // per kernel
+                    rdg_apply_term_sparse_into(ctx, x, tf, frag, sched.mma_batch);
+                } else {
+                    rdg_apply_term_frags_into(ctx, x, tf, frag, sched.mma_batch);
+                }
+            }
+            if fallbacks > 0 {
+                band_fallbacks().add(fallbacks);
+            }
+        }
+        if let Some(pw) = pointwise {
+            let _pointwise = foundation::obs::span("pointwise");
+            if in_band && self.live != Live::Frag {
+                apply_pointwise_band(ctx, band, pw, self.band_acc());
+            } else {
+                apply_pointwise(ctx, band.frags(x), pw, self.frag_acc());
+            }
+        }
     }
 }
 
@@ -85,31 +220,23 @@ impl Backend for TcuF64 {
     fn term_chain(
         &mut self,
         ctx: &mut SimContext,
-        x: &XFragments,
+        x: &mut XFragments,
+        band: &mut BandWindow,
         sched: &Schedule,
         terms: &[LoweredTerm],
         pointwise: Option<f64>,
     ) {
-        {
-            let _mma_batch = foundation::obs::span("mma_batch");
-            for lt in terms {
-                let tf = lt.frags.as_ref().expect("TCU backend needs prebuilt fragments");
-                rdg_apply_term_frags_into(ctx, x, tf, &mut self.frag, sched.mma_batch);
-            }
-        }
-        if let Some(pw) = pointwise {
-            let _pointwise = foundation::obs::span("pointwise");
-            apply_pointwise(ctx, x, pw, &mut self.frag);
-        }
+        self.chain(ctx, x, band, sched, terms, pointwise, false);
     }
 
     #[inline(always)]
     fn gather_1d(&mut self, ctx: &mut SimContext, tile: &SharedTile, sched: &Schedule) {
         let _mma_batch = foundation::obs::span("mma_batch");
+        let frag = self.frag_acc();
         if sched.mma_batch <= 1 {
             for (blk, vf) in sched.v1d.iter().enumerate() {
                 let a = tile.load_frag_a(ctx, 0, (blk * MMA_K) as isize);
-                ctx.mma_into(&a, vf, &mut self.frag);
+                ctx.mma_into(&a, vf, frag);
             }
             return;
         }
@@ -132,7 +259,7 @@ impl Backend for TcuF64 {
                 a_refs[i] = &a_store[i];
                 b_refs[i] = &sched.v1d[blk + i];
             }
-            ctx.mma_chain_into(&a_refs[..cnt], &b_refs[..cnt], &mut self.frag);
+            ctx.mma_chain_into(&a_refs[..cnt], &b_refs[..cnt], frag);
             blk = end;
         }
     }
@@ -145,12 +272,13 @@ impl Backend for TcuF64 {
     #[inline]
     fn finish(&mut self, fold: AccFold) -> [[f64; MMA_N]; TILE_M] {
         match fold {
-            AccFold::FragOnly => self.frag.to_matrix(),
+            AccFold::FragOnly => self.matrix(),
             AccFold::Merge => {
                 // fold the tensor-core accumulator into the scalar one
-                for (p, row) in self.vals.iter_mut().enumerate() {
-                    for (q, v) in row.iter_mut().enumerate() {
-                        *v += self.frag.get(p, q);
+                let acc = self.matrix();
+                for (row, acc_row) in self.vals.iter_mut().zip(&acc) {
+                    for (v, &a) in row.iter_mut().zip(acc_row) {
+                        *v += a;
                     }
                 }
                 self.vals
@@ -180,24 +308,13 @@ impl Backend for SparseTcu {
     fn term_chain(
         &mut self,
         ctx: &mut SimContext,
-        x: &XFragments,
+        x: &mut XFragments,
+        band: &mut BandWindow,
         sched: &Schedule,
         terms: &[LoweredTerm],
         pointwise: Option<f64>,
     ) {
-        {
-            let _mma_batch = foundation::obs::span("mma_batch");
-            for lt in terms {
-                let tf = lt.frags.as_ref().expect("TCU backend needs prebuilt fragments");
-                // sparse chain when this term compressed; dense fallback
-                // (inside) when it didn't — per term, not per kernel
-                rdg_apply_term_sparse_into(ctx, x, tf, &mut self.inner.frag, sched.mma_batch);
-            }
-        }
-        if let Some(pw) = pointwise {
-            let _pointwise = foundation::obs::span("pointwise");
-            apply_pointwise(ctx, x, pw, &mut self.inner.frag);
-        }
+        self.inner.chain(ctx, x, band, sched, terms, pointwise, true);
     }
 
     fn gather_1d(&mut self, _ctx: &mut SimContext, _tile: &SharedTile, _sched: &Schedule) {
@@ -242,7 +359,8 @@ impl Backend for CudaCore {
     fn term_chain(
         &mut self,
         ctx: &mut SimContext,
-        x: &XFragments,
+        x: &mut XFragments,
+        _band: &mut BandWindow,
         sched: &Schedule,
         terms: &[LoweredTerm],
         pointwise: Option<f64>,
@@ -300,7 +418,8 @@ impl Backend for SimdCore {
     fn term_chain(
         &mut self,
         ctx: &mut SimContext,
-        x: &XFragments,
+        x: &mut XFragments,
+        _band: &mut BandWindow,
         sched: &Schedule,
         terms: &[LoweredTerm],
         pointwise: Option<f64>,

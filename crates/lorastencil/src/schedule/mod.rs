@@ -32,7 +32,7 @@ mod params;
 mod session;
 mod stepper;
 
-pub use backend::{Backend, CudaCore, SimdCore, SparseTcu, TcuF64};
+pub use backend::{band_fallbacks, Backend, CudaCore, SimdCore, SparseTcu, TcuF64};
 pub use params::{ScheduleParams, Staging};
 pub use session::ExecSession;
 pub use stepper::{apply_once, apply_once_planes, host_isa, run, run_tuned, Stepper, Workspace};
@@ -223,6 +223,10 @@ pub struct Schedule {
     pub terms: Vec<LoweredTerm>,
     /// The 1-D banded `V` fragments (empty unless `dims == 1`).
     pub v1d: Vec<tcu_sim::FragB>,
+    /// Whether [`Op::FragBuild`] stages the tensor-core band window
+    /// instead of building fragments: derived from the lowered terms
+    /// (they carry band tables), never chosen.
+    pub(crate) band: bool,
 }
 
 impl Schedule {
@@ -274,6 +278,7 @@ impl Schedule {
             ops: Vec::new(),
             terms: Vec::new(),
             v1d: Vec::new(),
+            band: false,
         };
         match &plan.kind {
             PlanKind::D1 { seg_len } => crate::exec::one_d::lower(*seg_len, &mut sched),
@@ -300,7 +305,23 @@ impl Schedule {
                     crate::exec::one_d::build_v_frags(plan.exec_kernel.weights_1d(), sched.seg_len);
             }
         }
+        // every term shares the geometry, so all have band tables or none
+        sched.band =
+            sched.terms.iter().any(|lt| lt.frags.as_ref().is_some_and(TermFrags::has_band));
         sched
+    }
+
+    /// Drop every term's band tables, so the interpreter runs the
+    /// lane-exact fragment path throughout (the band-vs-fragment
+    /// differential tests' reference).
+    #[cfg(test)]
+    pub(crate) fn drop_band_tables(&mut self) {
+        for lt in &mut self.terms {
+            if let Some(tf) = lt.frags.as_mut() {
+                tf.drop_band();
+            }
+        }
+        self.band = false;
     }
 
     /// Append one rank-1 term, returning its [`Op::MmaChain`] op

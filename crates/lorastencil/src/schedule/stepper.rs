@@ -226,13 +226,16 @@ fn subtile_on<B: Backend>(
             }
             Op::FragBuild { slot } => {
                 let eff = eff_slot(sched, job_i, slot);
-                scratch.x.load_into_at(
-                    ctx,
-                    &scratch.tiles[eff],
-                    sched.geo,
-                    sub.r0 - job.r0,
-                    sub.c0 - job.c0,
-                );
+                let (tile, r_off, c_off) = (&scratch.tiles[eff], sub.r0 - job.r0, sub.c0 - job.c0);
+                // tensor-core chains read the transposed window and build
+                // fragments from it only on a fallback; a traced run
+                // records every instruction, so it builds them here
+                if sched.band && ctx.trace().is_none() {
+                    scratch.band.load_at(ctx, tile, sched.geo, r_off, c_off);
+                } else {
+                    scratch.x.load_into_at(ctx, tile, sched.geo, r_off, c_off);
+                    scratch.band.unstage();
+                }
                 i += 1;
             }
             Op::RdgGather => {
@@ -277,12 +280,26 @@ fn subtile_on<B: Backend>(
                 } else {
                     None
                 };
-                backend.term_chain(ctx, &scratch.x, sched, &sched.terms[first..end], pw);
+                backend.term_chain(
+                    ctx,
+                    &mut scratch.x,
+                    &mut scratch.band,
+                    sched,
+                    &sched.terms[first..end],
+                    pw,
+                );
             }
             Op::Pointwise { weight } => {
                 // term-less decomposition: still one (empty) chain call so
                 // the backend's phase structure is uniform
-                backend.term_chain(ctx, &scratch.x, sched, &[], Some(weight));
+                backend.term_chain(
+                    ctx,
+                    &mut scratch.x,
+                    &mut scratch.band,
+                    sched,
+                    &[],
+                    Some(weight),
+                );
                 i += 1;
             }
             Op::PointwisePlane { dz, weight } => {
@@ -732,6 +749,67 @@ mod tests {
         )
     }
 
+    /// The input planes the bitwise tests run `kernel` on.
+    fn test_planes(kernel: &StencilKernel) -> Vec<GlobalArray> {
+        match kernel.dims() {
+            1 => vec![wavy(1, 157, 0)],
+            2 => vec![wavy(24, 40, 1)],
+            _ => (0..4).map(|z| wavy(11, 13, z + 2)).collect(),
+        }
+    }
+
+    /// The toggle sets the bitwise tests cover: full, no-fusion, no-BVS.
+    fn test_configs() -> [ExecConfig; 3] {
+        let full = ExecConfig::full();
+        [full, ExecConfig { allow_fusion: false, ..full }, ExecConfig { use_bvs: false, ..full }]
+    }
+
+    /// The schedule shapes the bitwise tests cover.
+    fn test_params() -> [ScheduleParams; 3] {
+        [
+            ScheduleParams::default(),
+            ScheduleParams {
+                tile_rows: 64,
+                tile_cols: 64,
+                mma_batch: 2,
+                ..ScheduleParams::default()
+            },
+            ScheduleParams {
+                tile_rows: 16,
+                tile_cols: 16,
+                staging: Staging::Double,
+                mma_batch: 4,
+                fuse_override: None,
+            },
+        ]
+    }
+
+    /// One application of `ws` to `planes` on the `isa` job loop.
+    fn run_on(
+        ws: &mut Workspace,
+        isa: HostIsa,
+        planes: &[GlobalArray],
+    ) -> (Vec<GlobalArray>, PerfCounters) {
+        let mut out: Vec<GlobalArray> =
+            planes.iter().map(|p| GlobalArray::new(p.rows(), p.cols())).collect();
+        let counters = ws.apply_planes_on(isa, planes, &mut out);
+        (out, counters)
+    }
+
+    /// Assert two runs agree on every output bit and every counter.
+    fn assert_bitwise(
+        case: &str,
+        (got, got_counters): &(Vec<GlobalArray>, PerfCounters),
+        (want, want_counters): &(Vec<GlobalArray>, PerfCounters),
+    ) {
+        for (g, w) in got.iter().zip(want) {
+            let same =
+                g.as_slice().iter().zip(w.as_slice()).all(|(a, b)| a.to_bits() == b.to_bits());
+            assert!(same, "{case}: values differ");
+        }
+        assert_eq!(got_counters.fields(), want_counters.fields(), "{case}");
+    }
+
     /// The vector instances of the job loop must reproduce the portable
     /// instance exactly — every output bit and every counter — over every
     /// registry kernel, backend, toggle set and schedule shape.
@@ -751,50 +829,16 @@ mod tests {
                 );
             }
         }
-        let full = ExecConfig::full();
-        let configs = [
-            full,
-            ExecConfig { allow_fusion: false, ..full },
-            ExecConfig { use_bvs: false, ..full },
-        ];
-        let params = [
-            ScheduleParams::default(),
-            ScheduleParams {
-                tile_rows: 64,
-                tile_cols: 64,
-                mma_batch: 2,
-                ..ScheduleParams::default()
-            },
-            ScheduleParams {
-                tile_rows: 16,
-                tile_cols: 16,
-                staging: Staging::Double,
-                mma_batch: 4,
-                fuse_override: None,
-            },
-        ];
         for kernel in kernels::all_kernels() {
-            let planes: Vec<GlobalArray> = match kernel.dims() {
-                1 => vec![wavy(1, 157, 0)],
-                2 => vec![wavy(24, 40, 1)],
-                _ => (0..4).map(|z| wavy(11, 13, z + 2)).collect(),
-            };
+            let planes = test_planes(&kernel);
             let extents = grid_extents(&kernel, &planes);
             for backend in DeviceBackend::all() {
-                for config in configs {
+                for config in test_configs() {
                     let config = ExecConfig { backend, ..config };
-                    for p in params {
+                    for p in test_params() {
                         let plan = Plan::new_with_params(&kernel, config, p);
                         let mut ws = Workspace::new(&plan, &extents);
-                        let mut run = |isa| {
-                            let mut out: Vec<GlobalArray> = planes
-                                .iter()
-                                .map(|p| GlobalArray::new(p.rows(), p.cols()))
-                                .collect();
-                            let counters = ws.apply_planes_on(isa, &planes, &mut out);
-                            (out, counters)
-                        };
-                        let (want, want_counters) = run(HostIsa::Portable);
+                        let want = run_on(&mut ws, HostIsa::Portable, &planes);
                         for &isa in &vector {
                             let case = format!(
                                 "{} on {} ({config:?}, {})",
@@ -802,16 +846,76 @@ mod tests {
                                 isa.name(),
                                 p.describe()
                             );
-                            let (got, counters) = run(isa);
-                            for (g, w) in got.iter().zip(&want) {
-                                let same = g
-                                    .as_slice()
-                                    .iter()
-                                    .zip(w.as_slice())
-                                    .all(|(a, b)| a.to_bits() == b.to_bits());
-                                assert!(same, "{case}: values differ");
-                            }
-                            assert_eq!(counters.fields(), want_counters.fields(), "{case}");
+                            assert_bitwise(&case, &run_on(&mut ws, isa, &planes), &want);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// `planes` with `cells` (row, col, value) written into every plane,
+    /// positions taken modulo the plane's extents.
+    fn with_cells(planes: &[GlobalArray], cells: &[(usize, usize, f64)]) -> Vec<GlobalArray> {
+        planes
+            .iter()
+            .map(|p| {
+                let mut p = p.clone();
+                for &(r, c, v) in cells {
+                    p.poke(r % p.rows(), c % p.cols(), v);
+                }
+                p
+            })
+            .collect()
+    }
+
+    /// The band evaluator must reproduce the fragment path exactly —
+    /// every output bit and every counter — on both tensor-core backends,
+    /// over every registry kernel, toggle set and schedule shape, and on
+    /// inputs that send whole calls (non-finite cells) or single terms
+    /// (cells large enough for `T` to overflow) to the fragment path.
+    #[test]
+    fn band_term_chains_match_the_fragment_path_bitwise() {
+        let non_finite = [(3, 5, f64::INFINITY), (10, 17, f64::NEG_INFINITY), (17, 30, f64::NAN)];
+        // from cells no term overflows on to cells every term does, with
+        // 1e307..3e307 splitting a window's terms between the two paths
+        let mut huge = vec![
+            (5, 5, 1e300),
+            (6, 9, -1e300),
+            (1, 30, 1e307),
+            (21, 13, -3e307),
+            (14, 2, -f64::MAX),
+        ];
+        for r in 12..15 {
+            for c in 20..23 {
+                huge.push((r, c, f64::MAX));
+            }
+        }
+        let isa = HostIsa::detect();
+        for kernel in kernels::all_kernels() {
+            let plain = test_planes(&kernel);
+            let extents = grid_extents(&kernel, &plain);
+            let inputs = [
+                ("plain", plain.clone()),
+                ("non-finite", with_cells(&plain, &non_finite)),
+                ("huge", with_cells(&plain, &huge)),
+            ];
+            for backend in [DeviceBackend::TcuF64, DeviceBackend::SparseTcu] {
+                for config in test_configs() {
+                    let config = ExecConfig { backend, ..config };
+                    for p in test_params() {
+                        let plan = Plan::new_with_params(&kernel, config, p);
+                        let mut band = Workspace::new(&plan, &extents);
+                        let mut frags = Workspace::new(&plan, &extents);
+                        frags.sched.drop_band_tables();
+                        for (input, planes) in &inputs {
+                            let case =
+                                format!("{} {input} ({config:?}, {})", kernel.name, p.describe());
+                            assert_bitwise(
+                                &case,
+                                &run_on(&mut band, isa, planes),
+                                &run_on(&mut frags, isa, planes),
+                            );
                         }
                     }
                 }

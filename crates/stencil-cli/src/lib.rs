@@ -436,14 +436,16 @@ pub fn profile_report(
     let trace = foundation::obs::drain();
     let outcome = result?;
 
-    // host time depends on which compiled job loop ran; name it
+    // host time depends on which compiled job loop ran and on how many
+    // tensor-core terms left the band evaluator; name both
     let mut out = format!(
-        "profiling {} on {} {:?} for {} iterations (host_isa: {})\n\n",
+        "profiling {} on {} {:?} for {} iterations (host_isa: {}) (rdg_band_fallback: {})\n\n",
         method.name(),
         kernel.name,
         dims,
         iters,
-        lorastencil::schedule::host_isa()
+        lorastencil::schedule::host_isa(),
+        lorastencil::schedule::band_fallbacks().get()
     );
     let breakdown = foundation::obs::phase_breakdown();
     out.push_str(&foundation::obs::render_breakdown(&breakdown, wall_ns));
@@ -668,7 +670,9 @@ weights1d:
         let m = find_method("LoRAStencil", ExecConfig::full()).unwrap();
         let r = profile_report(&k, m.as_ref(), &[48], 2, 7, p).unwrap();
         let isa = format!("(host_isa: {})", lorastencil::schedule::host_isa());
-        assert!(r.lines().next().unwrap().contains(&isa), "header must name the job loop:\n{r}");
+        let header = r.lines().next().unwrap();
+        assert!(header.contains(&isa), "header must name the job loop:\n{r}");
+        assert!(header.contains("(rdg_band_fallback: "), "header must count fallbacks:\n{r}");
         for phase in ["plan", "decompose", "apply", "rdg_gather", "mma_batch", "pointwise"] {
             assert!(r.contains(phase), "breakdown is missing {phase}:\n{r}");
         }

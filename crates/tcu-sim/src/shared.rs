@@ -154,6 +154,44 @@ impl SharedTile {
         f
     }
 
+    /// Warp-load the `s × s` window at `(r0, c0)` as its `s/4 × s/8` B
+    /// fragments (one load request each, out-of-bounds elements read as
+    /// zero), landing it transposed: `dst[c·s + r]` is element
+    /// `(r0 + r, c0 + c)`. A B fragment's lanes are four-row pieces of
+    /// the window's columns, so this is the same data without the
+    /// fragment boundaries.
+    #[inline(always)]
+    pub fn load_window_transposed(
+        &self,
+        ctx: &mut SimContext,
+        r0: isize,
+        c0: isize,
+        s: usize,
+        dst: &mut [f64],
+    ) {
+        debug_assert!(s.is_multiple_of(MMA_N) && dst.len() >= s * s);
+        let frags = (s / MMA_K) * (s / MMA_N);
+        ctx.counters.shared_load_requests += frags as u64;
+        for _ in 0..frags {
+            ctx.record(TraceEvent::SharedLoad);
+        }
+        if self.window_in_bounds(r0, c0, s, s) {
+            let (r0, c0) = (r0 as usize, c0 as usize);
+            for r in 0..s {
+                let row = &self.data[(r0 + r) * self.cols + c0..][..s];
+                for (c, &v) in row.iter().enumerate() {
+                    dst[c * s + r] = v;
+                }
+            }
+        } else {
+            for r in 0..s {
+                for c in 0..s {
+                    dst[c * s + r] = self.get_or_zero(r0 + r as isize, c0 + c as isize);
+                }
+            }
+        }
+    }
+
     /// Whether the `h × w` window at `(r0, c0)` lies fully inside the tile.
     #[inline]
     fn window_in_bounds(&self, r0: isize, c0: isize, h: usize, w: usize) -> bool {
@@ -225,6 +263,34 @@ mod tests {
         assert_eq!(ctx.counters.shared_load_requests, 2);
         assert_eq!(a.get(2, 3), 5.0);
         assert_eq!(b.get(2, 3), 5.0);
+    }
+
+    #[test]
+    fn transposed_window_is_the_b_fragments_without_their_boundaries() {
+        let mut tile = SharedTile::new(20, 20);
+        for r in 0..20 {
+            for c in 0..20 {
+                tile.poke(r, c, (r * 20 + c) as f64);
+            }
+        }
+        // inside the tile and hanging over its bottom-right edge
+        for (r0, c0) in [(2isize, 3isize), (8, 9)] {
+            let (mut ctx_f, mut ctx_w) = (SimContext::new(), SimContext::new());
+            let mut xt = [f64::NAN; 256];
+            tile.load_window_transposed(&mut ctx_w, r0, c0, 16, &mut xt);
+            for rb in 0..4 {
+                for cb in 0..2 {
+                    let f = tile.load_frag_b(&mut ctx_f, r0 + 4 * rb, c0 + 8 * cb as isize);
+                    for k in 0..MMA_K {
+                        for c in 0..MMA_N {
+                            let (r, c) = (4 * rb as usize + k, 8 * cb + c);
+                            assert_eq!(xt[c * 16 + r].to_bits(), f.get(k, c - 8 * cb).to_bits());
+                        }
+                    }
+                }
+            }
+            assert_eq!(ctx_w.counters.fields(), ctx_f.counters.fields());
+        }
     }
 
     #[test]

@@ -86,4 +86,23 @@ fn trace_and_breakdown_are_deterministic_across_thread_counts() {
             assert!(e.get(key).and_then(Json::as_f64).is_some(), "missing {key}");
         }
     }
+
+    // The `rdg_band_fallback` counter sees every tensor-core term that
+    // ran on the fragment path: none on a plain run, some once a cell is
+    // non-finite (`0 · inf` is NaN, so the band form cannot skip zeros)
+    let fallbacks = |value: f64| {
+        let plan = Plan::new(&kernels::box_2d49p(), ExecConfig::full());
+        let mut input = GlobalArray::new(32, 32);
+        for r in 0..32 {
+            for c in 0..32 {
+                input.poke(r, c, ((r * 5 + c * 3) % 7) as f64 * 0.5);
+            }
+        }
+        input.poke(9, 21, value);
+        obs::reset();
+        Stepper::from_grid(plan, input).step();
+        lorastencil::schedule::band_fallbacks().get()
+    };
+    assert_eq!(fallbacks(1.0), 0, "a plain run stays in band form");
+    assert!(fallbacks(f64::NAN) > 0, "a NaN cell must fall back");
 }

@@ -74,6 +74,26 @@ fn steady_state_steps_allocate_nothing_and_spawn_nothing() {
         );
     }
 
+    // The band evaluator of the tensor-core chains keeps its plan-time
+    // tables inline in the weight fragments and its transposed window in
+    // the per-worker scratch: Box-2D49P on TcuF64, three pyramid terms
+    // plus a pointwise tip, allocates nothing either.
+    let mut box49 = Stepper::from_grid(
+        Plan::new(&kernels::box_2d49p(), ExecConfig::full()),
+        stepper.grid().clone(),
+    );
+    box49.step();
+    box49.step();
+    let allocs = allocation_count();
+    for _ in 0..4 {
+        box49.step();
+    }
+    assert_eq!(
+        allocation_count(),
+        allocs,
+        "Box-2D49P on TcuF64: steady-state steps must not allocate (FOUNDATION_THREADS=1)"
+    );
+
     // Checkpointing must not poison the hot loop: capturing and
     // persisting a snapshot allocates (it clones the live planes and
     // encodes them), but the steps *between* checkpoints must stay
