@@ -193,11 +193,12 @@ serve_smoke() {
     # a cache-hit of the same job must answer one digest, the served
     # invariant counters must equal what an offline `run` of the
     # identical job reports, hostile frames get typed errors, `stats`
-    # sees the tenant, and `shutdown` exits cleanly.
+    # sees the tenant and the connection limit, and `shutdown` exits
+    # cleanly.
     local sock=target/ci-serve.sock
     local cli="cargo run --release --offline -p stencil-cli --bin lorastencil-cli --"
     rm -f "$sock"
-    $cli serve --socket "$sock" --batch 4 >target/ci-serve.log 2>&1 &
+    $cli serve --socket "$sock" >target/ci-serve.log 2>&1 &
     local pid=$!
     local i
     for i in $(seq 1 100); do [ -S "$sock" ] && break; sleep 0.1; done
@@ -237,8 +238,9 @@ serve_smoke() {
         || { echo "error: malformed frame did not get a typed parse error: $bad" >&2; kill "$pid"; exit 1; }
     local stats
     stats=$($cli submit --socket "$sock" --frame '{"op":"stats"}')
-    { grep -q '"ci"' <<<"$stats" && grep -q '"coalesced"' <<<"$stats"; } \
-        || { echo "error: stats is missing the tenant or the cache fields: $stats" >&2; kill "$pid"; exit 1; }
+    { grep -q '"ci"' <<<"$stats" && grep -q '"coalesced"' <<<"$stats" \
+        && grep -q '"conns"' <<<"$stats"; } \
+        || { echo "error: stats is missing the tenant, cache or conns fields: $stats" >&2; kill "$pid"; exit 1; }
     $cli submit --socket "$sock" --frame '{"op":"shutdown"}' >/dev/null
     wait "$pid" || { echo "error: serve exited non-zero after shutdown" >&2; exit 1; }
     rm -f "$sock" target/ci-serve.log

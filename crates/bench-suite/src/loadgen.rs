@@ -205,7 +205,6 @@ pub fn open_loop(
 #[derive(Debug, Clone)]
 pub struct Report {
     pub hit: ClosedLoop,
-    pub batched: ClosedLoop,
     pub cold: ClosedLoop,
     pub ratio: f64,
     pub open: OpenLoop,
@@ -214,8 +213,8 @@ pub struct Report {
     pub min_hit_ratio: f64,
 }
 
-fn warm_server(cfg: &LoadgenConfig, batch_max: usize) -> Arc<ServerCore> {
-    let core = ServerCore::new(ServeConfig { batch_max, ..ServeConfig::default() });
+fn warm_server(cfg: &LoadgenConfig) -> Arc<ServerCore> {
+    let core = ServerCore::new(ServeConfig::default());
     // warm-up: the first job plans and tunes, the rest grow the session
     // pool to fleet depth so the measured window never re-plans
     let mut conn = ConnState::new();
@@ -235,7 +234,7 @@ pub fn run(cfg: &LoadgenConfig) -> Result<Report, String> {
     let mut attempts_used = 0;
     for _ in 0..cfg.attempts.max(1) {
         attempts_used += 1;
-        let warm = warm_server(cfg, 1);
+        let warm = warm_server(cfg);
         let hit = closed_loop(&warm, &cfg.frame, cfg.clients, cfg.hit_jobs);
         let cold_core =
             ServerCore::new(ServeConfig { cache_capacity: 0, ..ServeConfig::default() });
@@ -256,25 +255,17 @@ pub fn run(cfg: &LoadgenConfig) -> Result<Report, String> {
     }
     let (hit, cold, ratio) = best.expect("at least one attempt ran");
 
-    // batched arm: same warm workload through the dispatcher, to keep a
-    // number on the fused-dispatch path (informational, not gated)
-    let batched_core = warm_server(cfg, 8);
-    let batched = closed_loop(&batched_core, &cfg.frame, cfg.clients, cfg.hit_jobs / 2);
-    batched_core.begin_shutdown();
-    batched_core.join_dispatcher();
-
-    let open_core = warm_server(cfg, 1);
+    let open_core = warm_server(cfg);
     let rate = (hit.jobs_per_sec * cfg.open_rate_fraction).max(1.0);
     let open = open_loop(&open_core, &cfg.frame, cfg.clients, cfg.open_jobs, rate);
-    if batched.errors + open.errors > 0 {
+    if open.errors > 0 {
         return Err(format!(
-            "loadgen arms saw error responses (batched {}, open {}) — frame: {}",
-            batched.errors, open.errors, cfg.frame
+            "loadgen open-loop arm saw {} error responses — frame: {}",
+            open.errors, cfg.frame
         ));
     }
     Ok(Report {
         hit,
-        batched,
         cold,
         ratio,
         open,
@@ -297,7 +288,6 @@ pub fn render_json(r: &Report, cfg: &LoadgenConfig) -> String {
     };
     let rows = [
         entry("serve/hit-throughput", "jobs_per_sec", r.hit.jobs_per_sec),
-        entry("serve/hit-batched-throughput", "jobs_per_sec", r.batched.jobs_per_sec),
         entry("serve/cold-plan-throughput", "jobs_per_sec", r.cold.jobs_per_sec),
         entry("serve/hit-over-cold-ratio", "ratio", r.ratio),
         entry("serve/open-loop-rate", "jobs_per_sec", r.open.rate_per_sec),
@@ -311,13 +301,11 @@ pub fn render_json(r: &Report, cfg: &LoadgenConfig) -> String {
 /// Human summary for the CI log.
 pub fn render_text(r: &Report) -> String {
     format!(
-        "loadgen: warm {:.0} jobs/s ({} jobs), batched {:.0} jobs/s, \
-         cold-plan {:.0} jobs/s ({} jobs)\n\
+        "loadgen: warm {:.0} jobs/s ({} jobs), cold-plan {:.0} jobs/s ({} jobs)\n\
          hit/cold ratio {:.2}x (gate >= {:.1}x, {} attempt(s)) — {}\n\
          open loop at {:.0} jobs/s: p50 {} ns, p99 {} ns, max {} ns over {} jobs\n",
         r.hit.jobs_per_sec,
         r.hit.jobs,
-        r.batched.jobs_per_sec,
         r.cold.jobs_per_sec,
         r.cold.jobs,
         r.ratio,
@@ -371,7 +359,7 @@ mod tests {
         let text = render_json(&r, &cfg);
         let doc = Json::parse(&text).unwrap();
         let arr = doc.as_arr().unwrap();
-        assert_eq!(arr.len(), 8);
+        assert_eq!(arr.len(), 7);
         for e in arr {
             assert!(e.get("name").and_then(Json::as_str).is_some());
             assert!(e.get("value").and_then(Json::as_f64).is_some());

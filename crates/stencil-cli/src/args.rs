@@ -37,9 +37,6 @@ const VALUED: &[&str] = &[
     "reps",
     "socket",
     "tcp",
-    "batch",
-    "batch-wait-us",
-    "max-queue",
     "plan-cache",
     "max-conns",
     "tune-budget",
@@ -192,6 +189,26 @@ mod tests {
         let e = parse(&sv(&["run", "--zzzzzzzz"])).unwrap_err();
         assert!(e.contains("unknown option --zzzzzzzz"), "{e}");
         assert!(!e.contains("did you mean"), "{e}");
+    }
+
+    /// `usage()` shows exactly the keys the parser accepts: every
+    /// `--token` in the text parses, and every parsed key is shown.
+    #[test]
+    fn usage_lists_exactly_the_parsed_keys() {
+        let shown: Vec<&str> = crate::usage()
+            .split("--")
+            .skip(1)
+            .map(|s| s.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-')).next().unwrap())
+            .collect();
+        for key in &shown {
+            assert!(
+                VALUED.contains(key) || FLAGS.contains(key),
+                "usage() shows --{key}, which the parser rejects"
+            );
+        }
+        for key in VALUED.iter().chain(FLAGS) {
+            assert!(shown.contains(key), "the parser accepts --{key}, which usage() never shows");
+        }
     }
 
     #[test]

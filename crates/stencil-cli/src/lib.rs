@@ -584,6 +584,7 @@ pub fn usage() -> &'static str {
        lorastencil run (--kernel <name> | --spec <file>) [--method <name>]\n\
                       [--size NxM] [--iters N] [--config no-bvs,...] [--backend tcu|sparse|simd|cuda]\n\
                       [--seed N] [--verify] [--trace-out <file>] [--tuning-db <file>]\n\
+                      [--load <file>] [--save <file>]\n\
                       [--checkpoint-dir <dir> [--checkpoint-every N] [--checkpoint-keep K]]\n\
        lorastencil resume --checkpoint-dir <dir> [--checkpoint-keep K] [--verify]\n\
        lorastencil tune (--kernel <name> | --spec <file>) [--size NxM] [--iters N]\n\
@@ -595,9 +596,8 @@ pub fn usage() -> &'static str {
                       [--config ...] [--backend ...]   # emit-cuda = emit --target cuda\n\
        lorastencil trace (--kernel <name> | --spec <file>) [--config ...]\n\
        lorastencil analyze [--radius h]\n\
-       lorastencil serve (--socket <path> | --tcp <addr>) [--batch N] [--batch-wait-us U]\n\
-                      [--max-queue N] [--plan-cache N] [--max-conns N] [--backend ...]\n\
-                      [--tuning-db <file>]\n\
+       lorastencil serve (--socket <path> | --tcp <addr>) [--plan-cache N] [--max-conns N]\n\
+                      [--tune-budget N] [--backend ...] [--tuning-db <file>]\n\
        lorastencil submit (--socket <path> | --tcp <addr>) [--frame '<json>']   # or frames on stdin\n\
        lorastencil help\n\n\
      SERVE PROTOCOL (one JSON object per line; see DESIGN.md \u{00a7}13):\n\

@@ -212,9 +212,6 @@ fn real_main() -> Result<(), String> {
                 args.opt(key, default).parse().map_err(|e| format!("bad --{key}: {e}"))
             };
             let cfg = stencil_cli::serve::ServeConfig {
-                batch_max: num("batch", "1")?.max(1),
-                batch_wait_us: num("batch-wait-us", "200")? as u64,
-                max_queue: num("max-queue", "64")?.max(1),
                 cache_capacity: num("plan-cache", "32")?,
                 max_conns: num("max-conns", "32")?.max(1),
                 tune_budget: num("tune-budget", "4")?,

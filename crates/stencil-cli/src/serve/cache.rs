@@ -113,13 +113,6 @@ fn key_hash(kernel_raw: &str, extents: &[usize; 3], ndims: usize, config_bits: u
     h
 }
 
-/// The cache key hash of a shape — the value [`Checkout::Miss`] carries
-/// and [`PlanCache::lead_or_wait`] elects on. Public so the dispatcher's
-/// pre-plan pass can run the election without a counting checkout.
-pub fn shape_hash(kernel_raw: &str, extents: &[usize; 3], ndims: usize, config: ExecConfig) -> u64 {
-    key_hash(kernel_raw, extents, ndims, config.bits())
-}
-
 /// What a lookup produced.
 pub enum Checkout {
     /// Warm entry; the session is ready to fill and run.
@@ -205,17 +198,18 @@ impl PlanCache {
     /// the load generator must measure *concurrent* re-planning, not a
     /// serialized queue behind one planner.
     ///
-    /// **Deadlock backstop.** A waiter parked here could, in principle,
-    /// sit *above the leader on the same stack*: the worker pool's join
-    /// loop help-drains any queued lane, so a leader whose planning runs
-    /// nested parallel work can pick up a sibling job that then waits on
-    /// this very election — a wait no notify can ever end. The batched
-    /// dispatcher avoids the scenario by pre-planning every shape before
-    /// its fused dispatch, but as a guarantee rather than a convention,
-    /// a waiter that outlives [`TAKEOVER`] stops waiting and plans
-    /// redundantly (a no-op permit). Redundant planning is wasted work,
-    /// never a wrong answer: the tuner's bit-identity gate keeps every
-    /// winner value- and invariant-counter-neutral.
+    /// **Deadlock backstop.** A waiter parked here must never sit
+    /// *above the leader on the same stack*. The worker pool's join loop
+    /// help-drains any queued lane, so if whole jobs ran inside pool
+    /// lanes, a leader whose planning runs nested parallel work could
+    /// pick up a sibling job that then waits on this very election — a
+    /// wait no notify can ever end. No path does that today: every job
+    /// runs on its connection's thread, and pool lanes only execute
+    /// pieces of one job. The backstop guards against such a path being
+    /// added: a waiter that outlives [`TAKEOVER`] stops waiting and
+    /// plans redundantly (a no-op permit). Redundant planning is wasted
+    /// work, never a wrong answer: the tuner's bit-identity gate keeps
+    /// every winner value- and invariant-counter-neutral.
     pub fn lead_or_wait(&self, h: u64) -> Option<PlanPermit<'_>> {
         if self.capacity == 0 {
             return Some(PlanPermit { cache: None, h });
@@ -235,29 +229,6 @@ impl PlanCache {
             }
         }
         None
-    }
-
-    /// Allocation-free read-only probe: is this shape cached? Unlike
-    /// [`PlanCache::checkout`] it touches no counters and no LRU stamp —
-    /// the dispatcher's pre-plan pass uses it to find the shapes a batch
-    /// is missing without double-counting every batched job as a hit.
-    pub fn contains(
-        &self,
-        kernel_raw: &str,
-        extents: &[usize; 3],
-        ndims: usize,
-        config: ExecConfig,
-    ) -> bool {
-        let h = key_hash(kernel_raw, extents, ndims, config.bits());
-        let map = self.map.read().unwrap();
-        map.get(&h).is_some_and(|bucket| {
-            bucket.iter().any(|entry| {
-                entry.ndims == ndims
-                    && entry.extents == *extents
-                    && entry.config_bits == config.bits()
-                    && norm_eq(kernel_raw, &entry.norm_kernel)
-            })
-        })
     }
 
     /// Hit-path lookup: allocation-free when it returns

@@ -43,10 +43,7 @@ pub struct ServerMetrics {
     /// Plan-cache outcomes as seen by the request path.
     pub cache_hits: &'static Counter,
     pub cache_misses: &'static Counter,
-    /// Batching: dispatches issued, jobs that rode in them, and jobs
-    /// refused at admission (queue full).
-    pub batches: &'static Counter,
-    pub batched_jobs: &'static Counter,
+    /// Connections refused at the `max_conns` limit.
     pub rejected: &'static Counter,
     /// End-to-end job latency (parse to response-ready) of this server.
     pub latency: Histogram,
@@ -60,8 +57,6 @@ impl ServerMetrics {
             jobs_err: counter("serve_jobs_err"),
             cache_hits: counter("serve_cache_hits"),
             cache_misses: counter("serve_cache_misses"),
-            batches: counter("serve_batches"),
-            batched_jobs: counter("serve_batched_jobs"),
             rejected: counter("serve_rejected"),
             latency: Histogram::new(),
             tenants: Mutex::new(HashMap::new()),

@@ -8,25 +8,22 @@
 //! [`lorastencil::ExecSession`]s so a cache-hit request allocates zero
 //! heap and spawns zero threads end to end.
 //!
-//! Multi-tenant batching: with `--batch N > 1`, run frames park in a
-//! bounded queue and a dispatcher thread coalesces up to N of them into
-//! one fused dispatch across the `foundation::par` worker pool. The
-//! queue bound is the admission controller — a full queue answers
-//! `overloaded` immediately instead of letting latency grow without
-//! bound. Batched or not, a job's values and invariant counters are
-//! bit-identical to the offline `stencil-cli run` path
-//! (`tests/serve_determinism.rs`, plus the serve-smoke step in ci.sh).
+//! Every run frame executes inline on its connection's thread; the
+//! connection limit is the only admission control (a connection beyond
+//! `max_conns` gets one `overloaded` line and a close). A job's values
+//! and invariant counters are bit-identical to the offline
+//! `stencil-cli run` path (`tests/serve_determinism.rs`, plus the
+//! serve-smoke step in ci.sh).
 
 pub mod cache;
 pub mod metrics;
 pub mod proto;
 
-use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::io::{BufReader, Read, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use foundation::json::{Json, NdjsonReader, ToJson};
@@ -38,8 +35,7 @@ use metrics::ServerMetrics;
 use proto::{Frame, OpKind, ProtoError, ValuesMode, MAX_FULL_VALUES};
 
 /// A named job preset: clients say `"scenario":"small-2d"` instead of
-/// spelling out kernel/size/config (and the load generator drives the
-/// same table, so service benchmarks are reproducible by name).
+/// spelling out kernel/size/config.
 pub struct Scenario {
     pub name: &'static str,
     pub kernel: &'static str,
@@ -47,7 +43,6 @@ pub struct Scenario {
     pub ndims: usize,
     pub iters: usize,
     pub config: &'static str,
-    pub about: &'static str,
 }
 
 /// The built-in scenario table.
@@ -59,7 +54,6 @@ pub const SCENARIOS: &[Scenario] = &[
         ndims: 1,
         iters: 4,
         config: "full",
-        about: "1-D radius-2 line, the quickest end-to-end check",
     },
     Scenario {
         name: "small-2d",
@@ -68,7 +62,6 @@ pub const SCENARIOS: &[Scenario] = &[
         ndims: 2,
         iters: 2,
         config: "full",
-        about: "small 2-D box kernel — the batching sweet spot",
     },
     Scenario {
         name: "heavy-2d",
@@ -77,7 +70,6 @@ pub const SCENARIOS: &[Scenario] = &[
         ndims: 2,
         iters: 2,
         config: "full",
-        about: "radius-3 box kernel, the paper's headline shape",
     },
     Scenario {
         name: "ablation-2d",
@@ -86,7 +78,6 @@ pub const SCENARIOS: &[Scenario] = &[
         ndims: 2,
         iters: 2,
         config: "no-bvs,no-async",
-        about: "2-D box with BVS and async-copy disabled",
     },
     Scenario {
         name: "slab-3d",
@@ -95,22 +86,12 @@ pub const SCENARIOS: &[Scenario] = &[
         ndims: 3,
         iters: 2,
         config: "full",
-        about: "small 3-D heat slab",
     },
 ];
 
 /// Knobs of one server instance.
 #[derive(Debug, Clone, Copy)]
 pub struct ServeConfig {
-    /// Jobs coalesced per dispatch; 1 executes inline on the
-    /// connection's thread (no dispatcher, no queue).
-    pub batch_max: usize,
-    /// How long the dispatcher holds a non-full batch open for
-    /// stragglers, µs.
-    pub batch_wait_us: u64,
-    /// Queue bound — admission control. A frame arriving at a full
-    /// queue is answered `overloaded` without queuing.
-    pub max_queue: usize,
     /// Plan-cache entry budget; 0 disables caching.
     pub cache_capacity: usize,
     /// Concurrent connections; excess connections get one `overloaded`
@@ -131,20 +112,14 @@ pub struct ServeConfig {
 
 impl Default for ServeConfig {
     fn default() -> Self {
-        ServeConfig {
-            batch_max: 1,
-            batch_wait_us: 200,
-            max_queue: 64,
-            cache_capacity: 32,
-            max_conns: 32,
-            tune_budget: 4,
-            backend: "",
-        }
+        ServeConfig { cache_capacity: 32, max_conns: 32, tune_budget: 4, backend: "" }
     }
 }
 
-/// An owned, capacity-reusing copy of one run frame — what survives
-/// after the borrowed [`Frame`] dies with its input line.
+/// An owned copy of one run frame, with scenario presets and the server's
+/// default backend resolved. Each connection keeps one and reuses its
+/// string capacity for every request, so the steady state fills it
+/// without allocating.
 pub struct JobSpec {
     id: Option<u64>,
     tenant: String,
@@ -156,13 +131,6 @@ pub struct JobSpec {
     seed: u64,
     values: ValuesMode,
     recv: Instant,
-    /// Set by the dispatcher's pre-plan pass when this job's shape was
-    /// planned on its behalf (the batch's first sighting of the shape):
-    /// the response then still reports `"cache":"miss"` and charges the
-    /// plan time, so miss/hit semantics are identical with and without
-    /// batching.
-    fresh_plan: bool,
-    plan_hint_ns: u64,
 }
 
 impl JobSpec {
@@ -178,8 +146,6 @@ impl JobSpec {
             seed: 42,
             values: ValuesMode::Digest,
             recv: Instant::now(),
-            fresh_plan: false,
-            plan_hint_ns: 0,
         }
     }
 }
@@ -189,39 +155,10 @@ fn set_str(dst: &mut String, src: &str) {
     dst.push_str(src);
 }
 
-/// One queued (or inline) job: the spec, the response it produced, and
-/// the completion handshake. Each connection owns one slot and reuses
-/// it for every request, so the steady state queues without allocating.
-pub struct Slot {
-    state: Mutex<SlotState>,
-    cv: Condvar,
-}
-
-struct SlotState {
-    job: JobSpec,
-    resp: String,
-    done: bool,
-    ok: bool,
-}
-
-impl Slot {
-    fn new() -> Arc<Self> {
-        Arc::new(Slot {
-            state: Mutex::new(SlotState {
-                job: JobSpec::new(),
-                resp: String::new(),
-                done: false,
-                ok: false,
-            }),
-            cv: Condvar::new(),
-        })
-    }
-}
-
-/// Per-connection state: the reusable slot and the response buffer the
-/// transport writes from.
+/// Per-connection state: the reusable job spec and the response buffer
+/// the transport writes from.
 pub struct ConnState {
-    slot: Arc<Slot>,
+    job: JobSpec,
     /// The response line (no trailing newline) for the last
     /// [`ServerCore::handle_line`] call.
     pub resp: String,
@@ -229,7 +166,7 @@ pub struct ConnState {
 
 impl ConnState {
     pub fn new() -> Self {
-        ConnState { slot: Slot::new(), resp: String::new() }
+        ConnState { job: JobSpec::new(), resp: String::new() }
     }
 }
 
@@ -255,57 +192,33 @@ pub struct ServerCore {
     cfg: ServeConfig,
     pub cache: PlanCache,
     pub metrics: ServerMetrics,
-    queue: Mutex<VecDeque<Arc<Slot>>>,
-    queue_cv: Condvar,
     shutdown: AtomicBool,
-    dispatcher: Mutex<Option<std::thread::JoinHandle<()>>>,
     started: Instant,
 }
 
 impl ServerCore {
-    /// Build a server; with `batch_max > 1` this spawns the dispatcher
-    /// thread (exactly one, for the server's lifetime).
+    /// Build a server. It spawns no threads: jobs run on the caller's.
     pub fn new(cfg: ServeConfig) -> Arc<Self> {
-        let core = Arc::new(ServerCore {
+        Arc::new(ServerCore {
             cfg,
             cache: PlanCache::new(cfg.cache_capacity),
             metrics: ServerMetrics::new(),
-            queue: Mutex::new(VecDeque::with_capacity(cfg.max_queue)),
-            queue_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
-            dispatcher: Mutex::new(None),
             started: Instant::now(),
-        });
-        if cfg.batch_max > 1 {
-            let c = Arc::clone(&core);
-            let handle = std::thread::Builder::new()
-                .name("serve-dispatch".into())
-                .spawn(move || c.dispatcher_loop())
-                .expect("spawn dispatcher");
-            *core.dispatcher.lock().unwrap() = Some(handle);
-        }
-        core
+        })
     }
 
     pub fn config(&self) -> &ServeConfig {
         &self.cfg
     }
 
-    /// Flip the shutdown flag and wake everything that sleeps on it.
+    /// Flip the shutdown flag; the accept loop polls it.
     pub fn begin_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        self.queue_cv.notify_all();
     }
 
     pub fn shutdown_requested(&self) -> bool {
         self.shutdown.load(Ordering::SeqCst)
-    }
-
-    /// Join the dispatcher (after [`Self::begin_shutdown`]).
-    pub fn join_dispatcher(&self) {
-        if let Some(h) = self.dispatcher.lock().unwrap().take() {
-            let _ = h.join();
-        }
     }
 
     /// Handle one request line; the response (sans newline) lands in
@@ -337,165 +250,22 @@ impl ServerCore {
                 Action::Shutdown
             }
             OpKind::Run => {
-                if let Err(e) = fill_job(conn, &frame, t0, self.cfg.backend) {
+                let job = &mut conn.job;
+                if let Err(e) = fill_job(job, &frame, t0, self.cfg.backend) {
                     write_error(&mut conn.resp, frame.id, &e);
                     self.metrics.record(frame.tenant, false, elapsed_ns(t0));
                     return Action::Respond;
                 }
-                if self.cfg.batch_max > 1 {
-                    self.enqueue_and_wait(conn);
-                } else {
-                    self.run_slot_inline(conn);
-                }
+                let ok = self.run_job_guarded(job, &mut conn.resp);
+                self.metrics.record(&job.tenant, ok, elapsed_ns(job.recv));
                 Action::Respond
             }
         }
     }
 
-    /// Inline (unbatched) execution on the caller's thread.
-    fn run_slot_inline(&self, conn: &mut ConnState) {
-        let mut st = conn.slot.state.lock().unwrap();
-        let st = &mut *st;
-        let ok = self.run_job_guarded(&st.job, &mut st.resp);
-        conn.resp.push_str(&st.resp);
-        self.metrics.record(&st.job.tenant, ok, elapsed_ns(st.job.recv));
-    }
-
-    /// Queue the connection's slot and block until the dispatcher
-    /// completes it. Admission control happens here: a full queue is an
-    /// immediate `overloaded` response, not a longer line.
-    fn enqueue_and_wait(&self, conn: &mut ConnState) {
-        {
-            let mut q = self.queue.lock().unwrap();
-            if q.len() >= self.cfg.max_queue || self.shutdown_requested() {
-                drop(q);
-                self.metrics.rejected.add(1);
-                let mut st = conn.slot.state.lock().unwrap();
-                let st = &mut *st;
-                let e = ProtoError {
-                    kind: "overloaded",
-                    offset: 0,
-                    detail: if self.shutdown_requested() {
-                        "server is shutting down".into()
-                    } else {
-                        format!("queue full ({} jobs waiting)", self.cfg.max_queue)
-                    },
-                };
-                write_error(&mut st.resp, st.job.id, &e);
-                conn.resp.push_str(&st.resp);
-                self.metrics.record(&st.job.tenant, false, elapsed_ns(st.job.recv));
-                return;
-            }
-            {
-                let mut st = conn.slot.state.lock().unwrap();
-                st.done = false;
-                st.resp.clear();
-            }
-            q.push_back(Arc::clone(&conn.slot));
-            self.queue_cv.notify_all();
-        }
-        let mut st = conn.slot.state.lock().unwrap();
-        while !st.done {
-            st = conn.slot.cv.wait(st).unwrap();
-        }
-        let st = &mut *st;
-        conn.resp.push_str(&st.resp);
-        self.metrics.record(&st.job.tenant, st.ok, elapsed_ns(st.job.recv));
-    }
-
-    /// The dispatcher: drain up to `batch_max` queued slots (holding a
-    /// non-full batch open `batch_wait_us` for stragglers) and execute
-    /// them as **one fused dispatch** across the worker pool. Runs until
-    /// shutdown, then drains the queue so no client is left waiting.
-    fn dispatcher_loop(self: Arc<Self>) {
-        let mut batch: Vec<Arc<Slot>> = Vec::with_capacity(self.cfg.batch_max);
-        loop {
-            let mut q = self.queue.lock().unwrap();
-            while q.is_empty() {
-                if self.shutdown_requested() {
-                    return;
-                }
-                q = self.queue_cv.wait(q).unwrap();
-            }
-            if q.len() < self.cfg.batch_max
-                && self.cfg.batch_wait_us > 0
-                && !self.shutdown_requested()
-            {
-                let deadline = Instant::now() + Duration::from_micros(self.cfg.batch_wait_us);
-                while q.len() < self.cfg.batch_max && !self.shutdown_requested() {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        break;
-                    }
-                    let (qq, timeout) = self.queue_cv.wait_timeout(q, deadline - now).unwrap();
-                    q = qq;
-                    if timeout.timed_out() {
-                        break;
-                    }
-                }
-            }
-            let n = q.len().min(self.cfg.batch_max);
-            batch.clear();
-            batch.extend(q.drain(..n));
-            drop(q);
-            self.metrics.batches.add(1);
-            self.metrics.batched_jobs.add(n as u64);
-            // Pre-plan every shape the batch needs on *this* thread,
-            // before the fused dispatch: planning inside a pool lane is
-            // forbidden, because the pool's join loop help-drains sibling
-            // lanes — a planner's nested parallelism could execute a
-            // sibling job that then waits on the planner's own
-            // single-flight election, a wait that can never be notified
-            // (the planner is frozen beneath it on the same stack). With
-            // every entry published up front, lanes only ever hit.
-            for slot in batch.iter() {
-                let mut st = slot.state.lock().unwrap();
-                let job = &mut st.job;
-                let Ok(config) = crate::parse_config(&job.config) else {
-                    continue; // execute_job will produce the typed error
-                };
-                if self.cache.contains(&job.kernel, &job.extents, job.ndims, config) {
-                    continue;
-                }
-                let h = cache::shape_hash(&job.kernel, &job.extents, job.ndims, config);
-                let Some(_permit) = self.cache.lead_or_wait(h) else { continue };
-                self.metrics.cache_misses.add(1);
-                let t0 = Instant::now();
-                // panic firewall: planning runs client-controlled shapes
-                // through the tuner, and an uncaught panic here would
-                // kill the dispatcher thread and hang every batched
-                // client. The catch also keeps `slot.state` unpoisoned
-                // (the guard lives outside the closure). A panicked plan
-                // publishes nothing; execute_job re-derives the failure
-                // per job behind its own firewall and answers with a
-                // typed `internal` error.
-                if let Ok(Ok((entry, session))) =
-                    catch_unwind(AssertUnwindSafe(|| self.plan_shape(job, config)))
-                {
-                    self.cache.checkin(&entry, session);
-                }
-                // a planning error is re-derived (and answered) per job;
-                // the batch's first sighting owns the miss either way
-                job.fresh_plan = true;
-                job.plan_hint_ns = elapsed_ns(t0);
-            }
-            let slots = &batch[..];
-            // one fused dispatch: every lane of the pool pulls jobs, and
-            // each job's own nested parallelism help-drains the rest
-            par::for_each_index(n, |i| {
-                let slot = &slots[i];
-                let mut st = slot.state.lock().unwrap();
-                let st = &mut *st;
-                st.ok = self.run_job_guarded(&st.job, &mut st.resp);
-                st.done = true;
-                slot.cv.notify_all();
-            });
-        }
-    }
-
     /// Execute one job with a panic firewall: a panicking job becomes a
-    /// typed `internal` error response instead of poisoning the
-    /// dispatcher or the connection.
+    /// typed `internal` error response instead of killing the
+    /// connection's thread.
     fn run_job_guarded(&self, job: &JobSpec, resp: &mut String) -> bool {
         match catch_unwind(AssertUnwindSafe(|| self.execute_job(job, resp))) {
             Ok(ok) => ok,
@@ -572,18 +342,8 @@ impl ServerCore {
         let (entry, mut session, hit) = loop {
             match self.cache.checkout(&job.kernel, &job.extents, job.ndims, config) {
                 Checkout::Hit(e, s) => {
-                    // a shape the dispatcher pre-planned for this very job
-                    // is a miss as far as the client is concerned — move
-                    // the checkout's count so `stats` agrees with the
-                    // per-job `"cache"` field
-                    if job.fresh_plan {
-                        self.cache.hits.fetch_sub(1, Ordering::Relaxed);
-                        self.cache.misses.fetch_add(1, Ordering::Relaxed);
-                        e.hits.fetch_sub(1, Ordering::Relaxed);
-                    } else {
-                        self.metrics.cache_hits.add(1);
-                    }
-                    break (e, s, !job.fresh_plan);
+                    self.metrics.cache_hits.add(1);
+                    break (e, s, true);
                 }
                 Checkout::Miss(h) => {
                     // single-flight: one thread plans a missed shape; a
@@ -619,7 +379,7 @@ impl ServerCore {
             self.cache.checkin(&entry, session);
             return false;
         }
-        let plan_ns = elapsed_ns(t_plan) + job.plan_hint_ns;
+        let plan_ns = elapsed_ns(t_plan);
 
         let t_fill = Instant::now();
         let seed = job.seed;
@@ -631,8 +391,8 @@ impl ServerCore {
         let exec_ns = elapsed_ns(t_exec);
 
         // digest: CRC-32 over the output bit patterns plus sum/min/max,
-        // accumulated in plane-major order so it is thread-count- and
-        // batching-independent (the determinism test's currency)
+        // accumulated in plane-major order so it is thread-count-
+        // independent (the determinism test's currency)
         let t_digest = Instant::now();
         let mut crc = Crc32::new();
         let (mut sum, mut lo, mut hi) = (0.0f64, f64::INFINITY, f64::NEG_INFINITY);
@@ -746,14 +506,10 @@ impl ServerCore {
                 ]),
             ),
             (
-                "queue".into(),
+                "conns".into(),
                 Json::obj([
-                    ("depth", (self.queue.lock().unwrap().len() as u64).to_json()),
-                    ("max", (self.cfg.max_queue as u64).to_json()),
-                    ("batch_max", (self.cfg.batch_max as u64).to_json()),
+                    ("max", (self.cfg.max_conns as u64).to_json()),
                     ("rejected", self.metrics.rejected.get().to_json()),
-                    ("batches", self.metrics.batches.get().to_json()),
-                    ("batched_jobs", self.metrics.batched_jobs.get().to_json()),
                 ]),
             ),
             (
@@ -776,23 +532,19 @@ fn elapsed_ns(t: Instant) -> u64 {
     t.elapsed().as_nanos().min(u64::MAX as u128) as u64
 }
 
-/// Copy one parsed run frame into the connection's slot, resolving the
-/// scenario if named. Reuses the slot's string capacity.
+/// Copy one parsed run frame into the connection's job spec, resolving
+/// the scenario if named. Reuses the spec's string capacity.
 fn fill_job(
-    conn: &mut ConnState,
+    job: &mut JobSpec,
     frame: &Frame<'_>,
     t0: Instant,
     default_backend: &str,
 ) -> Result<(), ProtoError> {
-    let mut st = conn.slot.state.lock().unwrap();
-    let job = &mut st.job;
     job.id = frame.id;
     set_str(&mut job.tenant, frame.tenant);
     job.seed = frame.seed;
     job.values = frame.values;
     job.recv = t0;
-    job.fresh_plan = false;
-    job.plan_hint_ns = 0;
     if frame.scenario.is_empty() {
         set_str(&mut job.kernel, frame.kernel);
         if frame.has("config") || default_backend.is_empty() {
@@ -964,7 +716,6 @@ pub fn serve(opts: ServeOptions) -> Result<String, String> {
             std::thread::sleep(Duration::from_millis(5));
         }
     }
-    core.join_dispatcher();
     if !opts.socket.is_empty() {
         let _ = std::fs::remove_file(&opts.socket);
     }

@@ -1,7 +1,6 @@
 //! Concurrency determinism for the serve stack: N clients submitting
-//! the same job concurrently — across worker-pool widths, with and
-//! without multi-tenant batching, against warm and cold caches — must
-//! all receive **bit-identical values (digest) and counters**.
+//! the same job concurrently — across worker-pool widths, against warm
+//! and cold caches — must all receive **bit-identical values (digest) and counters**.
 //!
 //! Two strengths of guarantee, deliberately distinguished:
 //!
@@ -104,28 +103,22 @@ fn concurrent_clients_get_bit_identical_answers() {
 
     for lanes in ["1", "2", "7"] {
         std::env::set_var("FOUNDATION_THREADS", lanes);
-        for batch_max in [1usize, 4] {
-            let ctx = format!("FOUNDATION_THREADS={lanes}, batch_max={batch_max}");
-            let core = ServerCore::new(ServeConfig { batch_max, ..ServeConfig::default() });
-            let round1 = hammer(&core); // first round plans + tunes under contention
-            let round2 = hammer(&core); // second round is all cache hits
-            let reference = &round1[0].1;
-            for (digest, counters) in round1.iter().chain(&round2) {
-                assert_eq!(*digest, want_digest, "digest diverged ({ctx})");
-                // within one server: full counter identity
-                assert_eq!(*counters, *reference, "within-server counters diverged ({ctx})");
-                // against the offline session: invariant identity
-                for name in INVARIANTS {
-                    assert_eq!(
-                        lookup(counters, name),
-                        lookup(&want_counters, name),
-                        "invariant counter {name} diverged from offline ({ctx})"
-                    );
-                }
-            }
-            if batch_max > 1 {
-                core.begin_shutdown();
-                core.join_dispatcher();
+        let ctx = format!("FOUNDATION_THREADS={lanes}");
+        let core = ServerCore::new(ServeConfig::default());
+        let round1 = hammer(&core); // first round plans + tunes under contention
+        let round2 = hammer(&core); // second round is all cache hits
+        let reference = &round1[0].1;
+        for (digest, counters) in round1.iter().chain(&round2) {
+            assert_eq!(*digest, want_digest, "digest diverged ({ctx})");
+            // within one server: full counter identity
+            assert_eq!(*counters, *reference, "within-server counters diverged ({ctx})");
+            // against the offline session: invariant identity
+            for name in INVARIANTS {
+                assert_eq!(
+                    lookup(counters, name),
+                    lookup(&want_counters, name),
+                    "invariant counter {name} diverged from offline ({ctx})"
+                );
             }
         }
 

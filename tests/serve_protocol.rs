@@ -14,7 +14,7 @@
 use foundation::json::Json;
 use foundation::prop::{self, Config, Gen};
 use foundation::rng::Xoshiro256pp;
-use stencil_cli::serve::{Action, ConnState, ServeConfig, ServerCore};
+use stencil_cli::serve::{Action, ConnState, ServeConfig, ServeOptions, ServerCore};
 
 /// One adversarial (or deliberately valid) protocol line.
 #[derive(Clone, Debug)]
@@ -320,9 +320,9 @@ fn serve_backend_flag_sets_the_default_config() {
 }
 
 /// Degenerate server configurations must stay inert, not crash: a
-/// zero-capacity plan cache disables caching, `--batch 0` executes
-/// inline like `--batch 1`, and quantiles over an empty latency
-/// histogram report zero rather than dividing by the empty total.
+/// zero-capacity plan cache disables caching, and quantiles over an
+/// empty latency histogram report zero rather than dividing by the
+/// empty total.
 #[test]
 fn degenerate_server_configs_answer_normally() {
     // stats on a fresh server: empty histogram → all-zero latency block
@@ -353,11 +353,78 @@ fn degenerate_server_configs_answer_normally() {
     let mut conn = ConnState::new();
     assert!(matches!(core.handle_line(&mut conn, r#"{"op":"stats"}"#), Action::Respond));
     assert!(conn.resp.contains("\"ok\":true"), "{}", conn.resp);
+}
 
-    // batch 0: below the batching threshold, so the inline path runs
-    // the job on the connection thread — no dispatcher to hang on
-    let core = ServerCore::new(ServeConfig { batch_max: 0, ..ServeConfig::default() });
-    let mut conn = ConnState::new();
-    assert!(matches!(core.handle_line(&mut conn, run), Action::Respond));
-    assert!(conn.resp.contains("\"ok\":true"), "batch-0 run failed: {}", conn.resp);
+/// The connection limit over a real Unix socket: with `max_conns: 1`, a
+/// second client gets exactly one `overloaded` line and EOF, while the
+/// first keeps being served, `stats` counts the refusal, and a
+/// `shutdown` frame makes `serve()` return.
+#[test]
+fn connection_limit_answers_overloaded_and_keeps_serving() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::os::unix::net::UnixStream;
+    use std::time::{Duration, Instant};
+
+    let path =
+        std::env::temp_dir().join(format!("lorastencil-connlimit-{}.sock", std::process::id()));
+    let socket = path.to_str().unwrap().to_string();
+    let opts = ServeOptions {
+        socket: socket.clone(),
+        tcp: String::new(),
+        cfg: ServeConfig { max_conns: 1, ..ServeConfig::default() },
+    };
+    let server = std::thread::spawn(move || stencil_cli::serve::serve(opts));
+
+    // a client with a read timeout, so a broken server fails the test
+    // instead of hanging it
+    let connect = || {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            match UnixStream::connect(&socket) {
+                Ok(s) => {
+                    s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+                    let r = BufReader::new(s.try_clone().unwrap());
+                    return (r, s);
+                }
+                Err(_) if Instant::now() < deadline => {
+                    std::thread::sleep(Duration::from_millis(10))
+                }
+                Err(e) => panic!("cannot connect to {socket}: {e}"),
+            }
+        }
+    };
+    let ask = |(r, w): &mut (BufReader<UnixStream>, UnixStream), frame: &str| -> Json {
+        writeln!(w, "{frame}").unwrap();
+        let mut line = String::new();
+        r.read_line(&mut line).unwrap();
+        Json::parse(&line).unwrap_or_else(|e| panic!("{frame} -> not JSON ({e}): {line:?}"))
+    };
+
+    let mut a = connect();
+    assert_eq!(ask(&mut a, r#"{"op":"ping"}"#).get("ok"), Some(&Json::Bool(true)));
+
+    // the second connection is over the limit: one typed line, then EOF
+    let (mut b, _b_write) = connect();
+    let mut line = String::new();
+    b.read_line(&mut line).unwrap();
+    let doc = Json::parse(&line).unwrap_or_else(|e| panic!("not JSON ({e}): {line:?}"));
+    assert_eq!(doc.get("ok"), Some(&Json::Bool(false)), "{line}");
+    let kind = doc.get("error").and_then(|e| e.get("kind")).and_then(Json::as_str);
+    assert_eq!(kind, Some("overloaded"), "{line}");
+    line.clear();
+    assert_eq!(b.read_line(&mut line).unwrap(), 0, "expected EOF after the refusal: {line:?}");
+
+    // the admitted client is still served
+    let run = ask(&mut a, r#"{"kernel":"Box-2D9P","size":[8,8],"iters":1,"values":"none"}"#);
+    assert_eq!(run.get("ok"), Some(&Json::Bool(true)), "{run:?}");
+    let stats = ask(&mut a, r#"{"op":"stats"}"#);
+    let conns = stats.get("conns").unwrap_or_else(|| panic!("no conns block: {stats:?}"));
+    assert_eq!(conns.get("max").and_then(Json::as_f64), Some(1.0), "{stats:?}");
+    // the rejection counter is process-wide
+    assert!(conns.get("rejected").and_then(Json::as_f64).unwrap_or(0.0) >= 1.0, "{stats:?}");
+
+    let bye = ask(&mut a, r#"{"op":"shutdown"}"#);
+    assert_eq!(bye.get("ok"), Some(&Json::Bool(true)), "{bye:?}");
+    let summary = server.join().expect("serve thread panicked");
+    assert!(summary.is_ok(), "serve returned {summary:?}");
 }

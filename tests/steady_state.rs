@@ -147,13 +147,10 @@ fn steady_state_steps_allocate_nothing_and_spawn_nothing() {
     // The serve stack inherits the guarantee: a warm cache-hit request
     // allocates nothing and spawns nothing. The first request plans
     // (and tunes) the shape; the second warms the pooled session plus
-    // the connection's job-slot/response buffers; after that the whole
+    // the connection's job-spec/response buffers; after that the whole
     // request path — zero-copy frame parse, pool checkout, fill, run,
     // digest, response write, tenant metrics — reuses what it has.
-    let core = stencil_cli::serve::ServerCore::new(stencil_cli::serve::ServeConfig {
-        batch_max: 1, // inline execution: the daemon's dispatcher is off
-        ..Default::default()
-    });
+    let core = stencil_cli::serve::ServerCore::new(Default::default());
     let mut conn = stencil_cli::serve::ConnState::new();
     let frame = r#"{"kernel":"Box-2D9P","size":[16,16],"iters":1,"seed":3,"values":"none"}"#;
     for _ in 0..2 {
