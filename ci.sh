@@ -261,8 +261,8 @@ emit_smoke() {
     # multi-target codegen smoke: every emit target across one kernel
     # per dimensionality and all four device backends must render
     # non-empty, and the CUDA output is diffed byte-for-byte against
-    # the checked-in goldens (tests/snapshots/cuda/) plus the deprecated
-    # `emit-cuda` alias — any drift fails the build. Regenerate goldens
+    # the checked-in goldens (tests/snapshots/cuda/) — any drift fails
+    # the build. Regenerate goldens
     # deliberately with UPDATE_SNAPSHOTS=1 (see tests/codegen_snapshots.rs).
     local cli="cargo run --release --offline -p stencil-cli --bin lorastencil-cli --"
     local kernel backend target out=target/ci-emit.out
@@ -281,11 +281,7 @@ emit_smoke() {
         $cli emit --kernel "$kernel" --target cuda >"$out"
         diff -u "$golden" "$out" \
             || { echo "error: $kernel CUDA listing drifted from $golden" >&2; exit 1; }
-        # the deprecated alias must emit the same bytes
-        $cli emit-cuda --kernel "$kernel" 2>/dev/null \
-            | diff - "$out" \
-            || { echo "error: emit-cuda alias diverged from emit --target cuda" >&2; exit 1; }
-        echo "   $kernel: 3 targets x 4 backends emitted; CUDA matches golden + alias"
+        echo "   $kernel: 3 targets x 4 backends emitted; CUDA matches golden"
     done
     # a near-miss --target spelling must fail with a suggestion
     if $cli emit --kernel Heat-1D --target wsgl >/dev/null 2>"$out"; then
@@ -319,7 +315,7 @@ step "profile smoke (stencil-cli profile + trace validation)" profile_smoke
 step "crash-resume smoke (run, tear newest snapshot, resume)" crash_resume_smoke
 step "serve smoke (daemon over unix socket: parity, errors, shutdown)" serve_smoke
 step "serve loadgen (hit vs cold-plan >=5x gate, writes $CI_OUT/loadgen.json)" loadgen_bench
-step "emit smoke (3 targets x 4 backends x 3 dims; CUDA golden + alias diff)" emit_smoke
+step "emit smoke (3 targets x 4 backends x 3 dims; CUDA golden diff)" emit_smoke
 step "checkpoint battery (FOUNDATION_THREADS=1)" checkpoint_battery
 step "dependency audit (workspace members only)" dep_audit
 

@@ -306,11 +306,11 @@ mod tests {
         // TCStencil re-reads the input once per kernel row; LoRAStencil
         // loads each fragment once (Eq. 12). Box-2D49P, no fusion on
         // either side for a direct comparison.
-        use lorastencil::{ExecConfig, LoRaStencil2D};
+        use lorastencil::{ExecConfig, LoRaStencil};
         let g = Grid2D::from_fn(64, 64, |r, c| (r * 2 + c) as f64);
         let p = Problem::new(kernels::box_2d49p(), g, 1);
         let tc = TcStencil::new().execute(&p).unwrap();
-        let lora = LoRaStencil2D::with_config(ExecConfig::full()).execute(&p).unwrap();
+        let lora = LoRaStencil::with_config(ExecConfig::full()).execute(&p).unwrap();
         // 7 kernel rows × 4 fragment loads = 28 per tile vs LoRA's 8
         let tiles = (64 * 64 / 64) as u64;
         assert_eq!(tc.counters.shared_load_requests, tiles * 28);

@@ -30,10 +30,10 @@
 //!
 //! [`ScheduleParams`]: crate::schedule::ScheduleParams
 
-use crate::plan::ExecConfig;
-use crate::schedule;
+use crate::plan::{ExecConfig, Plan};
+use crate::schedule::{self, grid_to_planes, plane_extents, planes_to_grid};
 use stencil_core::checkpoint::{CheckpointStore, Plane, Snapshot, FLAG_SEEDED_INPUT};
-use stencil_core::{Grid1D, Grid2D, Grid3D, GridData, StencilKernel};
+use stencil_core::{GridData, StencilKernel};
 use tcu_sim::{BlockResources, GlobalArray, PerfCounters};
 
 /// FNV-1a 64 over the plan identity: kernel name, radius,
@@ -98,41 +98,6 @@ pub fn plan_fingerprint(kernel: &StencilKernel, config: ExecConfig, extents: &[u
     // None and Some(n) must hash apart, so shift overrides by one
     h.eat_u64(params.fuse_override.map_or(0, |f| f as u64 + 1));
     h.0
-}
-
-/// A grid's extents (`[n]`, `[rows, cols]` or `[nz, ny, nx]`).
-pub fn grid_extents(grid: &GridData) -> Vec<usize> {
-    match grid {
-        GridData::D1(g) => vec![g.len()],
-        GridData::D2(g) => vec![g.rows(), g.cols()],
-        GridData::D3(g) => vec![g.nz(), g.ny(), g.nx()],
-    }
-}
-
-/// A grid as the plane list the stepper runs over (1-D grids become one
-/// `1 × n` plane).
-pub fn grid_to_planes(grid: &GridData) -> Vec<GlobalArray> {
-    match grid {
-        GridData::D1(g) => vec![GlobalArray::from_vec(1, g.len(), g.as_slice().to_vec())],
-        GridData::D2(g) => {
-            vec![GlobalArray::from_vec(g.rows(), g.cols(), g.as_slice().to_vec())]
-        }
-        GridData::D3(g) => (0..g.nz())
-            .map(|z| GlobalArray::from_vec(g.ny(), g.nx(), g.plane(z).as_slice().to_vec()))
-            .collect(),
-    }
-}
-
-/// Stepper planes back into a grid of the given extents.
-pub fn planes_to_grid(planes: &[GlobalArray], extents: &[usize]) -> GridData {
-    match *extents {
-        [_n] => GridData::D1(Grid1D::from_vec(planes[0].as_slice().to_vec())),
-        [r, c] => GridData::D2(Grid2D::from_vec(r, c, planes[0].as_slice().to_vec())),
-        [_nz, ny, nx] => GridData::D3(Grid3D::from_fn(planes.len(), ny, nx, |z, y, x| {
-            planes[z].as_slice()[y * nx + x]
-        })),
-        _ => panic!("grids are 1-, 2- or 3-dimensional"),
-    }
 }
 
 fn snapshot_planes(planes: &[GlobalArray]) -> Vec<Plane> {
@@ -227,10 +192,11 @@ pub struct CkptOutcome {
     pub snapshots_written: usize,
 }
 
-/// The checkpointed time loop shared by [`run`] and [`resume`]: step
-/// from `start_step` to `total`, snapshotting whenever the step counter
-/// crosses a multiple of `policy.every`. `counters` carries the
-/// pre-resume accumulation (zero for a fresh run).
+/// The checkpointed time loop shared by [`run`] and [`resume`]: the
+/// schedule's time loop from `start_step` to `total`, with a
+/// per-application hook that snapshots whenever the step counter crosses
+/// a multiple of `policy.every`. `counters` carries the pre-resume
+/// accumulation (zero for a fresh run).
 #[allow(clippy::too_many_arguments)]
 fn run_loop(
     kernel: &StencilKernel,
@@ -239,70 +205,45 @@ fn run_loop(
     extents: &[usize],
     start_step: u64,
     total: u64,
-    mut counters: PerfCounters,
+    counters: PerfCounters,
     rng: [u64; 4],
     policy: &CkptPolicy,
 ) -> Result<CkptOutcome, CkptRunError> {
     assert!(policy.every >= 1, "CLI validation rejects --checkpoint-every < 1");
     let fingerprint = plan_fingerprint(kernel, config, extents);
-    let snapshot = |step: u64, planes: &[GlobalArray], counters: &PerfCounters| Snapshot {
-        flags: FLAG_SEEDED_INPUT,
-        fingerprint,
-        step,
-        steps_total: total,
-        every: policy.every,
-        seed: policy.seed,
-        rng,
-        kernel: kernel.name.clone(),
-        config: config.tag(),
-        method: policy.method.to_string(),
-        extents: extents.to_vec(),
-        counters: *counters,
-        planes: snapshot_planes(planes),
-    };
-
-    let remaining = (total - start_step) as usize;
-    let plan = crate::plan::Plan::new_tuned(kernel, config, extents);
-    let block = plan.block_resources();
-    let full = remaining / plan.fusion;
-    let fusion = plan.fusion as u64;
-    let rem = remaining % plan.fusion;
-
+    let plan = Plan::new_tuned(kernel, config, extents);
+    let rem_plan =
+        || Plan::new_tuned(kernel, ExecConfig { allow_fusion: false, ..config }, extents);
     let mut step = start_step;
     let mut written = 0usize;
-    let mut cur = planes;
-    if full > 0 {
-        let mut stepper = schedule::Stepper::new(plan, cur);
-        for _ in 0..full {
-            counters.merge(&stepper.step());
-            let crossed = (step + fusion) / policy.every > step / policy.every;
-            step += fusion;
-            if crossed {
-                policy.store.save(&snapshot(step, &stepper.capture_planes(), &counters))?;
-                written += 1;
-            }
+    let snapshot = |advance: usize, planes: &[GlobalArray], counters: &PerfCounters| {
+        let crossed = (step + advance as u64) / policy.every > step / policy.every;
+        step += advance as u64;
+        if crossed {
+            policy.store.save(&Snapshot {
+                flags: FLAG_SEEDED_INPUT,
+                fingerprint,
+                step,
+                steps_total: total,
+                every: policy.every,
+                seed: policy.seed,
+                rng,
+                kernel: kernel.name.clone(),
+                config: config.tag(),
+                method: policy.method.to_string(),
+                extents: extents.to_vec(),
+                counters: *counters,
+                planes: snapshot_planes(planes),
+            })?;
+            written += 1;
         }
-        cur = stepper.into_planes();
-    }
-    if rem > 0 {
-        let base = crate::plan::Plan::new_tuned(
-            kernel,
-            ExecConfig { allow_fusion: false, ..config },
-            extents,
-        );
-        let mut stepper = schedule::Stepper::new(base, cur);
-        for _ in 0..rem {
-            counters.merge(&stepper.step());
-            step += 1;
-            if step % policy.every == 0 {
-                policy.store.save(&snapshot(step, &stepper.capture_planes(), &counters))?;
-                written += 1;
-            }
-        }
-        cur = stepper.into_planes();
-    }
+        Ok::<_, CkptRunError>(())
+    };
+    let remaining = (total - start_step) as usize;
+    let (cur, counters, block) =
+        schedule::run_with_plans(plan, rem_plan, planes, remaining, counters, snapshot)?;
     Ok(CkptOutcome {
-        output: planes_to_grid(&cur, extents),
+        output: planes_to_grid(&cur, extents.len()),
         counters,
         block,
         snapshots_written: written,
@@ -317,30 +258,21 @@ pub fn run(
     total: u64,
     policy: &CkptPolicy,
 ) -> Result<CkptOutcome, CkptRunError> {
-    let extents = grid_extents(input);
-    run_loop(
-        kernel,
-        config,
-        grid_to_planes(input),
-        &extents,
-        0,
-        total,
-        PerfCounters::new(),
-        [0; 4],
-        policy,
-    )
+    let planes = grid_to_planes(input);
+    let extents = plane_extents(&planes, input.dims());
+    run_loop(kernel, config, planes, &extents, 0, total, PerfCounters::new(), [0; 4], policy)
 }
 
-/// Resume from a recovered snapshot and run to `snap.steps_total`,
-/// continuing to snapshot per `policy`. Rejects the snapshot if its
-/// plan fingerprint disagrees with `(kernel, config, extents)` — a
-/// checkpoint is never silently continued under a different plan.
-pub fn resume(
+/// Check that `snap` may be resumed under `(kernel, config)`: its plan
+/// fingerprint must match the one recomputed from `(kernel, config,
+/// snap.extents)` — a checkpoint is never silently continued under a
+/// different plan — and it must have steps left to run. Every resume
+/// path, single-device or distributed, checks through this.
+pub fn check_resumable(
     kernel: &StencilKernel,
     config: ExecConfig,
     snap: &Snapshot,
-    policy: &CkptPolicy,
-) -> Result<CkptOutcome, CkptRunError> {
+) -> Result<(), CkptRunError> {
     let computed = plan_fingerprint(kernel, config, &snap.extents);
     if computed != snap.fingerprint {
         return Err(CkptRunError::FingerprintMismatch {
@@ -355,11 +287,24 @@ pub fn resume(
     if snap.step >= snap.steps_total {
         return Err(CkptRunError::StepBeyondTotal { step: snap.step, total: snap.steps_total });
     }
+    Ok(())
+}
+
+/// Resume from a recovered snapshot and run to `snap.steps_total`,
+/// continuing to snapshot per `policy`. Rejects the snapshot as
+/// [`check_resumable`] does.
+pub fn resume(
+    kernel: &StencilKernel,
+    config: ExecConfig,
+    snap: &Snapshot,
+    policy: &CkptPolicy,
+) -> Result<CkptOutcome, CkptRunError> {
+    check_resumable(kernel, config, snap)?;
     run_loop(
         kernel,
         config,
         planes_from_snapshot(snap),
-        &snap.extents.clone(),
+        &snap.extents,
         snap.step,
         snap.steps_total,
         snap.counters,
@@ -371,7 +316,7 @@ pub fn resume(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stencil_core::kernels;
+    use stencil_core::{kernels, Grid2D};
 
     fn store(name: &str, keep: usize) -> CheckpointStore {
         let dir = std::env::temp_dir().join(format!("lorastencil-ckptmod-{name}"));
@@ -404,19 +349,6 @@ mod tests {
     }
 
     #[test]
-    fn grid_plane_conversion_roundtrips_all_dims() {
-        let grids = [
-            GridData::D1(Grid1D::from_fn(17, |i| (i as f64).sin())),
-            grid_2d(),
-            GridData::D3(Grid3D::from_fn(3, 4, 5, |z, y, x| (z * 100 + y * 10 + x) as f64)),
-        ];
-        for g in grids {
-            let extents = grid_extents(&g);
-            assert_eq!(planes_to_grid(&grid_to_planes(&g), &extents), g);
-        }
-    }
-
-    #[test]
     fn checkpointed_run_matches_plain_run_bit_for_bit() {
         let k = kernels::box_2d9p();
         let st = store("match-plain", 8);
@@ -424,7 +356,7 @@ mod tests {
         let out = run(&k, ExecConfig::full(), &grid_2d(), 9, &policy).unwrap();
         let (planes, counters, _) =
             schedule::run(&k, ExecConfig::full(), grid_to_planes(&grid_2d()), 9);
-        assert_eq!(out.output, planes_to_grid(&planes, &[24, 24]));
+        assert_eq!(out.output, planes_to_grid(&planes, 2));
         assert_eq!(out.counters, counters, "{:?}", out.counters.diff(&counters));
         assert!(out.snapshots_written > 0);
     }

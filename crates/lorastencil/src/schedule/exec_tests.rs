@@ -1,10 +1,7 @@
-//! The per-dimension executor conformance tests, all running through the
-//! one generic interpreter (migrated here from the pre-IR
-//! `exec/{one_d,two_d,three_d}.rs` executors — the assertions are
-//! unchanged, which is the point: the IR is a refactor, not a new
-//! semantics).
+//! Executor conformance tests for 1-, 2- and 3-D kernels, all running
+//! through [`LoRaStencil`] and the one generic interpreter.
 
-use crate::exec::{LoRaStencil1D, LoRaStencil2D, LoRaStencil3D};
+use crate::exec::LoRaStencil;
 use crate::plan::ExecConfig;
 use stencil_core::StencilExecutor;
 use stencil_core::{kernels, max_error_vs_reference, Grid1D, Grid2D, Grid3D, Problem};
@@ -27,7 +24,7 @@ fn wavy_3d(nz: usize, ny: usize, nx: usize) -> Grid3D {
 
 #[test]
 fn matches_reference_on_all_2d_kernels() {
-    let exec = LoRaStencil2D::new();
+    let exec = LoRaStencil::new();
     for k in kernels::all_kernels() {
         if k.dims() != 2 {
             continue;
@@ -40,7 +37,7 @@ fn matches_reference_on_all_2d_kernels() {
 
 #[test]
 fn multi_iteration_with_fusion_matches_reference() {
-    let exec = LoRaStencil2D::new();
+    let exec = LoRaStencil::new();
     // 7 iterations of a radius-1 kernel: 2 fused (3×) + 1 unfused
     let p = Problem::new(kernels::box_2d9p(), wavy_grid(20, 20), 7);
     let err = max_error_vs_reference(&exec, &p).unwrap();
@@ -52,7 +49,7 @@ fn all_breakdown_stages_are_numerically_identical() {
     let p = Problem::new(kernels::box_2d9p(), wavy_grid(16, 24), 2);
     let mut outputs = Vec::new();
     for (name, cfg) in ExecConfig::breakdown_stages() {
-        let exec = LoRaStencil2D::with_config(cfg);
+        let exec = LoRaStencil::with_config(cfg);
         let out = exec.execute(&p).unwrap();
         outputs.push((name, out));
     }
@@ -73,7 +70,7 @@ fn all_breakdown_stages_are_numerically_identical() {
 
 #[test]
 fn points_counter_matches_problem_updates() {
-    let exec = LoRaStencil2D::new();
+    let exec = LoRaStencil::new();
     let p = Problem::new(kernels::box_2d49p(), wavy_grid(32, 32), 2);
     let out = exec.execute(&p).unwrap();
     assert_eq!(out.counters.points_updated, p.total_updates());
@@ -81,7 +78,7 @@ fn points_counter_matches_problem_updates() {
 
 #[test]
 fn fused_run_counts_fused_points() {
-    let exec = LoRaStencil2D::new();
+    let exec = LoRaStencil::new();
     let p = Problem::new(kernels::box_2d9p(), wavy_grid(16, 16), 3);
     let out = exec.execute(&p).unwrap();
     // one fused application, counted as 3 × 256 updates
@@ -92,7 +89,7 @@ fn fused_run_counts_fused_points() {
 fn mma_count_matches_eq16_for_box_2d49p() {
     // Box-2D49P, 64×64 grid, 1 iteration: ab/64 tiles × 3 terms × 12
     // MMAs — the paper's 36 MMA per 64-point tile (§III-C).
-    let exec = LoRaStencil2D::new();
+    let exec = LoRaStencil::new();
     let p = Problem::new(kernels::box_2d49p(), wavy_grid(64, 64), 1);
     let out = exec.execute(&p).unwrap();
     let tiles = (64 / 8) * (64 / 8) as u64;
@@ -107,15 +104,8 @@ fn mma_count_matches_eq16_for_box_2d49p() {
 }
 
 #[test]
-fn rejects_mismatched_problems() {
-    let exec = LoRaStencil2D::new();
-    let p = Problem::new(kernels::heat_1d(), Grid1D::from_vec(vec![0.0; 16]), 1);
-    assert!(exec.execute(&p).is_err());
-}
-
-#[test]
 fn tiny_grid_with_clipping_matches_reference() {
-    let exec = LoRaStencil2D::new();
+    let exec = LoRaStencil::new();
     // 10×13 is not a multiple of the 8×8 tile → exercises clipping
     let p = Problem::new(kernels::star_2d13p(), wavy_grid(10, 13), 2);
     let err = max_error_vs_reference(&exec, &p).unwrap();
@@ -124,7 +114,7 @@ fn tiny_grid_with_clipping_matches_reference() {
 
 #[test]
 fn matches_reference_on_1d_kernels() {
-    let exec = LoRaStencil1D::new();
+    let exec = LoRaStencil::new();
     for k in [kernels::heat_1d(), kernels::p5_1d()] {
         let p = Problem::new(k.clone(), wavy_1d(256), 3);
         let err = max_error_vs_reference(&exec, &p).unwrap();
@@ -134,7 +124,7 @@ fn matches_reference_on_1d_kernels() {
 
 #[test]
 fn ragged_length_matches_reference() {
-    let exec = LoRaStencil1D::new();
+    let exec = LoRaStencil::new();
     let p = Problem::new(kernels::heat_1d(), wavy_1d(157), 2);
     let err = max_error_vs_reference(&exec, &p).unwrap();
     assert!(err < 1e-12, "err = {err}");
@@ -145,7 +135,7 @@ fn one_mm_per_four_columns() {
     // 1-D needs a single MM per tile: seg_len/4 MMAs per 64 outputs
     // (§IV-C: "one MM suffices, MCM is unnecessary"). 1D5P (radius 2,
     // unfused): seg_len 12 → 3 MMAs per tile.
-    let exec = LoRaStencil1D::new();
+    let exec = LoRaStencil::new();
     let p = Problem::new(kernels::p5_1d(), wavy_1d(640), 1);
     let out = exec.execute(&p).unwrap();
     let tiles = 640 / 64;
@@ -156,7 +146,7 @@ fn one_mm_per_four_columns() {
 
 #[test]
 fn heat_1d_fuses_three_steps_per_apply() {
-    let exec = LoRaStencil1D::new();
+    let exec = LoRaStencil::new();
     let p = Problem::new(kernels::heat_1d(), wavy_1d(640), 3);
     let out = exec.execute(&p).unwrap();
     // one fused apply: seg_len 16 → 4 MMAs per 64-point tile
@@ -167,15 +157,23 @@ fn heat_1d_fuses_three_steps_per_apply() {
 }
 
 #[test]
-fn rejects_2d_problems() {
-    let exec = LoRaStencil1D::new();
-    let p = Problem::new(kernels::box_2d9p(), Grid2D::new(8, 8), 1);
-    assert!(exec.execute(&p).is_err());
+fn rejects_dimensionality_mismatches() {
+    use stencil_core::ExecError;
+    let exec = LoRaStencil::new();
+    let cases = [
+        Problem::new(kernels::heat_1d(), Grid2D::new(8, 8), 1),
+        Problem::new(kernels::box_2d9p(), Grid1D::from_vec(vec![0.0; 16]), 1),
+        Problem::new(kernels::box_2d9p(), Grid3D::new(4, 8, 8), 1),
+    ];
+    for p in cases {
+        let err = exec.execute(&p).unwrap_err();
+        assert!(matches!(err, ExecError::Invalid(_)), "{}: {err}", p.kernel.name);
+    }
 }
 
 #[test]
 fn heat_3d_matches_reference() {
-    let exec = LoRaStencil3D::new();
+    let exec = LoRaStencil::new();
     let p = Problem::new(kernels::heat_3d(), wavy_3d(6, 16, 24), 2);
     let err = max_error_vs_reference(&exec, &p).unwrap();
     assert!(err < 1e-11, "err = {err}");
@@ -183,7 +181,7 @@ fn heat_3d_matches_reference() {
 
 #[test]
 fn box_3d27p_matches_reference() {
-    let exec = LoRaStencil3D::new();
+    let exec = LoRaStencil::new();
     let p = Problem::new(kernels::box_3d27p(), wavy_3d(5, 11, 13), 2);
     let err = max_error_vs_reference(&exec, &p).unwrap();
     assert!(err < 1e-11, "err = {err}");
@@ -193,7 +191,7 @@ fn box_3d27p_matches_reference() {
 fn heat_3d_uses_both_compute_units() {
     // Algorithm 2: single-weight planes on CUDA cores, the star plane
     // on tensor cores.
-    let exec = LoRaStencil3D::new();
+    let exec = LoRaStencil::new();
     let p = Problem::new(kernels::heat_3d(), wavy_3d(4, 8, 8), 1);
     let out = exec.execute(&p).unwrap();
     assert!(out.counters.mma_ops > 0, "TCU must be used for the star plane");
@@ -203,7 +201,7 @@ fn heat_3d_uses_both_compute_units() {
 #[test]
 fn cuda_only_config_matches_reference_too() {
     let cfg = ExecConfig { backend: crate::plan::DeviceBackend::CudaCore, ..ExecConfig::full() };
-    let exec = LoRaStencil3D::with_config(cfg);
+    let exec = LoRaStencil::with_config(cfg);
     let p = Problem::new(kernels::box_3d27p(), wavy_3d(4, 9, 9), 1);
     let err = max_error_vs_reference(&exec, &p).unwrap();
     assert!(err < 1e-11, "err = {err}");
@@ -274,7 +272,7 @@ fn explicit_schedule_params_stay_bit_identical() {
 
 #[test]
 fn points_counter_matches_3d() {
-    let exec = LoRaStencil3D::new();
+    let exec = LoRaStencil::new();
     let p = Problem::new(kernels::heat_3d(), wavy_3d(4, 8, 8), 3);
     let out = exec.execute(&p).unwrap();
     assert_eq!(out.counters.points_updated, p.total_updates());

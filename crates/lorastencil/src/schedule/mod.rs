@@ -5,8 +5,10 @@
 //! [`Plan`] of any dimensionality lowers to one [`Schedule`] — a flat
 //! sequence of [`Op`]s describing what one warp does per output tile —
 //! and a single interpreter ([`crate::schedule::Stepper`]) executes that
-//! sequence against a [`Backend`]. The per-dimension executors in
-//! [`crate::exec`] are reduced to lowering rules plus public-API shims.
+//! sequence against a [`Backend`]. The dimensions differ only in their
+//! lowering rule ([`Schedule::lower`]): 1-D is one banded MM, 2-D one
+//! decomposition, and 3-D a superposition of 2-D planes (§IV-C,
+//! Algorithm 2).
 //!
 //! Lowering is where every [`ExecConfig`] toggle is resolved:
 //!
@@ -24,23 +26,33 @@
 //!   `exec_kernel`); the schedule records the resulting
 //!   [`Schedule::fuse_steps`] so one interpreted application advances
 //!   that many temporal steps.
+//!
+//! Grids enter and leave the interpreter as plane lists; [`grid_to_planes`]
+//! and [`planes_to_grid`] are the one conversion between the two.
+//!
+//! [`ExecConfig`]: crate::plan::ExecConfig
 
 mod backend;
 #[cfg(test)]
 mod exec_tests;
 mod params;
+mod planes;
+mod scratch;
 mod session;
 mod stepper;
 
 pub use backend::{band_fallbacks, Backend, CudaCore, SimdCore, SparseTcu, TcuF64};
 pub use params::{ScheduleParams, Staging};
+pub(crate) use planes::plane_extents;
+pub use planes::{grid_to_planes, planes_to_grid};
 pub use session::ExecSession;
-pub use stepper::{apply_once, apply_once_planes, host_isa, run, run_tuned, Stepper, Workspace};
+pub(crate) use stepper::run_with_plans;
+pub use stepper::{apply_once, host_isa, run, run_tuned, Stepper, Workspace};
 
-use crate::decompose::RankOneTerm;
-use crate::plan::{Plan, PlanKind};
+use crate::decompose::{Decomposition, RankOneTerm};
+use crate::plan::{Plan, PlanKind, PlaneOp};
 use crate::rdg::{RdgGeometry, TermFrags};
-use tcu_sim::CopyMode;
+use tcu_sim::{CopyMode, FragB, MMA_K, MMA_N};
 
 /// One step of the per-tile warp program.
 ///
@@ -230,10 +242,9 @@ pub struct Schedule {
 }
 
 impl Schedule {
-    /// Lower a plan to its execution schedule. The per-dimension
-    /// lowering rules live next to their public shims in
-    /// [`crate::exec`]; fragment prebuilding happens here, once, under
-    /// the `frag_build` span.
+    /// Lower a plan to its execution schedule: the dimension's lowering
+    /// rule emits the op list, then every weight fragment prebuilds here,
+    /// once, under the `frag_build` span.
     pub fn lower(plan: &Plan) -> Schedule {
         let use_tcu = plan.config.use_tcu();
         let dims = plan.dims();
@@ -281,9 +292,12 @@ impl Schedule {
             band: false,
         };
         match &plan.kind {
-            PlanKind::D1 { seg_len } => crate::exec::one_d::lower(*seg_len, &mut sched),
-            PlanKind::D2 { decomp } => crate::exec::two_d::lower(decomp, &mut sched),
-            PlanKind::D3 { plane_ops } => crate::exec::three_d::lower(plane_ops, &mut sched),
+            PlanKind::D1 { seg_len } => sched.lower_1d(*seg_len),
+            PlanKind::D2 { decomp } => sched.lower_2d(decomp),
+            PlanKind::D3 { plane_ops } if staging == params::Staging::Double => {
+                sched.lower_3d_double(plane_ops)
+            }
+            PlanKind::D3 { plane_ops } => sched.lower_3d(plane_ops),
         }
         {
             // all weight fragments prebuild here (they depend only on the
@@ -301,8 +315,7 @@ impl Schedule {
                 }
             }
             if sched.dims == 1 {
-                sched.v1d =
-                    crate::exec::one_d::build_v_frags(plan.exec_kernel.weights_1d(), sched.seg_len);
+                sched.v1d = build_v_frags(plan.exec_kernel.weights_1d(), sched.seg_len);
             }
         }
         // every term shares the geometry, so all have band tables or none
@@ -324,13 +337,110 @@ impl Schedule {
         self.band = false;
     }
 
-    /// Append one rank-1 term, returning its [`Op::MmaChain`] op
-    /// (lowering helper for the per-dimension rules).
-    pub(crate) fn push_term(&mut self, term: &RankOneTerm) -> Op {
-        let idx = self.terms.len() as u16;
-        self.terms.push(LoweredTerm { term: term.clone(), frags: None });
-        Op::MmaChain { term: idx }
+    /// 1-D rule (§IV-C): a 1-D stencil has no dimension residue, so the
+    /// whole tile program is one fused [`Op::RdgGather`] — eight
+    /// overlapping `seg_len`-long input segments as the rows of `X`,
+    /// gathered by the banded weight matrix `V` (Eq. 11) to update 64
+    /// points at once.
+    fn lower_1d(&mut self, seg_len: usize) {
+        self.seg_len = seg_len;
+        self.ops.push(Op::RdgGather);
     }
+
+    /// 2-D rule: stage the (single) plane, build the X fragments, then
+    /// the decomposition. 2-D has one plane per job, so double staging
+    /// shows up as cross-job slot parity in the interpreter, not in the
+    /// op list: slot 0 here.
+    fn lower_2d(&mut self, decomp: &Decomposition) {
+        self.ops.push(Op::Stage { dz: self.h, slot: 0 });
+        self.ops.push(Op::FragBuild { slot: 0 });
+        self.push_decomp(decomp);
+    }
+
+    /// 3-D rule (Algorithm 2): one op group per z-plane, in plane order —
+    /// `SkipPlane` for zero planes, `PointwisePlane` for single-weight
+    /// planes (CUDA cores, no dependency gathering), and the 2-D
+    /// stage/frag/chain/tip sequence for planes needing 2-D gathering.
+    /// Every plane accumulates into the same output tile.
+    fn lower_3d(&mut self, plane_ops: &[PlaneOp]) {
+        for (dz, op) in plane_ops.iter().enumerate() {
+            match op {
+                PlaneOp::Skip => self.ops.push(Op::SkipPlane { dz }),
+                PlaneOp::Pointwise(w) => self.ops.push(Op::PointwisePlane { dz, weight: *w }),
+                PlaneOp::Rdg(decomp) => {
+                    self.ops.push(Op::Stage { dz, slot: 0 });
+                    self.ops.push(Op::FragBuild { slot: 0 });
+                    self.push_decomp(decomp);
+                }
+            }
+        }
+    }
+
+    /// The 3-D rule under [`Staging::Double`]: the RDG planes are
+    /// software-pipelined, staging the next plane's window into the idle
+    /// slot before the current slot's fragments are consumed, so the
+    /// halo loads overlap the MMA chain. Scalar planes come first, in
+    /// plane order (their accumulator is separate from the MMA fragment,
+    /// so regrouping keeps every FP addition order — and therefore every
+    /// output bit — intact), then `Stage(p₀ → slot 0); for each RDG plane
+    /// i: Stage(p_{i+1} → slot (i+1)&1) if any, FragBuild(slot i&1),
+    /// chains, tip`.
+    fn lower_3d_double(&mut self, plane_ops: &[PlaneOp]) {
+        let mut rdg = Vec::new();
+        for (dz, op) in plane_ops.iter().enumerate() {
+            match op {
+                PlaneOp::Skip => self.ops.push(Op::SkipPlane { dz }),
+                PlaneOp::Pointwise(w) => self.ops.push(Op::PointwisePlane { dz, weight: *w }),
+                PlaneOp::Rdg(decomp) => rdg.push((dz, decomp)),
+            }
+        }
+        if let Some(&(dz0, _)) = rdg.first() {
+            self.ops.push(Op::Stage { dz: dz0, slot: 0 });
+        }
+        for (i, &(_, decomp)) in rdg.iter().enumerate() {
+            if let Some(&(dz_next, _)) = rdg.get(i + 1) {
+                self.ops.push(Op::Stage { dz: dz_next, slot: ((i + 1) & 1) as u8 });
+            }
+            self.ops.push(Op::FragBuild { slot: (i & 1) as u8 });
+            self.push_decomp(decomp);
+        }
+    }
+
+    /// One decomposition against the staged fragments: an MMA chain per
+    /// rank-1 term, then the pyramid tip. The `Pointwise` op is emitted
+    /// even for a zero tip so every chain has a delimiter.
+    fn push_decomp(&mut self, decomp: &Decomposition) {
+        for term in &decomp.terms {
+            let idx = self.terms.len() as u16;
+            self.terms.push(LoweredTerm { term: term.clone(), frags: None });
+            self.ops.push(Op::MmaChain { term: idx });
+        }
+        self.ops.push(Op::Pointwise { weight: decomp.pointwise });
+    }
+}
+
+/// Build the banded `V` fragments for the 1-D weights: `S/4` B-fragments
+/// of the `S×8` matrix `V[c][q] = w[c − q − 0]` band (`V[q + k][q] = w[k]`).
+fn build_v_frags(w: &[f64], seg_len: usize) -> Vec<FragB> {
+    let mut dense = vec![[0.0f64; MMA_N]; seg_len];
+    for q in 0..MMA_N {
+        for (k, &wk) in w.iter().enumerate() {
+            let r = q + k;
+            debug_assert!(r < seg_len);
+            dense[r][q] = wk;
+        }
+    }
+    (0..seg_len / MMA_K)
+        .map(|blk| {
+            let mut f = FragB::zero();
+            for k in 0..MMA_K {
+                for q in 0..MMA_N {
+                    f.set(k, q, dense[blk * MMA_K + k][q]);
+                }
+            }
+            f
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -421,6 +531,49 @@ mod tests {
             Schedule::lower(&Plan::new(&kernels::heat_1d(), scalar)).backend,
             BackendKind::TcuF64
         );
+    }
+
+    #[test]
+    fn double_staged_3d_schedule_pipelines_the_rdg_planes() {
+        let params = ScheduleParams { staging: Staging::Double, ..ScheduleParams::default() };
+        // Box-3D27P: three RDG planes, no scalar ones
+        let plan = Plan::new_with_params(&kernels::box_3d27p(), ExecConfig::full(), params);
+        let s = Schedule::lower(&plan);
+        assert_eq!(s.staging, Staging::Double);
+        let PlanKind::D3 { plane_ops } = &plan.kind else { panic!("3-D plan") };
+        let decomps: Vec<&Decomposition> = plane_ops
+            .iter()
+            .map(|op| match op {
+                PlaneOp::Rdg(d) => d,
+                _ => panic!("every Box-3D27P plane gathers in 2-D"),
+            })
+            .collect();
+        let mut want = Vec::new();
+        let mut term = 0u16;
+        let mut decomp = |want: &mut Vec<Op>, d: &Decomposition| {
+            for _ in &d.terms {
+                want.push(Op::MmaChain { term });
+                term += 1;
+            }
+            want.push(Op::Pointwise { weight: d.pointwise });
+        };
+        want.extend([Op::Stage { dz: 0, slot: 0 }, Op::Stage { dz: 1, slot: 1 }]);
+        want.push(Op::FragBuild { slot: 0 });
+        decomp(&mut want, decomps[0]);
+        want.extend([Op::Stage { dz: 2, slot: 0 }, Op::FragBuild { slot: 1 }]);
+        decomp(&mut want, decomps[1]);
+        want.push(Op::FragBuild { slot: 0 });
+        decomp(&mut want, decomps[2]);
+        assert_eq!(s.ops, want);
+
+        // Heat-3D: the scalar planes come first, in plane order, then the
+        // one RDG plane
+        let plan = Plan::new_with_params(&kernels::heat_3d(), ExecConfig::full(), params);
+        let s = Schedule::lower(&plan);
+        assert!(matches!(s.ops[0], Op::PointwisePlane { dz: 0, .. }));
+        assert!(matches!(s.ops[1], Op::PointwisePlane { dz: 2, .. }));
+        assert_eq!(s.ops[2..4], [Op::Stage { dz: 1, slot: 0 }, Op::FragBuild { slot: 0 }]);
+        assert!(matches!(s.ops.last(), Some(Op::Pointwise { .. })));
     }
 
     #[test]

@@ -21,11 +21,12 @@
 //! FP operation order) is identical for every tile size.
 
 use super::backend::{Backend, CudaCore, SimdCore, SparseTcu, TcuF64};
-use super::{BackendKind, Op, Schedule, ScheduleParams, Staging};
-use crate::exec::scratch::{with_tile_scratch, TileScratch};
+use super::scratch::{with_tile_scratch, TileScratch};
+use super::{plane_extents, BackendKind, Op, Schedule, ScheduleParams, Staging};
 use crate::plan::{ExecConfig, Plan};
 use crate::rdg::TILE_M;
 use foundation::par::*;
+use std::convert::Infallible;
 use stencil_core::tiling::{clamped_span, tiles_1d, tiles_2d, window_origin, Tile2D};
 use stencil_core::StencilKernel;
 use tcu_sim::{BlockResources, GlobalArray, PerfCounters, SimContext, MMA_M, MMA_N};
@@ -581,12 +582,7 @@ impl Stepper {
     /// Set up the loop over `planes` for `plan` (one plane for 1-D
     /// arrays — shaped `1 × n` — and 2-D grids; `nz` planes for 3-D).
     pub fn new(plan: Plan, planes: Vec<GlobalArray>) -> Self {
-        let extents = match plan.dims() {
-            1 => vec![planes[0].cols()],
-            2 => vec![planes[0].rows(), planes[0].cols()],
-            _ => vec![planes.len(), planes[0].rows(), planes[0].cols()],
-        };
-        let ws = Workspace::new(&plan, &extents);
+        let ws = Workspace::new(&plan, &plane_extents(&planes, plan.dims()));
         let next = planes.iter().map(|p| GlobalArray::new(p.rows(), p.cols())).collect();
         Stepper { ws, cur: planes, next }
     }
@@ -637,51 +633,29 @@ impl Stepper {
 /// One (possibly fused) stencil application over a single-plane grid
 /// (allocating convenience form of the [`Stepper`] loop).
 pub fn apply_once(input: &GlobalArray, plan: &Plan) -> (GlobalArray, PerfCounters) {
-    let (rows, cols) = (input.rows(), input.cols());
-    let extents: &[usize] = if plan.dims() == 1 { &[cols] } else { &[rows, cols] };
-    let mut ws = Workspace::new(plan, extents);
-    let mut out = GlobalArray::new(rows, cols);
+    let mut ws = Workspace::new(plan, &plane_extents(std::slice::from_ref(input), plan.dims()));
+    let mut out = GlobalArray::new(input.rows(), input.cols());
     let counters = ws.apply(input, &mut out);
     (out, counters)
 }
 
-/// One stencil application over a volume (allocating convenience form).
-pub fn apply_once_planes(planes: &[GlobalArray], plan: &Plan) -> (Vec<GlobalArray>, PerfCounters) {
-    let (nz, ny, nx) = (planes.len(), planes[0].rows(), planes[0].cols());
-    let mut ws = Workspace::new(plan, &[nz, ny, nx]);
-    let mut out: Vec<GlobalArray> = (0..nz).map(|_| GlobalArray::new(ny, nx)).collect();
-    let counters = ws.apply_planes(planes, &mut out);
-    (out, counters)
-}
-
-/// The grid extents of `planes` as seen by a `dims`-dimensional kernel.
-fn grid_extents(kernel: &StencilKernel, planes: &[GlobalArray]) -> Vec<usize> {
-    match kernel.dims() {
-        1 => vec![planes[0].cols()],
-        2 => vec![planes[0].rows(), planes[0].cols()],
-        _ => vec![planes.len(), planes[0].rows(), planes[0].cols()],
-    }
-}
-
-/// The full time loop every public executor shares: plan (consulting the
-/// installed tuning DB for this kernel/extents/config, falling back to
-/// default [`ScheduleParams`]), split the iterations into fused
-/// applications plus an unfused remainder, and step through both phases
-/// with reused buffers.
+/// The full time loop of a one-shot run: plan (consulting the installed
+/// tuning DB for this kernel/extents/config, falling back to default
+/// [`ScheduleParams`]), split the iterations into fused applications
+/// plus an unfused remainder, and step through both phases with reused
+/// buffers.
 pub fn run(
     kernel: &StencilKernel,
     config: ExecConfig,
     planes: Vec<GlobalArray>,
     iterations: usize,
 ) -> (Vec<GlobalArray>, PerfCounters, BlockResources) {
-    let extents = grid_extents(kernel, &planes);
+    let extents = plane_extents(&planes, kernel.dims());
     let plan = Plan::new_tuned(kernel, config, &extents);
-    let rem_plan = |rem: usize| {
-        (rem > 0).then(|| {
-            Plan::new_tuned(kernel, ExecConfig { allow_fusion: false, ..config }, &extents)
-        })
-    };
-    run_with_plans(plan, rem_plan, planes, iterations)
+    let rem_plan =
+        || Plan::new_tuned(kernel, ExecConfig { allow_fusion: false, ..config }, &extents);
+    let Ok(out) = run_with_plans(plan, rem_plan, planes, iterations, PerfCounters::new(), no_hook);
+    out
 }
 
 /// The explicit-params variant of [`run`]: execute with exactly the
@@ -696,40 +670,51 @@ pub fn run_tuned(
     iterations: usize,
 ) -> (Vec<GlobalArray>, PerfCounters, BlockResources) {
     let plan = Plan::new_with_params(kernel, config, params);
-    let rem_plan = |rem: usize| {
-        (rem > 0).then(|| {
-            // the remainder is unfused by construction; the candidate's
-            // other knobs still apply
-            Plan::new_with_params(kernel, ExecConfig { allow_fusion: false, ..config }, params)
-        })
-    };
-    run_with_plans(plan, rem_plan, planes, iterations)
+    // the remainder is unfused by construction; the candidate's other
+    // knobs still apply
+    let rem_plan =
+        || Plan::new_with_params(kernel, ExecConfig { allow_fusion: false, ..config }, params);
+    let Ok(out) = run_with_plans(plan, rem_plan, planes, iterations, PerfCounters::new(), no_hook);
+    out
 }
 
-fn run_with_plans(
+/// The per-application hook of a run that only wants its result.
+fn no_hook(_: usize, _: &[GlobalArray], _: &PerfCounters) -> Result<(), Infallible> {
+    Ok(())
+}
+
+/// The one fused/remainder time loop: `iterations / plan.fusion`
+/// applications of `plan`, then the remainder one step at a time under
+/// `rem_plan()`, which is planned only if there is a remainder.
+/// Counters accumulate onto `counters` (a resumed run's prefix). After
+/// every application, `on_apply(advance, planes, counters)` sees the
+/// steps it advanced, the new planes and the running counters; an error
+/// from it stops the run.
+pub(crate) fn run_with_plans<E>(
     plan: Plan,
-    rem_plan: impl FnOnce(usize) -> Option<Plan>,
+    rem_plan: impl FnOnce() -> Plan,
     planes: Vec<GlobalArray>,
     iterations: usize,
-) -> (Vec<GlobalArray>, PerfCounters, BlockResources) {
+    mut counters: PerfCounters,
+    mut on_apply: impl FnMut(usize, &[GlobalArray], &PerfCounters) -> Result<(), E>,
+) -> Result<(Vec<GlobalArray>, PerfCounters, BlockResources), E> {
     let block = plan.block_resources();
-    let full = iterations / plan.fusion;
-    let rem = iterations % plan.fusion;
-    let base_plan = rem_plan(rem);
-    let mut counters = PerfCounters::new();
+    let fusion = plan.fusion;
+    let rem = iterations % fusion;
+    let rem_plan = (rem > 0).then(rem_plan);
     let mut stepper = Stepper::new(plan, planes);
-    for _ in 0..full {
+    for _ in 0..iterations / fusion {
         counters.merge(&stepper.step());
+        on_apply(fusion, stepper.planes(), &counters)?;
     }
-    let mut cur = stepper.into_planes();
-    if let Some(bp) = base_plan {
-        let mut stepper = Stepper::new(bp, cur);
+    if let Some(rp) = rem_plan {
+        stepper = Stepper::new(rp, stepper.into_planes());
         for _ in 0..rem {
             counters.merge(&stepper.step());
+            on_apply(1, stepper.planes(), &counters)?;
         }
-        cur = stepper.into_planes();
     }
-    (cur, counters, block)
+    Ok((stepper.into_planes(), counters, block))
 }
 
 #[cfg(test)]
@@ -831,7 +816,7 @@ mod tests {
         }
         for kernel in kernels::all_kernels() {
             let planes = test_planes(&kernel);
-            let extents = grid_extents(&kernel, &planes);
+            let extents = plane_extents(&planes, kernel.dims());
             for backend in DeviceBackend::all() {
                 for config in test_configs() {
                     let config = ExecConfig { backend, ..config };
@@ -894,7 +879,7 @@ mod tests {
         let isa = HostIsa::detect();
         for kernel in kernels::all_kernels() {
             let plain = test_planes(&kernel);
-            let extents = grid_extents(&kernel, &plain);
+            let extents = plane_extents(&plain, kernel.dims());
             let inputs = [
                 ("plain", plain.clone()),
                 ("non-finite", with_cells(&plain, &non_finite)),

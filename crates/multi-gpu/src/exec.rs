@@ -10,7 +10,7 @@
 //! tiles accumulate the same partial sums in the same order.
 
 use crate::partition::{partition, Slab, ALIGN};
-use lorastencil::checkpoint::{plan_fingerprint, CkptRunError};
+use lorastencil::checkpoint::{check_resumable, plan_fingerprint, CkptRunError};
 use lorastencil::{ExecConfig, Plan, Workspace};
 use stencil_core::checkpoint::{CheckpointStore, Plane, Snapshot, FLAG_SEEDED_INPUT};
 use stencil_core::{
@@ -168,8 +168,8 @@ pub fn run_distributed_checkpointed(
 }
 
 /// Resume a recovered snapshot on `num_devices` devices and run to
-/// `snap.steps_total`. Rejects a fingerprint mismatch exactly like the
-/// single-device [`lorastencil::checkpoint::resume`]; the device count
+/// `snap.steps_total`. The snapshot passes the same [`check_resumable`]
+/// as the single-device [`lorastencil::checkpoint::resume`]; the device count
 /// is deliberately *not* part of the fingerprint (distributed execution
 /// is bit-identical, so a snapshot may be resumed on any device count).
 pub fn resume_distributed(
@@ -179,24 +179,12 @@ pub fn resume_distributed(
     config: ExecConfig,
     policy: &DistCkptPolicy,
 ) -> Result<(DistributedOutcome, usize), CkptRunError> {
-    let computed = plan_fingerprint(kernel, config, &snap.extents);
-    if computed != snap.fingerprint {
-        return Err(CkptRunError::FingerprintMismatch {
-            stored: snap.fingerprint,
-            computed,
-            snapshot_identity: format!(
-                "kernel {:?}, config {:?}, size {:?}",
-                snap.kernel, snap.config, snap.extents
-            ),
-        });
-    }
-    if snap.step >= snap.steps_total {
-        return Err(CkptRunError::StepBeyondTotal { step: snap.step, total: snap.steps_total });
-    }
+    check_resumable(kernel, config, snap)?;
     let [rows, cols] = snap.extents[..] else {
+        // the fingerprints matched, so stored and computed agree
         return Err(CkptRunError::FingerprintMismatch {
             stored: snap.fingerprint,
-            computed,
+            computed: snap.fingerprint,
             snapshot_identity: format!(
                 "{}-D snapshot; the distributed executor covers 2-D grids",
                 snap.extents.len()

@@ -3,10 +3,10 @@
 
 use stencil_cli::args::{parse, parse_size};
 use stencil_cli::{
-    analyze_text, apply_backend, backend_token, codegen_text, emit_text, find_method,
-    install_tuning_db, list_text, parse_checkpoint_every, parse_checkpoint_keep, parse_config,
-    parse_target, profile_report, resolve_kernel, resume_report, run_checkpointed_report,
-    run_report, trace_text, tune_report, usage, validate_trace,
+    analyze_text, apply_backend, backend_token, emit_text, find_method, install_tuning_db,
+    list_text, parse_checkpoint_every, parse_checkpoint_keep, parse_config, parse_target,
+    profile_report, resolve_kernel, resume_report, run_checkpointed_report, run_report, trace_text,
+    tune_report, usage, validate_trace,
 };
 
 fn real_main() -> Result<(), String> {
@@ -34,13 +34,6 @@ fn real_main() -> Result<(), String> {
                 apply_backend(parse_config(args.opt("config", "full"))?, args.opt("backend", ""))?;
             let target = parse_target(args.opt("target", "cuda"))?;
             print!("{}", emit_text(&kernel, config, target)?);
-        }
-        "emit-cuda" | "codegen" => {
-            eprintln!("note: `{}` is a deprecated alias for `emit --target cuda`", args.command);
-            let kernel = resolve_kernel(args.opt("spec", ""), args.opt("kernel", ""))?;
-            let config =
-                apply_backend(parse_config(args.opt("config", "full"))?, args.opt("backend", ""))?;
-            print!("{}", codegen_text(&kernel, config)?);
         }
         "trace" => {
             let kernel = resolve_kernel(args.opt("spec", ""), args.opt("kernel", ""))?;

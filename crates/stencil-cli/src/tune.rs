@@ -24,8 +24,7 @@
 //! from garbage).
 
 use foundation::bench::{median_sample_ns, WallClock};
-use lorastencil::checkpoint::grid_to_planes;
-use lorastencil::schedule::{self, ScheduleParams, Staging};
+use lorastencil::schedule::{self, grid_to_planes, ScheduleParams, Staging};
 use lorastencil::tuning::{TuningDb, TuningEntry};
 use lorastencil::{ExecConfig, Plan, PlaneOp};
 use stencil_core::StencilKernel;

@@ -162,6 +162,12 @@ impl Grid3D {
         Grid3D { nz, ny, nx, data: vec![0.0; nz * ny * nx] }
     }
 
+    /// Grid from an existing `(z, y, x)`-ordered buffer.
+    pub fn from_vec(nz: usize, ny: usize, nx: usize, data: Vec<f64>) -> Self {
+        assert_eq!(data.len(), nz * ny * nx);
+        Grid3D { nz, ny, nx, data }
+    }
+
     /// Grid filled by `f(z, y, x)`.
     pub fn from_fn(
         nz: usize,

@@ -16,8 +16,7 @@
 //! promising neutrality here.
 
 use foundation::rng::Xoshiro256pp;
-use lorastencil::checkpoint::grid_to_planes;
-use lorastencil::schedule::{self, ScheduleParams, Staging};
+use lorastencil::schedule::{self, grid_to_planes, ScheduleParams, Staging};
 use lorastencil::ExecConfig;
 use tcu_sim::{GlobalArray, PerfCounters};
 

@@ -3,10 +3,8 @@
 //!
 //! The snapshots in `tests/snapshots/` pin a handful of full listings;
 //! this table pins the whole matrix cheaply as `(crc32, length)` pairs,
-//! so any byte of drift in any CUDA listing — the reference target the
-//! ISSUE's acceptance criteria freeze — turns a test red. The deprecated
-//! `emit-cuda` CLI alias is pinned to the same bytes via
-//! [`stencil_cli::codegen_text`] == [`stencil_cli::emit_text`].
+//! so any byte of drift in any CUDA listing — the reference target —
+//! turns a test red.
 //!
 //! Regenerate after an intentional emitter change:
 //!
@@ -39,8 +37,6 @@ fn current_table() -> String {
             for backend in DeviceBackend::all() {
                 let config = ExecConfig { backend, ..cfg() };
                 let text = stencil_cli::emit_text(&kernel, config, Target::Cuda).unwrap();
-                // the deprecated alias must stay byte-identical
-                assert_eq!(text, stencil_cli::codegen_text(&kernel, config).unwrap());
                 writeln!(
                     out,
                     "{}\t{cname}\t{backend:?}\t{:08x}\t{}",

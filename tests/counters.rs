@@ -4,7 +4,7 @@
 //! ablation stages must expose exactly the costs they claim to remove.
 
 use baselines::{ConvStencil, TcStencil};
-use lorastencil::{analysis, ExecConfig, LoRaStencil, LoRaStencil2D};
+use lorastencil::{analysis, ExecConfig, LoRaStencil};
 use stencil_core::{kernels, Grid2D, Grid3D, Problem, StencilExecutor};
 use tcu_sim::{FragAcc, SimContext, MMA_M};
 
@@ -86,8 +86,8 @@ fn bvs_pipeline_is_shuffle_free_end_to_end() {
 
 #[test]
 fn disabling_bvs_exposes_shuffles_without_changing_results() {
-    let with_bvs = LoRaStencil2D::with_config(ExecConfig::full());
-    let without = LoRaStencil2D::with_config(ExecConfig { use_bvs: false, ..ExecConfig::full() });
+    let with_bvs = LoRaStencil::with_config(ExecConfig::full());
+    let without = LoRaStencil::with_config(ExecConfig { use_bvs: false, ..ExecConfig::full() });
     let p = Problem::new(kernels::box_2d49p(), grid(32, 32), 2);
     let a = with_bvs.execute(&p).unwrap();
     let b = without.execute(&p).unwrap();
@@ -103,9 +103,9 @@ fn disabling_bvs_exposes_shuffles_without_changing_results() {
 
 #[test]
 fn async_copy_eliminates_staging_without_changing_results() {
-    let async_exec = LoRaStencil2D::with_config(ExecConfig::full());
+    let async_exec = LoRaStencil::with_config(ExecConfig::full());
     let staged =
-        LoRaStencil2D::with_config(ExecConfig { use_async_copy: false, ..ExecConfig::full() });
+        LoRaStencil::with_config(ExecConfig { use_async_copy: false, ..ExecConfig::full() });
     let p = Problem::new(kernels::box_2d9p(), grid(24, 24), 3);
     let a = async_exec.execute(&p).unwrap();
     let b = staged.execute(&p).unwrap();
@@ -117,9 +117,9 @@ fn async_copy_eliminates_staging_without_changing_results() {
 #[test]
 fn fusion_divides_memory_traffic() {
     // 3 iterations of Box-2D9P: fused needs one pass, unfused three.
-    let fused = LoRaStencil2D::with_config(ExecConfig::full());
+    let fused = LoRaStencil::with_config(ExecConfig::full());
     let unfused =
-        LoRaStencil2D::with_config(ExecConfig { allow_fusion: false, ..ExecConfig::full() });
+        LoRaStencil::with_config(ExecConfig { allow_fusion: false, ..ExecConfig::full() });
     let p = Problem::new(kernels::box_2d9p(), grid(32, 32), 3);
     let a = fused.execute(&p).unwrap();
     let b = unfused.execute(&p).unwrap();
