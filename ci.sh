@@ -114,7 +114,8 @@ backend_smoke() {
     # one kernel per dimension, plus the headline Box-2D49P, on all four
     # device backends, each verified against the naive reference. Within a backend family the
     # outputs are bit-identical (sparse tensor cores skip only exact-zero
-    # products; SIMD keeps the scalar path's per-element tap order), so
+    # products; SIMD and CUDA run one host evaluator and differ only in
+    # the modeled issue charge), so
     # the saved grids are compared byte-for-byte: sparse vs tcu, simd vs
     # cuda. Across families the accumulation order differs, which is
     # what --verify is for.

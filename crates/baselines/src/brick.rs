@@ -6,10 +6,9 @@
 //! engine of [`crate::cuda_core`] with register-blocked row reads. No
 //! tensor cores, no temporal fusion.
 
-use crate::common::{
-    global_to_grid2, grid2_to_global, grid3_to_planes, planes_to_grid3, CUDA_ISSUE_OVERHEAD, TILE,
-};
+use crate::common::{global_to_grid2, grid2_to_global, CUDA_ISSUE_OVERHEAD, TILE};
 use crate::cuda_core;
+use lorastencil::schedule::{grid_to_planes, planes_to_grid};
 use stencil_core::{ExecError, ExecOutcome, Grid1D, GridData, Problem, StencilExecutor};
 use tcu_sim::{BlockResources, GlobalArray, PerfCounters};
 
@@ -57,16 +56,16 @@ impl StencilExecutor for Brick {
                     block: block(problem.kernel.radius),
                 })
             }
-            GridData::D3(g) => {
+            GridData::D3(_) => {
                 let ws = problem.kernel.weights_3d();
-                let mut cur = grid3_to_planes(g);
+                let mut cur = grid_to_planes(&problem.input);
                 for _ in 0..problem.iterations {
                     let (next, c) = cuda_core::apply_3d(&cur, ws, CUDA_ISSUE_OVERHEAD, 1);
                     counters.merge(&c);
                     cur = next;
                 }
                 Ok(ExecOutcome {
-                    output: GridData::D3(planes_to_grid3(&cur)),
+                    output: planes_to_grid(&cur, 3),
                     counters,
                     block: block(problem.kernel.radius),
                 })

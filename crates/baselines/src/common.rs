@@ -16,7 +16,7 @@
 use foundation::par::*;
 use std::cell::RefCell;
 use stencil_core::tiling::{tiles_2d, Tile2D};
-use stencil_core::{Grid2D, Grid3D, WeightMatrix};
+use stencil_core::{Grid2D, WeightMatrix};
 use tcu_sim::{GlobalArray, PerfCounters, SharedTile};
 
 /// Issue-overhead multiplier for scalar CUDA-core stencil loops: address
@@ -43,22 +43,6 @@ pub fn grid2_to_global(g: &Grid2D) -> GlobalArray {
 /// Convert a device array back to a 2-D grid.
 pub fn global_to_grid2(g: &GlobalArray) -> Grid2D {
     Grid2D::from_vec(g.rows(), g.cols(), g.as_slice().to_vec())
-}
-
-/// Split a 3-D grid into per-plane device arrays.
-pub fn grid3_to_planes(g: &Grid3D) -> Vec<GlobalArray> {
-    (0..g.nz())
-        .map(|z| {
-            let p = g.plane(z);
-            GlobalArray::from_vec(g.ny(), g.nx(), p.as_slice().to_vec())
-        })
-        .collect()
-}
-
-/// Reassemble per-plane device arrays into a 3-D grid.
-pub fn planes_to_grid3(planes: &[GlobalArray]) -> Grid3D {
-    let (nz, ny, nx) = (planes.len(), planes[0].rows(), planes[0].cols());
-    Grid3D::from_fn(nz, ny, nx, |z, y, x| planes[z].peek(y, x))
 }
 
 /// Periodic read of a device array.

@@ -22,10 +22,10 @@
 //! is mathematically the same sum); counters follow the data path above.
 
 use crate::common::{
-    self, global_to_grid2, grid2_to_global, grid3_to_planes, planes_to_grid3, run_tiled_1d,
-    run_tiled_2d, run_tiled_3d, TILE,
+    self, global_to_grid2, grid2_to_global, run_tiled_1d, run_tiled_2d, run_tiled_3d, TILE,
 };
 use lorastencil::fusion;
+use lorastencil::schedule::{grid_to_planes, planes_to_grid};
 use stencil_core::{
     ExecError, ExecOutcome, Grid1D, GridData, Problem, StencilExecutor, StencilKernel, WeightMatrix,
 };
@@ -273,8 +273,8 @@ impl StencilExecutor for ConvStencil {
                     block: block_resources_2d(fused_kernel.radius, fused_kernel.side()),
                 })
             }
-            GridData::D3(g) => {
-                let mut cur = grid3_to_planes(g);
+            GridData::D3(_) => {
+                let mut cur = grid_to_planes(&problem.input);
                 for _ in 0..full {
                     let (next, c) = apply_3d(&cur, fused_kernel.weights_3d(), fuse);
                     counters.merge(&c);
@@ -286,7 +286,7 @@ impl StencilExecutor for ConvStencil {
                     cur = next;
                 }
                 Ok(ExecOutcome {
-                    output: GridData::D3(planes_to_grid3(&cur)),
+                    output: planes_to_grid(&cur, 3),
                     counters,
                     block: block_resources_3d(fused_kernel.radius, fused_kernel.side()),
                 })

@@ -9,9 +9,10 @@
 //! per output plus the arithmetic.
 
 use crate::common::{
-    self, global_to_grid2, grid2_to_global, grid3_to_planes, planes_to_grid3, run_tiled_1d,
-    run_tiled_2d, run_tiled_3d, CUDA_ISSUE_OVERHEAD, TILE,
+    self, global_to_grid2, grid2_to_global, run_tiled_1d, run_tiled_2d, run_tiled_3d,
+    CUDA_ISSUE_OVERHEAD, TILE,
 };
+use lorastencil::schedule::{grid_to_planes, planes_to_grid};
 use stencil_core::{ExecError, ExecOutcome, Grid1D, GridData, Problem, StencilExecutor};
 use tcu_sim::{BlockResources, GlobalArray, PerfCounters, SimContext};
 
@@ -79,9 +80,9 @@ impl StencilExecutor for CuDnnConv {
                     block: block(),
                 })
             }
-            GridData::D3(g) => {
+            GridData::D3(_) => {
                 let ws = problem.kernel.weights_3d();
-                let mut cur = grid3_to_planes(g);
+                let mut cur = grid_to_planes(&problem.input);
                 for _ in 0..problem.iterations {
                     let (next, c) = run_tiled_3d(&cur, |z, t| {
                         let mut ctx = SimContext::new();
@@ -98,11 +99,7 @@ impl StencilExecutor for CuDnnConv {
                     counters.merge(&c);
                     cur = next;
                 }
-                Ok(ExecOutcome {
-                    output: GridData::D3(planes_to_grid3(&cur)),
-                    counters,
-                    block: block(),
-                })
+                Ok(ExecOutcome { output: planes_to_grid(&cur, 3), counters, block: block() })
             }
             GridData::D1(g) => {
                 let w = problem.kernel.weights_1d().to_vec();

@@ -7,12 +7,10 @@
 //! kernels — the fusion-partition technique that trades slightly more
 //! arithmetic for half the memory passes.
 
-use crate::common::{
-    global_to_grid2, grid2_to_global, grid3_to_planes, planes_to_grid3, DRSTENCIL_ISSUE_OVERHEAD,
-    TILE,
-};
+use crate::common::{global_to_grid2, grid2_to_global, DRSTENCIL_ISSUE_OVERHEAD, TILE};
 use crate::cuda_core;
 use lorastencil::fusion;
+use lorastencil::schedule::{grid_to_planes, planes_to_grid};
 use stencil_core::{
     ExecError, ExecOutcome, Grid1D, GridData, Problem, StencilExecutor, StencilKernel,
 };
@@ -94,8 +92,8 @@ impl StencilExecutor for DrStencil {
                     block: block(fused.radius),
                 })
             }
-            GridData::D3(g) => {
-                let mut cur = grid3_to_planes(g);
+            GridData::D3(_) => {
+                let mut cur = grid_to_planes(&problem.input);
                 for _ in 0..full {
                     let (next, c) = cuda_core::apply_3d(
                         &cur,
@@ -117,7 +115,7 @@ impl StencilExecutor for DrStencil {
                     cur = next;
                 }
                 Ok(ExecOutcome {
-                    output: GridData::D3(planes_to_grid3(&cur)),
+                    output: planes_to_grid(&cur, 3),
                     counters,
                     block: block(fused.radius),
                 })

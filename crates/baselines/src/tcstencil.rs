@@ -15,9 +15,9 @@
 //! FP64-equivalent throughput: divide by [`FP16_CONVERSION_FACTOR`].
 
 use crate::common::{
-    global_to_grid2, grid2_to_global, grid3_to_planes, iterate_1d, iterate_2d, iterate_3d,
-    planes_to_grid3, with_shared_tile, TILE,
+    global_to_grid2, grid2_to_global, iterate_1d, iterate_2d, iterate_3d, with_shared_tile, TILE,
 };
+use lorastencil::schedule::{grid_to_planes, planes_to_grid};
 use stencil_core::{
     ExecError, ExecOutcome, Grid1D, GridData, Problem, StencilExecutor, WeightMatrix,
 };
@@ -251,11 +251,12 @@ impl StencilExecutor for TcStencil {
                     block: block_resources(problem.kernel.radius),
                 })
             }
-            GridData::D3(g) => {
+            GridData::D3(_) => {
                 let ws = problem.kernel.weights_3d();
-                let (cur, counters) = run_3d(grid3_to_planes(g), ws, problem.iterations);
+                let (cur, counters) =
+                    run_3d(grid_to_planes(&problem.input), ws, problem.iterations);
                 Ok(ExecOutcome {
-                    output: GridData::D3(planes_to_grid3(&cur)),
+                    output: planes_to_grid(&cur, 3),
                     counters,
                     block: block_resources(problem.kernel.radius),
                 })

@@ -14,10 +14,9 @@
 //!   HPC practice insist on FP64 — is a measured quantity (see the
 //!   `fp16_study` binary).
 
-use crate::common::{
-    global_to_grid2, grid2_to_global, grid3_to_planes, planes_to_grid3, with_shared_tile,
-};
+use crate::common::{global_to_grid2, grid2_to_global, with_shared_tile};
 use foundation::par::*;
+use lorastencil::schedule::{grid_to_planes, planes_to_grid};
 use stencil_core::tiling::{tiles_2d, Tile2D};
 use stencil_core::{ExecError, ExecOutcome, GridData, Problem, StencilExecutor, WeightMatrix};
 use tcu_sim::fp16::{load_frag16, Acc16, Frag16, MMA16};
@@ -284,11 +283,12 @@ impl StencilExecutor for TcStencilFp16 {
                     block: block_resources(problem.kernel.radius),
                 })
             }
-            GridData::D3(g) => {
+            GridData::D3(_) => {
                 let ws = problem.kernel.weights_3d();
-                let (cur, counters) = run_3d(grid3_to_planes(g), ws, problem.iterations);
+                let (cur, counters) =
+                    run_3d(grid_to_planes(&problem.input), ws, problem.iterations);
                 Ok(ExecOutcome {
-                    output: GridData::D3(planes_to_grid3(&cur)),
+                    output: planes_to_grid(&cur, 3),
                     counters,
                     block: block_resources(problem.kernel.radius),
                 })

@@ -30,8 +30,8 @@ pub enum DeviceBackend {
     /// Scalar CUDA-core execution of the same RDG math — the original
     /// ablation stage, kept as the untuned strawman.
     CudaCore,
-    /// Tuned register-blocked host-SIMD execution (chunked 4-wide
-    /// unrolling over the staged tiles) — the honest no-TCU rival.
+    /// The same host evaluator as `CudaCore`, charged at the tuned SIMD
+    /// issue overhead — the honest no-TCU rival.
     SimdCore,
 }
 

@@ -289,17 +289,20 @@ impl BandTable {
     }
 }
 
-/// The staged S×S window as the band evaluator reads it: transposed, so
+/// The staged S×S window as the band evaluators read it: transposed, so
 /// `xt[c·S + r] = X[r][c]` and 8 consecutive rows of one column are one
 /// contiguous 8-lane vector. Lives in the per-worker scratch next to the
-/// [`XFragments`] it stands in for: a tensor-core `FragBuild` stages the
-/// window here instead of building fragments, and the fragments are built
-/// from it only if a term falls back to the fragment path. Nothing in it
-/// is re-zeroed.
+/// [`XFragments`] it stands in for: a `FragBuild` stages the window here
+/// for the scalar backends always, and for the tensor-core ones instead
+/// of building fragments, which are then built from it only if a term
+/// falls back to the fragment path. Its buffers grow to the largest `S`
+/// the worker has seen and stay warm; nothing in them is re-zeroed.
 #[derive(Debug, Clone)]
 pub struct BandWindow {
     geo: RdgGeometry,
-    xt: [f64; BAND_MAX_S * BAND_MAX_S],
+    xt: Vec<f64>,
+    /// The scalar evaluator's step-1 `T` columns, 8 rows each.
+    t: Vec<[f64; MMA_M]>,
     /// Largest `|X|` in the window; NaN or `+inf` when it holds a
     /// non-finite value.
     max_abs: f64,
@@ -311,11 +314,13 @@ pub struct BandWindow {
 }
 
 impl BandWindow {
-    /// An empty window, filled by [`BandWindow::load_at`].
+    /// An empty window sized for `S ≤ BAND_MAX_S`, filled by
+    /// [`BandWindow::load_at`].
     pub fn new() -> Self {
         BandWindow {
             geo: RdgGeometry::for_radius(1),
-            xt: [0.0; BAND_MAX_S * BAND_MAX_S],
+            xt: vec![0.0; BAND_MAX_S * BAND_MAX_S],
+            t: vec![[0.0; MMA_M]; BAND_MAX_S],
             max_abs: 0.0,
             staged: false,
             frags_pending: false,
@@ -325,7 +330,7 @@ impl BandWindow {
     /// [`XFragments::load_into_at`] in band form: stage the S×S window at
     /// `(r_off, c_off)` of `tile` transposed, charging the same `S/4 × S/8`
     /// fragment loads, and leave the fragments to [`BandWindow::frags`].
-    /// Needs `S ≤ BAND_MAX_S`, as the band tables do.
+    /// The buffers grow on the first window wider than any before.
     #[inline(always)]
     pub fn load_at(
         &mut self,
@@ -336,6 +341,10 @@ impl BandWindow {
         c_off: usize,
     ) {
         let s = geo.s;
+        if self.xt.len() < s * s {
+            self.xt.resize(s * s, 0.0);
+            self.t.resize(s, [0.0; MMA_M]);
+        }
         self.geo = geo;
         let xt = &mut self.xt[..s * s];
         tile.load_window_transposed(ctx, r_off as isize, c_off as isize, s, xt);
@@ -719,145 +728,68 @@ pub fn apply_pointwise(ctx: &mut SimContext, x: &XFragments, pw: f64, acc: &mut 
 /// peak (same modeling as the CUDA-core baselines).
 pub const CUDA_RDG_ISSUE_OVERHEAD: u64 = 14;
 
-/// CUDA-core reference path for the ablation (Fig. 9 "RDG w/o TCU"): the
-/// same `U · X · V` chain evaluated with scalar FMAs, charging CUDA-core
-/// FLOPs (and no MMAs). Band sparsity is exploited, as a hand-written
-/// CUDA-core kernel would.
-#[inline(always)]
-pub fn rdg_apply_term_cuda(
-    ctx: &mut SimContext,
-    x: &XFragments,
-    term: &RankOneTerm,
-    acc: &mut [[f64; MMA_N]; MMA_M],
-) {
-    let geo = x.geo;
-    let n_t = term.u.len();
-    let shift = geo.h - term.radius();
-    // T = U · X (8 × S semi-gather matrix), then R += T · V
-    let (mut t_stack, mut t_heap) = ([0.0f64; SIMD_MAX_S * MMA_M], Vec::new());
-    let (t_buf, stride) = t_buffer(geo.s, &mut t_stack, &mut t_heap);
-    for p in 0..MMA_M {
-        let row = &mut t_buf[p * stride..p * stride + geo.s];
-        for (c, out) in row.iter_mut().enumerate() {
-            let mut s = 0.0;
-            for (k, &w) in term.u.iter().enumerate() {
-                s += w * x.peek(p + shift + k, c);
-            }
-            *out = s;
-        }
-    }
-    ctx.cuda_flops((2 * n_t * MMA_M * geo.s) as u64 * CUDA_RDG_ISSUE_OVERHEAD);
-    // R += T · V
-    for (p, acc_row) in acc.iter_mut().enumerate() {
-        let row = &t_buf[p * stride..p * stride + geo.s];
-        for (q, a) in acc_row.iter_mut().enumerate() {
-            let mut s = 0.0;
-            for (k, &w) in term.v.iter().enumerate() {
-                s += w * row[q + shift + k];
-            }
-            *a += s;
-        }
-    }
-    ctx.cuda_flops((2 * n_t * MMA_M * MMA_N + MMA_M * MMA_N) as u64 * CUDA_RDG_ISSUE_OVERHEAD);
-}
-
 /// Issue-overhead multiplier for the tuned host-SIMD RDG path: chunked
-/// `f64x4`-style unrolling amortizes address arithmetic and loop control
-/// across four lanes, so each FMA issues with ~2 companion ops instead
-/// of the scalar path's 14. The FLOP *count* is identical to the scalar
-/// path — only the issue efficiency differs.
+/// unrolling amortizes address arithmetic and loop control across the
+/// lanes, so each FMA issues with ~2 companion ops instead of the scalar
+/// path's 14. The FLOP *count* is identical to the scalar path — only
+/// the issue efficiency differs.
 pub const SIMD_RDG_ISSUE_OVERHEAD: u64 = 2;
 
-/// Width of one SIMD chunk (`f64x4`: one AVX2 register / NEON pair).
-pub const SIMD_LANES: usize = 4;
-
-/// Stack capacity of the scalar and SIMD paths' T buffer; covers radii ≤ 32
-/// (`S = 8 + 2·32 = 72`). Larger radii spill to one heap buffer.
-pub const SIMD_MAX_S: usize = 72;
-
-/// The 8 × S row-major T matrix of the scalar and SIMD RDG paths and its
-/// row stride: the caller's stack buffer for `S ≤ SIMD_MAX_S`, so both
-/// paths allocate nothing up to radius 32; `heap` past it.
+/// The scalar RDG evaluator of both non-tensor-core backends (Fig. 9
+/// "RDG w/o TCU" and the tuned SIMD compare point): the same `U · X · V`
+/// chain with scalar FMAs, exploiting band sparsity as a hand-written
+/// CUDA-core kernel would, charging CUDA-core FLOPs (and no MMAs) times
+/// `issue_overhead` ([`CUDA_RDG_ISSUE_OVERHEAD`] or
+/// [`SIMD_RDG_ISSUE_OVERHEAD`]). `acc` is the output accumulator
+/// transposed (`acc[q][p]`); `w` holds the staged window, any `S`.
+///
+/// * Step 1: each `T` column step 2 reads (`shift .. shift + n_t − 1 + 8`)
+///   as one 8-row vector, `T[p][c] = Σ_k u[k]·X[p+shift+k][c]`, seeded at
+///   `+0.0`, `k` increasing.
+/// * Step 2: per output column `q`, `s[p] = Σ_k v[k]·T[p][q+shift+k]`,
+///   seeded at `+0.0`, then `acc[q][p] += s[p]`.
+///
+/// Only the band's products are formed, and every one of them is, so
+/// non-finite windows need no fallback and the operation sequence per
+/// element does not depend on the input. `cuda_flops` counts step 1 over
+/// all `S` columns of `T`, as the modeled kernel computes them; the host
+/// skips only the columns no output reads.
 #[inline(always)]
-fn t_buffer<'a>(
-    s: usize,
-    stack: &'a mut [f64; SIMD_MAX_S * MMA_M],
-    heap: &'a mut Vec<f64>,
-) -> (&'a mut [f64], usize) {
-    if s <= SIMD_MAX_S {
-        (&mut stack[..], SIMD_MAX_S)
-    } else {
-        heap.resize(MMA_M * s, 0.0);
-        (&mut heap[..], s)
-    }
-}
-
-/// Tuned host-SIMD reference path (the honest "no tensor cores" compare
-/// point): the same `U · X · V` chain as [`rdg_apply_term_cuda`], but
-/// register-blocked — the inner loops broadcast one tap weight against
-/// four contiguous lanes, the T matrix lives in a stack buffer, and
-/// nothing is heap-allocated for radii ≤ 32. Each output element sums
-/// its taps in the same order as the scalar path, so the values are
-/// bit-identical to [`rdg_apply_term_cuda`]; only the charged issue
-/// overhead differs ([`SIMD_RDG_ISSUE_OVERHEAD`] vs
-/// [`CUDA_RDG_ISSUE_OVERHEAD`]).
-#[inline(always)]
-pub fn rdg_apply_term_simd(
+pub fn rdg_apply_term_scalar(
     ctx: &mut SimContext,
-    x: &XFragments,
+    w: &mut BandWindow,
     term: &RankOneTerm,
-    acc: &mut [[f64; MMA_N]; MMA_M],
+    issue_overhead: u64,
+    acc: &mut [[f64; MMA_M]; MMA_N],
 ) {
-    let geo = x.geo;
+    let geo = w.geo;
     let n_t = term.u.len();
     let shift = geo.h - term.radius();
-    // T = U · X, register-blocked: SIMD_LANES independent column lanes
-    // per chunk, each lane summing taps in increasing-k order (the same
-    // per-element order as the scalar path)
-    let (mut t_stack, mut t_heap) = ([0.0f64; SIMD_MAX_S * MMA_M], Vec::new());
-    let (t_buf, stride) = t_buffer(geo.s, &mut t_stack, &mut t_heap);
-    for p in 0..MMA_M {
-        let row = &mut t_buf[p * stride..p * stride + geo.s];
-        let mut c = 0;
-        while c + SIMD_LANES <= geo.s {
-            let mut lanes = [0.0f64; SIMD_LANES];
-            for (k, &w) in term.u.iter().enumerate() {
-                let r = p + shift + k;
-                for (li, lane) in lanes.iter_mut().enumerate() {
-                    *lane += w * x.peek(r, c + li);
-                }
+    let t = &mut w.t[..n_t - 1 + MMA_N];
+    for (c, tc) in t.iter_mut().enumerate() {
+        let base = (shift + c) * geo.s + shift;
+        let col = &w.xt[base..base + n_t - 1 + MMA_M];
+        let mut s = [0.0f64; MMA_M];
+        for (&uk, x) in term.u.iter().zip(col.windows(MMA_M)) {
+            for (sp, &xp) in s.iter_mut().zip(x) {
+                *sp += uk * xp;
             }
-            row[c..c + SIMD_LANES].copy_from_slice(&lanes);
-            c += SIMD_LANES;
         }
-        while c < geo.s {
-            let mut s = 0.0;
-            for (k, &w) in term.u.iter().enumerate() {
-                s += w * x.peek(p + shift + k, c);
+        *tc = s;
+    }
+    ctx.cuda_flops((2 * n_t * MMA_M * geo.s) as u64 * issue_overhead);
+    for (q, acc_q) in acc.iter_mut().enumerate() {
+        let mut s = [0.0f64; MMA_M];
+        for (&vk, tc) in term.v.iter().zip(&t[q..q + n_t]) {
+            for (sp, &tp) in s.iter_mut().zip(tc) {
+                *sp += vk * tp;
             }
-            row[c] = s;
-            c += 1;
+        }
+        for (a, sp) in acc_q.iter_mut().zip(s) {
+            *a += sp;
         }
     }
-    ctx.cuda_flops((2 * n_t * MMA_M * geo.s) as u64 * SIMD_RDG_ISSUE_OVERHEAD);
-    // R += T · V: MMA_N = 8 outputs per row = exactly two f64x4 chunks
-    for (p, acc_row) in acc.iter_mut().enumerate() {
-        let row = &t_buf[p * stride..p * stride + geo.s];
-        let mut q0 = 0;
-        while q0 + SIMD_LANES <= MMA_N {
-            let mut lanes = [0.0f64; SIMD_LANES];
-            for (k, &w) in term.v.iter().enumerate() {
-                for (li, lane) in lanes.iter_mut().enumerate() {
-                    *lane += w * row[q0 + li + shift + k];
-                }
-            }
-            for (li, &lane) in lanes.iter().enumerate() {
-                acc_row[q0 + li] += lane;
-            }
-            q0 += SIMD_LANES;
-        }
-    }
-    ctx.cuda_flops((2 * n_t * MMA_M * MMA_N + MMA_M * MMA_N) as u64 * SIMD_RDG_ISSUE_OVERHEAD);
+    ctx.cuda_flops((2 * n_t * MMA_M * MMA_N + MMA_M * MMA_N) as u64 * issue_overhead);
 }
 
 /// Dense reference for tests: directly evaluate `(U X V)[p][q] =
@@ -1062,20 +994,17 @@ mod tests {
         apply_pointwise(&mut ctx_tcu, &x, d.pointwise, &mut acc);
 
         let mut ctx_cuda = SimContext::new();
-        let x2 = XFragments::load(&mut ctx_cuda, &tile, geo);
-        let mut acc_cuda = [[0.0; MMA_N]; MMA_M];
+        let mut w = BandWindow::new();
+        w.load_at(&mut ctx_cuda, &tile, geo, 0, 0);
+        let mut acc_cuda = [[0.0; MMA_M]; MMA_N];
         for t in &d.terms {
-            rdg_apply_term_cuda(&mut ctx_cuda, &x2, t, &mut acc_cuda);
+            rdg_apply_term_scalar(&mut ctx_cuda, &mut w, t, CUDA_RDG_ISSUE_OVERHEAD, &mut acc_cuda);
         }
-        for (p, row) in acc_cuda.iter_mut().enumerate() {
-            for (q, v) in row.iter_mut().enumerate() {
-                *v += d.pointwise * x2.peek(geo.h + p, geo.h + q);
-            }
-        }
+        apply_pointwise_band(&mut ctx_cuda, &w, d.pointwise, &mut acc_cuda);
 
         for p in 0..MMA_M {
             for q in 0..MMA_N {
-                assert!((acc.get(p, q) - acc_cuda[p][q]).abs() < 1e-12);
+                assert!((acc.get(p, q) - acc_cuda[q][p]).abs() < 1e-12);
             }
         }
         assert_eq!(ctx_cuda.counters.mma_ops, 0);
@@ -1085,9 +1014,8 @@ mod tests {
 
     #[test]
     fn simd_path_is_bit_identical_to_cuda_path_at_one_seventh_the_overhead() {
-        // the tuned SIMD path re-orders nothing: each output element sums
-        // its taps in the same order as the scalar loop, so values match
-        // to the bit and only the issue-overhead multiplier differs
+        // the two scalar backends share one evaluator: values match to the
+        // bit and only the issue-overhead multiplier differs
         for h in [1usize, 3, 4] {
             let geo = RdgGeometry::for_radius(h);
             let (tile, _) = random_tile(geo.s, 600 + h as u64);
@@ -1095,22 +1023,22 @@ mod tests {
                 vec![0.25; 2 * h + 1],
                 (0..2 * h + 1).map(|i| 0.5 + 0.125 * i as f64).collect(),
             );
-
-            let mut ctx_cuda = SimContext::new();
-            let x_cuda = XFragments::load(&mut ctx_cuda, &tile, geo);
-            let mut acc_cuda = [[0.0; MMA_N]; MMA_M];
-            rdg_apply_term_cuda(&mut ctx_cuda, &x_cuda, &term, &mut acc_cuda);
-
-            let mut ctx_simd = SimContext::new();
-            let x_simd = XFragments::load(&mut ctx_simd, &tile, geo);
-            let mut acc_simd = [[0.0; MMA_N]; MMA_M];
-            rdg_apply_term_simd(&mut ctx_simd, &x_simd, &term, &mut acc_simd);
+            let run = |overhead: u64| {
+                let mut ctx = SimContext::new();
+                let mut w = BandWindow::new();
+                w.load_at(&mut ctx, &tile, geo, 0, 0);
+                let mut acc = [[0.0; MMA_M]; MMA_N];
+                rdg_apply_term_scalar(&mut ctx, &mut w, &term, overhead, &mut acc);
+                (ctx, acc)
+            };
+            let (ctx_cuda, acc_cuda) = run(CUDA_RDG_ISSUE_OVERHEAD);
+            let (ctx_simd, acc_simd) = run(SIMD_RDG_ISSUE_OVERHEAD);
 
             for p in 0..MMA_M {
                 for q in 0..MMA_N {
                     assert_eq!(
-                        acc_simd[p][q].to_bits(),
-                        acc_cuda[p][q].to_bits(),
+                        acc_simd[q][p].to_bits(),
+                        acc_cuda[q][p].to_bits(),
                         "h={h} ({p},{q})"
                     );
                 }

@@ -4,8 +4,8 @@
 //! A [`Backend`] owns the per-tile accumulators and knows how to run the
 //! compute ops of a [`Schedule`] — the staging/addressing/boundary logic
 //! stays in the interpreter, which is exactly the seam that lets a
-//! future backend (sparse tensor cores, tuned SIMD) slot in without
-//! touching the per-dimension lowering. Four implementations:
+//! future backend slot in without touching the per-dimension lowering.
+//! Three implementations, four backends:
 //!
 //! * [`TcuF64`] — the simulated A100 FP64 tensor-core path (MMA chains
 //!   via prebuilt fragments, pointwise tip on CUDA cores). The chains
@@ -18,12 +18,12 @@
 //!   [`TcuF64`] — skipping zero products cannot change a
 //!   round-to-nearest sum seeded at `+0.0` — and sharing its band
 //!   evaluator.
-//! * [`SimdCore`] — the tuned host-SIMD path: the same `U·X·V` math,
-//!   register-blocked with `f64x4`-style chunked unrolling, charged at
-//!   [`SIMD_RDG_ISSUE_OVERHEAD`](crate::rdg::SIMD_RDG_ISSUE_OVERHEAD)
-//!   issue ops per FMA. The honest "no tensor cores" compare point.
-//! * [`CudaCore`] — the scalar ablation path: the same math as
-//!   issue-overhead-weighted scalar FMAs (overhead 14).
+//! * [`ScalarCore`] — the two backends without tensor cores, one host
+//!   evaluator ([`rdg_apply_term_scalar`]) over the transposed window
+//!   with two modeled issue charges: [`CudaCore`], the scalar ablation
+//!   path (Fig. 9 "RDG w/o TCU", 14 issue ops per FLOP), and
+//!   [`SimdCore`], the tuned "no tensor cores" compare point (2).
+//!   Their values are identical; only `cuda_flops` differs.
 //!
 //! Note what is *not* here: BVS. The butterfly split is baked into the
 //! prebuilt `V` fragments at lowering time (Eq. 17), so both splits
@@ -31,9 +31,9 @@
 
 use super::{AccFold, LoweredTerm, Schedule};
 use crate::rdg::{
-    apply_pointwise, apply_pointwise_band, rdg_apply_term_band, rdg_apply_term_cuda,
-    rdg_apply_term_frags_into, rdg_apply_term_simd, rdg_apply_term_sparse_into, BandWindow,
-    XFragments, MAX_MMA_BATCH, TILE_M,
+    apply_pointwise, apply_pointwise_band, rdg_apply_term_band, rdg_apply_term_frags_into,
+    rdg_apply_term_scalar, rdg_apply_term_sparse_into, BandWindow, XFragments,
+    CUDA_RDG_ISSUE_OVERHEAD, MAX_MMA_BATCH, SIMD_RDG_ISSUE_OVERHEAD, TILE_M,
 };
 use foundation::obs::Counter;
 use std::sync::OnceLock;
@@ -49,12 +49,18 @@ pub fn band_fallbacks() -> &'static Counter {
 
 /// Device-specific compute for one output tile. One instance lives on
 /// the interpreter's stack per tile; accumulators start at zero.
-pub trait Backend {
+pub trait Backend: Default {
+    /// Whether the backend reads the staged tile only through the
+    /// transposed [`BandWindow`], so every `FragBuild` stages the window
+    /// and never builds fragments.
+    const WINDOW_ONLY: bool = false;
+
     /// Run the RDG chains of `terms` (all against the currently staged
     /// X fragments), then the pointwise pyramid tip if `pointwise` is
     /// present (its weight may be `0.0` — the backend still owns the
-    /// span structure). When the schedule runs in band form the
-    /// `FragBuild` staged the tile in `band` rather than `x`, and
+    /// span structure). When the schedule runs in band form, or the
+    /// backend is [`WINDOW_ONLY`](Backend::WINDOW_ONLY), the `FragBuild`
+    /// staged the tile in `band` rather than `x`, and
     /// [`BandWindow::frags`] builds `x` on demand.
     fn term_chain(
         &mut self,
@@ -335,51 +341,70 @@ impl Backend for SparseTcu {
     }
 }
 
-/// The scalar CUDA-core ablation backend (Fig. 9 "RDG w/o TCU").
+/// The scalar backends: one host evaluator
+/// ([`rdg_apply_term_scalar`]) over the transposed window, charging
+/// `ISSUE` modeled issue ops per FLOP. [`CudaCore`] and [`SimdCore`]
+/// compute identical bits and differ only in that charge.
 #[derive(Debug)]
-pub struct CudaCore {
+pub struct ScalarCore<const ISSUE: u64> {
     vals: [[f64; MMA_N]; TILE_M],
 }
 
-impl CudaCore {
+/// The scalar CUDA-core ablation backend (Fig. 9 "RDG w/o TCU"), charged
+/// at [`CUDA_RDG_ISSUE_OVERHEAD`] issue ops per FLOP.
+pub type CudaCore = ScalarCore<CUDA_RDG_ISSUE_OVERHEAD>;
+
+/// The tuned host-SIMD backend, the honest "no tensor cores" compare
+/// point: [`CudaCore`]'s evaluator charged at [`SIMD_RDG_ISSUE_OVERHEAD`].
+pub type SimdCore = ScalarCore<SIMD_RDG_ISSUE_OVERHEAD>;
+
+impl<const ISSUE: u64> ScalarCore<ISSUE> {
+    /// The span the term chain runs under.
+    const SPAN: &'static str =
+        if ISSUE == CUDA_RDG_ISSUE_OVERHEAD { "cuda_terms" } else { "simd_terms" };
+
     /// Fresh zeroed accumulator.
     pub fn new() -> Self {
-        CudaCore { vals: [[0.0; MMA_N]; TILE_M] }
+        ScalarCore { vals: [[0.0; MMA_N]; TILE_M] }
     }
 }
 
-impl Default for CudaCore {
+impl<const ISSUE: u64> Default for ScalarCore<ISSUE> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl Backend for CudaCore {
+/// An 8×8 matrix transposed.
+#[inline(always)]
+fn transpose(m: &[[f64; 8]; 8]) -> [[f64; 8]; 8] {
+    std::array::from_fn(|i| std::array::from_fn(|j| m[j][i]))
+}
+
+impl<const ISSUE: u64> Backend for ScalarCore<ISSUE> {
+    const WINDOW_ONLY: bool = true;
+
     #[inline(always)]
     fn term_chain(
         &mut self,
         ctx: &mut SimContext,
-        x: &mut XFragments,
-        _band: &mut BandWindow,
-        sched: &Schedule,
+        _x: &mut XFragments,
+        band: &mut BandWindow,
+        _sched: &Schedule,
         terms: &[LoweredTerm],
         pointwise: Option<f64>,
     ) {
-        let _cuda_terms = foundation::obs::span("cuda_terms");
+        let _terms = foundation::obs::span(Self::SPAN);
+        // the evaluator accumulates eight rows at a time into the
+        // transposed accumulator; moving it in and out is exact
+        let mut acc = transpose(&self.vals);
         for lt in terms {
-            rdg_apply_term_cuda(ctx, x, &lt.term, &mut self.vals);
+            rdg_apply_term_scalar(ctx, band, &lt.term, ISSUE, &mut acc);
         }
         if let Some(pw) = pointwise {
-            if pw != 0.0 {
-                let h = sched.h;
-                for (p, row) in self.vals.iter_mut().enumerate() {
-                    for (q, v) in row.iter_mut().enumerate() {
-                        *v += pw * x.peek(h + p, h + q);
-                    }
-                }
-                ctx.cuda_flops(2 * (TILE_M * MMA_N) as u64);
-            }
+            apply_pointwise_band(ctx, band, pw, &mut acc);
         }
+        self.vals = transpose(&acc);
     }
 
     fn gather_1d(&mut self, _ctx: &mut SimContext, _tile: &SharedTile, _sched: &Schedule) {
@@ -394,66 +419,5 @@ impl Backend for CudaCore {
     #[inline]
     fn finish(&mut self, _fold: AccFold) -> [[f64; MMA_N]; TILE_M] {
         self.vals
-    }
-}
-
-/// The tuned host-SIMD backend: [`CudaCore`]'s math with register-blocked
-/// chunk-of-4 inner loops and no per-term heap allocation, charged at
-/// SIMD issue overhead. Values are bit-identical to [`CudaCore`] (same
-/// per-element tap order); only the charged `cuda_flops` differ.
-#[derive(Debug, Default)]
-pub struct SimdCore {
-    inner: CudaCore,
-}
-
-impl SimdCore {
-    /// Fresh zeroed accumulator.
-    pub fn new() -> Self {
-        SimdCore { inner: CudaCore::new() }
-    }
-}
-
-impl Backend for SimdCore {
-    #[inline(always)]
-    fn term_chain(
-        &mut self,
-        ctx: &mut SimContext,
-        x: &mut XFragments,
-        _band: &mut BandWindow,
-        sched: &Schedule,
-        terms: &[LoweredTerm],
-        pointwise: Option<f64>,
-    ) {
-        let _simd_terms = foundation::obs::span("simd_terms");
-        for lt in terms {
-            rdg_apply_term_simd(ctx, x, &lt.term, &mut self.inner.vals);
-        }
-        if let Some(pw) = pointwise {
-            if pw != 0.0 {
-                let h = sched.h;
-                // pointwise tip: two f64x4 chunks per row, same element
-                // order (and same flat FLOP charge) as the scalar path
-                for (p, row) in self.inner.vals.iter_mut().enumerate() {
-                    for (q, v) in row.iter_mut().enumerate() {
-                        *v += pw * x.peek(h + p, h + q);
-                    }
-                }
-                ctx.cuda_flops(2 * (TILE_M * MMA_N) as u64);
-            }
-        }
-    }
-
-    fn gather_1d(&mut self, _ctx: &mut SimContext, _tile: &SharedTile, _sched: &Schedule) {
-        unreachable!("1-D lowering always selects the tensor-core backend (§IV-C)");
-    }
-
-    #[inline]
-    fn vals_mut(&mut self) -> &mut [[f64; MMA_N]; TILE_M] {
-        self.inner.vals_mut()
-    }
-
-    #[inline]
-    fn finish(&mut self, fold: AccFold) -> [[f64; MMA_N]; TILE_M] {
-        self.inner.finish(fold)
     }
 }

@@ -179,11 +179,12 @@ pub enum BackendKind {
     SparseTcu,
     /// Scalar CUDA-core ablation path ([`CudaCore`]).
     CudaCore,
-    /// Tuned register-blocked host-SIMD path ([`SimdCore`]).
+    /// Tuned SIMD path ([`SimdCore`]): the scalar evaluator at the SIMD
+    /// issue charge.
     SimdCore,
 }
 
-/// One rank-1 term as lowered: the term itself (the [`CudaCore`] backend
+/// One rank-1 term as lowered: the term itself (the scalar backends
 /// and the CUDA listing emitter read the raw `u`/`v` vectors) plus the
 /// prebuilt weight fragments when the tensor-core backend is selected.
 #[derive(Debug, Clone)]
@@ -191,7 +192,7 @@ pub struct LoweredTerm {
     /// The rank-1 factor pair.
     pub term: RankOneTerm,
     /// Prebuilt `U`/`V` fragments (split-permuted per [`AccSplit`]);
-    /// `None` on the CUDA-core backend.
+    /// `None` on the scalar backends.
     pub frags: Option<TermFrags>,
 }
 

@@ -1,5 +1,6 @@
-//! Per-worker tile scratch: two `SharedTile` slots + an `XFragments`
-//! buffer per OS thread, reused across every job that thread computes.
+//! Per-worker tile scratch: two `SharedTile` slots, an `XFragments`
+//! buffer and a `BandWindow` per OS thread, reused across every job that
+//! thread computes.
 //!
 //! The worker threads behind `foundation::par` are persistent, so a
 //! thread-local buffer is warm after the first job and the per-job
@@ -22,8 +23,8 @@ pub(crate) struct TileScratch {
     pub tiles: [SharedTile; 2],
     /// The tile's B fragments (refilled per sub-tile).
     pub x: XFragments,
-    /// The band evaluator's transposed window (fixed size), which a
-    /// tensor-core `FragBuild` stages in place of `x`.
+    /// The transposed window the band and scalar evaluators read, which
+    /// `FragBuild` stages in place of `x` (grown to the largest `S` seen).
     pub band: BandWindow,
 }
 

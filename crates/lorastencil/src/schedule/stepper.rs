@@ -58,10 +58,12 @@ fn eff_slot(sched: &Schedule, job_i: usize, slot: u8) -> usize {
 /// the whole job's counters.
 ///
 /// This is the portable instance of the job loop; [`HostIsa`] compiles
-/// it again for wider vector units.
+/// it again for wider vector units. Each backend gets its own instance
+/// ([`HostIsa::job_fn`]), so a sub-tile dispatches on no backend and one
+/// backend's code never shares a compiled loop with another's.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn run_job(
+fn run_job<B: Backend>(
     planes: &[GlobalArray],
     sched: &Schedule,
     job_i: usize,
@@ -80,7 +82,7 @@ fn run_job(
         while off < t.w {
             let sub = Tile2D { r0: 0, c0: t.c0 + off, h: 1, w: full.min(t.w - off) };
             let vals =
-                compute_subtile(planes, sched, z, t, sub, job_i, &mut stage, &mut ctx, scratch);
+                subtile_on::<B>(planes, sched, z, t, sub, job_i, &mut stage, &mut ctx, scratch);
             for (r, row) in vals.iter().enumerate() {
                 let cnt = clamped_span(MMA_N * r, MMA_N, sub.w);
                 if cnt == 0 {
@@ -106,7 +108,7 @@ fn run_job(
                 let sw = TILE_M.min(t.w - sc);
                 let sub = Tile2D { r0: t.r0 + sr, c0: t.c0 + sc, h: sh, w: sw };
                 let vals =
-                    compute_subtile(planes, sched, z, t, sub, job_i, &mut stage, &mut ctx, scratch);
+                    subtile_on::<B>(planes, sched, z, t, sub, job_i, &mut stage, &mut ctx, scratch);
                 for (p, row) in vals.iter().enumerate().take(sub.h) {
                     let off = (sub.r0 + p) * cols + sub.c0;
                     // SAFETY: jobs (and their sub-tiles) write disjoint
@@ -123,52 +125,10 @@ fn run_job(
     ctx.counters
 }
 
-/// One sub-tile's op walk with a stack-local backend (no allocation on
-/// the TCU path).
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-fn compute_subtile(
-    planes: &[GlobalArray],
-    sched: &Schedule,
-    z: usize,
-    job: Tile2D,
-    sub: Tile2D,
-    job_i: usize,
-    stage: &mut StageState,
-    ctx: &mut SimContext,
-    scratch: &mut TileScratch,
-) -> [[f64; MMA_N]; TILE_M] {
-    // monomorphize per backend: the op loop inlines the backend calls,
-    // which the hot 3-D path (many small per-plane chains) depends on
-    match sched.backend {
-        BackendKind::TcuF64 => {
-            subtile_on(&mut TcuF64::new(), planes, sched, z, job, sub, job_i, stage, ctx, scratch)
-        }
-        BackendKind::SparseTcu => subtile_on(
-            &mut SparseTcu::new(),
-            planes,
-            sched,
-            z,
-            job,
-            sub,
-            job_i,
-            stage,
-            ctx,
-            scratch,
-        ),
-        BackendKind::CudaCore => {
-            subtile_on(&mut CudaCore::new(), planes, sched, z, job, sub, job_i, stage, ctx, scratch)
-        }
-        BackendKind::SimdCore => {
-            subtile_on(&mut SimdCore::new(), planes, sched, z, job, sub, job_i, stage, ctx, scratch)
-        }
-    }
-}
-
+/// One sub-tile's op walk with a stack-local backend (no allocation).
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn subtile_on<B: Backend>(
-    backend: &mut B,
     planes: &[GlobalArray],
     sched: &Schedule,
     z: usize,
@@ -179,6 +139,7 @@ fn subtile_on<B: Backend>(
     ctx: &mut SimContext,
     scratch: &mut TileScratch,
 ) -> [[f64; MMA_N]; TILE_M] {
+    let mut backend = B::default();
     let h = sched.h;
     let mut i = 0;
     while i < sched.ops.len() {
@@ -228,10 +189,11 @@ fn subtile_on<B: Backend>(
             Op::FragBuild { slot } => {
                 let eff = eff_slot(sched, job_i, slot);
                 let (tile, r_off, c_off) = (&scratch.tiles[eff], sub.r0 - job.r0, sub.c0 - job.c0);
-                // tensor-core chains read the transposed window and build
-                // fragments from it only on a fallback; a traced run
-                // records every instruction, so it builds them here
-                if sched.band && ctx.trace().is_none() {
+                // the scalar backends read only the transposed window;
+                // tensor-core chains read it too and build fragments from
+                // it only on a fallback, except in a traced run, which
+                // records every MMA and so builds them here
+                if B::WINDOW_ONLY || (sched.band && ctx.trace().is_none()) {
                     scratch.band.load_at(ctx, tile, sched.geo, r_off, c_off);
                 } else {
                     scratch.x.load_into_at(ctx, tile, sched.geo, r_off, c_off);
@@ -344,7 +306,7 @@ fn subtile_on<B: Backend>(
     vals
 }
 
-/// A compiled instance of [`run_job`].
+/// A compiled instance of [`run_job`] for one backend.
 ///
 /// # Safety
 ///
@@ -373,7 +335,7 @@ macro_rules! job_instance {
         #[cfg(target_arch = "x86_64")]
         #[target_feature(enable = $feature)]
         #[allow(clippy::too_many_arguments)]
-        fn $name(
+        fn $name<B: Backend>(
             planes: &[GlobalArray],
             sched: &Schedule,
             job_i: usize,
@@ -383,7 +345,7 @@ macro_rules! job_instance {
             cols: usize,
             scratch: &mut TileScratch,
         ) -> PerfCounters {
-            run_job(planes, sched, job_i, z, t, base, cols, scratch)
+            run_job::<B>(planes, sched, job_i, z, t, base, cols, scratch)
         }
     };
 }
@@ -436,19 +398,29 @@ impl HostIsa {
         HostIsa::ALL.into_iter().find(|isa| isa.supported()).unwrap_or(HostIsa::Portable)
     }
 
-    /// The instance's job loop.
+    /// The instance's job loop for `backend`.
     ///
     /// # Panics
     ///
     /// Panics if the host lacks the instance's target features.
-    fn job_fn(self) -> JobFn {
+    fn job_fn(self, backend: BackendKind) -> JobFn {
         assert!(self.supported(), "host cannot run the {} job loop", self.name());
+        match backend {
+            BackendKind::TcuF64 => self.job_fn_on::<TcuF64>(),
+            BackendKind::SparseTcu => self.job_fn_on::<SparseTcu>(),
+            BackendKind::CudaCore => self.job_fn_on::<CudaCore>(),
+            BackendKind::SimdCore => self.job_fn_on::<SimdCore>(),
+        }
+    }
+
+    /// The instance's job loop monomorphized for backend `B`.
+    fn job_fn_on<B: Backend>(self) -> JobFn {
         match self {
             #[cfg(target_arch = "x86_64")]
-            HostIsa::Avx512f => run_job_avx512f,
+            HostIsa::Avx512f => run_job_avx512f::<B>,
             #[cfg(target_arch = "x86_64")]
-            HostIsa::Avx2 => run_job_avx2,
-            _ => run_job,
+            HostIsa::Avx2 => run_job_avx2::<B>,
+            _ => run_job::<B>,
         }
     }
 }
@@ -537,7 +509,7 @@ impl Workspace {
         planes: &[GlobalArray],
         out: &mut [GlobalArray],
     ) -> PerfCounters {
-        let job = isa.job_fn();
+        let job = isa.job_fn(self.sched.backend);
         let _apply = foundation::obs::span("apply");
         let cols = planes[0].cols();
         self.slots.clear();

@@ -13,7 +13,7 @@
 
 use foundation::alloc_counter::{allocation_count, CountingAllocator};
 use foundation::par::threads_spawned;
-use lorastencil::{DeviceBackend, ExecConfig, Plan, Stepper};
+use lorastencil::{DeviceBackend, ExecConfig, Plan, ScheduleParams, Stepper};
 use stencil_core::kernels;
 use tcu_sim::GlobalArray;
 
@@ -55,8 +55,8 @@ fn steady_state_steps_allocate_nothing_and_spawn_nothing() {
         "steady-state steps must not allocate (FOUNDATION_THREADS=1)"
     );
 
-    // Every device backend keeps the guarantee, the scalar CUDA-core
-    // path included: its per-term T matrix lives on the stack.
+    // Every device backend keeps the guarantee, the scalar ones included:
+    // their window and T columns live in the per-worker scratch.
     for backend in DeviceBackend::all() {
         let config = ExecConfig { backend, ..ExecConfig::full() };
         let mut stepper =
@@ -72,6 +72,34 @@ fn steady_state_steps_allocate_nothing_and_spawn_nothing() {
             allocs,
             "{backend:?}: steady-state steps must not allocate (FOUNDATION_THREADS=1)"
         );
+    }
+
+    // Windows wider than the scratch's initial capacity: Heat-2D fused to
+    // radius 20 (S = 48) and 36 (S = 80) on the scalar backends. The first
+    // step grows the per-worker window once; later steps reuse it.
+    let mut small = GlobalArray::new(16, 16);
+    for r in 0..16 {
+        for c in 0..16 {
+            small.poke(r, c, ((r * 5 + c * 3) % 7) as f64 * 0.5);
+        }
+    }
+    for backend in [DeviceBackend::CudaCore, DeviceBackend::SimdCore] {
+        for fuse in [20, 36] {
+            let config = ExecConfig { backend, ..ExecConfig::full() };
+            let params = ScheduleParams { fuse_override: Some(fuse), ..ScheduleParams::default() };
+            let plan = Plan::new_with_params(&kernels::heat_2d(), config, params);
+            let mut wide = Stepper::from_grid(plan, small.clone());
+            wide.step();
+            let (allocs, spawned) = (allocation_count(), threads_spawned());
+            for _ in 0..2 {
+                wide.step();
+            }
+            assert_eq!(
+                (allocation_count(), threads_spawned()),
+                (allocs, spawned),
+                "{backend:?} fused ×{fuse}: steady-state steps must not allocate or spawn"
+            );
+        }
     }
 
     // The band evaluator of the tensor-core chains keeps its plan-time
