@@ -17,7 +17,9 @@
 
 use crate::decompose::RankOneTerm;
 use stencil_core::WeightMatrix;
-use tcu_sim::{FragA, FragASp, FragAcc, FragB, SharedTile, SimContext, MMA_K, MMA_M, MMA_N};
+use tcu_sim::{
+    FragA, FragASp, FragAcc, FragB, PerfCounters, SharedTile, SimContext, MMA_K, MMA_M, MMA_N,
+};
 
 /// Output tile side processed by one warp (`m`).
 pub const TILE_M: usize = 8;
@@ -208,19 +210,19 @@ fn split_cols(use_bvs: bool) -> [[usize; MMA_K]; 2] {
     }
 }
 
-/// Largest tile side `S` the band evaluator handles (radius ≤ 12).
+/// Largest tile side `S` the strip evaluator handles (radius ≤ 12).
 /// Larger geometries run every term on the fragment path.
 pub const BAND_MAX_S: usize = 32;
 
 /// Most taps a term has on a [`BAND_MAX_S`] geometry (`2h + 1`).
 const BAND_MAX_TAPS: usize = BAND_MAX_S - TILE_M + 1;
 
-/// Largest `Σ|u| · max|X|` for which the band evaluator runs a term.
+/// Largest `Σ|u| · max|X|` for which the strip evaluator runs a term.
 /// Below it no step-1 partial sum can overflow, so every `T` element is
-/// finite and each skipped `T · 0` product is a signed zero.
+/// finite and each `T · 0` product step 2 adds is a signed zero.
 const BAND_T_LIMIT: f64 = f64::MAX / 4.0;
 
-/// One term's plan-time tables for [`rdg_apply_term_band`]. Fixed-size
+/// One term's plan-time tables for [`rdg_apply_term_strip`]. Fixed-size
 /// arrays, so building a schedule allocates nothing extra for them.
 #[derive(Debug, Clone)]
 struct BandTable {
@@ -230,37 +232,39 @@ struct BandTable {
     taps: usize,
     /// `u`, zero-padded.
     u: [f64; BAND_MAX_TAPS],
-    /// `v`, zero-padded.
-    v: [f64; BAND_MAX_TAPS],
     /// `Σ|u[t]|`: `|T| ≤ Σ|u| · max|X|` (the overflow guard).
     u_abs: f64,
-    /// The `T` columns step 2 reads, in the MMA order `(col block j, split
-    /// half, k)`, each with the inclusive range of output columns `q`
-    /// whose banded `V` entry in that row is nonzero: `[c, q_lo, q_hi]`.
-    steps: [[u8; 3]; BAND_MAX_S],
+    /// `v` reversed between seven zeros on each side:
+    /// `vpad[7 + j] = v[n_t − 1 − j]`. Any eight consecutive entries are
+    /// one row of the banded `V`, zero-padded to the eight output columns.
+    vpad: [f64; BAND_MAX_TAPS + 2 * (MMA_N - 1)],
+    /// Step 2's walk, in the MMA order `(col block j, split half, k)`:
+    /// each window column `c` whose banded `V` row is nonzero, with the
+    /// offset of that row in `vpad`, `[c, o]`: `V[c][q] = vpad[o + q]`.
+    steps: [[u8; 2]; BAND_MAX_S],
     /// Used prefix of `steps`.
     n_steps: usize,
-    /// Shuffles the term's `2 · S/8` accumulator splits charge.
-    shuffles: u64,
 }
 
 impl BandTable {
     /// The tables for `term`, or `None` when `S > BAND_MAX_S`. The step-2
     /// order walks the same `cols` split [`build_v_frags`] permutes `V` by.
-    fn build(term: &RankOneTerm, geo: RdgGeometry, cols: [[usize; MMA_K]; 2]) -> Option<Self> {
+    fn build(term: &RankOneTerm, geo: RdgGeometry, split: [[usize; MMA_K]; 2]) -> Option<Self> {
         if geo.s > BAND_MAX_S {
             return None;
         }
         let shift = geo.h - term.radius();
         let taps = term.u.len();
         let mut u = [0.0; BAND_MAX_TAPS];
-        let mut v = [0.0; BAND_MAX_TAPS];
         u[..taps].copy_from_slice(&term.u);
-        v[..taps].copy_from_slice(&term.v);
-        let mut steps = [[0u8; 3]; BAND_MAX_S];
+        let mut vpad = [0.0; BAND_MAX_TAPS + 2 * (MMA_N - 1)];
+        for (j, &w) in term.v.iter().rev().enumerate() {
+            vpad[MMA_N - 1 + j] = w;
+        }
+        let mut steps = [[0u8; 2]; BAND_MAX_S];
         let mut n_steps = 0;
         for j in 0..geo.col_blocks() {
-            for half in cols {
+            for half in split {
                 for k in half {
                     // V[c][q] = v[c − shift − q] for q in
                     // [c − shift − (n_t − 1), c − shift] ∩ [0, 8)
@@ -268,49 +272,37 @@ impl BandTable {
                     let Some(top) = c.checked_sub(shift) else { continue };
                     let lo = top.saturating_sub(taps - 1);
                     if lo < MMA_N {
-                        steps[n_steps] = [c as u8, lo as u8, top.min(MMA_N - 1) as u8];
+                        // V[c][q] = v[top − q] = vpad[MMA_N − 2 + n_t − top + q]
+                        steps[n_steps] = [c as u8, (MMA_N - 2 + taps - top) as u8];
                         n_steps += 1;
                     }
                 }
             }
         }
-        let shuffles = cols.iter().map(|&c| FragAcc::zero().extract_a(c).1).sum::<u64>()
-            * geo.col_blocks() as u64;
         Some(BandTable {
             shift,
             taps,
             u,
-            v,
             u_abs: term.u.iter().map(|w| w.abs()).sum(),
+            vpad,
             steps,
             n_steps,
-            shuffles,
         })
     }
 }
 
-/// The staged S×S window as the band evaluators read it: transposed, so
-/// `xt[c·S + r] = X[r][c]` and 8 consecutive rows of one column are one
-/// contiguous 8-lane vector. Lives in the per-worker scratch next to the
-/// [`XFragments`] it stands in for: a `FragBuild` stages the window here
-/// for the scalar backends always, and for the tensor-core ones instead
-/// of building fragments, which are then built from it only if a term
-/// falls back to the fragment path. Its buffers grow to the largest `S`
-/// the worker has seen and stay warm; nothing in them is re-zeroed.
+/// The staged S×S window as the scalar evaluator reads it: transposed,
+/// so `xt[c·S + r] = X[r][c]` and 8 consecutive rows of one column are
+/// one contiguous 8-lane vector. Lives in the per-worker scratch: a
+/// scalar `FragBuild` stages the window here in place of building
+/// fragments. Its buffers grow to the largest `S` the worker has seen
+/// and stay warm; nothing in them is re-zeroed.
 #[derive(Debug, Clone)]
 pub struct BandWindow {
     geo: RdgGeometry,
     xt: Vec<f64>,
     /// The scalar evaluator's step-1 `T` columns, 8 rows each.
     t: Vec<[f64; MMA_M]>,
-    /// Largest `|X|` in the window; NaN or `+inf` when it holds a
-    /// non-finite value.
-    max_abs: f64,
-    /// Whether the window holds the current tile (the last `FragBuild`
-    /// staged it rather than building fragments).
-    staged: bool,
-    /// Whether the paired [`XFragments`] still lack the staged tile.
-    frags_pending: bool,
 }
 
 impl BandWindow {
@@ -321,16 +313,13 @@ impl BandWindow {
             geo: RdgGeometry::for_radius(1),
             xt: vec![0.0; BAND_MAX_S * BAND_MAX_S],
             t: vec![[0.0; MMA_M]; BAND_MAX_S],
-            max_abs: 0.0,
-            staged: false,
-            frags_pending: false,
         }
     }
 
     /// [`XFragments::load_into_at`] in band form: stage the S×S window at
     /// `(r_off, c_off)` of `tile` transposed, charging the same `S/4 × S/8`
-    /// fragment loads, and leave the fragments to [`BandWindow::frags`].
-    /// The buffers grow on the first window wider than any before.
+    /// fragment loads. The buffers grow on the first window wider than
+    /// any before.
     #[inline(always)]
     pub fn load_at(
         &mut self,
@@ -346,60 +335,91 @@ impl BandWindow {
             self.t.resize(s, [0.0; MMA_M]);
         }
         self.geo = geo;
-        let xt = &mut self.xt[..s * s];
-        tile.load_window_transposed(ctx, r_off as isize, c_off as isize, s, xt);
-        // NaN bit patterns sort above +inf's, so the maximum is finite
-        // exactly when every value is
-        let max_bits = xt.iter().fold(0u64, |m, v| m.max(v.to_bits() & !(1 << 63)));
-        self.max_abs = f64::from_bits(max_bits);
-        self.staged = true;
-        self.frags_pending = true;
-    }
-
-    /// Mark the window stale: the last `FragBuild` built fragments.
-    #[inline(always)]
-    pub fn unstage(&mut self) {
-        self.staged = false;
-        self.frags_pending = false;
-    }
-
-    /// Whether the band evaluator may run on the window: it holds the
-    /// current tile and every value is finite (`0 · inf` is NaN, so a
-    /// skipped product is a zero only for finite `X`).
-    #[inline(always)]
-    pub fn ready(&self) -> bool {
-        self.staged && self.max_abs.is_finite()
-    }
-
-    /// `x` holding the current tile's fragments, built from the window on
-    /// first use (charging nothing: [`BandWindow::load_at`] charged the
-    /// loads).
-    #[inline(always)]
-    pub fn frags<'a>(&mut self, x: &'a mut XFragments) -> &'a XFragments {
-        if self.frags_pending {
-            self.frags_pending = false;
-            let geo = self.geo;
-            x.geo = geo;
-            x.frags.clear();
-            for rb in 0..geo.row_blocks() {
-                for cb in 0..geo.col_blocks() {
-                    // lane 4c + k holds X[4rb + k][8cb + c]: eight 4-row
-                    // pieces of the window's columns
-                    let mut f = FragB::zero();
-                    for c in 0..MMA_N {
-                        let src = (cb * MMA_N + c) * geo.s + rb * MMA_K;
-                        f.lanes[MMA_K * c..MMA_K * (c + 1)]
-                            .copy_from_slice(&self.xt[src..src + MMA_K]);
-                    }
-                    x.frags.push(f);
-                }
-            }
-        }
-        x
+        tile.load_window_transposed(ctx, r_off as isize, c_off as isize, s, &mut self.xt[..s * s]);
     }
 }
 
 impl Default for BandWindow {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+/// One 8-row strip of a job row, staged for the tensor-core strip
+/// evaluator: the union of the strip's `n` sub-tile S×S windows, `S`
+/// rows by `8·(n−1) + S` columns, row-major and untransposed. Sub-tile
+/// `j`'s window is columns `8j .. 8j + S`. Lives in the per-worker
+/// scratch and grows to the widest strip the worker has seen.
+#[derive(Debug, Clone)]
+pub struct StripWindow {
+    geo: RdgGeometry,
+    /// Sub-tiles across the strip.
+    n: usize,
+    x: Vec<f64>,
+    /// Largest `|X|` in the window; NaN or `+inf` when it holds a
+    /// non-finite value.
+    max_abs: f64,
+}
+
+impl StripWindow {
+    /// An empty window; [`StripWindow::rows_mut`] shapes it.
+    pub fn new() -> Self {
+        StripWindow { geo: RdgGeometry::for_radius(1), n: 0, x: Vec::new(), max_abs: 0.0 }
+    }
+
+    /// Columns of a strip of `n` sub-tiles on `geo`: `8·(n−1) + S`.
+    pub fn width_for(geo: RdgGeometry, n: usize) -> usize {
+        TILE_M * (n - 1) + geo.s
+    }
+
+    /// Columns of the staged strip.
+    pub fn width(&self) -> usize {
+        Self::width_for(self.geo, self.n)
+    }
+
+    /// Shape the window for `n` sub-tiles on `geo` and hand out its
+    /// `S × width` row-major buffer to fill; [`StripWindow::seal`] must
+    /// follow. The buffer grows on the first strip wider than any before.
+    #[inline(always)]
+    pub fn rows_mut(&mut self, geo: RdgGeometry, n: usize) -> &mut [f64] {
+        self.geo = geo;
+        self.n = n;
+        let len = geo.s * self.width();
+        if self.x.len() < len {
+            self.x.resize(len, 0.0);
+        }
+        &mut self.x[..len]
+    }
+
+    /// Finish staging: scan the whole window, padding rows and columns
+    /// included, for the largest magnitude.
+    #[inline(always)]
+    pub fn seal(&mut self) {
+        let len = self.geo.s * self.width();
+        // NaN bit patterns sort above +inf's, so the maximum is finite
+        // exactly when every value is
+        let max_bits = self.x[..len].iter().fold(0u64, |m, v| m.max(v.to_bits() & !(1 << 63)));
+        self.max_abs = f64::from_bits(max_bits);
+    }
+
+    /// Whether every value of the window is finite. The fragment chain
+    /// multiplies every window element, padding included, by a weight
+    /// that may be zero, and `0 · inf` is NaN; the strip evaluator skips
+    /// those products, so it reproduces the chain only on finite windows.
+    #[inline(always)]
+    pub fn finite(&self) -> bool {
+        self.max_abs.is_finite()
+    }
+
+    /// Whether [`rdg_apply_term_strip`] may evaluate `tf` on this window:
+    /// the term has band tables and no `T` element can overflow.
+    #[inline(always)]
+    pub fn admits(&self, tf: &TermFrags) -> bool {
+        tf.band.as_ref().is_some_and(|bt| bt.u_abs * self.max_abs <= BAND_T_LIMIT)
+    }
+}
+
+impl Default for StripWindow {
     fn default() -> Self {
         Self::new()
     }
@@ -421,7 +441,9 @@ pub struct TermFrags {
     v: Vec<FragB>,
     /// Accumulator column split matching `v`'s permutation.
     cols: [[usize; MMA_K]; 2],
-    /// The band evaluator's tables; `None` when `S > BAND_MAX_S`.
+    /// Shuffles the term's `2 · S/8` accumulator splits charge.
+    shuffles: u64,
+    /// The strip evaluator's tables; `None` when `S > BAND_MAX_S`.
     band: Option<BandTable>,
 }
 
@@ -434,6 +456,8 @@ impl TermFrags {
             u_sp: None,
             v: build_v_frags(term, geo, use_bvs),
             cols,
+            shuffles: cols.iter().map(|&c| FragAcc::zero().extract_a(c).1).sum::<u64>()
+                * geo.col_blocks() as u64,
             band: BandTable::build(term, geo, cols),
         }
     }
@@ -467,11 +491,23 @@ impl TermFrags {
         self.band.is_some()
     }
 
-    /// Whether [`rdg_apply_term_band`] may evaluate this term on `w`: the
-    /// term has band tables and no `T` element can overflow.
+    /// Charge the counters this term's chain costs one sub-tile on the
+    /// modeled device, from their closed forms: `mma_per_term()` dense
+    /// MMAs, or for a 2:4-compressed term `rb·cb` sparse MMAs, `rb`
+    /// metadata loads and `2·cb` dense step-2 MMAs; plus the shuffles the
+    /// accumulator splits cost. These are exactly the charges of
+    /// [`rdg_apply_term_frags_into`] and [`rdg_apply_term_sparse_into`].
     #[inline(always)]
-    pub fn fits_band(&self, w: &BandWindow) -> bool {
-        self.band.as_ref().is_some_and(|bt| bt.u_abs * w.max_abs <= BAND_T_LIMIT)
+    pub fn charge(&self, geo: RdgGeometry, counters: &mut PerfCounters) {
+        let (rb, cb) = (geo.row_blocks() as u64, geo.col_blocks() as u64);
+        if self.u_sp.is_some() {
+            counters.metadata_loads += rb;
+            counters.mma_sp_ops += rb * cb;
+            counters.mma_ops += 2 * cb;
+        } else {
+            counters.mma_ops += geo.mma_per_term();
+        }
+        counters.shuffle_ops += self.shuffles;
     }
 
     /// Drop the band tables, sending the term down the fragment path (the
@@ -619,71 +655,94 @@ pub fn rdg_apply_term_sparse_into(
     }
 }
 
-/// Band form of [`rdg_apply_term_frags_into`] and, with `sparse`, of
-/// [`rdg_apply_term_sparse_into`]: the same `acc += U·X·V` with the
-/// structural zeros of the banded `U` and `V` skipped on the host. `acc`
-/// is the output accumulator transposed (`acc[q][p]`), `w` a
-/// [ready](BandWindow::ready) window `tf` [fits](TermFrags::fits_band).
+/// Strip form of [`rdg_apply_term_frags_into`] and
+/// [`rdg_apply_term_sparse_into`]: the same `acc += U·X·V` for every
+/// sub-tile of a staged strip, with the structural zeros of the banded
+/// `U` skipped on the host and step 1 shared by neighboring sub-tiles.
+/// `w` must be [finite](StripWindow::finite) and [admit](StripWindow::admits)
+/// `tf`. `acc` is the strip's accumulator, 8 rows of `8·n` columns,
+/// row-major; `t` is scratch of at least `8 × w.width()`. Charges
+/// nothing: the caller charges [`TermFrags::charge`] per sub-tile.
 ///
-/// * Step 1: `T[p][c] = Σ_t u[t]·X[p+shift+t][c]`, seeded at `+0.0`, taps
-///   in increasing `t`: the fragment chain's k-loop minus its zero
-///   products.
-/// * Step 2: `acc[q][p] += T[p][c]·V[c][q]` over the band, visiting `c` in
-///   the chain's MMA order `(col block, split half, k)`.
+/// * Step 1, once per strip: `T[p][x] = Σ_i u[i]·W[p+shift+i][x]`,
+///   seeded at `+0.0`, taps in increasing `i`, one contiguous AXPY per
+///   `(p, i)` across the strip: the fragment chain's k-loop minus its
+///   zero products. Sub-tile `j`'s column `c` is `x = 8j + c`.
+/// * Step 2, per sub-tile, in eight row accumulators: for each `c` in the
+///   chain's MMA order `(col block, split half, k)`,
+///   `acc[p][8j+q] += T[p][8j+c]·V[c][q]` for all eight `q`, the banded
+///   `V` row zero-padded.
 ///
-/// Every skipped product is `0·x` for a finite `x`, a signed zero. A
-/// `+0.0`-seeded round-to-nearest sum never reaches `-0.0`, so adding one
-/// is the identity: each output element runs the fragment chain's exact
-/// operation sequence minus identities, and the bits match. The modeled
-/// device still issues every MMA, so the counters come from their closed
-/// forms: `mma_per_term()` dense MMAs, or for a 2:4-compressed term on the
-/// sparse backend `rb·cb` sparse MMAs, `rb` metadata loads and `2·cb`
-/// dense step-2 MMAs; plus the shuffles the accumulator splits cost.
+/// Every product the fragment chain forms and this skips is `0·x` for a
+/// finite `x`, a signed zero; so is every `T·0` step 2 adds for a `q`
+/// outside the band, since the admission check keeps `T` finite. A
+/// `+0.0`-seeded round-to-nearest sum never reaches `-0.0`, so adding a
+/// signed zero is the identity: each output element runs the fragment
+/// chain's exact operation sequence plus and minus identities, and the
+/// bits match.
 #[inline(always)]
-pub fn rdg_apply_term_band(
-    ctx: &mut SimContext,
-    w: &BandWindow,
-    tf: &TermFrags,
-    sparse: bool,
-    acc: &mut [[f64; MMA_M]; MMA_N],
-) {
-    let bt = tf.band.as_ref().expect("fits_band checked the band tables");
-    let geo = w.geo;
-    let (u, v) = (&bt.u[..bt.taps], &bt.v[..bt.taps]);
-    for &[c, lo, hi] in &bt.steps[..bt.n_steps] {
-        let c = usize::from(c);
-        let base = c * geo.s + bt.shift;
-        let col = &w.xt[base..base + bt.taps - 1 + MMA_M];
-        // step 1: rows 0..8 of T's column c
-        let mut t = [0.0f64; MMA_M];
-        for (i, &ui) in u.iter().enumerate() {
-            let x: &[f64; MMA_M] = col[i..i + MMA_M].try_into().expect("8 rows");
-            for (tp, &xp) in t.iter_mut().zip(x) {
-                *tp += ui * xp;
-            }
-        }
-        // step 2: every output column whose V entry in row c is banded
-        for q in usize::from(lo)..=usize::from(hi) {
-            let vw = v[c - bt.shift - q];
-            for (a, &tp) in acc[q].iter_mut().zip(&t) {
-                *a += tp * vw;
+pub fn rdg_apply_term_strip(w: &StripWindow, tf: &TermFrags, t: &mut [f64], acc: &mut [f64]) {
+    let bt = tf.band.as_ref().expect("StripWindow::admits checked the band tables");
+    let (n, width) = (w.n, w.width());
+    let aw = TILE_M * n;
+    // step 1 over the columns some sub-tile's step 2 reads:
+    // x in [shift, shift + 8n + n_t − 1)
+    let (lo, len) = (bt.shift, aw + bt.taps - 1);
+    for p in 0..MMA_M {
+        let tp = &mut t[p * width + lo..][..len];
+        tp.fill(0.0);
+        for (i, &ui) in bt.u[..bt.taps].iter().enumerate() {
+            let xr = &w.x[(p + bt.shift + i) * width + lo..][..len];
+            for (a, &x) in tp.iter_mut().zip(xr) {
+                *a += ui * x;
             }
         }
     }
-    let (rb, cb) = (geo.row_blocks() as u64, geo.col_blocks() as u64);
-    let counters = &mut ctx.counters;
-    if sparse && tf.u_sp.is_some() {
-        counters.metadata_loads += rb;
-        counters.mma_sp_ops += rb * cb;
-        counters.mma_ops += 2 * cb;
-    } else {
-        counters.mma_ops += geo.mma_per_term();
+    // step 2: one sub-tile at a time, its 8×8 block held in registers
+
+    for j in 0..n {
+        let x0 = TILE_M * j;
+        let mut blk = [[0.0f64; MMA_N]; MMA_M];
+        for (p, row) in blk.iter_mut().enumerate() {
+            row.copy_from_slice(&acc[p * aw + x0..][..MMA_N]);
+        }
+        for &[c, o] in &bt.steps[..bt.n_steps] {
+            let x = x0 + usize::from(c);
+            let vr: &[f64; MMA_N] = bt.vpad[usize::from(o)..][..MMA_N].try_into().expect("8 lanes");
+            for (p, row) in blk.iter_mut().enumerate() {
+                let tv = t[p * width + x];
+                for (a, &v) in row.iter_mut().zip(vr) {
+                    *a += tv * v;
+                }
+            }
+        }
+        for (p, row) in blk.iter().enumerate() {
+            acc[p * aw + x0..][..MMA_N].copy_from_slice(row);
+        }
     }
-    counters.shuffle_ops += bt.shuffles;
 }
 
-/// Band form of [`apply_pointwise`] on a transposed accumulator: the same
-/// `acc + pw·X[h+p][h+q]` per element, eight rows at a time.
+/// Strip form of [`apply_pointwise`]: the same `acc + pw·X[h+p][h+q]` per
+/// element, one row of the strip at a time. `acc` is laid out as for
+/// [`rdg_apply_term_strip`]. Charges nothing (`2·64` CUDA-core FLOPs per
+/// sub-tile on the modeled device when `pw ≠ 0`).
+#[inline(always)]
+pub fn apply_pointwise_strip(w: &StripWindow, pw: f64, acc: &mut [f64]) {
+    if pw == 0.0 {
+        return;
+    }
+    let (h, width, aw) = (w.geo.h, w.width(), TILE_M * w.n);
+    for p in 0..MMA_M {
+        let xr = &w.x[(h + p) * width + h..][..aw];
+        for (a, &x) in acc[p * aw..][..aw].iter_mut().zip(xr) {
+            *a += pw * x;
+        }
+    }
+}
+
+/// [`apply_pointwise`] on a [`BandWindow`] and a transposed accumulator
+/// (the scalar backends' tip): the same `acc + pw·X[h+p][h+q]` per
+/// element, eight rows at a time.
 #[inline(always)]
 pub fn apply_pointwise_band(
     ctx: &mut SimContext,
@@ -1174,13 +1233,31 @@ mod tests {
         }
     }
 
+    /// The strip of `n` sub-tiles whose windows start at the top-left of
+    /// `tile` (at least `S × (8·(n−1) + S)`).
+    fn strip_of(tile: &SharedTile, geo: RdgGeometry, n: usize) -> StripWindow {
+        let mut w = StripWindow::new();
+        let width = StripWindow::width_for(geo, n);
+        let rows = w.rows_mut(geo, n);
+        for r in 0..geo.s {
+            for c in 0..width {
+                rows[r * width + c] = tile.peek(r, c);
+            }
+        }
+        w.seal();
+        w
+    }
+
     #[test]
     fn band_evaluator_matches_the_fragment_chain_bitwise() {
         // full-radius and centered pyramid terms, 2:4-compressible and
-        // not, under both accumulator splits, on both backends' charges
+        // not, under both accumulator splits, on both backends' charges,
+        // on each sub-tile of a three-sub-tile strip
+        const N: usize = 3;
         for h in [1usize, 3, 5] {
             let geo = RdgGeometry::for_radius(h);
-            let (tile, _) = random_tile(geo.s, 300 + h as u64);
+            let (tile, _) = random_tile(StripWindow::width_for(geo, N), 300 + h as u64);
+            let w = strip_of(&tile, geo, N);
             let taps = 2 * h + 1;
             let terms = [
                 RankOneTerm::new(
@@ -1199,28 +1276,35 @@ mod tests {
                     TermFrags::build(term, geo, use_bvs)
                 };
                 let mut ctx_f = SimContext::new();
-                let x = XFragments::load(&mut ctx_f, &tile, geo);
-                let mut acc_f = FragAcc::zero();
-                if sparse {
-                    rdg_apply_term_sparse_into(&mut ctx_f, &x, &tf, &mut acc_f, 1);
-                } else {
-                    rdg_apply_term_frags_into(&mut ctx_f, &x, &tf, &mut acc_f, 1);
+                let mut acc_f = [FragAcc::zero(); N];
+                for (j, acc) in acc_f.iter_mut().enumerate() {
+                    let mut x = XFragments::empty(geo);
+                    x.load_into_at(&mut SimContext::new(), &tile, geo, 0, TILE_M * j);
+                    if sparse {
+                        rdg_apply_term_sparse_into(&mut ctx_f, &x, &tf, acc, 1);
+                    } else {
+                        rdg_apply_term_frags_into(&mut ctx_f, &x, &tf, acc, 1);
+                    }
                 }
 
                 let mut ctx_b = SimContext::new();
-                let mut w = BandWindow::new();
-                w.load_at(&mut ctx_b, &tile, geo, 0, 0);
-                assert!(w.ready() && tf.fits_band(&w), "{case}");
-                let mut acc_b = [[0.0; MMA_M]; MMA_N];
-                rdg_apply_term_band(&mut ctx_b, &w, &tf, sparse, &mut acc_b);
+                assert!(w.finite() && w.admits(&tf), "{case}");
+                let mut t = vec![0.0; MMA_M * w.width()];
+                let mut acc_b = vec![0.0; MMA_M * TILE_M * N];
+                rdg_apply_term_strip(&w, &tf, &mut t, &mut acc_b);
+                for _ in 0..N {
+                    tf.charge(geo, &mut ctx_b.counters);
+                }
 
-                for p in 0..MMA_M {
-                    for q in 0..MMA_N {
-                        assert_eq!(
-                            acc_b[q][p].to_bits(),
-                            acc_f.get(p, q).to_bits(),
-                            "{case} ({p},{q})"
-                        );
+                for (j, acc_f) in acc_f.iter().enumerate() {
+                    for p in 0..MMA_M {
+                        for q in 0..MMA_N {
+                            assert_eq!(
+                                acc_b[p * TILE_M * N + TILE_M * j + q].to_bits(),
+                                acc_f.get(p, q).to_bits(),
+                                "{case} sub-tile {j} ({p},{q})"
+                            );
+                        }
                     }
                 }
                 assert_eq!(ctx_b.counters.fields(), ctx_f.counters.fields(), "{case}");
@@ -1234,10 +1318,9 @@ mod tests {
         let term = RankOneTerm::new(vec![1.0, 2.0, 1.0], vec![1.0, 2.0, 1.0]);
         let tf = TermFrags::build(&term, geo, true);
         let mut tile = SharedTile::new(geo.s, geo.s);
-        let mut w = BandWindow::new();
-        let mut refill = |tile: &SharedTile| {
-            w.load_at(&mut SimContext::new(), tile, geo, 0, 0);
-            (w.ready(), tf.fits_band(&w))
+        let refill = |tile: &SharedTile| {
+            let w = strip_of(tile, geo, 1);
+            (w.finite(), w.admits(&tf))
         };
         tile.poke(3, 4, -1e300);
         assert_eq!(refill(&tile), (true, true), "|T| ≤ 4e300 cannot overflow");
@@ -1247,42 +1330,15 @@ mod tests {
             tile.poke(7, 9, bad);
             assert!(!refill(&tile).0, "{bad} is not finite");
         }
-        w.unstage();
-        assert!(!w.ready(), "a window the last FragBuild did not stage is stale");
+        // the padding rows past 8 + 2h count: the fragment chain reads them
+        let mut padded = SharedTile::new(geo.s, geo.s);
+        padded.poke(geo.s - 1, 2, f64::NAN);
+        assert!(!refill(&padded).0, "a NaN in a padding row is not finite");
         // a window larger than the tables' capacity never gets tables
         let big = RdgGeometry::for_radius(BAND_MAX_S / 2);
         assert!(big.s > BAND_MAX_S);
         let wide = RankOneTerm::new(vec![1.0; 2 * big.h + 1], vec![1.0; 2 * big.h + 1]);
         assert!(!TermFrags::build(&wide, big, true).has_band());
-    }
-
-    #[test]
-    fn fragments_built_from_a_staged_window_match_loaded_ones() {
-        for h in [1usize, 3, 7] {
-            let geo = RdgGeometry::for_radius(h);
-            let (small, _) = random_tile(geo.s, 500 + h as u64);
-            // a larger staged tile with the window at an offset
-            let mut tile = SharedTile::new(geo.s + 8, geo.s + 8);
-            for r in 0..geo.s {
-                for c in 0..geo.s {
-                    tile.poke(r + 8, c + 3, small.peek(r, c));
-                }
-            }
-            let mut ctx_f = SimContext::new();
-            let want = XFragments::load(&mut ctx_f, &small, geo);
-            let mut ctx_b = SimContext::new();
-            let mut w = BandWindow::new();
-            w.load_at(&mut ctx_b, &tile, geo, 8, 3);
-            let mut x = XFragments::empty(RdgGeometry::for_radius(1));
-            let got = w.frags(&mut x);
-            assert_eq!(got.geometry(), geo);
-            for rb in 0..geo.row_blocks() {
-                for cb in 0..geo.col_blocks() {
-                    assert_eq!(got.frag(rb, cb).lanes, want.frag(rb, cb).lanes, "h={h}");
-                }
-            }
-            assert_eq!(ctx_b.counters.fields(), ctx_f.counters.fields(), "h={h}");
-        }
     }
 
     #[test]

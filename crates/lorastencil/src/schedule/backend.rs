@@ -8,15 +8,17 @@
 //! Three implementations, four backends:
 //!
 //! * [`TcuF64`] — the simulated A100 FP64 tensor-core path (MMA chains
-//!   via prebuilt fragments, pointwise tip on CUDA cores). The chains
-//!   run in band form ([`rdg_apply_term_band`]) whenever the input
-//!   allows, and on the lane-exact fragments otherwise.
+//!   via prebuilt fragments, pointwise tip on CUDA cores). This is the
+//!   lane-exact per-sub-tile walk: the interpreter runs 2-D and 3-D
+//!   schedules strip by strip instead (`rdg_apply_term_strip`) and comes
+//!   here only for 1-D, for `S > BAND_MAX_S` and for job rows whose input
+//!   the strip evaluator cannot reproduce bit for bit.
 //! * [`SparseTcu`] — the structured-sparse tensor-core path: terms whose
 //!   banded `U` fragments satisfy the 2:4 constraint run as `mma.sp`
 //!   chains (half the tensor FLOPs, plus metadata-register loads); terms
 //!   that don't fall back to the dense chain per term. Bit-identical to
 //!   [`TcuF64`] — skipping zero products cannot change a
-//!   round-to-nearest sum seeded at `+0.0` — and sharing its band
+//!   round-to-nearest sum seeded at `+0.0` — and sharing its strip
 //!   evaluator.
 //! * [`ScalarCore`] — the two backends without tensor cores, one host
 //!   evaluator ([`rdg_apply_term_scalar`]) over the transposed window
@@ -31,17 +33,17 @@
 
 use super::{AccFold, LoweredTerm, Schedule};
 use crate::rdg::{
-    apply_pointwise, apply_pointwise_band, rdg_apply_term_band, rdg_apply_term_frags_into,
-    rdg_apply_term_scalar, rdg_apply_term_sparse_into, BandWindow, XFragments,
-    CUDA_RDG_ISSUE_OVERHEAD, MAX_MMA_BATCH, SIMD_RDG_ISSUE_OVERHEAD, TILE_M,
+    apply_pointwise, apply_pointwise_band, rdg_apply_term_frags_into, rdg_apply_term_scalar,
+    rdg_apply_term_sparse_into, BandWindow, XFragments, CUDA_RDG_ISSUE_OVERHEAD, MAX_MMA_BATCH,
+    SIMD_RDG_ISSUE_OVERHEAD, TILE_M,
 };
 use foundation::obs::Counter;
 use std::sync::OnceLock;
-use tcu_sim::{FragA, FragAcc, SharedTile, SimContext, MMA_K, MMA_M, MMA_N};
+use tcu_sim::{FragA, FragAcc, SharedTile, SimContext, MMA_K, MMA_N};
 
 /// The `obs` counter `rdg_band_fallback`: tensor-core terms evaluated on
-/// the fragment path instead of in band form (a non-finite window, a `T`
-/// that could overflow, a tracing context, or `S > BAND_MAX_S`).
+/// the fragment path instead of on strips (a job row with a non-finite
+/// window or a `T` that could overflow, or `S > BAND_MAX_S`).
 pub fn band_fallbacks() -> &'static Counter {
     static COUNTER: OnceLock<&'static Counter> = OnceLock::new();
     COUNTER.get_or_init(|| foundation::obs::counter("rdg_band_fallback"))
@@ -52,16 +54,15 @@ pub fn band_fallbacks() -> &'static Counter {
 pub trait Backend: Default {
     /// Whether the backend reads the staged tile only through the
     /// transposed [`BandWindow`], so every `FragBuild` stages the window
-    /// and never builds fragments.
+    /// and never builds fragments. The tensor-core backends build
+    /// fragments and never touch the window.
     const WINDOW_ONLY: bool = false;
 
     /// Run the RDG chains of `terms` (all against the currently staged
-    /// X fragments), then the pointwise pyramid tip if `pointwise` is
-    /// present (its weight may be `0.0` — the backend still owns the
-    /// span structure). When the schedule runs in band form, or the
-    /// backend is [`WINDOW_ONLY`](Backend::WINDOW_ONLY), the `FragBuild`
-    /// staged the tile in `band` rather than `x`, and
-    /// [`BandWindow::frags`] builds `x` on demand.
+    /// tile: X fragments in `x`, or the window in `band` when the
+    /// backend is [`WINDOW_ONLY`](Backend::WINDOW_ONLY)), then the
+    /// pointwise pyramid tip if `pointwise` is present (its weight may be
+    /// `0.0` — the backend still owns the span structure).
     fn term_chain(
         &mut self,
         ctx: &mut SimContext,
@@ -83,134 +84,52 @@ pub trait Backend: Default {
     fn finish(&mut self, fold: AccFold) -> [[f64; MMA_N]; TILE_M];
 }
 
-/// Which form a tensor-core backend's output accumulator is in. Both
-/// forms start at zero, so a sub-tile that stays on one path never
-/// converts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Live {
-    /// Nothing accumulated yet.
-    Zero,
-    /// In the [`FragAcc`] (fragment path, 1-D gather).
-    Frag,
-    /// In the transposed band accumulator.
-    Band,
-}
-
 /// The simulated FP64 tensor-core backend.
 #[derive(Debug)]
 pub struct TcuF64 {
     frag: FragAcc,
-    /// The band evaluator's accumulator, transposed: `band[q][p]` is
-    /// output `(p, q)`.
-    band: [[f64; MMA_M]; MMA_N],
-    live: Live,
     vals: [[f64; MMA_N]; TILE_M],
 }
 
 impl TcuF64 {
     /// Fresh zeroed accumulators.
     pub fn new() -> Self {
-        TcuF64 {
-            frag: FragAcc::zero(),
-            band: [[0.0; MMA_M]; MMA_N],
-            live: Live::Zero,
-            vals: [[0.0; MMA_N]; TILE_M],
-        }
+        TcuF64 { frag: FragAcc::zero(), vals: [[0.0; MMA_N]; TILE_M] }
     }
 
-    /// The accumulator as a fragment, moved out of band form if needed.
-    #[inline(always)]
-    fn frag_acc(&mut self) -> &mut FragAcc {
-        if self.live == Live::Band {
-            for (q, col) in self.band.iter().enumerate() {
-                for (p, &v) in col.iter().enumerate() {
-                    self.frag.set(p, q, v);
-                }
-            }
-        }
-        self.live = Live::Frag;
-        &mut self.frag
-    }
-
-    /// The accumulator in band form, moved out of the fragment if needed.
-    #[inline(always)]
-    fn band_acc(&mut self) -> &mut [[f64; MMA_M]; MMA_N] {
-        if self.live == Live::Frag {
-            for (q, col) in self.band.iter_mut().enumerate() {
-                for (p, v) in col.iter_mut().enumerate() {
-                    *v = self.frag.get(p, q);
-                }
-            }
-        }
-        self.live = Live::Band;
-        &mut self.band
-    }
-
-    /// The accumulator as a row-major 8×8 matrix.
-    #[inline]
-    fn matrix(&self) -> [[f64; MMA_N]; TILE_M] {
-        if self.live != Live::Band {
-            return self.frag.to_matrix();
-        }
-        let mut m = [[0.0; MMA_N]; TILE_M];
-        for (q, col) in self.band.iter().enumerate() {
-            for (p, &v) in col.iter().enumerate() {
-                m[p][q] = v;
-            }
-        }
-        m
-    }
-
-    /// The term chain of both tensor-core backends (`sparse` selects
-    /// [`SparseTcu`]'s `mma.sp` charges and fragment path). Each term runs
-    /// in band form when the `FragBuild` staged a finite window and the
-    /// term's `T` cannot overflow; otherwise on the fragment path, which
-    /// is the reference the band form reproduces bit for bit.
-    #[allow(clippy::too_many_arguments)]
+    /// The term chain of both tensor-core backends on the lane-exact
+    /// fragments (`sparse` selects [`SparseTcu`]'s `mma.sp` chains). Every
+    /// term counts as a `rdg_band_fallback`.
     #[inline(always)]
     fn chain(
         &mut self,
         ctx: &mut SimContext,
-        x: &mut XFragments,
-        band: &mut BandWindow,
+        x: &XFragments,
         sched: &Schedule,
         terms: &[LoweredTerm],
         pointwise: Option<f64>,
         sparse: bool,
     ) {
-        let in_band = band.ready();
         {
             let _mma_batch = foundation::obs::span("mma_batch");
-            let mut fallbacks = 0;
             for lt in terms {
                 let tf = lt.frags.as_ref().expect("TCU backend needs prebuilt fragments");
-                if in_band && tf.fits_band(band) {
-                    rdg_apply_term_band(ctx, band, tf, sparse, self.band_acc());
-                    continue;
-                }
-                fallbacks += 1;
-                let x = band.frags(x);
-                let frag = self.frag_acc();
                 if sparse {
                     // sparse chain when this term compressed; dense
                     // fallback (inside) when it didn't — per term, not
                     // per kernel
-                    rdg_apply_term_sparse_into(ctx, x, tf, frag, sched.mma_batch);
+                    rdg_apply_term_sparse_into(ctx, x, tf, &mut self.frag, sched.mma_batch);
                 } else {
-                    rdg_apply_term_frags_into(ctx, x, tf, frag, sched.mma_batch);
+                    rdg_apply_term_frags_into(ctx, x, tf, &mut self.frag, sched.mma_batch);
                 }
             }
-            if fallbacks > 0 {
-                band_fallbacks().add(fallbacks);
+            if !terms.is_empty() {
+                band_fallbacks().add(terms.len() as u64);
             }
         }
         if let Some(pw) = pointwise {
             let _pointwise = foundation::obs::span("pointwise");
-            if in_band && self.live != Live::Frag {
-                apply_pointwise_band(ctx, band, pw, self.band_acc());
-            } else {
-                apply_pointwise(ctx, band.frags(x), pw, self.frag_acc());
-            }
+            apply_pointwise(ctx, x, pw, &mut self.frag);
         }
     }
 }
@@ -227,18 +146,18 @@ impl Backend for TcuF64 {
         &mut self,
         ctx: &mut SimContext,
         x: &mut XFragments,
-        band: &mut BandWindow,
+        _band: &mut BandWindow,
         sched: &Schedule,
         terms: &[LoweredTerm],
         pointwise: Option<f64>,
     ) {
-        self.chain(ctx, x, band, sched, terms, pointwise, false);
+        self.chain(ctx, x, sched, terms, pointwise, false);
     }
 
     #[inline(always)]
     fn gather_1d(&mut self, ctx: &mut SimContext, tile: &SharedTile, sched: &Schedule) {
         let _mma_batch = foundation::obs::span("mma_batch");
-        let frag = self.frag_acc();
+        let frag = &mut self.frag;
         if sched.mma_batch <= 1 {
             for (blk, vf) in sched.v1d.iter().enumerate() {
                 let a = tile.load_frag_a(ctx, 0, (blk * MMA_K) as isize);
@@ -278,10 +197,10 @@ impl Backend for TcuF64 {
     #[inline]
     fn finish(&mut self, fold: AccFold) -> [[f64; MMA_N]; TILE_M] {
         match fold {
-            AccFold::FragOnly => self.matrix(),
+            AccFold::FragOnly => self.frag.to_matrix(),
             AccFold::Merge => {
                 // fold the tensor-core accumulator into the scalar one
-                let acc = self.matrix();
+                let acc = self.frag.to_matrix();
                 for (row, acc_row) in self.vals.iter_mut().zip(&acc) {
                     for (v, &a) in row.iter_mut().zip(acc_row) {
                         *v += a;
@@ -315,12 +234,12 @@ impl Backend for SparseTcu {
         &mut self,
         ctx: &mut SimContext,
         x: &mut XFragments,
-        band: &mut BandWindow,
+        _band: &mut BandWindow,
         sched: &Schedule,
         terms: &[LoweredTerm],
         pointwise: Option<f64>,
     ) {
-        self.inner.chain(ctx, x, band, sched, terms, pointwise, true);
+        self.inner.chain(ctx, x, sched, terms, pointwise, true);
     }
 
     fn gather_1d(&mut self, _ctx: &mut SimContext, _tile: &SharedTile, _sched: &Schedule) {

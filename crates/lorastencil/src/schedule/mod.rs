@@ -236,9 +236,9 @@ pub struct Schedule {
     pub terms: Vec<LoweredTerm>,
     /// The 1-D banded `V` fragments (empty unless `dims == 1`).
     pub v1d: Vec<tcu_sim::FragB>,
-    /// Whether [`Op::FragBuild`] stages the tensor-core band window
-    /// instead of building fragments: derived from the lowered terms
-    /// (they carry band tables), never chosen.
+    /// Whether the tensor-core terms carry band tables, so 2-D/3-D
+    /// schedules run on strips: derived from the lowered terms (every
+    /// term shares the geometry, `S ≤ BAND_MAX_S`), never chosen.
     pub(crate) band: bool,
 }
 
@@ -326,7 +326,7 @@ impl Schedule {
     }
 
     /// Drop every term's band tables, so the interpreter runs the
-    /// lane-exact fragment path throughout (the band-vs-fragment
+    /// lane-exact per-sub-tile fragment walk throughout (the strip-vs-fragment
     /// differential tests' reference).
     #[cfg(test)]
     pub(crate) fn drop_band_tables(&mut self) {

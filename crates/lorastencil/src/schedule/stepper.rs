@@ -4,32 +4,53 @@
 //! The host-side loop keeps the PR 2 steady-state guarantees: a
 //! [`Stepper`] double-buffers the grid planes and reuses every per-apply
 //! buffer, so an iteration allocates nothing and spawns no threads.
-//! Jobs run in parallel and write their disjoint output bands directly;
-//! per-job counters land in preallocated index-addressed slots and
-//! merge sequentially **in job order**, so counters and values are
+//! Units of work run in parallel and write their disjoint output bands
+//! directly; per-job counters land in preallocated index-addressed slots
+//! and merge sequentially **in job order**, so counters and values are
 //! bit-identical at any thread count.
 //!
 //! A *job* is one macro tile of [`Schedule::tile_h`] × [`Schedule::tile_w`]
-//! output points (one thread block); the interpreter walks the warp
-//! program once per 8×8 **sub-tile** inside it. Macro tiles stage one
-//! large shared window per input plane and memoize which plane each
-//! shared slot holds, so sub-tiles after the first skip re-staging
-//! whenever the slot still matches — under [`Staging::Double`] two slots
-//! ping-pong, letting the next plane's halo loads overlap the live
-//! slot's MMA chain. Sub-tile boundaries stay on multiples of 8, so the
-//! global sub-tile set (and with it every Eq. 12/13/16 counter and every
-//! FP operation order) is identical for every tile size.
+//! output points (one modeled thread block). The interpreter evaluates
+//! jobs in one of two ways:
+//!
+//! * **Strips** (tensor-core 2-D and 3-D schedules with band tables).
+//!   A *job row* is every job with the same `(z, r0)`; it spans the
+//!   plane's width. The interpreter walks the op list once per 8-row
+//!   strip of the row: each `Stage` stages the union of the strip's
+//!   sub-tile S×S windows once, row-major, and each term's step 1 runs
+//!   once across the strip, shared by horizontally adjacent sub-tiles;
+//!   step 2, the tip, the point-wise planes and the fold follow in op
+//!   order and write straight to the output. Every element keeps the
+//!   fragment chain's operation sequence (see `rdg_apply_term_strip`).
+//!   Nothing is charged while evaluating: each job's counters come from
+//!   the closed forms of what the per-sub-tile walk below charges
+//!   ([`StripCharges`]). A job row whose staged input the strip
+//!   evaluator cannot reproduce bit for bit — a non-finite value
+//!   anywhere in a staged strip, padding included, or a term whose `T`
+//!   could overflow — runs the per-sub-tile walk instead.
+//! * **The per-sub-tile walk** (1-D, the scalar backends, and the
+//!   tensor-core fallback). The interpreter walks the warp program once
+//!   per 8×8 **sub-tile** of a job. Macro tiles stage one large shared
+//!   window per input plane and memoize which plane each shared slot
+//!   holds, so sub-tiles after the first skip re-staging whenever the
+//!   slot still matches — under [`Staging::Double`] two slots ping-pong,
+//!   letting the next plane's halo loads overlap the live slot's MMA
+//!   chain.
+//!
+//! Sub-tile boundaries stay on multiples of 8, so the global sub-tile set
+//! (and with it every Eq. 12/13/16 counter and every FP operation order)
+//! is identical for every tile size and for both ways.
 
 use super::backend::{Backend, CudaCore, SimdCore, SparseTcu, TcuF64};
-use super::scratch::{with_tile_scratch, TileScratch};
-use super::{plane_extents, BackendKind, Op, Schedule, ScheduleParams, Staging};
+use super::scratch::{with_tile_scratch, StripScratch, TileScratch};
+use super::{plane_extents, AccFold, BackendKind, Op, Schedule, ScheduleParams, Staging};
 use crate::plan::{ExecConfig, Plan};
-use crate::rdg::TILE_M;
+use crate::rdg::{apply_pointwise_strip, rdg_apply_term_strip, StripWindow, TermFrags, TILE_M};
 use foundation::par::*;
 use std::convert::Infallible;
 use stencil_core::tiling::{clamped_span, tiles_1d, tiles_2d, window_origin, Tile2D};
 use stencil_core::StencilKernel;
-use tcu_sim::{BlockResources, GlobalArray, PerfCounters, SimContext, MMA_M, MMA_N};
+use tcu_sim::{BlockResources, CopyMode, GlobalArray, PerfCounters, SimContext, MMA_M, MMA_N};
 
 /// Per-job staging state threaded through a macro tile's sub-tiles:
 /// which input plane each shared-memory slot currently holds, plus
@@ -52,15 +73,302 @@ fn eff_slot(sched: &Schedule, job_i: usize, slot: u8) -> usize {
     }
 }
 
-/// Interpret one macro job: loop its 8×8 sub-tiles (64-point sub-chunks
-/// for 1-D), compute each with a stack-local backend, and write the
-/// disjoint output bands directly. One tile-local context accumulates
-/// the whole job's counters.
+/// The plane an op addressing relative plane `dz` reads from output plane
+/// `z`: periodic in z, matching the grid convention.
+#[inline]
+fn plane_at(planes: &[GlobalArray], z: usize, dz: usize, h: usize) -> &GlobalArray {
+    &planes[(z as isize + dz as isize - h as isize).rem_euclid(planes.len() as isize) as usize]
+}
+
+/// Whether the schedule runs on strips: 2-D/3-D with band tables, which
+/// only the tensor-core backends' terms carry. Read at apply time, so a
+/// schedule whose band tables were dropped walks its sub-tiles.
+#[inline]
+fn on_strips(sched: &Schedule) -> bool {
+    sched.dims >= 2 && sched.band
+}
+
+/// Interpret one unit of work — a job row on strips, or a run of jobs on
+/// the per-sub-tile walk — writing the jobs' counters into `slots`
+/// (`slots[k]` is job `first + k`).
 ///
-/// This is the portable instance of the job loop; [`HostIsa`] compiles
-/// it again for wider vector units. Each backend gets its own instance
-/// ([`HostIsa::job_fn`]), so a sub-tile dispatches on no backend and one
+/// This is the portable instance of the loop; [`HostIsa`] compiles it
+/// again for wider vector units. Each backend gets its own instance
+/// ([`HostIsa::unit_fn`]), so a sub-tile dispatches on no backend and one
 /// backend's code never shares a compiled loop with another's.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn run_unit<B: Backend>(
+    planes: &[GlobalArray],
+    sched: &Schedule,
+    first: usize,
+    jobs: &[(usize, Tile2D)],
+    base: *mut f64,
+    cols: usize,
+    scratch: &mut TileScratch,
+    slots: &mut [PerfCounters],
+) {
+    // the scalar backends' terms carry no band tables; the constant keeps
+    // the strip loop out of their instances
+    if !B::WINDOW_ONLY
+        && on_strips(sched)
+        && run_strips(planes, sched, jobs, base, cols, &mut scratch.strip)
+    {
+        let charges = StripCharges::of(sched);
+        for (&(_, t), slot) in jobs.iter().zip(slots.iter_mut()) {
+            *slot = charges.job(sched, t);
+        }
+        return;
+    }
+    for (k, (&(z, t), slot)) in jobs.iter().zip(slots.iter_mut()).enumerate() {
+        *slot = run_job::<B>(planes, sched, first + k, z, t, base, cols, scratch);
+    }
+}
+
+/// Evaluate one job row strip by strip and write its output rows.
+/// Returns `false` as soon as a staged strip fails the band check — a
+/// non-finite value anywhere in the window, or a term whose `T` could
+/// overflow — with the row's output partly written and nothing charged;
+/// the caller then re-runs the whole row on the per-sub-tile walk.
+#[inline(always)]
+fn run_strips(
+    planes: &[GlobalArray],
+    sched: &Schedule,
+    jobs: &[(usize, Tile2D)],
+    base: *mut f64,
+    cols: usize,
+    st: &mut StripScratch,
+) -> bool {
+    let (z, row) = jobs[0];
+    let (h, geo) = (sched.h, sched.geo);
+    // the row's sub-tiles span the plane: columns 0..8n of the accumulators
+    let n = cols.div_ceil(TILE_M);
+    let aw = TILE_M * n;
+    st.reserve(StripWindow::width_for(geo, n), aw);
+    let mut sr = 0;
+    while sr < row.h {
+        let r0 = row.r0 + sr;
+        st.acc[..MMA_M * aw].fill(0.0);
+        if sched.fold == AccFold::Merge {
+            st.vals[..MMA_M * aw].fill(0.0);
+        }
+        let mut cur = 0;
+        let mut i = 0;
+        while i < sched.ops.len() {
+            match sched.ops[i] {
+                Op::SkipPlane { .. } => i += 1,
+                Op::Stage { dz, slot } => {
+                    let _rdg_gather = foundation::obs::span("rdg_gather");
+                    let w = &mut st.windows[slot as usize];
+                    stage_strip(plane_at(planes, z, dz, h), window_origin(r0, h), sched, n, w);
+                    if !w.finite() {
+                        return false;
+                    }
+                    i += 1;
+                }
+                Op::FragBuild { slot } => {
+                    cur = slot as usize;
+                    i += 1;
+                }
+                Op::MmaChain { .. } | Op::Pointwise { .. } => {
+                    // the contiguous chain plus its pyramid tip, grouped as
+                    // the per-sub-tile walk groups them
+                    let first = i;
+                    while let Some(Op::MmaChain { .. }) = sched.ops.get(i) {
+                        i += 1;
+                    }
+                    let chain = &sched.ops[first..i];
+                    let pw = if let Some(&Op::Pointwise { weight }) = sched.ops.get(i) {
+                        i += 1;
+                        Some(weight)
+                    } else {
+                        None
+                    };
+                    let w = &st.windows[cur];
+                    if !chain.iter().all(|op| w.admits(chain_frags(sched, op))) {
+                        return false;
+                    }
+                    {
+                        let _mma_batch = foundation::obs::span("mma_batch");
+                        for op in chain {
+                            rdg_apply_term_strip(w, chain_frags(sched, op), &mut st.t, &mut st.acc);
+                        }
+                    }
+                    if let Some(pw) = pw {
+                        let _pointwise = foundation::obs::span("pointwise");
+                        apply_pointwise_strip(w, pw, &mut st.acc);
+                    }
+                }
+                Op::PointwisePlane { dz, weight } => {
+                    let src = plane_at(planes, z, dz, h).as_slice();
+                    for p in 0..TILE_M.min(row.h - sr) {
+                        let xs = &src[(r0 + p) * cols..][..cols];
+                        for (v, &x) in st.vals[p * aw..][..cols].iter_mut().zip(xs) {
+                            *v += weight * x;
+                        }
+                    }
+                    i += 1;
+                }
+                Op::RdgGather => unreachable!("1-D schedules do not run on strips"),
+            }
+        }
+        for p in 0..TILE_M.min(row.h - sr) {
+            // SAFETY: job rows (and their strips) write disjoint (z, band)
+            // regions; `base` stays valid because `out` is exclusively
+            // borrowed for the whole application
+            let out = unsafe { std::slice::from_raw_parts_mut(base.add((r0 + p) * cols), cols) };
+            let acc = &st.acc[p * aw..][..cols];
+            if sched.fold == AccFold::Merge {
+                // fold the tensor-core accumulator into the scalar one
+                let vals = &st.vals[p * aw..][..cols];
+                for ((o, &v), &a) in out.iter_mut().zip(vals).zip(acc) {
+                    *o = v + a;
+                }
+            } else {
+                out.copy_from_slice(acc);
+            }
+        }
+        sr += TILE_M;
+    }
+    true
+}
+
+/// The prebuilt fragments of an [`Op::MmaChain`]'s term.
+#[inline(always)]
+fn chain_frags<'a>(sched: &'a Schedule, op: &Op) -> &'a TermFrags {
+    let Op::MmaChain { term } = *op else { unreachable!("a chain holds only MmaChain ops") };
+    sched.terms[term as usize].frags.as_ref().expect("strips run on prebuilt fragments")
+}
+
+/// Stage the strip of `n` sub-tiles whose windows start at grid row
+/// `r_origin` and column `-h` into `w`, wrapping periodically in both
+/// directions as the per-sub-tile walk's staging does, then seal it.
+#[inline(always)]
+fn stage_strip(
+    src: &GlobalArray,
+    r_origin: isize,
+    sched: &Schedule,
+    n: usize,
+    w: &mut StripWindow,
+) {
+    let (rows, cols) = (src.rows(), src.cols());
+    let data = src.as_slice();
+    let width = StripWindow::width_for(sched.geo, n);
+    let c_origin = window_origin(0, sched.h).rem_euclid(cols as isize) as usize;
+    for (rr, dst) in w.rows_mut(sched.geo, n).chunks_exact_mut(width).enumerate() {
+        let r = (r_origin + rr as isize).rem_euclid(rows as isize) as usize;
+        let src_row = &data[r * cols..][..cols];
+        // the window's columns are at most ⌈width / cols⌉ + 1 contiguous
+        // source runs
+        let (mut x, mut c) = (0, c_origin);
+        while x < width {
+            let run = (cols - c).min(width - x);
+            dst[x..x + run].copy_from_slice(&src_row[c..c + run]);
+            x += run;
+            c = 0;
+        }
+    }
+    w.seal();
+}
+
+/// The counters a strip-evaluated job charges: exactly what the
+/// per-sub-tile walk's primitives charge the same job, from their closed
+/// forms. Counters are `u64` sums, so the order strips visit the jobs in
+/// cannot move them.
+struct StripCharges {
+    /// Charged once per 8×8 sub-tile: every `FragBuild`'s `S/4 × S/8`
+    /// fragment loads, every term's chain ([`TermFrags::charge`]) and
+    /// 128 CUDA-core FLOPs per nonzero tip.
+    per_sub: PerfCounters,
+    /// `Stage`s that stage in a job's first sub-tile (all of them) and in
+    /// each later one (those whose slot holds another plane by then).
+    stages_first: u64,
+    stages_later: u64,
+    /// Whether a `Stage` stages the center plane: the first such stage
+    /// charges the job's own output footprint to HBM, the rest to L2.
+    center_staged: bool,
+    /// `PointwisePlane`s reading the center plane (HBM) and other planes
+    /// (L2), one load per output point each.
+    center_planes: u64,
+    other_planes: u64,
+}
+
+impl StripCharges {
+    /// The per-sub-tile and per-job charge structure of `sched`.
+    fn of(sched: &Schedule) -> Self {
+        let geo = sched.geo;
+        let mut per_sub = PerfCounters::new();
+        let (mut center_staged, mut center_planes, mut other_planes) = (false, 0, 0);
+        for op in &sched.ops {
+            match *op {
+                Op::Stage { dz, .. } => center_staged |= dz == sched.h,
+                Op::FragBuild { .. } => {
+                    per_sub.shared_load_requests += (geo.row_blocks() * geo.col_blocks()) as u64
+                }
+                Op::MmaChain { .. } => chain_frags(sched, op).charge(geo, &mut per_sub),
+                Op::Pointwise { weight } if weight != 0.0 => {
+                    per_sub.cuda_flops += 2 * (MMA_M * MMA_N) as u64
+                }
+                Op::PointwisePlane { dz, .. } if dz == sched.h => center_planes += 1,
+                Op::PointwisePlane { .. } => other_planes += 1,
+                _ => {}
+            }
+        }
+        // the slot memo of the per-sub-tile walk, over a job's first
+        // sub-tile and then any later one (every later one alike)
+        let mut staged = [None; 2];
+        let mut walk = || {
+            let mut stages = 0;
+            for op in &sched.ops {
+                if let Op::Stage { dz, slot } = *op {
+                    let eff = eff_slot(sched, 0, slot);
+                    if staged[eff] != Some(dz) {
+                        staged[eff] = Some(dz);
+                        stages += 1;
+                    }
+                }
+            }
+            stages
+        };
+        let (stages_first, stages_later) = (walk(), walk());
+        StripCharges {
+            per_sub,
+            stages_first,
+            stages_later,
+            center_staged,
+            center_planes,
+            other_planes,
+        }
+    }
+
+    /// The counters of job `t`.
+    fn job(&self, sched: &Schedule, t: Tile2D) -> PerfCounters {
+        let (sub_rows, sub_cols) = (t.h.div_ceil(TILE_M), t.w.div_ceil(TILE_M));
+        let n_sub = (sub_rows * sub_cols) as u64;
+        let points = (t.h * t.w) as u64;
+        // every stage copies the job's macro window
+        let window = ((TILE_M * (sub_rows - 1) + sched.geo.s)
+            * (TILE_M * (sub_cols - 1) + sched.geo.s)) as u64;
+        let stages = self.stages_first + (n_sub - 1) * self.stages_later;
+        let fresh = if self.center_staged { points.min(window) } else { 0 };
+        let mut c = self.per_sub.scaled(n_sub);
+        c.shared_store_requests += stages * window.div_ceil(32);
+        c.global_bytes_read += 8 * (fresh + self.center_planes * points);
+        c.l2_bytes += 8 * (stages * window - fresh + self.other_planes * points);
+        if sched.copy_mode == CopyMode::Staged {
+            c.staged_copy_bytes += 8 * stages * window;
+        }
+        c.cuda_flops += 2 * points * (self.center_planes + self.other_planes);
+        c.global_bytes_written += 8 * points;
+        c.points_updated += points * sched.fuse_steps as u64;
+        c
+    }
+}
+
+/// The per-sub-tile walk of one macro job: loop its 8×8 sub-tiles
+/// (64-point sub-chunks for 1-D), compute each with a stack-local
+/// backend, and write the disjoint output bands directly. One tile-local
+/// context accumulates the whole job's counters.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn run_job<B: Backend>(
@@ -152,9 +460,7 @@ fn subtile_on<B: Backend>(
                 // plane `dz` is reused as-is
                 if stage.staged[eff] != Some(dz) {
                     // periodic z boundary, matching the grid convention
-                    let zp =
-                        (z as isize + dz as isize - h as isize).rem_euclid(planes.len() as isize);
-                    let src = &planes[zp as usize];
+                    let src = plane_at(planes, z, dz, h);
                     // the macro window covers every sub-tile's S×S window
                     let wr = TILE_M * (job.h.div_ceil(TILE_M) - 1) + sched.geo.s;
                     let wc = TILE_M * (job.w.div_ceil(TILE_M) - 1) + sched.geo.s;
@@ -189,15 +495,12 @@ fn subtile_on<B: Backend>(
             Op::FragBuild { slot } => {
                 let eff = eff_slot(sched, job_i, slot);
                 let (tile, r_off, c_off) = (&scratch.tiles[eff], sub.r0 - job.r0, sub.c0 - job.c0);
-                // the scalar backends read only the transposed window;
-                // tensor-core chains read it too and build fragments from
-                // it only on a fallback, except in a traced run, which
-                // records every MMA and so builds them here
-                if B::WINDOW_ONLY || (sched.band && ctx.trace().is_none()) {
+                // the scalar backends read only the transposed window, the
+                // tensor-core ones only the fragments
+                if B::WINDOW_ONLY {
                     scratch.band.load_at(ctx, tile, sched.geo, r_off, c_off);
                 } else {
                     scratch.x.load_into_at(ctx, tile, sched.geo, r_off, c_off);
-                    scratch.band.unstage();
                 }
                 i += 1;
             }
@@ -270,8 +573,7 @@ fn subtile_on<B: Backend>(
                 // the compulsory HBM pass is charged where this plane is
                 // the kernel center), no shared-memory staging
                 // (Algorithm 2 line 5).
-                let zp = (z as isize + dz as isize - h as isize).rem_euclid(planes.len() as isize);
-                let src = &planes[zp as usize];
+                let src = plane_at(planes, z, dz, h);
                 let acc_vals = backend.vals_mut();
                 let mut flops = 0u64;
                 let mut span = [0.0f64; MMA_N];
@@ -306,31 +608,32 @@ fn subtile_on<B: Backend>(
     vals
 }
 
-/// A compiled instance of [`run_job`] for one backend.
+/// A compiled instance of [`run_unit`] for one backend.
 ///
 /// # Safety
 ///
 /// The host must support the instance's target features; obtain the
-/// pointer from [`HostIsa::job_fn`], which checks that.
-type JobFn = unsafe fn(
+/// pointer from [`HostIsa::unit_fn`], which checks that.
+type UnitFn = unsafe fn(
     &[GlobalArray],
     &Schedule,
     usize,
-    usize,
-    Tile2D,
+    &[(usize, Tile2D)],
     *mut f64,
     usize,
     &mut TileScratch,
-) -> PerfCounters;
+    &mut [PerfCounters],
+);
 
-/// [`run_job`] recompiled with extra target features. The job loop and
-/// everything beneath it is `#[inline]`, so the whole loop — op walk,
-/// backend bodies, RDG term chains, tcu-sim primitives — is compiled for
-/// the wider vector unit. Rust never contracts `a * b + c` into an FMA
-/// and never reassociates, so vectorization only packs independent
-/// accumulator lanes: every output element keeps its operation sequence
-/// and the results are bit-identical to the portable instance.
-macro_rules! job_instance {
+/// [`run_unit`] recompiled with extra target features. The loop and
+/// everything beneath it is `#[inline]`, so all of it — strip evaluator,
+/// op walk, backend bodies, RDG term chains, tcu-sim primitives — is
+/// compiled for the wider vector unit. Rust never contracts `a * b + c`
+/// into an FMA and never reassociates, so vectorization only packs
+/// independent accumulator lanes: every output element keeps its
+/// operation sequence and the results are bit-identical to the portable
+/// instance.
+macro_rules! unit_instance {
     ($name:ident, $feature:literal) => {
         #[cfg(target_arch = "x86_64")]
         #[target_feature(enable = $feature)]
@@ -338,20 +641,20 @@ macro_rules! job_instance {
         fn $name<B: Backend>(
             planes: &[GlobalArray],
             sched: &Schedule,
-            job_i: usize,
-            z: usize,
-            t: Tile2D,
+            first: usize,
+            jobs: &[(usize, Tile2D)],
             base: *mut f64,
             cols: usize,
             scratch: &mut TileScratch,
-        ) -> PerfCounters {
-            run_job::<B>(planes, sched, job_i, z, t, base, cols, scratch)
+            slots: &mut [PerfCounters],
+        ) {
+            run_unit::<B>(planes, sched, first, jobs, base, cols, scratch, slots)
         }
     };
 }
 
-job_instance!(run_job_avx512f, "avx512f");
-job_instance!(run_job_avx2, "avx2");
+unit_instance!(run_unit_avx512f, "avx512f");
+unit_instance!(run_unit_avx2, "avx2");
 
 /// The compiled instances of the job loop, best first. The host picks
 /// the best one it supports once per application; nothing configures
@@ -403,24 +706,24 @@ impl HostIsa {
     /// # Panics
     ///
     /// Panics if the host lacks the instance's target features.
-    fn job_fn(self, backend: BackendKind) -> JobFn {
+    fn unit_fn(self, backend: BackendKind) -> UnitFn {
         assert!(self.supported(), "host cannot run the {} job loop", self.name());
         match backend {
-            BackendKind::TcuF64 => self.job_fn_on::<TcuF64>(),
-            BackendKind::SparseTcu => self.job_fn_on::<SparseTcu>(),
-            BackendKind::CudaCore => self.job_fn_on::<CudaCore>(),
-            BackendKind::SimdCore => self.job_fn_on::<SimdCore>(),
+            BackendKind::TcuF64 => self.unit_fn_on::<TcuF64>(),
+            BackendKind::SparseTcu => self.unit_fn_on::<SparseTcu>(),
+            BackendKind::CudaCore => self.unit_fn_on::<CudaCore>(),
+            BackendKind::SimdCore => self.unit_fn_on::<SimdCore>(),
         }
     }
 
     /// The instance's job loop monomorphized for backend `B`.
-    fn job_fn_on<B: Backend>(self) -> JobFn {
+    fn unit_fn_on<B: Backend>(self) -> UnitFn {
         match self {
             #[cfg(target_arch = "x86_64")]
-            HostIsa::Avx512f => run_job_avx512f::<B>,
+            HostIsa::Avx512f => run_unit_avx512f::<B>,
             #[cfg(target_arch = "x86_64")]
-            HostIsa::Avx2 => run_job_avx2::<B>,
-            _ => run_job::<B>,
+            HostIsa::Avx2 => run_unit_avx2::<B>,
+            _ => run_unit::<B>,
         }
     }
 }
@@ -442,6 +745,9 @@ pub fn host_isa() -> &'static str {
 pub struct Workspace {
     sched: Schedule,
     jobs: Vec<(usize, Tile2D)>,
+    /// Jobs per job row (jobs sharing `(z, r0)`, consecutive in `jobs`):
+    /// the units of work on strips are `jobs.len() / row_len` rows.
+    row_len: usize,
     slots: Vec<PerfCounters>,
     /// Reusable raw output-plane pointer table: the `UnsafeSlice`
     /// pattern cannot borrow a `Vec` of planes across worker lanes
@@ -472,7 +778,12 @@ impl Workspace {
             }
             _ => panic!("grids are 1-, 2- or 3-dimensional"),
         };
-        Workspace { sched, jobs, slots: Vec::new(), sinks: Vec::new() }
+        // 2-D and 3-D tilings are row-major: a job row is one tile row
+        let row_len = match *extents {
+            [_, cols] | [_, _, cols] => cols.div_ceil(sched.tile_w).max(1),
+            _ => jobs.len(),
+        };
+        Workspace { sched, jobs, row_len, slots: Vec::new(), sinks: Vec::new() }
     }
 
     /// The lowered schedule this workspace interprets.
@@ -486,12 +797,13 @@ impl Workspace {
         self.apply_planes(std::slice::from_ref(input), std::slice::from_mut(out))
     }
 
-    /// One (possibly fused) application from `planes` into `out`. Jobs
-    /// run in parallel and write their disjoint output bands directly
-    /// (each band write charges the same `global_bytes_written` a
-    /// `store_span` would); per-job counters go to preallocated slots
-    /// and merge sequentially in job order, keeping the totals
-    /// independent of scheduling. The job loop runs on the best compiled
+    /// One (possibly fused) application from `planes` into `out`. Units
+    /// of work — job rows on strips, single jobs otherwise — run in
+    /// parallel and write their disjoint output bands directly (each
+    /// job's counters include the `global_bytes_written` a `store_span`
+    /// of its outputs would charge); per-job counters go to preallocated
+    /// slots and merge sequentially in job order, keeping the totals
+    /// independent of scheduling. The loop runs on the best compiled
     /// instance this host supports ([`host_isa`]).
     pub fn apply_planes(
         &mut self,
@@ -509,7 +821,7 @@ impl Workspace {
         planes: &[GlobalArray],
         out: &mut [GlobalArray],
     ) -> PerfCounters {
-        let job = isa.job_fn(self.sched.backend);
+        let unit = isa.unit_fn(self.sched.backend);
         let _apply = foundation::obs::span("apply");
         let cols = planes[0].cols();
         self.slots.clear();
@@ -521,14 +833,16 @@ impl Workspace {
             let sinks: &[usize] = &self.sinks;
             let jobs = &self.jobs;
             let sched = &self.sched;
-            for_each_index(jobs.len(), |i| {
-                let (z, t) = jobs[i];
-                let base = sinks[z] as *mut f64;
-                // SAFETY: `job_fn` checked the host supports the instance
-                let counters =
-                    with_tile_scratch(|s| unsafe { job(planes, sched, i, z, t, base, cols, s) });
-                // SAFETY: each index is written by exactly one job
-                unsafe { slot_sink.write(i, counters) };
+            let per_unit = if on_strips(sched) { self.row_len } else { 1 };
+            for_each_index(jobs.len() / per_unit, |u| {
+                let (lo, hi) = (u * per_unit, (u + 1) * per_unit);
+                let base = sinks[jobs[lo].0] as *mut f64;
+                // SAFETY: units cover disjoint ranges of jobs
+                let slots = unsafe { slot_sink.slice_mut(lo, hi - lo) };
+                // SAFETY: `unit_fn` checked the host supports the instance
+                with_tile_scratch(|s| unsafe {
+                    unit(planes, sched, lo, &jobs[lo..hi], base, cols, s, slots)
+                });
             });
         }
         let mut total = PerfCounters::new();
@@ -693,6 +1007,7 @@ pub(crate) fn run_with_plans<E>(
 mod tests {
     use super::*;
     use crate::plan::DeviceBackend;
+    use crate::schedule::band_fallbacks;
     use std::io::Write;
     use stencil_core::kernels;
 
@@ -876,6 +1191,45 @@ mod tests {
                         }
                     }
                 }
+            }
+        }
+    }
+
+    /// The strip check must scan the whole staged strip: a non-finite
+    /// value that only a sub-tile window's padding rows hold (rows 14–15
+    /// of Box-2D49P's 16×16 window, which the band never reads but the
+    /// fragment chain multiplies by zero), or one that only the last
+    /// sub-tiles of a row see, must send the job row to the fragment
+    /// path, whose bits then match a forced-fragment run.
+    #[test]
+    fn strip_check_covers_padding_rows_and_the_whole_row() {
+        let kernel = kernels::box_2d49p();
+        let plain = vec![wavy(40, 44, 3)];
+        let extents = plane_extents(&plain, 2);
+        let isa = HostIsa::detect();
+        // grid row 19 is row 14 of the windows of the strip at row 8 (they
+        // start at 8 − h = 5) and a band row of the strip at row 16 only
+        let cases =
+            [("padding rows", (19, 20)), ("last sub-tiles", (2, 39)), ("last column", (10, 43))];
+        for backend in [DeviceBackend::TcuF64, DeviceBackend::SparseTcu] {
+            let config = ExecConfig { backend, ..ExecConfig::full() };
+            let plan = Plan::new_with_params(&kernel, config, ScheduleParams::default());
+            assert_eq!((plan.geo.h, plan.geo.s), (3, 16));
+            let mut strips = Workspace::new(&plan, &extents);
+            let mut frags = Workspace::new(&plan, &extents);
+            frags.sched.drop_band_tables();
+            for (name, (r, c)) in cases {
+                let planes = with_cells(&plain, &[(r, c, f64::NAN)]);
+                let before = band_fallbacks().get();
+                let got = run_on(&mut strips, isa, &planes);
+                let fell_back = band_fallbacks().get() - before;
+                assert_bitwise(
+                    &format!("{backend:?} {name}"),
+                    &got,
+                    &run_on(&mut frags, isa, &planes),
+                );
+                assert!(fell_back > 0, "{backend:?} {name}: the strip check must fail");
+                assert!(got.0[0].as_slice().iter().any(|v| v.is_nan()), "{name}: NaN must spread");
             }
         }
     }

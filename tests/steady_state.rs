@@ -122,6 +122,67 @@ fn steady_state_steps_allocate_nothing_and_spawn_nothing() {
         "Box-2D49P on TcuF64: steady-state steps must not allocate (FOUNDATION_THREADS=1)"
     );
 
+    // The strip evaluator's windows, step-1 rows and accumulators grow
+    // once per worker to the widest plane it has run: both tensor-core
+    // backends on a 512-wide Box-2D49P grid, and the 3-D plane ops under
+    // 64×64 and double-staged 16×16 macro tiles.
+    let wide_grid = GlobalArray::from_vec(
+        16,
+        512,
+        (0..16 * 512).map(|i| ((i * 37) % 23) as f64 * 0.125 - 1.0).collect(),
+    );
+    let volume: Vec<GlobalArray> = (0..4)
+        .map(|z| {
+            GlobalArray::from_vec(
+                20,
+                36,
+                (0..20 * 36).map(|i| ((i * 11 + z * 5) % 17) as f64 * 0.25 - 2.0).collect(),
+            )
+        })
+        .collect();
+    let tcu = [DeviceBackend::TcuF64, DeviceBackend::SparseTcu];
+    let shapes = [
+        ScheduleParams { tile_rows: 64, tile_cols: 64, ..ScheduleParams::default() },
+        ScheduleParams {
+            tile_rows: 16,
+            tile_cols: 16,
+            staging: lorastencil::Staging::Double,
+            ..ScheduleParams::default()
+        },
+    ];
+    let mut strip_runs: Vec<(String, Stepper)> = tcu
+        .iter()
+        .map(|&backend| {
+            let config = ExecConfig { backend, ..ExecConfig::full() };
+            let plan = Plan::new(&kernels::box_2d49p(), config);
+            (
+                format!("Box-2D49P 16x512 on {backend:?}"),
+                Stepper::from_grid(plan, wide_grid.clone()),
+            )
+        })
+        .collect();
+    for kernel in [kernels::heat_3d(), kernels::box_3d27p()] {
+        for params in shapes {
+            let plan = Plan::new_with_params(&kernel, ExecConfig::full(), params);
+            let name = format!("{} {}", kernel.name, params.describe());
+            strip_runs.push((name, Stepper::new(plan, volume.clone())));
+        }
+    }
+    for (name, strip_stepper) in &mut strip_runs {
+        strip_stepper.step();
+        strip_stepper.step();
+        let (allocs, spawned) = (allocation_count(), threads_spawned());
+        for _ in 0..3 {
+            strip_stepper.step();
+        }
+        assert_eq!(
+            (allocation_count(), threads_spawned()),
+            (allocs, spawned),
+            "{name}: steady-state steps on strips must not allocate or spawn"
+        );
+    }
+    drop(strip_runs);
+
     // Checkpointing must not poison the hot loop: capturing and
     // persisting a snapshot allocates (it clones the live planes and
     // encodes them), but the steps *between* checkpoints must stay
