@@ -35,6 +35,12 @@ fmt_check() {
     fi
 }
 
+doc_check() {
+    # every rustdoc warning fails, so a deleted or private item cannot
+    # leave a dangling intra-doc link behind
+    RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
+}
+
 serial_tests() {
     # single-lane pass: results must be bit-identical to the parallel pass
     FOUNDATION_THREADS=1 cargo test -q --offline --workspace
@@ -304,6 +310,7 @@ dep_audit() {
 
 step "cargo fmt --check" fmt_check
 step "cargo build --release --offline" cargo build --release --offline --workspace
+step "cargo doc -D warnings (no dangling intra-doc links)" doc_check
 step "cargo test -q --offline" cargo test -q --offline --workspace
 step "cargo test -q --offline (FOUNDATION_THREADS=1)" serial_tests
 step "examples (cargo run --release --example *)" run_examples

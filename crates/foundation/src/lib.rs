@@ -22,7 +22,7 @@
 //! * [`prop`] — a compact property-testing harness (generator
 //!   combinators, fixed-seed case generation, shrinking) replacing
 //!   `proptest`;
-//! * [`bench`] — a wall-clock micro-benchmark harness replacing
+//! * [`bench`](mod@bench) — a wall-clock micro-benchmark harness replacing
 //!   `criterion` in the `bench-suite` bench targets;
 //! * [`obs`] — host-side observability: RAII span tracing into
 //!   thread-local ring buffers, a counters/histograms metrics registry,

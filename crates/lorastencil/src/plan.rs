@@ -16,8 +16,9 @@ use stencil_core::{StencilKernel, WeightMatrix};
 use tcu_sim::BlockResources;
 
 /// Which device executes the RDG matrix chains. The four backends share
-/// one lowering pipeline behind [`crate::schedule::backend::Backend`];
-/// only the per-subtile compute path differs.
+/// one lowering pipeline ([`Schedule::lower`](crate::Schedule::lower))
+/// and one interpreter; they differ in the lowered term form and the
+/// modeled charge ([`BackendKind`](crate::schedule::BackendKind)).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub enum DeviceBackend {
     /// Dense FP64 `mma.m8n8k4` on tensor cores — the paper's path.

@@ -14,6 +14,22 @@
 //!   `S/4` MMA operations.
 //!
 //! For `h = 3` (`S = 16`) this is the paper's 8 + 4 = 12 MMA example.
+//!
+//! The host evaluates a term in one of three forms:
+//!
+//! * the lane-exact fragment chain ([`rdg_apply_term_frags_into`], or
+//!   [`rdg_apply_term_sparse_into`] for 2:4-compressed terms), which
+//!   issues every modeled MMA and charges as it goes: the reference, and
+//!   the tensor-core path wherever strips do not run;
+//! * the tensor-core strip evaluator ([`rdg_apply_term_strip`]): the same
+//!   bits for a whole 8-row strip of sub-tiles, without `U`'s structural
+//!   zeros;
+//! * the scalar strip evaluator ([`rdg_apply_term_strip_scalar`]) of the
+//!   `CudaCore` and `SimdCore` backends, which forms the band's products
+//!   only (Fig. 9 "RDG w/o TCU").
+//!
+//! The strip forms charge nothing; the interpreter charges their closed
+//! forms ([`TermFrags::charge`], [`scalar_term_flops`]) per sub-tile.
 
 use crate::decompose::RankOneTerm;
 use stencil_core::WeightMatrix;
@@ -291,65 +307,11 @@ impl BandTable {
     }
 }
 
-/// The staged S×S window as the scalar evaluator reads it: transposed,
-/// so `xt[c·S + r] = X[r][c]` and 8 consecutive rows of one column are
-/// one contiguous 8-lane vector. Lives in the per-worker scratch: a
-/// scalar `FragBuild` stages the window here in place of building
-/// fragments. Its buffers grow to the largest `S` the worker has seen
-/// and stay warm; nothing in them is re-zeroed.
-#[derive(Debug, Clone)]
-pub struct BandWindow {
-    geo: RdgGeometry,
-    xt: Vec<f64>,
-    /// The scalar evaluator's step-1 `T` columns, 8 rows each.
-    t: Vec<[f64; MMA_M]>,
-}
-
-impl BandWindow {
-    /// An empty window sized for `S ≤ BAND_MAX_S`, filled by
-    /// [`BandWindow::load_at`].
-    pub fn new() -> Self {
-        BandWindow {
-            geo: RdgGeometry::for_radius(1),
-            xt: vec![0.0; BAND_MAX_S * BAND_MAX_S],
-            t: vec![[0.0; MMA_M]; BAND_MAX_S],
-        }
-    }
-
-    /// [`XFragments::load_into_at`] in band form: stage the S×S window at
-    /// `(r_off, c_off)` of `tile` transposed, charging the same `S/4 × S/8`
-    /// fragment loads. The buffers grow on the first window wider than
-    /// any before.
-    #[inline(always)]
-    pub fn load_at(
-        &mut self,
-        ctx: &mut SimContext,
-        tile: &SharedTile,
-        geo: RdgGeometry,
-        r_off: usize,
-        c_off: usize,
-    ) {
-        let s = geo.s;
-        if self.xt.len() < s * s {
-            self.xt.resize(s * s, 0.0);
-            self.t.resize(s, [0.0; MMA_M]);
-        }
-        self.geo = geo;
-        tile.load_window_transposed(ctx, r_off as isize, c_off as isize, s, &mut self.xt[..s * s]);
-    }
-}
-
-impl Default for BandWindow {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// One 8-row strip of a job row, staged for the tensor-core strip
-/// evaluator: the union of the strip's `n` sub-tile S×S windows, `S`
-/// rows by `8·(n−1) + S` columns, row-major and untransposed. Sub-tile
-/// `j`'s window is columns `8j .. 8j + S`. Lives in the per-worker
-/// scratch and grows to the widest strip the worker has seen.
+/// One 8-row strip of a job row, staged for the strip evaluators: the
+/// union of the strip's `n` sub-tile S×S windows, `S` rows by
+/// `8·(n−1) + S` columns, row-major and untransposed. Sub-tile `j`'s
+/// window is columns `8j .. 8j + S`. Lives in the per-worker scratch and
+/// grows to the widest strip the worker has seen, for any `S`.
 #[derive(Debug, Clone)]
 pub struct StripWindow {
     geo: RdgGeometry,
@@ -391,8 +353,9 @@ impl StripWindow {
         &mut self.x[..len]
     }
 
-    /// Finish staging: scan the whole window, padding rows and columns
-    /// included, for the largest magnitude.
+    /// Finish staging for the tensor-core evaluator: scan the whole
+    /// window, padding rows and columns included, for the largest
+    /// magnitude. The scalar evaluator needs no scan.
     #[inline(always)]
     pub fn seal(&mut self) {
         let len = self.geo.s * self.width();
@@ -655,6 +618,27 @@ pub fn rdg_apply_term_sparse_into(
     }
 }
 
+/// Step 1 of a term on a strip, shared by both strip evaluators:
+/// `T[p][x] = Σ_i u[i]·W[p+shift+i][x]` for every `x` in
+/// `[shift, shift + 8n + n_t − 1)`, the columns some sub-tile's step 2
+/// reads; seeded at `+0.0`, taps in increasing `i`, one contiguous AXPY
+/// per `(p, i)` across the strip. `t` holds 8 rows of `w.width()`.
+#[inline(always)]
+fn strip_step1(w: &StripWindow, u: &[f64], shift: usize, t: &mut [f64]) {
+    let width = w.width();
+    let len = TILE_M * w.n + u.len() - 1;
+    for p in 0..MMA_M {
+        let tp = &mut t[p * width + shift..][..len];
+        tp.fill(0.0);
+        for (i, &ui) in u.iter().enumerate() {
+            let xr = &w.x[(p + shift + i) * width + shift..][..len];
+            for (a, &x) in tp.iter_mut().zip(xr) {
+                *a += ui * x;
+            }
+        }
+    }
+}
+
 /// Strip form of [`rdg_apply_term_frags_into`] and
 /// [`rdg_apply_term_sparse_into`]: the same `acc += U·X·V` for every
 /// sub-tile of a staged strip, with the structural zeros of the banded
@@ -683,23 +667,10 @@ pub fn rdg_apply_term_sparse_into(
 #[inline(always)]
 pub fn rdg_apply_term_strip(w: &StripWindow, tf: &TermFrags, t: &mut [f64], acc: &mut [f64]) {
     let bt = tf.band.as_ref().expect("StripWindow::admits checked the band tables");
+    strip_step1(w, &bt.u[..bt.taps], bt.shift, t);
     let (n, width) = (w.n, w.width());
     let aw = TILE_M * n;
-    // step 1 over the columns some sub-tile's step 2 reads:
-    // x in [shift, shift + 8n + n_t − 1)
-    let (lo, len) = (bt.shift, aw + bt.taps - 1);
-    for p in 0..MMA_M {
-        let tp = &mut t[p * width + lo..][..len];
-        tp.fill(0.0);
-        for (i, &ui) in bt.u[..bt.taps].iter().enumerate() {
-            let xr = &w.x[(p + bt.shift + i) * width + lo..][..len];
-            for (a, &x) in tp.iter_mut().zip(xr) {
-                *a += ui * x;
-            }
-        }
-    }
     // step 2: one sub-tile at a time, its 8×8 block held in registers
-
     for j in 0..n {
         let x0 = TILE_M * j;
         let mut blk = [[0.0f64; MMA_N]; MMA_M];
@@ -722,10 +693,63 @@ pub fn rdg_apply_term_strip(w: &StripWindow, tf: &TermFrags, t: &mut [f64], acc:
     }
 }
 
-/// Strip form of [`apply_pointwise`]: the same `acc + pw·X[h+p][h+q]` per
-/// element, one row of the strip at a time. `acc` is laid out as for
-/// [`rdg_apply_term_strip`]. Charges nothing (`2·64` CUDA-core FLOPs per
-/// sub-tile on the modeled device when `pw ≠ 0`).
+/// The scalar backends' term chain on a strip (Fig. 9 "RDG w/o TCU" and
+/// the tuned SIMD compare point): the same `acc += U·X·V` with scalar
+/// FMAs over the band only, as a hand-written CUDA-core kernel computes
+/// it. `w` may hold any value and any `S`; `acc` and `t` are laid out
+/// as for [`rdg_apply_term_strip`]. Charges nothing: the caller charges
+/// [`scalar_term_flops`] per sub-tile.
+///
+/// * Step 1 is the tensor-core evaluator's, on `term.u`:
+///   `T[p][x] = Σ_i u[i]·W[p+shift+i][x]`, seeded at `+0.0`, `i`
+///   increasing.
+/// * Step 2, per output column `x`:
+///   `s[x] = Σ_k v[k]·T[p][x+shift+k]`, seeded at `+0.0`, `k`
+///   increasing, then `acc[p][x] += s[x]`.
+///
+/// Only the band's products are formed, and every one of them is, so
+/// the operation sequence per element does not depend on the input:
+/// non-finite windows need no check and no fallback.
+#[inline(always)]
+pub fn rdg_apply_term_strip_scalar(
+    w: &StripWindow,
+    term: &RankOneTerm,
+    t: &mut [f64],
+    acc: &mut [f64],
+) {
+    let shift = w.geo.h - term.radius();
+    strip_step1(w, &term.u, shift, t);
+    let (width, aw) = (w.width(), TILE_M * w.n);
+    for p in 0..MMA_M {
+        let tp = &t[p * width + shift..];
+        for (x0, out) in (0..aw).step_by(MMA_N).zip(acc[p * aw..][..aw].chunks_exact_mut(MMA_N)) {
+            let mut s = [0.0f64; MMA_N];
+            for (k, &vk) in term.v.iter().enumerate() {
+                for (sq, &tv) in s.iter_mut().zip(&tp[x0 + k..][..MMA_N]) {
+                    *sq += vk * tv;
+                }
+            }
+            for (a, sq) in out.iter_mut().zip(s) {
+                *a += sq;
+            }
+        }
+    }
+}
+
+/// The CUDA-core FLOPs one scalar term costs one 8×8 sub-tile on the
+/// modeled device, times the backend's `issue` overhead: step 1 over all
+/// `S` columns of `T` (`2·n_t·8·S`, as the modeled kernel computes
+/// them), step 2 (`2·n_t·64`) and the accumulate (`64`).
+pub fn scalar_term_flops(term: &RankOneTerm, geo: RdgGeometry, issue: u64) -> u64 {
+    let (n_t, tile) = (term.u.len(), MMA_M * MMA_N);
+    (2 * n_t * MMA_M * geo.s + 2 * n_t * tile + tile) as u64 * issue
+}
+
+/// Strip form of [`apply_pointwise`], the tip of every backend: the same
+/// `acc + pw·X[h+p][h+q]` per element, one row of the strip at a time.
+/// `acc` is laid out as for [`rdg_apply_term_strip`]. Charges nothing
+/// (`2·64` CUDA-core FLOPs per sub-tile on the modeled device when
+/// `pw ≠ 0`).
 #[inline(always)]
 pub fn apply_pointwise_strip(w: &StripWindow, pw: f64, acc: &mut [f64]) {
     if pw == 0.0 {
@@ -738,29 +762,6 @@ pub fn apply_pointwise_strip(w: &StripWindow, pw: f64, acc: &mut [f64]) {
             *a += pw * x;
         }
     }
-}
-
-/// [`apply_pointwise`] on a [`BandWindow`] and a transposed accumulator
-/// (the scalar backends' tip): the same `acc + pw·X[h+p][h+q]` per
-/// element, eight rows at a time.
-#[inline(always)]
-pub fn apply_pointwise_band(
-    ctx: &mut SimContext,
-    w: &BandWindow,
-    pw: f64,
-    acc: &mut [[f64; MMA_M]; MMA_N],
-) {
-    if pw == 0.0 {
-        return;
-    }
-    let (h, s) = (w.geo.h, w.geo.s);
-    for (q, col) in acc.iter_mut().enumerate() {
-        let base = (h + q) * s + h;
-        for (a, &x) in col.iter_mut().zip(&w.xt[base..base + MMA_M]) {
-            *a += pw * x;
-        }
-    }
-    ctx.cuda_flops(2 * (MMA_M * MMA_N) as u64);
 }
 
 /// Apply the pointwise pyramid tip: `acc[r][q] += pw · X[h+r][h+q]`,
@@ -794,63 +795,6 @@ pub const CUDA_RDG_ISSUE_OVERHEAD: u64 = 14;
 /// the issue efficiency differs.
 pub const SIMD_RDG_ISSUE_OVERHEAD: u64 = 2;
 
-/// The scalar RDG evaluator of both non-tensor-core backends (Fig. 9
-/// "RDG w/o TCU" and the tuned SIMD compare point): the same `U · X · V`
-/// chain with scalar FMAs, exploiting band sparsity as a hand-written
-/// CUDA-core kernel would, charging CUDA-core FLOPs (and no MMAs) times
-/// `issue_overhead` ([`CUDA_RDG_ISSUE_OVERHEAD`] or
-/// [`SIMD_RDG_ISSUE_OVERHEAD`]). `acc` is the output accumulator
-/// transposed (`acc[q][p]`); `w` holds the staged window, any `S`.
-///
-/// * Step 1: each `T` column step 2 reads (`shift .. shift + n_t − 1 + 8`)
-///   as one 8-row vector, `T[p][c] = Σ_k u[k]·X[p+shift+k][c]`, seeded at
-///   `+0.0`, `k` increasing.
-/// * Step 2: per output column `q`, `s[p] = Σ_k v[k]·T[p][q+shift+k]`,
-///   seeded at `+0.0`, then `acc[q][p] += s[p]`.
-///
-/// Only the band's products are formed, and every one of them is, so
-/// non-finite windows need no fallback and the operation sequence per
-/// element does not depend on the input. `cuda_flops` counts step 1 over
-/// all `S` columns of `T`, as the modeled kernel computes them; the host
-/// skips only the columns no output reads.
-#[inline(always)]
-pub fn rdg_apply_term_scalar(
-    ctx: &mut SimContext,
-    w: &mut BandWindow,
-    term: &RankOneTerm,
-    issue_overhead: u64,
-    acc: &mut [[f64; MMA_M]; MMA_N],
-) {
-    let geo = w.geo;
-    let n_t = term.u.len();
-    let shift = geo.h - term.radius();
-    let t = &mut w.t[..n_t - 1 + MMA_N];
-    for (c, tc) in t.iter_mut().enumerate() {
-        let base = (shift + c) * geo.s + shift;
-        let col = &w.xt[base..base + n_t - 1 + MMA_M];
-        let mut s = [0.0f64; MMA_M];
-        for (&uk, x) in term.u.iter().zip(col.windows(MMA_M)) {
-            for (sp, &xp) in s.iter_mut().zip(x) {
-                *sp += uk * xp;
-            }
-        }
-        *tc = s;
-    }
-    ctx.cuda_flops((2 * n_t * MMA_M * geo.s) as u64 * issue_overhead);
-    for (q, acc_q) in acc.iter_mut().enumerate() {
-        let mut s = [0.0f64; MMA_M];
-        for (&vk, tc) in term.v.iter().zip(&t[q..q + n_t]) {
-            for (sp, &tp) in s.iter_mut().zip(tc) {
-                *sp += vk * tp;
-            }
-        }
-        for (a, sp) in acc_q.iter_mut().zip(s) {
-            *a += sp;
-        }
-    }
-    ctx.cuda_flops((2 * n_t * MMA_M * MMA_N + MMA_M * MMA_N) as u64 * issue_overhead);
-}
-
 /// Dense reference for tests: directly evaluate `(U X V)[p][q] =
 /// Σ_{i,j} u_i X[p+shift+i][q+shift+j] v_j` from a dense tile.
 pub fn rdg_reference(tile: &WeightMatrix, term: &RankOneTerm, h: usize) -> [[f64; MMA_N]; MMA_M] {
@@ -873,7 +817,6 @@ pub fn rdg_reference(tile: &WeightMatrix, term: &RankOneTerm, h: usize) -> [[f64
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::decompose;
 
     fn random_tile(s: usize, seed: u64) -> (SharedTile, WeightMatrix) {
         let mut tile = SharedTile::new(s, s);
@@ -1035,82 +978,6 @@ mod tests {
             }
         }
         assert_eq!(ctx_a.counters.shared_load_requests, ctx_b.counters.shared_load_requests);
-    }
-
-    #[test]
-    fn cuda_path_matches_tcu_path() {
-        let geo = RdgGeometry::for_radius(3);
-        let (tile, _) = random_tile(geo.s, 11);
-        let k = stencil_core::kernels::box_2d49p();
-        let d = decompose::decompose(k.weights_2d(), 1e-12);
-
-        let mut ctx_tcu = SimContext::new();
-        let x = XFragments::load(&mut ctx_tcu, &tile, geo);
-        let mut acc = FragAcc::zero();
-        for t in &d.terms {
-            acc = rdg_apply_term(&mut ctx_tcu, &x, t, true, acc);
-        }
-        apply_pointwise(&mut ctx_tcu, &x, d.pointwise, &mut acc);
-
-        let mut ctx_cuda = SimContext::new();
-        let mut w = BandWindow::new();
-        w.load_at(&mut ctx_cuda, &tile, geo, 0, 0);
-        let mut acc_cuda = [[0.0; MMA_M]; MMA_N];
-        for t in &d.terms {
-            rdg_apply_term_scalar(&mut ctx_cuda, &mut w, t, CUDA_RDG_ISSUE_OVERHEAD, &mut acc_cuda);
-        }
-        apply_pointwise_band(&mut ctx_cuda, &w, d.pointwise, &mut acc_cuda);
-
-        for p in 0..MMA_M {
-            for q in 0..MMA_N {
-                assert!((acc.get(p, q) - acc_cuda[q][p]).abs() < 1e-12);
-            }
-        }
-        assert_eq!(ctx_cuda.counters.mma_ops, 0);
-        assert!(ctx_cuda.counters.cuda_flops > 0);
-        assert_eq!(ctx_tcu.counters.mma_ops, 3 * geo.mma_per_term());
-    }
-
-    #[test]
-    fn simd_path_is_bit_identical_to_cuda_path_at_one_seventh_the_overhead() {
-        // the two scalar backends share one evaluator: values match to the
-        // bit and only the issue-overhead multiplier differs
-        for h in [1usize, 3, 4] {
-            let geo = RdgGeometry::for_radius(h);
-            let (tile, _) = random_tile(geo.s, 600 + h as u64);
-            let term = RankOneTerm::new(
-                vec![0.25; 2 * h + 1],
-                (0..2 * h + 1).map(|i| 0.5 + 0.125 * i as f64).collect(),
-            );
-            let run = |overhead: u64| {
-                let mut ctx = SimContext::new();
-                let mut w = BandWindow::new();
-                w.load_at(&mut ctx, &tile, geo, 0, 0);
-                let mut acc = [[0.0; MMA_M]; MMA_N];
-                rdg_apply_term_scalar(&mut ctx, &mut w, &term, overhead, &mut acc);
-                (ctx, acc)
-            };
-            let (ctx_cuda, acc_cuda) = run(CUDA_RDG_ISSUE_OVERHEAD);
-            let (ctx_simd, acc_simd) = run(SIMD_RDG_ISSUE_OVERHEAD);
-
-            for p in 0..MMA_M {
-                for q in 0..MMA_N {
-                    assert_eq!(
-                        acc_simd[q][p].to_bits(),
-                        acc_cuda[q][p].to_bits(),
-                        "h={h} ({p},{q})"
-                    );
-                }
-            }
-            // identical FLOP count, scaled by 2 instead of 14
-            assert_eq!(
-                ctx_simd.counters.cuda_flops * CUDA_RDG_ISSUE_OVERHEAD,
-                ctx_cuda.counters.cuda_flops * SIMD_RDG_ISSUE_OVERHEAD,
-                "h={h}"
-            );
-            assert_eq!(ctx_simd.counters.mma_ops, 0);
-            assert_eq!(ctx_simd.counters.shuffle_ops, 0);
-        }
     }
 
     #[test]
@@ -1339,6 +1206,104 @@ mod tests {
         assert!(big.s > BAND_MAX_S);
         let wide = RankOneTerm::new(vec![1.0; 2 * big.h + 1], vec![1.0; 2 * big.h + 1]);
         assert!(!TermFrags::build(&wide, big, true).has_band());
+    }
+
+    /// A full-radius and a centered 3-tap term for radius `h`, weights
+    /// scaled by `1/n_t` so sums stay near 1 at any radius.
+    fn scalar_terms(h: usize) -> [RankOneTerm; 2] {
+        let taps = 2 * h + 1;
+        let scale = 1.0 / taps as f64;
+        [
+            RankOneTerm::new(
+                (0..taps).map(|t| (0.3 + 0.1 * t as f64) * scale).collect(),
+                (0..taps).map(|t| (1.1 - 0.2 * t as f64) * scale).collect(),
+            ),
+            RankOneTerm::new(vec![0.75, 0.0, -0.25], vec![0.5, 1.0, 1.25]),
+        ]
+    }
+
+    /// The scalar strip evaluator's accumulator for `term` on `w`.
+    fn scalar_strip(w: &StripWindow, term: &RankOneTerm, n: usize) -> Vec<f64> {
+        let mut t = vec![0.0; MMA_M * w.width()];
+        let mut acc = vec![0.0; MMA_M * TILE_M * n];
+        rdg_apply_term_strip_scalar(w, term, &mut t, &mut acc);
+        acc
+    }
+
+    #[test]
+    fn cuda_path_matches_tcu_path() {
+        // each sub-tile of a three-sub-tile strip against the dense
+        // reference and the tensor-core fragment chain, up to S = 48 >
+        // BAND_MAX_S
+        const N: usize = 3;
+        for h in [1usize, 3, 4, 20] {
+            let geo = RdgGeometry::for_radius(h);
+            let (tile, _) = random_tile(StripWindow::width_for(geo, N), 700 + h as u64);
+            let w = strip_of(&tile, geo, N);
+            for term in &scalar_terms(h) {
+                let acc = scalar_strip(&w, term, N);
+                for j in 0..N {
+                    let dense = WeightMatrix::from_fn(geo.s + 1, |r, c| {
+                        if r < geo.s && c < geo.s {
+                            tile.peek(r, TILE_M * j + c)
+                        } else {
+                            0.0
+                        }
+                    });
+                    let want = rdg_reference(&dense, term, h);
+                    let mut x = XFragments::empty(geo);
+                    x.load_into_at(&mut SimContext::new(), &tile, geo, 0, TILE_M * j);
+                    let tcu =
+                        rdg_apply_term(&mut SimContext::new(), &x, term, true, FragAcc::zero());
+                    for p in 0..MMA_M {
+                        for q in 0..MMA_N {
+                            let got = acc[p * TILE_M * N + TILE_M * j + q];
+                            let case =
+                                format!("h={h} taps={} sub-tile {j} ({p},{q})", term.u.len());
+                            assert!(
+                                (got - want[p][q]).abs() < 1e-12,
+                                "{case}: {got} vs {}",
+                                want[p][q]
+                            );
+                            assert!((got - tcu.get(p, q)).abs() < 1e-12, "{case}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn simd_path_is_bit_identical_to_cuda_path_at_one_seventh_the_overhead() {
+        // the two scalar backends share one evaluator: values match to the
+        // bit and only the issue-overhead multiplier differs
+        const N: usize = 3;
+        for h in [1usize, 3, 4, 20] {
+            let geo = RdgGeometry::for_radius(h);
+            let (tile, _) = random_tile(StripWindow::width_for(geo, N), 600 + h as u64);
+            let w = strip_of(&tile, geo, N);
+            for term in &scalar_terms(h) {
+                let run = |issue: u64| {
+                    let flops = N as u64 * scalar_term_flops(term, geo, issue);
+                    (scalar_strip(&w, term, N), flops)
+                };
+                let (acc_cuda, cuda_flops) = run(CUDA_RDG_ISSUE_OVERHEAD);
+                let (acc_simd, simd_flops) = run(SIMD_RDG_ISSUE_OVERHEAD);
+                let case = format!("h={h} taps={}", term.u.len());
+                for (a, b) in acc_simd.iter().zip(&acc_cuda) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "{case}");
+                }
+                // identical FLOP count, scaled by 2 instead of 14
+                assert_eq!(
+                    simd_flops * CUDA_RDG_ISSUE_OVERHEAD,
+                    cuda_flops * SIMD_RDG_ISSUE_OVERHEAD
+                );
+                // per sub-tile: step 1 over all S columns, step 2, accumulate
+                let n_t = term.u.len() as u64;
+                let per_sub = 2 * n_t * 8 * geo.s as u64 + 2 * n_t * 64 + 64;
+                assert_eq!(cuda_flops, N as u64 * per_sub * CUDA_RDG_ISSUE_OVERHEAD, "{case}");
+            }
+        }
     }
 
     #[test]

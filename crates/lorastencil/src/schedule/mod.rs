@@ -5,21 +5,24 @@
 //! [`Plan`] of any dimensionality lowers to one [`Schedule`] — a flat
 //! sequence of [`Op`]s describing what one warp does per output tile —
 //! and a single interpreter ([`crate::schedule::Stepper`]) executes that
-//! sequence against a [`Backend`]. The dimensions differ only in their
-//! lowering rule ([`Schedule::lower`]): 1-D is one banded MM, 2-D one
-//! decomposition, and 3-D a superposition of 2-D planes (§IV-C,
-//! Algorithm 2).
+//! sequence, for every backend, with one compiled job loop per host ISA.
+//! The dimensions differ only in their lowering rule
+//! ([`Schedule::lower`]): 1-D is one banded MM, 2-D one decomposition,
+//! and 3-D a superposition of 2-D planes (§IV-C, Algorithm 2). 2-D and
+//! 3-D schedules run one 8-row strip of a job row at a time; the
+//! per-sub-tile walk runs 1-D and the tensor-core fallback (see
+//! `stepper`).
 //!
 //! Lowering is where every [`ExecConfig`] toggle is resolved:
 //!
-//! * `backend` selects the [`Backend`] ([`TcuF64`], [`SparseTcu`],
-//!   [`CudaCore`] or [`SimdCore`]) and whether weight fragments are
-//!   prebuilt — 2:4-compressed for the sparse backend (1-D always
-//!   gathers on the dense tensor cores — its single banded MM *is* the
-//!   algorithm, §IV-C).
+//! * `backend` becomes the [`BackendKind`] and decides whether weight
+//!   fragments are prebuilt — per term 2:4-compressed where possible
+//!   for the sparse backend — or the scalar backends read the raw
+//!   `u`/`v` vectors (1-D always gathers on the dense tensor cores — its
+//!   single banded MM *is* the algorithm, §IV-C).
 //! * `use_bvs` selects the step-2 accumulator split ([`AccSplit`]): the
 //!   BVS permutation is baked into the prebuilt `V` fragments (Eq. 17),
-//!   which is why BVS lives in lowering and not in the backend — at
+//!   which is why BVS lives in lowering and not in the interpreter — at
 //!   interpretation time both splits run the same MMA chain.
 //! * `use_async_copy` becomes the staged [`CopyMode`].
 //! * `allow_fusion` already happened at planning (the fused
@@ -41,7 +44,7 @@ mod scratch;
 mod session;
 mod stepper;
 
-pub use backend::{band_fallbacks, Backend, CudaCore, SimdCore, SparseTcu, TcuF64};
+pub use backend::band_fallbacks;
 pub use params::{ScheduleParams, Staging};
 pub(crate) use planes::plane_extents;
 pub use planes::{grid_to_planes, planes_to_grid};
@@ -156,7 +159,7 @@ pub enum AccSplit {
     Shuffle,
 }
 
-/// How the backend's accumulators fold into the tile's output values.
+/// How the accumulators fold into the tile's output values.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccFold {
     /// The MMA accumulator fragment is the whole result (1-D, 2-D TCU).
@@ -169,24 +172,26 @@ pub enum AccFold {
     Vals,
 }
 
-/// Which backend interprets the compute ops.
+/// Which device the compute ops are modeled on: a lowering result that
+/// the term prebuild, the span names, the scalar issue charge and code
+/// generation read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BackendKind {
-    /// Simulated FP64 tensor cores ([`TcuF64`]).
+    /// Simulated FP64 tensor cores.
     TcuF64,
-    /// 2:4 structured-sparse tensor cores ([`SparseTcu`]): compressible
-    /// terms issue `mma.sp`, the rest fall back to the dense chain.
+    /// 2:4 structured-sparse tensor cores: compressible terms issue
+    /// `mma.sp`, the rest fall back to the dense chain.
     SparseTcu,
-    /// Scalar CUDA-core ablation path ([`CudaCore`]).
+    /// Scalar CUDA-core ablation path (Fig. 9 "RDG w/o TCU").
     CudaCore,
-    /// Tuned SIMD path ([`SimdCore`]): the scalar evaluator at the SIMD
-    /// issue charge.
+    /// Tuned SIMD path: the scalar evaluator at the SIMD issue charge.
     SimdCore,
 }
 
-/// One rank-1 term as lowered: the term itself (the scalar backends
-/// and the CUDA listing emitter read the raw `u`/`v` vectors) plus the
-/// prebuilt weight fragments when the tensor-core backend is selected.
+/// One rank-1 term as lowered: the term itself (the scalar strip
+/// evaluator and the CUDA listing emitter read the raw `u`/`v` vectors)
+/// plus the prebuilt weight fragments when a tensor-core backend is
+/// selected.
 #[derive(Debug, Clone)]
 pub struct LoweredTerm {
     /// The rank-1 factor pair.
@@ -236,10 +241,10 @@ pub struct Schedule {
     pub terms: Vec<LoweredTerm>,
     /// The 1-D banded `V` fragments (empty unless `dims == 1`).
     pub v1d: Vec<tcu_sim::FragB>,
-    /// Whether the tensor-core terms carry band tables, so 2-D/3-D
-    /// schedules run on strips: derived from the lowered terms (every
-    /// term shares the geometry, `S ≤ BAND_MAX_S`), never chosen.
-    pub(crate) band: bool,
+    /// Whether the schedule runs on strips: 2-D/3-D, and on the tensor
+    /// cores every term carries band tables (`S ≤ BAND_MAX_S`). Derived
+    /// from the lowering, never chosen.
+    pub(crate) on_strips: bool,
 }
 
 impl Schedule {
@@ -290,7 +295,7 @@ impl Schedule {
             ops: Vec::new(),
             terms: Vec::new(),
             v1d: Vec::new(),
-            band: false,
+            on_strips: false,
         };
         match &plan.kind {
             PlanKind::D1 { seg_len } => sched.lower_1d(*seg_len),
@@ -319,15 +324,16 @@ impl Schedule {
                 sched.v1d = build_v_frags(plan.exec_kernel.weights_1d(), sched.seg_len);
             }
         }
-        // every term shares the geometry, so all have band tables or none
-        sched.band =
-            sched.terms.iter().any(|lt| lt.frags.as_ref().is_some_and(TermFrags::has_band));
+        // the scalar terms need no tables; every tensor-core term shares
+        // the geometry, so all have band tables or none
+        sched.on_strips = dims >= 2
+            && sched.terms.iter().all(|lt| lt.frags.as_ref().is_none_or(TermFrags::has_band));
         sched
     }
 
     /// Drop every term's band tables, so the interpreter runs the
     /// lane-exact per-sub-tile fragment walk throughout (the strip-vs-fragment
-    /// differential tests' reference).
+    /// differential tests' reference; tensor-core schedules only).
     #[cfg(test)]
     pub(crate) fn drop_band_tables(&mut self) {
         for lt in &mut self.terms {
@@ -335,7 +341,7 @@ impl Schedule {
                 tf.drop_band();
             }
         }
-        self.band = false;
+        self.on_strips = false;
     }
 
     /// 1-D rule (§IV-C): a 1-D stencil has no dimension residue, so the

@@ -13,39 +13,45 @@
 //! output points (one modeled thread block). The interpreter evaluates
 //! jobs in one of two ways:
 //!
-//! * **Strips** (tensor-core 2-D and 3-D schedules with band tables).
-//!   A *job row* is every job with the same `(z, r0)`; it spans the
-//!   plane's width. The interpreter walks the op list once per 8-row
-//!   strip of the row: each `Stage` stages the union of the strip's
-//!   sub-tile S×S windows once, row-major, and each term's step 1 runs
-//!   once across the strip, shared by horizontally adjacent sub-tiles;
-//!   step 2, the tip, the point-wise planes and the fold follow in op
-//!   order and write straight to the output. Every element keeps the
-//!   fragment chain's operation sequence (see `rdg_apply_term_strip`).
-//!   Nothing is charged while evaluating: each job's counters come from
-//!   the closed forms of what the per-sub-tile walk below charges
-//!   ([`StripCharges`]). A job row whose staged input the strip
-//!   evaluator cannot reproduce bit for bit — a non-finite value
+//! * **Strips** (every 2-D and 3-D schedule, on all four backends,
+//!   unless `S > BAND_MAX_S` on the tensor cores). A *job row* is every
+//!   job with the same `(z, r0)`; it spans the plane's width. The
+//!   interpreter walks the op list once per 8-row strip of the row:
+//!   each `Stage` stages the union of the strip's sub-tile S×S windows
+//!   once, row-major, and each term's step 1 runs once across the strip,
+//!   shared by horizontally adjacent sub-tiles; step 2, the tip, the
+//!   point-wise planes and the fold follow in op order and write
+//!   straight to the output. A tensor-core element keeps the fragment
+//!   chain's operation sequence (`rdg_apply_term_strip`); a scalar one
+//!   the scalar chain's (`rdg_apply_term_strip_scalar`). Nothing is
+//!   charged while evaluating: each job's counters come from the closed
+//!   forms of what the modeled device is charged per sub-tile
+//!   ([`StripCharges`]). A tensor-core job row whose staged input the
+//!   strip evaluator cannot reproduce bit for bit — a non-finite value
 //!   anywhere in a staged strip, padding included, or a term whose `T`
-//!   could overflow — runs the per-sub-tile walk instead.
-//! * **The per-sub-tile walk** (1-D, the scalar backends, and the
-//!   tensor-core fallback). The interpreter walks the warp program once
-//!   per 8×8 **sub-tile** of a job. Macro tiles stage one large shared
-//!   window per input plane and memoize which plane each shared slot
-//!   holds, so sub-tiles after the first skip re-staging whenever the
-//!   slot still matches — under [`Staging::Double`] two slots ping-pong,
-//!   letting the next plane's halo loads overlap the live slot's MMA
-//!   chain.
+//!   could overflow — runs the per-sub-tile walk instead. The scalar
+//!   chains form every product, so they need no such check.
+//! * **The per-sub-tile walk** (1-D, `S > BAND_MAX_S` and the
+//!   tensor-core fallback: the lane-exact fragment chain only). The
+//!   interpreter walks the warp program once per 8×8 **sub-tile** of a
+//!   job. Macro tiles stage one large shared window per input plane and
+//!   memoize which plane each shared slot holds, so sub-tiles after the
+//!   first skip re-staging whenever the slot still matches — under
+//!   [`Staging::Double`] two slots ping-pong, letting the next plane's
+//!   halo loads overlap the live slot's MMA chain.
 //!
 //! Sub-tile boundaries stay on multiples of 8, so the global sub-tile set
 //! (and with it every Eq. 12/13/16 counter and every FP operation order)
 //! is identical for every tile size and for both ways.
 
-use super::backend::{Backend, CudaCore, SimdCore, SparseTcu, TcuF64};
+use super::backend::WalkAcc;
 use super::scratch::{with_tile_scratch, StripScratch, TileScratch};
-use super::{plane_extents, AccFold, BackendKind, Op, Schedule, ScheduleParams, Staging};
+use super::{plane_extents, AccFold, LoweredTerm, Op, Schedule, ScheduleParams, Staging};
 use crate::plan::{ExecConfig, Plan};
-use crate::rdg::{apply_pointwise_strip, rdg_apply_term_strip, StripWindow, TermFrags, TILE_M};
+use crate::rdg::{
+    apply_pointwise_strip, rdg_apply_term_strip, rdg_apply_term_strip_scalar, scalar_term_flops,
+    StripWindow, TermFrags, TILE_M,
+};
 use foundation::par::*;
 use std::convert::Infallible;
 use stencil_core::tiling::{clamped_span, tiles_1d, tiles_2d, window_origin, Tile2D};
@@ -80,25 +86,15 @@ fn plane_at(planes: &[GlobalArray], z: usize, dz: usize, h: usize) -> &GlobalArr
     &planes[(z as isize + dz as isize - h as isize).rem_euclid(planes.len() as isize) as usize]
 }
 
-/// Whether the schedule runs on strips: 2-D/3-D with band tables, which
-/// only the tensor-core backends' terms carry. Read at apply time, so a
-/// schedule whose band tables were dropped walks its sub-tiles.
-#[inline]
-fn on_strips(sched: &Schedule) -> bool {
-    sched.dims >= 2 && sched.band
-}
-
 /// Interpret one unit of work — a job row on strips, or a run of jobs on
 /// the per-sub-tile walk — writing the jobs' counters into `slots`
 /// (`slots[k]` is job `first + k`).
 ///
 /// This is the portable instance of the loop; [`HostIsa`] compiles it
-/// again for wider vector units. Each backend gets its own instance
-/// ([`HostIsa::unit_fn`]), so a sub-tile dispatches on no backend and one
-/// backend's code never shares a compiled loop with another's.
+/// again for wider vector units. Every backend runs the same instance.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn run_unit<B: Backend>(
+fn run_unit(
     planes: &[GlobalArray],
     sched: &Schedule,
     first: usize,
@@ -108,12 +104,7 @@ fn run_unit<B: Backend>(
     scratch: &mut TileScratch,
     slots: &mut [PerfCounters],
 ) {
-    // the scalar backends' terms carry no band tables; the constant keeps
-    // the strip loop out of their instances
-    if !B::WINDOW_ONLY
-        && on_strips(sched)
-        && run_strips(planes, sched, jobs, base, cols, &mut scratch.strip)
-    {
+    if sched.on_strips && run_strips(planes, sched, jobs, base, cols, &mut scratch.strip) {
         let charges = StripCharges::of(sched);
         for (&(_, t), slot) in jobs.iter().zip(slots.iter_mut()) {
             *slot = charges.job(sched, t);
@@ -121,15 +112,16 @@ fn run_unit<B: Backend>(
         return;
     }
     for (k, (&(z, t), slot)) in jobs.iter().zip(slots.iter_mut()).enumerate() {
-        *slot = run_job::<B>(planes, sched, first + k, z, t, base, cols, scratch);
+        *slot = run_job(planes, sched, first + k, z, t, base, cols, scratch);
     }
 }
 
 /// Evaluate one job row strip by strip and write its output rows.
-/// Returns `false` as soon as a staged strip fails the band check — a
-/// non-finite value anywhere in the window, or a term whose `T` could
-/// overflow — with the row's output partly written and nothing charged;
-/// the caller then re-runs the whole row on the per-sub-tile walk.
+/// Returns `false` as soon as a staged strip fails the tensor-core band
+/// check — a non-finite value anywhere in the window, or a term whose
+/// `T` could overflow — with the row's output partly written and nothing
+/// charged; the caller then re-runs the whole row on the per-sub-tile
+/// walk. A scalar schedule always returns `true`.
 #[inline(always)]
 fn run_strips(
     planes: &[GlobalArray],
@@ -141,6 +133,8 @@ fn run_strips(
 ) -> bool {
     let (z, row) = jobs[0];
     let (h, geo) = (sched.h, sched.geo);
+    let scalar = sched.backend.scalar_issue().is_some();
+    let terms_span = sched.backend.terms_span();
     // the row's sub-tiles span the plane: columns 0..8n of the accumulators
     let n = cols.div_ceil(TILE_M);
     let aw = TILE_M * n;
@@ -161,8 +155,13 @@ fn run_strips(
                     let _rdg_gather = foundation::obs::span("rdg_gather");
                     let w = &mut st.windows[slot as usize];
                     stage_strip(plane_at(planes, z, dz, h), window_origin(r0, h), sched, n, w);
-                    if !w.finite() {
-                        return false;
+                    // only the tensor-core evaluator skips products, so
+                    // only it needs the window's magnitude
+                    if !scalar {
+                        w.seal();
+                        if !w.finite() {
+                            return false;
+                        }
                     }
                     i += 1;
                 }
@@ -185,25 +184,42 @@ fn run_strips(
                         None
                     };
                     let w = &st.windows[cur];
-                    if !chain.iter().all(|op| w.admits(chain_frags(sched, op))) {
-                        return false;
-                    }
-                    {
-                        let _mma_batch = foundation::obs::span("mma_batch");
+                    if scalar {
+                        // the scalar chain and its tip run under one span
+                        let _terms = foundation::obs::span(terms_span);
                         for op in chain {
-                            rdg_apply_term_strip(w, chain_frags(sched, op), &mut st.t, &mut st.acc);
+                            let term = &chain_term(sched, op).term;
+                            rdg_apply_term_strip_scalar(w, term, &mut st.t, &mut st.acc);
                         }
-                    }
-                    if let Some(pw) = pw {
-                        let _pointwise = foundation::obs::span("pointwise");
-                        apply_pointwise_strip(w, pw, &mut st.acc);
+                        if let Some(pw) = pw {
+                            apply_pointwise_strip(w, pw, &mut st.acc);
+                        }
+                    } else {
+                        if !chain.iter().all(|op| w.admits(chain_frags(sched, op))) {
+                            return false;
+                        }
+                        {
+                            let _terms = foundation::obs::span(terms_span);
+                            for op in chain {
+                                let tf = chain_frags(sched, op);
+                                rdg_apply_term_strip(w, tf, &mut st.t, &mut st.acc);
+                            }
+                        }
+                        if let Some(pw) = pw {
+                            let _pointwise = foundation::obs::span("pointwise");
+                            apply_pointwise_strip(w, pw, &mut st.acc);
+                        }
                     }
                 }
                 Op::PointwisePlane { dz, weight } => {
+                    // `Merge` keeps the point-wise planes apart from the
+                    // tensor-core accumulator until the fold; `Vals` has
+                    // one accumulator
+                    let dst = if sched.fold == AccFold::Merge { &mut st.vals } else { &mut st.acc };
                     let src = plane_at(planes, z, dz, h).as_slice();
                     for p in 0..TILE_M.min(row.h - sr) {
                         let xs = &src[(r0 + p) * cols..][..cols];
-                        for (v, &x) in st.vals[p * aw..][..cols].iter_mut().zip(xs) {
+                        for (v, &x) in dst[p * aw..][..cols].iter_mut().zip(xs) {
                             *v += weight * x;
                         }
                     }
@@ -233,16 +249,22 @@ fn run_strips(
     true
 }
 
-/// The prebuilt fragments of an [`Op::MmaChain`]'s term.
+/// The lowered term of an [`Op::MmaChain`].
+#[inline(always)]
+fn chain_term<'a>(sched: &'a Schedule, op: &Op) -> &'a LoweredTerm {
+    let Op::MmaChain { term } = *op else { unreachable!("a chain holds only MmaChain ops") };
+    &sched.terms[term as usize]
+}
+
+/// The prebuilt fragments of a tensor-core [`Op::MmaChain`]'s term.
 #[inline(always)]
 fn chain_frags<'a>(sched: &'a Schedule, op: &Op) -> &'a TermFrags {
-    let Op::MmaChain { term } = *op else { unreachable!("a chain holds only MmaChain ops") };
-    sched.terms[term as usize].frags.as_ref().expect("strips run on prebuilt fragments")
+    chain_term(sched, op).frags.as_ref().expect("tensor-core terms carry prebuilt fragments")
 }
 
 /// Stage the strip of `n` sub-tiles whose windows start at grid row
 /// `r_origin` and column `-h` into `w`, wrapping periodically in both
-/// directions as the per-sub-tile walk's staging does, then seal it.
+/// directions as the per-sub-tile walk's staging does.
 #[inline(always)]
 fn stage_strip(
     src: &GlobalArray,
@@ -268,16 +290,17 @@ fn stage_strip(
             c = 0;
         }
     }
-    w.seal();
 }
 
-/// The counters a strip-evaluated job charges: exactly what the
-/// per-sub-tile walk's primitives charge the same job, from their closed
-/// forms. Counters are `u64` sums, so the order strips visit the jobs in
-/// cannot move them.
+/// The counters a strip-evaluated job charges: exactly what the modeled
+/// device is charged for the same job's sub-tiles — for a tensor-core
+/// job, what the per-sub-tile walk's primitives charge — from their
+/// closed forms. Counters are `u64` sums, so the order strips visit the
+/// jobs in cannot move them.
 struct StripCharges {
     /// Charged once per 8×8 sub-tile: every `FragBuild`'s `S/4 × S/8`
-    /// fragment loads, every term's chain ([`TermFrags::charge`]) and
+    /// fragment loads, every term's chain ([`TermFrags::charge`] on the
+    /// tensor cores, [`scalar_term_flops`] on the scalar backends) and
     /// 128 CUDA-core FLOPs per nonzero tip.
     per_sub: PerfCounters,
     /// `Stage`s that stage in a job's first sub-tile (all of them) and in
@@ -305,7 +328,13 @@ impl StripCharges {
                 Op::FragBuild { .. } => {
                     per_sub.shared_load_requests += (geo.row_blocks() * geo.col_blocks()) as u64
                 }
-                Op::MmaChain { .. } => chain_frags(sched, op).charge(geo, &mut per_sub),
+                Op::MmaChain { .. } => match sched.backend.scalar_issue() {
+                    Some(issue) => {
+                        per_sub.cuda_flops +=
+                            scalar_term_flops(&chain_term(sched, op).term, geo, issue)
+                    }
+                    None => chain_frags(sched, op).charge(geo, &mut per_sub),
+                },
                 Op::Pointwise { weight } if weight != 0.0 => {
                     per_sub.cuda_flops += 2 * (MMA_M * MMA_N) as u64
                 }
@@ -366,12 +395,12 @@ impl StripCharges {
 }
 
 /// The per-sub-tile walk of one macro job: loop its 8×8 sub-tiles
-/// (64-point sub-chunks for 1-D), compute each with a stack-local
-/// backend, and write the disjoint output bands directly. One tile-local
-/// context accumulates the whole job's counters.
+/// (64-point sub-chunks for 1-D), compute each with stack-local
+/// accumulators, and write the disjoint output bands directly. One
+/// tile-local context accumulates the whole job's counters.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn run_job<B: Backend>(
+fn run_job(
     planes: &[GlobalArray],
     sched: &Schedule,
     job_i: usize,
@@ -389,8 +418,7 @@ fn run_job<B: Backend>(
         let mut off = 0;
         while off < t.w {
             let sub = Tile2D { r0: 0, c0: t.c0 + off, h: 1, w: full.min(t.w - off) };
-            let vals =
-                subtile_on::<B>(planes, sched, z, t, sub, job_i, &mut stage, &mut ctx, scratch);
+            let vals = subtile(planes, sched, z, t, sub, job_i, &mut stage, &mut ctx, scratch);
             for (r, row) in vals.iter().enumerate() {
                 let cnt = clamped_span(MMA_N * r, MMA_N, sub.w);
                 if cnt == 0 {
@@ -415,8 +443,7 @@ fn run_job<B: Backend>(
             while sc < t.w {
                 let sw = TILE_M.min(t.w - sc);
                 let sub = Tile2D { r0: t.r0 + sr, c0: t.c0 + sc, h: sh, w: sw };
-                let vals =
-                    subtile_on::<B>(planes, sched, z, t, sub, job_i, &mut stage, &mut ctx, scratch);
+                let vals = subtile(planes, sched, z, t, sub, job_i, &mut stage, &mut ctx, scratch);
                 for (p, row) in vals.iter().enumerate().take(sub.h) {
                     let off = (sub.r0 + p) * cols + sub.c0;
                     // SAFETY: jobs (and their sub-tiles) write disjoint
@@ -433,10 +460,10 @@ fn run_job<B: Backend>(
     ctx.counters
 }
 
-/// One sub-tile's op walk with a stack-local backend (no allocation).
+/// One sub-tile's op walk with stack-local accumulators (no allocation).
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn subtile_on<B: Backend>(
+fn subtile(
     planes: &[GlobalArray],
     sched: &Schedule,
     z: usize,
@@ -447,7 +474,7 @@ fn subtile_on<B: Backend>(
     ctx: &mut SimContext,
     scratch: &mut TileScratch,
 ) -> [[f64; MMA_N]; TILE_M] {
-    let mut backend = B::default();
+    let mut acc = WalkAcc::new();
     let h = sched.h;
     let mut i = 0;
     while i < sched.ops.len() {
@@ -495,13 +522,7 @@ fn subtile_on<B: Backend>(
             Op::FragBuild { slot } => {
                 let eff = eff_slot(sched, job_i, slot);
                 let (tile, r_off, c_off) = (&scratch.tiles[eff], sub.r0 - job.r0, sub.c0 - job.c0);
-                // the scalar backends read only the transposed window, the
-                // tensor-core ones only the fragments
-                if B::WINDOW_ONLY {
-                    scratch.band.load_at(ctx, tile, sched.geo, r_off, c_off);
-                } else {
-                    scratch.x.load_into_at(ctx, tile, sched.geo, r_off, c_off);
-                }
+                scratch.x.load_into_at(ctx, tile, sched.geo, r_off, c_off);
                 i += 1;
             }
             Op::RdgGather => {
@@ -527,12 +548,12 @@ fn subtile_on<B: Backend>(
                         );
                     }
                 }
-                backend.gather_1d(ctx, &scratch.tiles[0], sched);
+                acc.gather_1d(ctx, &scratch.tiles[0], sched);
                 i += 1;
             }
             Op::MmaChain { term } => {
                 // collect the contiguous chain plus its pyramid tip: one
-                // backend call per decomposition, reusing the X fragments
+                // chain call per decomposition, reusing the X fragments
                 let first = term as usize;
                 let mut end = first + 1;
                 i += 1;
@@ -546,26 +567,12 @@ fn subtile_on<B: Backend>(
                 } else {
                     None
                 };
-                backend.term_chain(
-                    ctx,
-                    &mut scratch.x,
-                    &mut scratch.band,
-                    sched,
-                    &sched.terms[first..end],
-                    pw,
-                );
+                acc.chain(ctx, &scratch.x, sched, &sched.terms[first..end], pw);
             }
             Op::Pointwise { weight } => {
                 // term-less decomposition: still one (empty) chain call so
-                // the backend's phase structure is uniform
-                backend.term_chain(
-                    ctx,
-                    &mut scratch.x,
-                    &mut scratch.band,
-                    sched,
-                    &[],
-                    Some(weight),
-                );
+                // the phase structure is uniform
+                acc.chain(ctx, &scratch.x, sched, &[], Some(weight));
                 i += 1;
             }
             Op::PointwisePlane { dz, weight } => {
@@ -574,10 +581,9 @@ fn subtile_on<B: Backend>(
                 // the kernel center), no shared-memory staging
                 // (Algorithm 2 line 5).
                 let src = plane_at(planes, z, dz, h);
-                let acc_vals = backend.vals_mut();
                 let mut flops = 0u64;
                 let mut span = [0.0f64; MMA_N];
-                for (p, row) in acc_vals.iter_mut().enumerate() {
+                for (p, row) in acc.vals.iter_mut().enumerate() {
                     let r = sub.r0 + p;
                     if r >= src.rows() {
                         continue;
@@ -602,13 +608,13 @@ fn subtile_on<B: Backend>(
             }
         }
     }
-    let vals = backend.finish(sched.fold);
+    let vals = acc.finish(sched.fold);
     // each application advances `fuse_steps` temporal steps of updates
     ctx.points((sub.h * sub.w * sched.fuse_steps) as u64);
     vals
 }
 
-/// A compiled instance of [`run_unit`] for one backend.
+/// A compiled instance of [`run_unit`].
 ///
 /// # Safety
 ///
@@ -626,8 +632,8 @@ type UnitFn = unsafe fn(
 );
 
 /// [`run_unit`] recompiled with extra target features. The loop and
-/// everything beneath it is `#[inline]`, so all of it — strip evaluator,
-/// op walk, backend bodies, RDG term chains, tcu-sim primitives — is
+/// everything beneath it is `#[inline]`, so all of it — strip evaluators,
+/// op walk, walk accumulator, RDG term chains, tcu-sim primitives — is
 /// compiled for the wider vector unit. Rust never contracts `a * b + c`
 /// into an FMA and never reassociates, so vectorization only packs
 /// independent accumulator lanes: every output element keeps its
@@ -638,7 +644,7 @@ macro_rules! unit_instance {
         #[cfg(target_arch = "x86_64")]
         #[target_feature(enable = $feature)]
         #[allow(clippy::too_many_arguments)]
-        fn $name<B: Backend>(
+        fn $name(
             planes: &[GlobalArray],
             sched: &Schedule,
             first: usize,
@@ -648,7 +654,7 @@ macro_rules! unit_instance {
             scratch: &mut TileScratch,
             slots: &mut [PerfCounters],
         ) {
-            run_unit::<B>(planes, sched, first, jobs, base, cols, scratch, slots)
+            run_unit(planes, sched, first, jobs, base, cols, scratch, slots)
         }
     };
 }
@@ -701,29 +707,19 @@ impl HostIsa {
         HostIsa::ALL.into_iter().find(|isa| isa.supported()).unwrap_or(HostIsa::Portable)
     }
 
-    /// The instance's job loop for `backend`.
+    /// The instance's job loop.
     ///
     /// # Panics
     ///
     /// Panics if the host lacks the instance's target features.
-    fn unit_fn(self, backend: BackendKind) -> UnitFn {
+    fn unit_fn(self) -> UnitFn {
         assert!(self.supported(), "host cannot run the {} job loop", self.name());
-        match backend {
-            BackendKind::TcuF64 => self.unit_fn_on::<TcuF64>(),
-            BackendKind::SparseTcu => self.unit_fn_on::<SparseTcu>(),
-            BackendKind::CudaCore => self.unit_fn_on::<CudaCore>(),
-            BackendKind::SimdCore => self.unit_fn_on::<SimdCore>(),
-        }
-    }
-
-    /// The instance's job loop monomorphized for backend `B`.
-    fn unit_fn_on<B: Backend>(self) -> UnitFn {
         match self {
             #[cfg(target_arch = "x86_64")]
-            HostIsa::Avx512f => run_unit_avx512f::<B>,
+            HostIsa::Avx512f => run_unit_avx512f,
             #[cfg(target_arch = "x86_64")]
-            HostIsa::Avx2 => run_unit_avx2::<B>,
-            _ => run_unit::<B>,
+            HostIsa::Avx2 => run_unit_avx2,
+            _ => run_unit,
         }
     }
 }
@@ -821,7 +817,7 @@ impl Workspace {
         planes: &[GlobalArray],
         out: &mut [GlobalArray],
     ) -> PerfCounters {
-        let unit = isa.unit_fn(self.sched.backend);
+        let unit = isa.unit_fn();
         let _apply = foundation::obs::span("apply");
         let cols = planes[0].cols();
         self.slots.clear();
@@ -833,7 +829,7 @@ impl Workspace {
             let sinks: &[usize] = &self.sinks;
             let jobs = &self.jobs;
             let sched = &self.sched;
-            let per_unit = if on_strips(sched) { self.row_len } else { 1 };
+            let per_unit = if sched.on_strips { self.row_len } else { 1 };
             for_each_index(jobs.len() / per_unit, |u| {
                 let (lo, hi) = (u * per_unit, (u + 1) * per_unit);
                 let base = sinks[jobs[lo].0] as *mut f64;

@@ -162,8 +162,9 @@ pub struct PlanCache {
     /// the same shape twice (the thundering herd the single-flight gate
     /// absorbed).
     pub coalesced: AtomicU64,
-    /// Waiters that outlived [`TAKEOVER`] and planned redundantly (the
-    /// deadlock backstop firing — should stay 0 in healthy operation).
+    /// Waiters that outlived the 250 ms `TAKEOVER` wait and planned
+    /// redundantly (the deadlock backstop firing — should stay 0 in
+    /// healthy operation).
     pub takeovers: AtomicU64,
 }
 
@@ -206,7 +207,7 @@ impl PlanCache {
     /// wait no notify can ever end. No path does that today: every job
     /// runs on its connection's thread, and pool lanes only execute
     /// pieces of one job. The backstop guards against such a path being
-    /// added: a waiter that outlives [`TAKEOVER`] stops waiting and
+    /// added: a waiter that outlives `TAKEOVER` (250 ms) stops waiting and
     /// plans redundantly (a no-op permit). Redundant planning is wasted
     /// work, never a wrong answer: the tuner's bit-identity gate keeps
     /// every winner value- and invariant-counter-neutral.
@@ -337,8 +338,9 @@ impl PlanCache {
         entry
     }
 
-    /// Park a session for reuse. Beyond [`POOL_MAX`] the session is
-    /// dropped — bounded memory beats a marginally warmer pool.
+    /// Park a session for reuse. Beyond `POOL_MAX` (16) parked sessions
+    /// the session is dropped — bounded memory beats a marginally warmer
+    /// pool.
     pub fn checkin(&self, entry: &CacheEntry, session: ExecSession) {
         let mut pool = entry.pool.lock().unwrap();
         if pool.len() < POOL_MAX {

@@ -16,13 +16,18 @@
 //!   split pays `2` shuffles per half, i.e. `T · t · 4·cb`.
 //! * **Eq. 13** — ConvStencil: `2⌈(2h+1)²/4⌉` fragments (= MMAs) per
 //!   `8×(2h+2)` output chunk, `64/(8(2h+2))` chunks per 8×8 tile.
+//! * **CUDA-core FLOPs** — per tile, `(2·n_t·8·S + 2·n_t·64 + 64)·ISSUE`
+//!   for each `n_t`-tap term on a scalar backend (`ISSUE` = 14 for
+//!   `CudaCore`, 2 for `SimdCore`, the tensor cores 0), 128 for each
+//!   nonzero pyramid tip on every backend, and 2 per output point for
+//!   each single-weight 3-D plane; 0 for 1-D.
 //!
 //! Temporal fusion splits `iterations` into `⌊iters/f⌋` applications of
 //! the fused kernel (radius `h·f`) plus `iters mod f` base applications;
 //! both sides of the split use the same per-application forms.
 
 use baselines::ConvStencil;
-use lorastencil::rdg::term_is_sparse;
+use lorastencil::rdg::{term_is_sparse, CUDA_RDG_ISSUE_OVERHEAD, SIMD_RDG_ISSUE_OVERHEAD};
 use lorastencil::{fusion, Decomposition, DeviceBackend, ExecConfig, LoRaStencil, Plan, PlaneOp};
 use stencil_core::{StencilExecutor, StencilKernel};
 use tcu_sim::PerfCounters;
@@ -48,6 +53,9 @@ pub struct Prediction {
     pub shared_load_requests: u64,
     /// Cross-lane shuffles: 0 under BVS, `t · 4·cb` per tile otherwise.
     pub shuffle_ops: u64,
+    /// CUDA-core FLOPs: the scalar backends' term chains (times their
+    /// issue overhead), the pyramid tips and the single-weight 3-D planes.
+    pub cuda_flops: u64,
     /// Output bytes: every application writes the full grid once.
     pub global_bytes_written: u64,
     /// `iterations × grid points`, independent of fusion.
@@ -63,12 +71,25 @@ impl Prediction {
             ("metadata_loads", self.metadata_loads, m.metadata_loads),
             ("shared_load_requests", self.shared_load_requests, m.shared_load_requests),
             ("shuffle_ops", self.shuffle_ops, m.shuffle_ops),
+            ("cuda_flops", self.cuda_flops, m.cuda_flops),
             ("global_bytes_written", self.global_bytes_written, m.global_bytes_written),
             ("points_updated", self.points_updated, m.points_updated),
         ]
         .into_iter()
         .filter(|(_, want, got)| want != got)
         .collect()
+    }
+
+    /// `self + k · app` over the per-application fields (everything but
+    /// the bytes written and the points updated).
+    fn add_apps(mut self, k: u64, app: &Prediction) -> Self {
+        self.mma_ops += k * app.mma_ops;
+        self.mma_sp_ops += k * app.mma_sp_ops;
+        self.metadata_loads += k * app.metadata_loads;
+        self.shared_load_requests += k * app.shared_load_requests;
+        self.shuffle_ops += k * app.shuffle_ops;
+        self.cuda_flops += k * app.cuda_flops;
+        self
     }
 }
 
@@ -105,39 +126,66 @@ fn tile_term_counts(plan: &Plan, d: &Decomposition) -> (u64, u64, u64) {
     }
 }
 
-/// Per-application counters of the 2-D executor under `plan`:
-/// `(mma, mma_sp, metadata, loads, shuffles)`.
-fn app_2d(plan: &Plan, tiles: u64) -> (u64, u64, u64, u64, u64) {
-    let geo = plan.geo;
-    let (rb, cb) = (geo.row_blocks() as u64, geo.col_blocks() as u64);
-    let terms = plan.decomp().num_terms() as u64;
-    let loads = tiles * rb * cb;
-    let (mma, sp, meta) = tile_term_counts(plan, plan.decomp());
-    let shuffles =
-        if plan.config.use_tcu() && !plan.config.use_bvs { tiles * terms * 4 * cb } else { 0 };
-    (tiles * mma, tiles * sp, tiles * meta, loads, shuffles)
+/// Per-tile CUDA-core FLOPs of one decomposition under the plan's
+/// backend: each term's scalar chain, `(2·n_t·8·S + 2·n_t·64 + 64)`
+/// times the backend's issue overhead (none on the tensor cores), plus
+/// 128 for a nonzero pyramid tip on every backend.
+fn tile_cuda_flops(plan: &Plan, d: &Decomposition) -> u64 {
+    let issue = match plan.config.backend {
+        DeviceBackend::CudaCore => CUDA_RDG_ISSUE_OVERHEAD,
+        DeviceBackend::SimdCore => SIMD_RDG_ISSUE_OVERHEAD,
+        DeviceBackend::TcuF64 | DeviceBackend::SparseTcu => 0,
+    };
+    let s = plan.geo.s as u64;
+    let terms: u64 = d
+        .terms
+        .iter()
+        .map(|t| {
+            let n_t = t.u.len() as u64;
+            (2 * n_t * 8 * s + 2 * n_t * 64 + 64) * issue
+        })
+        .sum();
+    terms + if d.pointwise != 0.0 { 128 } else { 0 }
 }
 
-/// Per-application counters of the 3-D executor under `plan` (per grid,
-/// i.e. summed over the `nz × tiles` jobs).
-fn app_3d(plan: &Plan, jobs: u64) -> (u64, u64, u64, u64, u64) {
+/// Per-tile counters of one decomposition under `plan`.
+fn tile_decomp(plan: &Plan, d: &Decomposition) -> Prediction {
     let geo = plan.geo;
     let (rb, cb) = (geo.row_blocks() as u64, geo.col_blocks() as u64);
-    let (mut mma, mut sp, mut meta, mut loads, mut shuffles) = (0u64, 0u64, 0u64, 0u64, 0u64);
+    let (mma_ops, mma_sp_ops, metadata_loads) = tile_term_counts(plan, d);
+    let shuffle_ops = if plan.config.use_tcu() && !plan.config.use_bvs {
+        d.num_terms() as u64 * 4 * cb
+    } else {
+        0
+    };
+    Prediction {
+        mma_ops,
+        mma_sp_ops,
+        metadata_loads,
+        shared_load_requests: rb * cb,
+        shuffle_ops,
+        cuda_flops: tile_cuda_flops(plan, d),
+        ..Prediction::default()
+    }
+}
+
+/// Per-application counters of the 2-D executor under `plan`.
+fn app_2d(plan: &Plan, tiles: u64) -> Prediction {
+    Prediction::default().add_apps(tiles, &tile_decomp(plan, plan.decomp()))
+}
+
+/// Per-application counters of the 3-D executor under `plan` on a grid
+/// of `points` points (summed over the `nz × tiles` jobs).
+fn app_3d(plan: &Plan, jobs: u64, points: u64) -> Prediction {
+    let mut app = Prediction::default();
     for op in plan.plane_ops() {
-        if let PlaneOp::Rdg(d) = op {
-            let terms = d.num_terms() as u64;
-            loads += rb * cb;
-            let (m, s, md) = tile_term_counts(plan, d);
-            mma += m;
-            sp += s;
-            meta += md;
-            if plan.config.use_tcu() && !plan.config.use_bvs {
-                shuffles += terms * 4 * cb;
-            }
+        match op {
+            PlaneOp::Rdg(d) => app = app.add_apps(jobs, &tile_decomp(plan, d)),
+            PlaneOp::Pointwise(_) => app.cuda_flops += 2 * points,
+            PlaneOp::Skip => {}
         }
     }
-    (mma * jobs, sp * jobs, meta * jobs, loads * jobs, shuffles * jobs)
+    app
 }
 
 /// Closed-form LoRAStencil counters for `kernel` on a grid of `extents`,
@@ -145,15 +193,16 @@ fn app_3d(plan: &Plan, jobs: u64) -> (u64, u64, u64, u64, u64) {
 ///
 /// Valid for every backend: the dense and sparse tensor-core paths
 /// split per Eq. 16 and the 2:4 term predicate; the CUDA-core and SIMD
-/// fallbacks of the 2-D/3-D executors charge no MMAs but the same
-/// fragment loads; the 1-D executor has a single (dense-TCU) MMA path.
+/// backends of the 2-D/3-D executors charge no MMAs but the same
+/// fragment loads, and their term chains as CUDA-core FLOPs; the 1-D
+/// executor has a single (dense-TCU) MMA path and no CUDA-core work.
 ///
 /// Plans resolve through [`Plan::new_tuned`] — the same tuning-DB lookup
 /// the executors make — so a `fuse_override` from an installed DB moves
 /// the fusion split identically in model and measurement. Every other
-/// [`ScheduleParams`] axis (tile extents, staging, MMA batching) is
-/// counter-invariant by construction, so the closed forms need no other
-/// tuning inputs.
+/// [`ScheduleParams`](lorastencil::ScheduleParams) axis (tile extents,
+/// staging, MMA batching) is counter-invariant by construction, so the
+/// closed forms need no other tuning inputs.
 pub fn predict_lora(
     kernel: &StencilKernel,
     extents: &[usize],
@@ -186,36 +235,26 @@ pub fn predict_lora(
             let full = (iterations / plan.fusion) as u64;
             let rem = (iterations % plan.fusion) as u64;
             let tiles = tiles_2d(rows, cols);
-            let (fm, fsp, fmd, fl, fs) = app_2d(&plan, tiles);
-            let (bm, bsp, bmd, bl, bs) = if rem > 0 {
-                app_2d(&Plan::new_tuned(kernel, base_cfg, extents), tiles)
-            } else {
-                (0, 0, 0, 0, 0)
-            };
+            let mut pred = Prediction::default().add_apps(full, &app_2d(&plan, tiles));
+            if rem > 0 {
+                let base = Plan::new_tuned(kernel, base_cfg, extents);
+                pred = pred.add_apps(rem, &app_2d(&base, tiles));
+            }
             Prediction {
-                mma_ops: full * fm + rem * bm,
-                mma_sp_ops: full * fsp + rem * bsp,
-                metadata_loads: full * fmd + rem * bmd,
-                shared_load_requests: full * fl + rem * bl,
-                shuffle_ops: full * fs + rem * bs,
                 global_bytes_written: (full + rem) * (len * 8) as u64,
                 points_updated: (iterations * len) as u64,
+                ..pred
             }
         }
         [nz, ny, nx] => {
             // 3-D is never fused (dimension residue, §IV-C)
             let plan = Plan::new_tuned(kernel, config, extents);
             let jobs = nz as u64 * tiles_2d(ny, nx);
-            let (m, sp, md, l, s) = app_3d(&plan, jobs);
             let apps = iterations as u64;
             Prediction {
-                mma_ops: apps * m,
-                mma_sp_ops: apps * sp,
-                metadata_loads: apps * md,
-                shared_load_requests: apps * l,
-                shuffle_ops: apps * s,
                 global_bytes_written: apps * (len * 8) as u64,
                 points_updated: (iterations * len) as u64,
+                ..Prediction::default().add_apps(apps, &app_3d(&plan, jobs, len as u64))
             }
         }
         _ => unreachable!("extents are 1-, 2- or 3-long"),
@@ -476,6 +515,28 @@ mod tests {
         assert_eq!(pred.mma_sp_ops, 0);
         let m = measure(&k, 16, 16, cfg);
         assert!(pred.compare(&m).is_empty(), "{:?}", pred.compare(&m));
+    }
+
+    /// The scalar backends' CUDA-core FLOPs at the paper's operating
+    /// point: Box2D49P's pyramid terms have 7, 5 and 3 taps, costing
+    /// `Σ(2·n_t·8·16 + 2·n_t·64 + 64) = 5952` FLOPs per tile times 14
+    /// issue ops on CudaCore and 2 on SimdCore (none on the tensor
+    /// cores), and its tip 128 more on every backend.
+    #[test]
+    fn scalar_term_flops_follow_the_closed_form() {
+        let k = kernels::box_2d49p();
+        let tiles = 4;
+        for (backend, issue) in [
+            (DeviceBackend::CudaCore, CUDA_RDG_ISSUE_OVERHEAD),
+            (DeviceBackend::SimdCore, SIMD_RDG_ISSUE_OVERHEAD),
+            (DeviceBackend::TcuF64, 0),
+        ] {
+            let cfg = ExecConfig { backend, allow_fusion: false, ..ExecConfig::full() };
+            let pred = predict_lora(&k, &[16, 16], 1, cfg);
+            assert_eq!(pred.cuda_flops, tiles * (5952 * issue + 128), "{backend:?}");
+            let m = measure(&k, 16, 16, cfg);
+            assert!(pred.compare(&m).is_empty(), "{backend:?}: {:?}", pred.compare(&m));
+        }
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //!
 //! A divergence is reported with the executor label, the max deviation
 //! and a replay command; the prop harness then shrinks the case and
-//! prints the minimal kernel ([`crate::gen::CaseGen::shrink`]).
+//! prints the minimal kernel (the `shrink` of
+//! [`CaseGen`](crate::gen::CaseGen)).
 //!
 //! [`FaultInjector`] wraps any executor and rolls its output one row —
 //! the classic off-by-one halo bug — so the suite can prove the oracle
