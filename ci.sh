@@ -141,6 +141,20 @@ backend_smoke() {
             || { echo "error: $kernel: SIMD output differs from scalar CUDA" >&2; exit 1; }
         echo "   $kernel $size: 4 backends verified, sparse==tcu, simd==cuda"
     done
+    # the natural (no-BVS) accumulator split runs its own step-2 lane
+    # order on the tensor-core strips: verify it end to end, and dense
+    # against sparse byte for byte
+    for spec in "Box-2D49P:96x96" "Heat-3D:8x24x24"; do
+        kernel=${spec%%:*}; size=${spec##*:}
+        for backend in tcu sparse; do
+            $cli run --kernel "$kernel" --size "$size" --iters 2 --verify --config no-bvs \
+                --backend "$backend" --save "target/ci-backend-$backend.bin" >/dev/null \
+                || { echo "error: $kernel no-bvs on backend $backend failed" >&2; exit 1; }
+        done
+        cmp -s target/ci-backend-tcu.bin target/ci-backend-sparse.bin \
+            || { echo "error: $kernel no-bvs: sparse output differs from dense TCU" >&2; exit 1; }
+        echo "   $kernel $size no-bvs: tcu and sparse verified, sparse==tcu"
+    done
     rm -f target/ci-backend-*.bin
 }
 
@@ -318,7 +332,7 @@ step "bounded fuzz (STENCIL_VERIFY_CASES=${STENCIL_VERIFY_CASES:-25})" fuzz_boun
 step "quick executor bench (tuned schedules, writes $CI_OUT/executors.json)" quick_bench
 step "bench regression guard (>10% vs BENCH_pr2.json fails)" bench_guard
 step "tune smoke (bounded autotune + invariant-counter check)" tune_smoke
-step "backend smoke (4 backends x 3 dims, verify + in-family bit-identity)" backend_smoke
+step "backend smoke (4 backends x 3 dims + no-bvs tcu/sparse, verify + in-family bit-identity)" backend_smoke
 step "profile smoke (stencil-cli profile + trace validation)" profile_smoke
 step "crash-resume smoke (run, tear newest snapshot, resume)" crash_resume_smoke
 step "serve smoke (daemon over unix socket: parity, errors, shutdown)" serve_smoke

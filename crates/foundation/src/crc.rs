@@ -16,9 +16,12 @@
 /// The reflected IEEE 802.3 polynomial.
 pub const POLY: u32 = 0xEDB8_8320;
 
-/// Byte-indexed lookup table, computed at compile time.
-const TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// Slicing-by-8 lookup tables, computed at compile time. `TABLES[0]` is
+/// the classic byte-indexed table; `TABLES[k][b]` is the CRC register
+/// after byte `b` followed by `k` zero bytes, so eight table lookups
+/// advance the register over eight input bytes at once.
+const TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -27,11 +30,27 @@ const TABLE: [u32; 256] = {
             crc = if crc & 1 != 0 { (crc >> 1) ^ POLY } else { crc >> 1 };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
+
+/// One byte into the CRC register (the bytewise step).
+#[inline]
+fn step(crc: u32, b: u8) -> u32 {
+    (crc >> 8) ^ TABLES[0][((crc ^ b as u32) & 0xFF) as usize]
+}
 
 /// Streaming CRC-32 state, for checksumming data produced in pieces.
 #[derive(Debug, Clone)]
@@ -45,11 +64,21 @@ impl Crc32 {
         Crc32 { state: 0xFFFF_FFFF }
     }
 
-    /// Fold `bytes` into the running checksum.
+    /// Fold `bytes` into the running checksum: eight bytes per step
+    /// (slicing-by-8), the tail bytewise.
     pub fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.state = (self.state >> 8) ^ TABLE[((self.state ^ b as u32) & 0xFF) as usize];
+        let (words, tail) = bytes.as_chunks::<8>();
+        let mut crc = self.state;
+        for w in words {
+            let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+            let t = |k: usize, b: u32| TABLES[k][(b & 0xFF) as usize];
+            crc = t(7, lo) ^ t(6, lo >> 8) ^ t(5, lo >> 16) ^ t(4, lo >> 24);
+            crc ^= t(3, w[4].into()) ^ t(2, w[5].into()) ^ t(1, w[6].into()) ^ t(0, w[7].into());
         }
+        for &b in tail {
+            crc = step(crc, b);
+        }
+        self.state = crc;
     }
 
     /// The checksum of everything updated so far.
@@ -85,6 +114,41 @@ mod tests {
         assert_eq!(crc32(b"a"), 0xE8B7_BE43);
         assert_eq!(crc32(&[0u8; 32]), 0x190A_55AD);
         assert_eq!(crc32(&[0xFFu8; 32]), 0xFF6C_AB0B);
+    }
+
+    /// The bytewise CRC-32 that slicing-by-8 must reproduce.
+    fn bytewise(bytes: &[u8]) -> u32 {
+        bytes.iter().fold(0xFFFF_FFFF, |crc, &b| step(crc, b)) ^ 0xFFFF_FFFF
+    }
+
+    #[test]
+    fn slicing_by_8_matches_the_bytewise_reference() {
+        // random lengths (every tail length mod 8) fed through random
+        // `update` splits, so words straddle the calls
+        let gen = (
+            prop::vec_of(prop::u64_range(0, 255), 0, 200),
+            prop::vec_of(prop::usize_range(0, 200), 0, 6),
+        );
+        prop::check("crc32_slicing_by_8_is_bytewise", &gen, |(bytes, cuts)| {
+            let bytes: Vec<u8> = bytes.iter().map(|&b| b as u8).collect();
+            let mut cuts: Vec<usize> = cuts.iter().map(|&c| c.min(bytes.len())).collect();
+            cuts.sort_unstable();
+            let mut c = Crc32::new();
+            let mut at = 0;
+            for cut in cuts.into_iter().chain([bytes.len()]) {
+                c.update(&bytes[at..cut]);
+                at = cut;
+            }
+            let want = bytewise(&bytes);
+            if c.finish() != want || crc32(&bytes) != want {
+                return Err(format!(
+                    "{:08x} / {:08x} vs bytewise {want:08x}",
+                    c.finish(),
+                    crc32(&bytes)
+                ));
+            }
+            Ok(())
+        });
     }
 
     #[test]

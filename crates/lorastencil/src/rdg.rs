@@ -21,9 +21,13 @@
 //!   [`rdg_apply_term_sparse_into`] for 2:4-compressed terms), which
 //!   issues every modeled MMA and charges as it goes: the reference, and
 //!   the tensor-core path wherever strips do not run;
-//! * the tensor-core strip evaluator ([`rdg_apply_term_strip`]): the same
-//!   bits for a whole 8-row strip of sub-tiles, without `U`'s structural
-//!   zeros;
+//! * the tensor-core strip kernel (`rdg_apply_chain_strip`): the same
+//!   bits for a whole chain of terms over an 8-row strip of sub-tiles,
+//!   forming only the products inside the bands of `U` and `V`, with `T`
+//!   and the accumulator transposed so the eight output rows are one
+//!   8-lane vector. It is one generic source over the term's band shape:
+//!   compile-time instances for the shapes the registry lowers to
+//!   (`SPECIALIZED`), a generic instance for any other;
 //! * the scalar strip evaluator ([`rdg_apply_term_strip_scalar`]) of the
 //!   `CudaCore` and `SimdCore` backends, which forms the band's products
 //!   only (Fig. 9 "RDG w/o TCU").
@@ -218,7 +222,7 @@ pub fn build_v_frags(term: &RankOneTerm, geo: RdgGeometry, use_bvs: bool) -> Vec
 }
 
 /// Column sets used to split step-1 accumulators into step-2 A fragments.
-fn split_cols(use_bvs: bool) -> [[usize; MMA_K]; 2] {
+const fn split_cols(use_bvs: bool) -> [[usize; MMA_K]; 2] {
     if use_bvs {
         FragAcc::BUTTERFLY_COLS
     } else {
@@ -235,37 +239,86 @@ const BAND_MAX_TAPS: usize = BAND_MAX_S - TILE_M + 1;
 
 /// Largest `Σ|u| · max|X|` for which the strip evaluator runs a term.
 /// Below it no step-1 partial sum can overflow, so every `T` element is
-/// finite and each `T · 0` product step 2 adds is a signed zero.
+/// finite and each `T · 0` product the strip kernel skips is a signed
+/// zero.
 const BAND_T_LIMIT: f64 = f64::MAX / 4.0;
 
-/// One term's plan-time tables for [`rdg_apply_term_strip`]. Fixed-size
-/// arrays, so building a schedule allocates nothing extra for them.
+/// Sub-tiles per column block of the tensor-core strip kernel
+/// ([`rdg_apply_chain_strip`]): 256 window columns. Blocking keeps the
+/// kernel's `Tᵀ` and `accᵀ` scratch fixed-size whatever the plane's
+/// width; blocks of 128, 256 and 512 columns timed alike.
+const COL_BLOCK: usize = 32;
+
+/// `f64`s of `Tᵀ` one column block's step 1 writes at most: 8×8 per
+/// 8-column block, the block's own `COL_BLOCK` plus the at most
+/// `⌈(shift mod 8 + n_t + 6) / 8⌉ ≤ 4` its last sub-tile's band reaches
+/// past them (`n_t ≤ 25`).
+pub(crate) const STRIP_TT_LEN: usize = TILE_M * MMA_N * (COL_BLOCK + 4);
+
+/// `f64`s of one column block's transposed accumulator `accᵀ`.
+pub(crate) const STRIP_ACC_T_LEN: usize = TILE_M * MMA_N * COL_BLOCK;
+
+/// Step 2's lane order: `lanes[q][s]` is the window column `c` of lane
+/// `q`'s `s`-th band product `T[·][c] · V[c][q]`, `V[c][q] =
+/// v[c − shift − q]`. Each lane has exactly `n_t` band products; they are
+/// listed in the fragment chain's MMA order (column block, split half,
+/// `k`) under the split `bvs` selects, the order [`build_v_frags`]
+/// permutes `V` by.
+const fn lane_cols(taps: usize, shift: usize, bvs: bool) -> [[u8; BAND_MAX_TAPS]; MMA_N] {
+    let split = split_cols(bvs);
+    let mut lanes = [[0u8; BAND_MAX_TAPS]; MMA_N];
+    let mut len = [0usize; MMA_N];
+    let mut c0 = 0;
+    // up to lane 7's last band column, `shift + n_t + 6`
+    while c0 < shift + taps + MMA_N - 1 {
+        let mut half = 0;
+        while half < 2 {
+            let mut k = 0;
+            while k < MMA_K {
+                let c = c0 + split[half][k];
+                let mut q = 0;
+                while q < MMA_N {
+                    if c >= shift + q && c < shift + q + taps {
+                        lanes[q][len[q]] = c as u8;
+                        len[q] += 1;
+                    }
+                    q += 1;
+                }
+                k += 1;
+            }
+            half += 1;
+        }
+        c0 += MMA_N;
+    }
+    lanes
+}
+
+/// One term's plan-time tables for the strip kernel. Fixed-size arrays,
+/// so building a schedule allocates nothing extra for them.
 #[derive(Debug, Clone)]
 struct BandTable {
     /// Band offset of the term inside the kernel's tile (`h − h_t`).
     shift: usize,
     /// Tap count `n_t`.
     taps: usize,
+    /// Whether step 2 follows the BVS split's order (else the natural one).
+    bvs: bool,
+    /// Whether the kernel runs the term on its compile-time instance
+    /// (the shape is in [`SPECIALIZED`]) rather than the generic one.
+    fixed: bool,
     /// `u`, zero-padded.
     u: [f64; BAND_MAX_TAPS],
     /// `Σ|u[t]|`: `|T| ≤ Σ|u| · max|X|` (the overflow guard).
     u_abs: f64,
-    /// `v` reversed between seven zeros on each side:
-    /// `vpad[7 + j] = v[n_t − 1 − j]`. Any eight consecutive entries are
-    /// one row of the banded `V`, zero-padded to the eight output columns.
-    vpad: [f64; BAND_MAX_TAPS + 2 * (MMA_N - 1)],
-    /// Step 2's walk, in the MMA order `(col block j, split half, k)`:
-    /// each window column `c` whose banded `V` row is nonzero, with the
-    /// offset of that row in `vpad`, `[c, o]`: `V[c][q] = vpad[o + q]`.
-    steps: [[u8; 2]; BAND_MAX_S],
-    /// Used prefix of `steps`.
-    n_steps: usize,
+    /// `v`, zero-padded.
+    v: [f64; BAND_MAX_TAPS],
+    /// [`lane_cols`] of the term, which the generic instance reads.
+    lanes: [[u8; BAND_MAX_TAPS]; MMA_N],
 }
 
 impl BandTable {
-    /// The tables for `term`, or `None` when `S > BAND_MAX_S`. The step-2
-    /// order walks the same `cols` split [`build_v_frags`] permutes `V` by.
-    fn build(term: &RankOneTerm, geo: RdgGeometry, split: [[usize; MMA_K]; 2]) -> Option<Self> {
+    /// The tables for `term`, or `None` when `S > BAND_MAX_S`.
+    fn build(term: &RankOneTerm, geo: RdgGeometry, bvs: bool) -> Option<Self> {
         if geo.s > BAND_MAX_S {
             return None;
         }
@@ -273,39 +326,328 @@ impl BandTable {
         let taps = term.u.len();
         let mut u = [0.0; BAND_MAX_TAPS];
         u[..taps].copy_from_slice(&term.u);
-        let mut vpad = [0.0; BAND_MAX_TAPS + 2 * (MMA_N - 1)];
-        for (j, &w) in term.v.iter().rev().enumerate() {
-            vpad[MMA_N - 1 + j] = w;
-        }
-        let mut steps = [[0u8; 2]; BAND_MAX_S];
-        let mut n_steps = 0;
-        for j in 0..geo.col_blocks() {
-            for half in split {
-                for k in half {
-                    // V[c][q] = v[c − shift − q] for q in
-                    // [c − shift − (n_t − 1), c − shift] ∩ [0, 8)
-                    let c = j * MMA_N + k;
-                    let Some(top) = c.checked_sub(shift) else { continue };
-                    let lo = top.saturating_sub(taps - 1);
-                    if lo < MMA_N {
-                        // V[c][q] = v[top − q] = vpad[MMA_N − 2 + n_t − top + q]
-                        steps[n_steps] = [c as u8, (MMA_N - 2 + taps - top) as u8];
-                        n_steps += 1;
-                    }
-                }
-            }
-        }
+        let mut v = [0.0; BAND_MAX_TAPS];
+        v[..taps].copy_from_slice(&term.v);
         Some(BandTable {
             shift,
             taps,
+            bvs,
+            fixed: SPECIALIZED.contains(&(taps, shift)),
             u,
             u_abs: term.u.iter().map(|w| w.abs()).sum(),
-            vpad,
-            steps,
-            n_steps,
+            v,
+            lanes: lane_cols(taps, shift, bvs),
         })
     }
 }
+
+/// The vector unit a compiled instance of the job loop runs the
+/// tensor-core strip kernel on: eight `f64` lanes, with the loads,
+/// stores, multiply-adds and 8×8 transposes the kernel is written in.
+/// Holding a value of the type proves the host supports its target
+/// features. Every lane operation is one IEEE multiply then one IEEE add,
+/// as the scalar expression `acc + a * b` compiles; nothing fuses or
+/// reassociates, so every instance computes the same bits.
+pub(crate) trait StripIsa: Copy {
+    /// Eight lanes, held in registers.
+    type F8: Copy;
+    /// All lanes `x`.
+    fn splat(self, x: f64) -> Self::F8;
+    /// Lanes from memory.
+    fn load(self, x: &[f64]) -> Self::F8;
+    /// Lanes to memory.
+    fn store(self, v: Self::F8, out: &mut [f64]);
+    /// `acc + a·b` per lane, rounded after the product and after the sum.
+    fn add_mul(self, acc: Self::F8, a: Self::F8, b: Self::F8) -> Self::F8;
+    /// Rows `m` as columns: lane `p` of `out[k]` is lane `k` of `m[p]`.
+    fn transpose8(self, m: [Self::F8; 8]) -> [Self::F8; 8];
+}
+
+/// Baseline code for the target: lane arrays the compiler vectorizes as
+/// far as it can.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Portable;
+
+impl StripIsa for Portable {
+    type F8 = [f64; 8];
+    #[inline(always)]
+    fn splat(self, x: f64) -> [f64; 8] {
+        [x; 8]
+    }
+    #[inline(always)]
+    fn load(self, x: &[f64]) -> [f64; 8] {
+        x[..8].try_into().expect("8 lanes")
+    }
+    #[inline(always)]
+    fn store(self, v: [f64; 8], out: &mut [f64]) {
+        out[..8].copy_from_slice(&v);
+    }
+    #[inline(always)]
+    fn add_mul(self, mut acc: [f64; 8], a: [f64; 8], b: [f64; 8]) -> [f64; 8] {
+        for ((c, &a), &b) in acc.iter_mut().zip(&a).zip(&b) {
+            *c += a * b;
+        }
+        acc
+    }
+    #[inline(always)]
+    fn transpose8(self, m: [[f64; 8]; 8]) -> [[f64; 8]; 8] {
+        let mut out = [[0.0; 8]; 8];
+        for (p, row) in m.iter().enumerate() {
+            for (k, &x) in row.iter().enumerate() {
+                out[k][p] = x;
+            }
+        }
+        out
+    }
+}
+
+/// x86-64 with AVX2: two 256-bit vectors per eight lanes.
+#[cfg(target_arch = "x86_64")]
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Avx2(());
+
+#[cfg(target_arch = "x86_64")]
+impl Avx2 {
+    /// # Safety
+    ///
+    /// The host must support AVX2.
+    pub(crate) unsafe fn new_unchecked() -> Self {
+        Avx2(())
+    }
+}
+
+// SAFETY (every `unsafe` block of the impl): an `Avx2` exists only on
+// hosts with AVX2 (`new_unchecked`), and every pointer is to four lanes
+// inside a slice of at least eight
+#[cfg(target_arch = "x86_64")]
+impl StripIsa for Avx2 {
+    type F8 = [std::arch::x86_64::__m256d; 2];
+    #[inline(always)]
+    fn splat(self, x: f64) -> Self::F8 {
+        use std::arch::x86_64::*;
+        // SAFETY: see the impl
+        unsafe { [_mm256_set1_pd(x); 2] }
+    }
+    #[inline(always)]
+    fn load(self, x: &[f64]) -> Self::F8 {
+        use std::arch::x86_64::*;
+        let x = &x[..8];
+        // SAFETY: see the impl
+        unsafe { [_mm256_loadu_pd(x.as_ptr()), _mm256_loadu_pd(x[4..].as_ptr())] }
+    }
+    #[inline(always)]
+    fn store(self, v: Self::F8, out: &mut [f64]) {
+        use std::arch::x86_64::*;
+        let out = &mut out[..8];
+        // SAFETY: see the impl
+        unsafe {
+            _mm256_storeu_pd(out.as_mut_ptr(), v[0]);
+            _mm256_storeu_pd(out[4..].as_mut_ptr(), v[1]);
+        }
+    }
+    #[inline(always)]
+    fn add_mul(self, acc: Self::F8, a: Self::F8, b: Self::F8) -> Self::F8 {
+        use std::arch::x86_64::*;
+        // SAFETY: see the impl
+        unsafe {
+            [
+                _mm256_add_pd(acc[0], _mm256_mul_pd(a[0], b[0])),
+                _mm256_add_pd(acc[1], _mm256_mul_pd(a[1], b[1])),
+            ]
+        }
+    }
+    #[inline(always)]
+    fn transpose8(self, m: [Self::F8; 8]) -> [Self::F8; 8] {
+        use std::arch::x86_64::*;
+        // SAFETY: see the impl
+        unsafe {
+            let mut out = [[_mm256_setzero_pd(); 2]; 8];
+            // the 4×4 block (rows 4P.., lanes 4K..) lands at (rows 4K..,
+            // lanes 4P..)
+            for pb in 0..2 {
+                for kb in 0..2 {
+                    let r = |i: usize| m[4 * pb + i][kb];
+                    let (lo01, hi01) =
+                        (_mm256_unpacklo_pd(r(0), r(1)), _mm256_unpackhi_pd(r(0), r(1)));
+                    let (lo23, hi23) =
+                        (_mm256_unpacklo_pd(r(2), r(3)), _mm256_unpackhi_pd(r(2), r(3)));
+                    out[4 * kb][pb] = _mm256_permute2f128_pd::<0x20>(lo01, lo23);
+                    out[4 * kb + 1][pb] = _mm256_permute2f128_pd::<0x20>(hi01, hi23);
+                    out[4 * kb + 2][pb] = _mm256_permute2f128_pd::<0x31>(lo01, lo23);
+                    out[4 * kb + 3][pb] = _mm256_permute2f128_pd::<0x31>(hi01, hi23);
+                }
+            }
+            out
+        }
+    }
+}
+
+/// x86-64 with AVX-512F: one 512-bit vector per eight lanes.
+#[cfg(target_arch = "x86_64")]
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Avx512f(());
+
+#[cfg(target_arch = "x86_64")]
+impl Avx512f {
+    /// # Safety
+    ///
+    /// The host must support AVX-512F.
+    pub(crate) unsafe fn new_unchecked() -> Self {
+        Avx512f(())
+    }
+}
+
+// SAFETY (every `unsafe` block of the impl): an `Avx512f` exists only on
+// hosts with AVX-512F (`new_unchecked`), and every pointer is to the
+// first of eight lanes inside a slice
+#[cfg(target_arch = "x86_64")]
+impl StripIsa for Avx512f {
+    type F8 = std::arch::x86_64::__m512d;
+    #[inline(always)]
+    fn splat(self, x: f64) -> Self::F8 {
+        // SAFETY: see the impl
+        unsafe { std::arch::x86_64::_mm512_set1_pd(x) }
+    }
+    #[inline(always)]
+    fn load(self, x: &[f64]) -> Self::F8 {
+        // SAFETY: see the impl
+        unsafe { std::arch::x86_64::_mm512_loadu_pd(x[..8].as_ptr()) }
+    }
+    #[inline(always)]
+    fn store(self, v: Self::F8, out: &mut [f64]) {
+        // SAFETY: see the impl
+        unsafe { std::arch::x86_64::_mm512_storeu_pd(out[..8].as_mut_ptr(), v) }
+    }
+    #[inline(always)]
+    fn add_mul(self, acc: Self::F8, a: Self::F8, b: Self::F8) -> Self::F8 {
+        use std::arch::x86_64::*;
+        // SAFETY: see the impl
+        unsafe { _mm512_add_pd(acc, _mm512_mul_pd(a, b)) }
+    }
+    #[inline(always)]
+    fn transpose8(self, r: [Self::F8; 8]) -> [Self::F8; 8] {
+        use std::arch::x86_64::*;
+        // SAFETY: see the impl
+        unsafe {
+            // per quad of rows 4i..4i + 4: pair the rows (128-bit lane l of
+            // an unpack holds lanes 2l / 2l + 1 of two rows), then gather
+            // 128-bit lanes (c of rows 01, c + 4 of rows 01, c of rows 23,
+            // c + 4 of rows 23) into quad[i][c]
+            let mut quad = [[_mm512_setzero_pd(); 4]; 2];
+            for (i, q) in quad.iter_mut().enumerate() {
+                let (a, b, c, d) = (r[4 * i], r[4 * i + 1], r[4 * i + 2], r[4 * i + 3]);
+                let (l0, h0) = (_mm512_unpacklo_pd(a, b), _mm512_unpackhi_pd(a, b));
+                let (l1, h1) = (_mm512_unpacklo_pd(c, d), _mm512_unpackhi_pd(c, d));
+                *q = [
+                    _mm512_shuffle_f64x2::<0x88>(l0, l1),
+                    _mm512_shuffle_f64x2::<0x88>(h0, h1),
+                    _mm512_shuffle_f64x2::<0xDD>(l0, l1),
+                    _mm512_shuffle_f64x2::<0xDD>(h0, h1),
+                ];
+            }
+            let mut out = [_mm512_setzero_pd(); 8];
+            for c in 0..4 {
+                let (a, b) = (quad[0][c], quad[1][c]);
+                out[c] = _mm512_shuffle_f64x2::<0x88>(a, b);
+                out[c + 4] = _mm512_shuffle_f64x2::<0xDD>(a, b);
+            }
+            out
+        }
+    }
+}
+
+/// A term's band shape as the strip kernel sees it: tap count, band
+/// shift and step-2 lane order. [`Fixed`] carries it in the type, so
+/// every loop bound, table entry and offset is a compile-time constant;
+/// `&BandTable` carries it at run time (the generic instance). One
+/// kernel source serves both, as kubecl's static and dynamic matmul
+/// configs do.
+trait BandShape: Copy {
+    /// `n_t`.
+    fn taps(self) -> usize;
+    /// `h − h_t`.
+    fn shift(self) -> usize;
+    /// [`lane_cols`]`[q][s]`.
+    fn col(self, q: usize, s: usize) -> usize;
+}
+
+/// A band shape fixed at compile time.
+#[derive(Debug, Clone, Copy)]
+struct Fixed<const TAPS: usize, const SHIFT: usize, const BVS: bool>;
+
+impl<const TAPS: usize, const SHIFT: usize, const BVS: bool> Fixed<TAPS, SHIFT, BVS> {
+    const LANES: [[u8; BAND_MAX_TAPS]; MMA_N] = lane_cols(TAPS, SHIFT, BVS);
+}
+
+impl<const TAPS: usize, const SHIFT: usize, const BVS: bool> BandShape for Fixed<TAPS, SHIFT, BVS> {
+    #[inline(always)]
+    fn taps(self) -> usize {
+        TAPS
+    }
+    #[inline(always)]
+    fn shift(self) -> usize {
+        SHIFT
+    }
+    #[inline(always)]
+    fn col(self, q: usize, s: usize) -> usize {
+        usize::from(Self::LANES[q][s])
+    }
+}
+
+impl BandShape for &BandTable {
+    #[inline(always)]
+    fn taps(self) -> usize {
+        self.taps
+    }
+    #[inline(always)]
+    fn shift(self) -> usize {
+        self.shift
+    }
+    #[inline(always)]
+    fn col(self, q: usize, s: usize) -> usize {
+        usize::from(self.lanes[q][s])
+    }
+}
+
+/// Declares [`SPECIALIZED`] and the dispatch that runs a term on its
+/// compile-time instance, for each listed `(n_t, shift)` under both
+/// step-2 orders.
+macro_rules! band_instances {
+    ($(($taps:literal, $shift:literal)),* $(,)?) => {
+        /// The `(n_t, shift)` band shapes the strip kernel has
+        /// compile-time instances of, under both step-2 orders: every
+        /// shape the registry's 2-D and 3-D kernels lower to at their
+        /// default fusion (all on `S = 16`). Any other shape runs the
+        /// generic instance.
+        pub(crate) const SPECIALIZED: &[(usize, usize)] = &[$(($taps, $shift)),*];
+
+        /// [`term_block`] on the term's instance.
+        #[inline(always)]
+        fn term_block_any<I: StripIsa>(
+            isa: I,
+            bt: &BandTable,
+            w: &StripWindow,
+            j0: usize,
+            m: usize,
+            tt: &mut [f64],
+            acc_t: &mut [f64],
+        ) {
+            match (bt.fixed, bt.taps, bt.shift, bt.bvs) {
+                $(
+                    (true, $taps, $shift, true) => {
+                        term_block(isa, Fixed::<$taps, $shift, true>, bt, w, j0, m, tt, acc_t)
+                    }
+                    (true, $taps, $shift, false) => {
+                        term_block(isa, Fixed::<$taps, $shift, false>, bt, w, j0, m, tt, acc_t)
+                    }
+                )*
+                _ => term_block(isa, bt, bt, w, j0, m, tt, acc_t),
+            }
+        }
+    };
+}
+
+band_instances!((3, 0), (3, 2), (5, 0), (5, 1), (7, 0), (9, 0));
 
 /// One 8-row strip of a job row, staged for the strip evaluators: the
 /// union of the strip's `n` sub-tile S×S windows, `S` rows by
@@ -374,7 +716,7 @@ impl StripWindow {
         self.max_abs.is_finite()
     }
 
-    /// Whether [`rdg_apply_term_strip`] may evaluate `tf` on this window:
+    /// Whether the tensor-core strip kernel may evaluate `tf` on this window:
     /// the term has band tables and no `T` element can overflow.
     #[inline(always)]
     pub fn admits(&self, tf: &TermFrags) -> bool {
@@ -421,7 +763,7 @@ impl TermFrags {
             cols,
             shuffles: cols.iter().map(|&c| FragAcc::zero().extract_a(c).1).sum::<u64>()
                 * geo.col_blocks() as u64,
-            band: BandTable::build(term, geo, cols),
+            band: BandTable::build(term, geo, use_bvs),
         }
     }
 
@@ -479,6 +821,21 @@ impl TermFrags {
     #[cfg(test)]
     pub(crate) fn drop_band(&mut self) {
         self.band = None;
+    }
+
+    /// Run the term on the strip kernel's generic instance even when its
+    /// shape has a compile-time one (the instance tests compare the two).
+    #[cfg(test)]
+    pub(crate) fn force_generic(&mut self) {
+        if let Some(bt) = &mut self.band {
+            bt.fixed = false;
+        }
+    }
+
+    /// Whether the strip kernel runs the term on a compile-time instance.
+    #[cfg(test)]
+    pub(crate) fn is_fixed(&self) -> bool {
+        self.band.as_ref().is_some_and(|bt| bt.fixed)
     }
 }
 
@@ -618,7 +975,142 @@ pub fn rdg_apply_term_sparse_into(
     }
 }
 
-/// Step 1 of a term on a strip, shared by both strip evaluators:
+/// An 8×8 block of a row-major buffer, rows `stride` apart from `at`.
+#[inline(always)]
+fn load8<I: StripIsa>(isa: I, buf: &[f64], at: usize, stride: usize) -> [I::F8; 8] {
+    let mut blk = [isa.splat(0.0); 8];
+    for (r, row) in blk.iter_mut().enumerate() {
+        *row = isa.load(&buf[at + r * stride..]);
+    }
+    blk
+}
+
+/// Store an 8×8 block into a row-major buffer, rows `stride` apart.
+#[inline(always)]
+fn store8<I: StripIsa>(isa: I, blk: [I::F8; 8], buf: &mut [f64], at: usize, stride: usize) {
+    for (r, &row) in blk.iter().enumerate() {
+        isa.store(row, &mut buf[at + r * stride..]);
+    }
+}
+
+/// One term on sub-tiles `j0 .. j0 + m` of the strip, on instance `k`.
+///
+/// * Step 1, transposed: `Tᵀ[x][p] = Σ_i u[i]·W[p+shift+i][x]`, seeded at
+///   `+0.0`, taps in increasing `i`, for every 8-column block of `x` the
+///   sub-tiles' band reads; each block is eight 8-lane row sums, then one
+///   8×8 transpose into `tt`.
+/// * Step 2, band only: `accᵀ[8j+q][p] += v[c−shift−q]·Tᵀ[8j+c][p]` for
+///   the `n_t` columns `c` of lane `q`'s band in [`lane_cols`] order,
+///   eight output rows `p` per operation and the eight lanes side by side.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn term_block<I: StripIsa, K: BandShape>(
+    isa: I,
+    k: K,
+    bt: &BandTable,
+    w: &StripWindow,
+    j0: usize,
+    m: usize,
+    tt: &mut [f64],
+    acc_t: &mut [f64],
+) {
+    let (taps, shift, width) = (k.taps(), k.shift(), w.width());
+    // the Tᵀ blocks sub-tile j reads run from j + shift/8 to
+    // j + (shift + n_t + 6)/8
+    let lo = shift / MMA_N;
+    let span = shift % MMA_N + taps + MMA_N - 1;
+    let nb = m + (shift + taps + MMA_N - 2) / MMA_N - lo;
+    let (u, v) = (&bt.u[..taps], &bt.v[..taps]);
+    for (b, out) in tt[..TILE_M * MMA_N * nb].chunks_exact_mut(TILE_M * MMA_N).enumerate() {
+        let x0 = shift * width + MMA_N * (j0 + lo + b);
+        let mut t = [isa.splat(0.0); MMA_M];
+        // window row shift + r feeds T row p through tap i = r − p, so
+        // each row p still sums its taps in increasing i
+        for r in 0..taps + MMA_M - 1 {
+            let x = isa.load(&w.x[x0 + r * width..]);
+            for (p, tp) in t.iter_mut().enumerate() {
+                if let Some(&ui) = r.checked_sub(p).and_then(|i| u.get(i)) {
+                    *tp = isa.add_mul(*tp, isa.splat(ui), x);
+                }
+            }
+        }
+        store8(isa, isa.transpose8(t), out, 0, MMA_N);
+    }
+    for (j, at) in acc_t[..TILE_M * MMA_N * m].chunks_exact_mut(TILE_M * MMA_N).enumerate() {
+        // sub-tile j's window column c is row c − 8·lo of `tj`
+        let tj = &tt[TILE_M * MMA_N * j..][..MMA_N * span];
+        let mut a = load8(isa, at, 0, MMA_N);
+        for s in 0..taps {
+            for (q, aq) in a.iter_mut().enumerate() {
+                let c = k.col(q, s);
+                let tr = isa.load(&tj[MMA_N * (c - MMA_N * lo)..]);
+                *aq = isa.add_mul(*aq, isa.splat(v[c - shift - q]), tr);
+            }
+        }
+        store8(isa, a, at, 0, MMA_N);
+    }
+}
+
+/// Strip form of [`rdg_apply_term_frags_into`] and
+/// [`rdg_apply_term_sparse_into`] for a whole chain of terms: the same
+/// `acc += U·X·V`, term after term, for every sub-tile of a staged strip,
+/// forming only the products inside the bands of `U` and `V`. `w` must
+/// be [finite](StripWindow::finite) and [admit](StripWindow::admits)
+/// every term. `acc` is the strip's accumulator, 8 rows of `8·n` columns,
+/// row-major, all `+0.0` when `fresh`; `tt` and `acc_t` are scratch of
+/// [`STRIP_TT_LEN`] and [`STRIP_ACC_T_LEN`]. Charges nothing: the caller
+/// charges [`TermFrags::charge`] per term and sub-tile.
+///
+/// The strip runs in column blocks of up to 32 sub-tiles. Each block
+/// transposes its part of `acc` into `accᵀ[x][p]` (or zeroes it when
+/// `fresh`), runs every term's step 1 and step 2 on it (`term_block`),
+/// and transposes it back. A term runs on its compile-time instance when
+/// its shape is in [`SPECIALIZED`], else on the generic one.
+///
+/// Each output element `(p, q)` receives exactly the fragment chain's
+/// non-identity operations, in its order: step 1 is the chain's k-loop
+/// without the products of `U`'s structural zeros, and step 2 adds the
+/// lane's `n_t` band products in the MMA order of the chain's step 2.
+/// Every product the chain forms and this skips is `0·x` for a finite
+/// `x` (the admission check keeps `T` finite too), a signed zero, and a
+/// `+0.0`-seeded round-to-nearest sum never reaches `-0.0`, so adding a
+/// signed zero is the identity: the bits match.
+#[inline(always)]
+pub(crate) fn rdg_apply_chain_strip<'a, I: StripIsa>(
+    isa: I,
+    w: &StripWindow,
+    chain: impl Iterator<Item = &'a TermFrags> + Clone,
+    fresh: bool,
+    tt: &mut [f64],
+    acc_t: &mut [f64],
+    acc: &mut [f64],
+) {
+    let (n, aw) = (w.n, TILE_M * w.n);
+    let mut j0 = 0;
+    while j0 < n {
+        let m = COL_BLOCK.min(n - j0);
+        let acc_t = &mut acc_t[..TILE_M * MMA_N * m];
+        if fresh {
+            acc_t.fill(0.0);
+        } else {
+            for (j, at) in acc_t.chunks_exact_mut(TILE_M * MMA_N).enumerate() {
+                let blk = isa.transpose8(load8(isa, acc, TILE_M * (j0 + j), aw));
+                store8(isa, blk, at, 0, MMA_N);
+            }
+        }
+        for tf in chain.clone() {
+            let bt = tf.band.as_ref().expect("StripWindow::admits checked the band tables");
+            term_block_any(isa, bt, w, j0, m, tt, acc_t);
+        }
+        for (j, at) in acc_t.chunks_exact(TILE_M * MMA_N).enumerate() {
+            let blk = isa.transpose8(load8(isa, at, 0, MMA_N));
+            store8(isa, blk, acc, TILE_M * (j0 + j), aw);
+        }
+        j0 += m;
+    }
+}
+
+/// Step 1 of a term on a strip for the scalar evaluator:
 /// `T[p][x] = Σ_i u[i]·W[p+shift+i][x]` for every `x` in
 /// `[shift, shift + 8n + n_t − 1)`, the columns some sub-tile's step 2
 /// reads; seeded at `+0.0`, taps in increasing `i`, one contiguous AXPY
@@ -639,68 +1131,15 @@ fn strip_step1(w: &StripWindow, u: &[f64], shift: usize, t: &mut [f64]) {
     }
 }
 
-/// Strip form of [`rdg_apply_term_frags_into`] and
-/// [`rdg_apply_term_sparse_into`]: the same `acc += U·X·V` for every
-/// sub-tile of a staged strip, with the structural zeros of the banded
-/// `U` skipped on the host and step 1 shared by neighboring sub-tiles.
-/// `w` must be [finite](StripWindow::finite) and [admit](StripWindow::admits)
-/// `tf`. `acc` is the strip's accumulator, 8 rows of `8·n` columns,
-/// row-major; `t` is scratch of at least `8 × w.width()`. Charges
-/// nothing: the caller charges [`TermFrags::charge`] per sub-tile.
-///
-/// * Step 1, once per strip: `T[p][x] = Σ_i u[i]·W[p+shift+i][x]`,
-///   seeded at `+0.0`, taps in increasing `i`, one contiguous AXPY per
-///   `(p, i)` across the strip: the fragment chain's k-loop minus its
-///   zero products. Sub-tile `j`'s column `c` is `x = 8j + c`.
-/// * Step 2, per sub-tile, in eight row accumulators: for each `c` in the
-///   chain's MMA order `(col block, split half, k)`,
-///   `acc[p][8j+q] += T[p][8j+c]·V[c][q]` for all eight `q`, the banded
-///   `V` row zero-padded.
-///
-/// Every product the fragment chain forms and this skips is `0·x` for a
-/// finite `x`, a signed zero; so is every `T·0` step 2 adds for a `q`
-/// outside the band, since the admission check keeps `T` finite. A
-/// `+0.0`-seeded round-to-nearest sum never reaches `-0.0`, so adding a
-/// signed zero is the identity: each output element runs the fragment
-/// chain's exact operation sequence plus and minus identities, and the
-/// bits match.
-#[inline(always)]
-pub fn rdg_apply_term_strip(w: &StripWindow, tf: &TermFrags, t: &mut [f64], acc: &mut [f64]) {
-    let bt = tf.band.as_ref().expect("StripWindow::admits checked the band tables");
-    strip_step1(w, &bt.u[..bt.taps], bt.shift, t);
-    let (n, width) = (w.n, w.width());
-    let aw = TILE_M * n;
-    // step 2: one sub-tile at a time, its 8×8 block held in registers
-    for j in 0..n {
-        let x0 = TILE_M * j;
-        let mut blk = [[0.0f64; MMA_N]; MMA_M];
-        for (p, row) in blk.iter_mut().enumerate() {
-            row.copy_from_slice(&acc[p * aw + x0..][..MMA_N]);
-        }
-        for &[c, o] in &bt.steps[..bt.n_steps] {
-            let x = x0 + usize::from(c);
-            let vr: &[f64; MMA_N] = bt.vpad[usize::from(o)..][..MMA_N].try_into().expect("8 lanes");
-            for (p, row) in blk.iter_mut().enumerate() {
-                let tv = t[p * width + x];
-                for (a, &v) in row.iter_mut().zip(vr) {
-                    *a += tv * v;
-                }
-            }
-        }
-        for (p, row) in blk.iter().enumerate() {
-            acc[p * aw + x0..][..MMA_N].copy_from_slice(row);
-        }
-    }
-}
-
 /// The scalar backends' term chain on a strip (Fig. 9 "RDG w/o TCU" and
 /// the tuned SIMD compare point): the same `acc += U·X·V` with scalar
 /// FMAs over the band only, as a hand-written CUDA-core kernel computes
-/// it. `w` may hold any value and any `S`; `acc` and `t` are laid out
-/// as for [`rdg_apply_term_strip`]. Charges nothing: the caller charges
+/// it. `w` may hold any value and any `S`; `acc` is the strip's
+/// accumulator, 8 rows of `8·n` columns, row-major, and `t` is scratch of
+/// at least `8 × w.width()`. Charges nothing: the caller charges
 /// [`scalar_term_flops`] per sub-tile.
 ///
-/// * Step 1 is the tensor-core evaluator's, on `term.u`:
+/// * Step 1 forms the tensor-core kernel's sums, row-major, on `term.u`:
 ///   `T[p][x] = Σ_i u[i]·W[p+shift+i][x]`, seeded at `+0.0`, `i`
 ///   increasing.
 /// * Step 2, per output column `x`:
@@ -747,7 +1186,7 @@ pub fn scalar_term_flops(term: &RankOneTerm, geo: RdgGeometry, issue: u64) -> u6
 
 /// Strip form of [`apply_pointwise`], the tip of every backend: the same
 /// `acc + pw·X[h+p][h+q]` per element, one row of the strip at a time.
-/// `acc` is laid out as for [`rdg_apply_term_strip`]. Charges nothing
+/// `acc` is the strip's row-major accumulator. Charges nothing
 /// (`2·64` CUDA-core FLOPs per sub-tile on the modeled device when
 /// `pw ≠ 0`).
 #[inline(always)]
@@ -1115,66 +1554,182 @@ mod tests {
         w
     }
 
-    #[test]
-    fn band_evaluator_matches_the_fragment_chain_bitwise() {
-        // full-radius and centered pyramid terms, 2:4-compressible and
-        // not, under both accumulator splits, on both backends' charges,
-        // on each sub-tile of a three-sub-tile strip
-        const N: usize = 3;
-        for h in [1usize, 3, 5] {
-            let geo = RdgGeometry::for_radius(h);
-            let (tile, _) = random_tile(StripWindow::width_for(geo, N), 300 + h as u64);
-            let w = strip_of(&tile, geo, N);
-            let taps = 2 * h + 1;
-            let terms = [
-                RankOneTerm::new(
-                    (0..taps).map(|t| 0.3 + 0.1 * t as f64).collect(),
-                    (0..taps).map(|t| 1.1 - 0.2 * t as f64).collect(),
-                ),
-                RankOneTerm::new(vec![0.75, 0.0, -0.25], vec![0.5, 1.0, 1.25]),
-            ];
-            for (term, use_bvs, sparse) in terms.iter().flat_map(|t| {
-                [(t, true, false), (t, false, false), (t, true, true), (t, false, true)]
-            }) {
-                let case = format!("h={h} taps={} bvs={use_bvs} sparse={sparse}", term.u.len());
-                let tf = if sparse {
-                    TermFrags::build_sparse(term, geo, use_bvs)
-                } else {
-                    TermFrags::build(term, geo, use_bvs)
-                };
-                let mut ctx_f = SimContext::new();
-                let mut acc_f = [FragAcc::zero(); N];
-                for (j, acc) in acc_f.iter_mut().enumerate() {
-                    let mut x = XFragments::empty(geo);
-                    x.load_into_at(&mut SimContext::new(), &tile, geo, 0, TILE_M * j);
-                    if sparse {
-                        rdg_apply_term_sparse_into(&mut ctx_f, &x, &tf, acc, 1);
-                    } else {
-                        rdg_apply_term_frags_into(&mut ctx_f, &x, &tf, acc, 1);
-                    }
-                }
-
-                let mut ctx_b = SimContext::new();
-                assert!(w.finite() && w.admits(&tf), "{case}");
-                let mut t = vec![0.0; MMA_M * w.width()];
-                let mut acc_b = vec![0.0; MMA_M * TILE_M * N];
-                rdg_apply_term_strip(&w, &tf, &mut t, &mut acc_b);
-                for _ in 0..N {
-                    tf.charge(geo, &mut ctx_b.counters);
-                }
-
-                for (j, acc_f) in acc_f.iter().enumerate() {
-                    for p in 0..MMA_M {
-                        for q in 0..MMA_N {
-                            assert_eq!(
-                                acc_b[p * TILE_M * N + TILE_M * j + q].to_bits(),
-                                acc_f.get(p, q).to_bits(),
-                                "{case} sub-tile {j} ({p},{q})"
+    /// Every `(S, n_t, shift)` the registry's 2-D and 3-D kernels lower to
+    /// on the tensor cores, fused or not, with fusion overridden up to 3×.
+    fn registry_band_shapes() -> std::collections::BTreeSet<(usize, usize, usize)> {
+        use crate::plan::{DeviceBackend, ExecConfig, Plan};
+        use crate::schedule::{Schedule, ScheduleParams};
+        let mut kernels = stencil_core::kernels::all_kernels();
+        kernels.extend(stencil_core::kernels_ext::all_extended());
+        let mut shapes = std::collections::BTreeSet::new();
+        for kernel in kernels.iter().filter(|k| k.dims() >= 2) {
+            for allow_fusion in [true, false] {
+                for fuse_override in [None, Some(1), Some(2), Some(3)] {
+                    let config = ExecConfig {
+                        backend: DeviceBackend::TcuF64,
+                        allow_fusion,
+                        ..ExecConfig::full()
+                    };
+                    let params = ScheduleParams { fuse_override, ..ScheduleParams::default() };
+                    let sched = Schedule::lower(&Plan::new_with_params(kernel, config, params));
+                    for lt in sched.terms.iter().filter(|_| sched.geo.s <= BAND_MAX_S) {
+                        let (taps, shift) = (lt.term.u.len(), sched.h - lt.term.radius());
+                        shapes.insert((sched.geo.s, taps, shift));
+                        if allow_fusion && fuse_override.is_none() {
+                            assert!(
+                                SPECIALIZED.contains(&(taps, shift)),
+                                "{} lowers to ({taps}, {shift}) by default: specialize it",
+                                kernel.name
                             );
                         }
                     }
                 }
-                assert_eq!(ctx_b.counters.fields(), ctx_f.counters.fields(), "{case}");
+            }
+        }
+        shapes
+    }
+
+    /// The strip kernel's accumulator after `chain` on `w` from `init`,
+    /// with the counters the caller charges for it.
+    fn strip_chain(
+        isa: impl StripIsa,
+        w: &StripWindow,
+        chain: &[TermFrags],
+        init: &[f64],
+    ) -> (Vec<f64>, PerfCounters) {
+        assert!(w.finite() && chain.iter().all(|tf| w.admits(tf)));
+        let fresh = init.iter().all(|&a| a.to_bits() == 0);
+        let (mut tt, mut acc_t) = (vec![0.0; STRIP_TT_LEN], vec![0.0; STRIP_ACC_T_LEN]);
+        let mut acc = init.to_vec();
+        rdg_apply_chain_strip(isa, w, chain.iter(), fresh, &mut tt, &mut acc_t, &mut acc);
+        let mut counters = PerfCounters::new();
+        for _ in 0..w.n {
+            for tf in chain {
+                tf.charge(w.geo, &mut counters);
+            }
+        }
+        (acc, counters)
+    }
+
+    /// Run `f` on every strip-kernel ISA token this host supports.
+    fn for_each_isa(
+        mut f: impl FnMut(&str, &dyn Fn(&StripWindow, &[TermFrags], &[f64]) -> (Vec<f64>, PerfCounters)),
+    ) {
+        f("portable", &|w, c, i| strip_chain(Portable, w, c, i));
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::is_x86_feature_detected!("avx2") {
+                // SAFETY: detected just above
+                let isa = unsafe { Avx2::new_unchecked() };
+                f("avx2", &move |w, c, i| strip_chain(isa, w, c, i));
+            }
+            if std::is_x86_feature_detected!("avx512f") {
+                // SAFETY: detected just above
+                let isa = unsafe { Avx512f::new_unchecked() };
+                f("avx512f", &move |w, c, i| strip_chain(isa, w, c, i));
+            }
+        }
+    }
+
+    /// Every compile-time instance of the strip kernel, and the generic
+    /// instance on every band shape the registry and fusion produce
+    /// (S = 16, 24, 32), must reproduce the fragment chain bit for bit,
+    /// counters included: under both step-2 orders, dense and 2:4
+    /// charges, from a zero and a nonzero accumulator, on strips of 1, 2,
+    /// 3 and 37 sub-tiles (37 spans a whole column block and part of a
+    /// second), on every ISA token the host supports.
+    #[test]
+    fn every_strip_kernel_instance_matches_the_generic_one_and_the_fragment_chain() {
+        let shapes = registry_band_shapes();
+        for &(taps, shift) in SPECIALIZED {
+            assert!(shapes.iter().any(|&(_, t, s)| (t, s) == (taps, shift)), "({taps}, {shift})");
+        }
+        assert_eq!(
+            shapes.iter().map(|&(s, ..)| s).collect::<std::collections::BTreeSet<_>>(),
+            [16, 24, 32].into()
+        );
+        for &(s, taps, shift) in &shapes {
+            let geo = RdgGeometry::for_radius(shift + taps / 2);
+            assert_eq!(geo.s, s);
+            let scale = 1.0 / taps as f64;
+            let term = RankOneTerm::new(
+                (0..taps).map(|t| (0.3 + 0.1 * t as f64) * scale).collect(),
+                (0..taps).map(|t| (1.1 - 0.2 * t as f64) * scale).collect(),
+            );
+            // the default kernels' companion term, so chains mix shapes
+            let tip3 = RankOneTerm::new(vec![0.75, 0.0, -0.25], vec![0.5, 1.0, 1.25]);
+            for n in [1usize, 2, 3, 37] {
+                let width = StripWindow::width_for(geo, n);
+                let (tile, _) = random_tile(width, (1000 * s + 10 * taps + shift + n) as u64);
+                let w = strip_of(&tile, geo, n);
+                let seeded: Vec<f64> =
+                    (0..MMA_M * TILE_M * n).map(|i| (i % 13) as f64 - 6.5).collect();
+                for (use_bvs, sparse, init) in [
+                    (true, false, false),
+                    (false, false, false),
+                    (true, true, true),
+                    (false, true, true),
+                ] {
+                    let case = format!(
+                        "S={s} taps={taps} shift={shift} n={n} bvs={use_bvs} sparse={sparse} \
+                         init={init}"
+                    );
+                    let build = |t: &RankOneTerm| {
+                        if sparse {
+                            TermFrags::build_sparse(t, geo, use_bvs)
+                        } else {
+                            TermFrags::build(t, geo, use_bvs)
+                        }
+                    };
+                    let chain = [build(&term), build(&tip3)];
+                    assert_eq!(chain[0].is_fixed(), SPECIALIZED.contains(&(taps, shift)), "{case}");
+                    let mut generic = chain.clone();
+                    generic.iter_mut().for_each(TermFrags::force_generic);
+                    let init: Vec<f64> =
+                        if init { seeded.clone() } else { vec![0.0; seeded.len()] };
+
+                    // the fragment chain, sub-tile by sub-tile
+                    let aw = TILE_M * n;
+                    let mut ctx = SimContext::new();
+                    let mut want = init.clone();
+                    for j in 0..n {
+                        let mut acc = FragAcc::zero();
+                        for p in 0..MMA_M {
+                            for q in 0..MMA_N {
+                                acc.set(p, q, init[p * aw + TILE_M * j + q]);
+                            }
+                        }
+                        let mut x = XFragments::empty(geo);
+                        x.load_into_at(&mut SimContext::new(), &tile, geo, 0, TILE_M * j);
+                        for tf in &chain {
+                            if sparse {
+                                rdg_apply_term_sparse_into(&mut ctx, &x, tf, &mut acc, 1);
+                            } else {
+                                rdg_apply_term_frags_into(&mut ctx, &x, tf, &mut acc, 1);
+                            }
+                        }
+                        for p in 0..MMA_M {
+                            for q in 0..MMA_N {
+                                want[p * aw + TILE_M * j + q] = acc.get(p, q);
+                            }
+                        }
+                    }
+                    for_each_isa(|isa, run| {
+                        for (instance, chain) in [("instance", &chain), ("generic", &generic)] {
+                            let (got, counters) = run(&w, chain, &init);
+                            for (i, (g, e)) in got.iter().zip(&want).enumerate() {
+                                assert_eq!(
+                                    g.to_bits(),
+                                    e.to_bits(),
+                                    "{case} {isa} {instance}: row {} column {}",
+                                    i / aw,
+                                    i % aw
+                                );
+                            }
+                            assert_eq!(counters.fields(), ctx.counters.fields(), "{case} {isa}");
+                        }
+                    });
+                }
             }
         }
     }

@@ -15,7 +15,7 @@
 //! never blocks or nests a parallel call — the `RefCell` borrow is
 //! released before any join point.
 
-use crate::rdg::{RdgGeometry, StripWindow, XFragments};
+use crate::rdg::{RdgGeometry, StripWindow, XFragments, STRIP_ACC_T_LEN, STRIP_TT_LEN};
 use std::cell::RefCell;
 use tcu_sim::{SharedTile, MMA_M};
 
@@ -32,14 +32,17 @@ pub(crate) struct TileScratch {
 }
 
 /// The buffers one job row's strips reuse: a staged window per `Stage`
-/// slot, the step-1 `T` rows, and the strip's term and point-wise-plane
+/// slot; the scalar step-1 `T` rows; the strip's term and point-wise-plane
 /// accumulators (the second only under `AccFold::Merge`), each 8 rows by
-/// the strip's width.
+/// the strip's width; and the tensor-core kernel's fixed-size column-block
+/// `Tᵀ` and `accᵀ`.
 pub(crate) struct StripScratch {
     pub windows: [StripWindow; 2],
     pub t: Vec<f64>,
     pub acc: Vec<f64>,
     pub vals: Vec<f64>,
+    pub tt: Vec<f64>,
+    pub acc_t: Vec<f64>,
 }
 
 impl StripScratch {
@@ -64,6 +67,8 @@ thread_local! {
             t: Vec::new(),
             acc: Vec::new(),
             vals: Vec::new(),
+            tt: vec![0.0; STRIP_TT_LEN],
+            acc_t: vec![0.0; STRIP_ACC_T_LEN],
         },
     });
 }

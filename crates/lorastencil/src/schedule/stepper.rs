@@ -21,9 +21,14 @@
 //!   once, row-major, and each term's step 1 runs once across the strip,
 //!   shared by horizontally adjacent sub-tiles; step 2, the tip, the
 //!   point-wise planes and the fold follow in op order and write
-//!   straight to the output. A tensor-core element keeps the fragment
-//!   chain's operation sequence (`rdg_apply_term_strip`); a scalar one
-//!   the scalar chain's (`rdg_apply_term_strip_scalar`). Nothing is
+//!   straight to the output. A tensor-core chain runs in the band-only
+//!   strip kernel (`rdg_apply_chain_strip`), which keeps each element's
+//!   fragment-chain operation sequence with `T` and the accumulator
+//!   transposed inside it, on the term's compile-time instance where its
+//!   band shape has one and the generic instance otherwise; the job
+//!   loop's ISA token ([`StripIsa`]) supplies its vector operations and
+//!   transposes. A scalar element keeps the scalar chain's sequence
+//!   (`rdg_apply_term_strip_scalar`). Nothing is
 //!   charged while evaluating: each job's counters come from the closed
 //!   forms of what the modeled device is charged per sub-tile
 //!   ([`StripCharges`]). A tensor-core job row whose staged input the
@@ -49,9 +54,11 @@ use super::scratch::{with_tile_scratch, StripScratch, TileScratch};
 use super::{plane_extents, AccFold, LoweredTerm, Op, Schedule, ScheduleParams, Staging};
 use crate::plan::{ExecConfig, Plan};
 use crate::rdg::{
-    apply_pointwise_strip, rdg_apply_term_strip, rdg_apply_term_strip_scalar, scalar_term_flops,
-    StripWindow, TermFrags, TILE_M,
+    apply_pointwise_strip, rdg_apply_chain_strip, rdg_apply_term_strip_scalar, scalar_term_flops,
+    Portable, StripIsa, StripWindow, TermFrags, TILE_M,
 };
+#[cfg(target_arch = "x86_64")]
+use crate::rdg::{Avx2, Avx512f};
 use foundation::par::*;
 use std::convert::Infallible;
 use stencil_core::tiling::{clamped_span, tiles_1d, tiles_2d, window_origin, Tile2D};
@@ -90,11 +97,12 @@ fn plane_at(planes: &[GlobalArray], z: usize, dz: usize, h: usize) -> &GlobalArr
 /// the per-sub-tile walk — writing the jobs' counters into `slots`
 /// (`slots[k]` is job `first + k`).
 ///
-/// This is the portable instance of the loop; [`HostIsa`] compiles it
-/// again for wider vector units. Every backend runs the same instance.
+/// [`HostIsa`] compiles the loop once per vector unit, `isa` being that
+/// unit's token. Every backend runs the same instance.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn run_unit(
+fn run_unit<I: StripIsa>(
+    isa: I,
     planes: &[GlobalArray],
     sched: &Schedule,
     first: usize,
@@ -104,7 +112,7 @@ fn run_unit(
     scratch: &mut TileScratch,
     slots: &mut [PerfCounters],
 ) {
-    if sched.on_strips && run_strips(planes, sched, jobs, base, cols, &mut scratch.strip) {
+    if sched.on_strips && run_strips(isa, planes, sched, jobs, base, cols, &mut scratch.strip) {
         let charges = StripCharges::of(sched);
         for (&(_, t), slot) in jobs.iter().zip(slots.iter_mut()) {
             *slot = charges.job(sched, t);
@@ -123,7 +131,8 @@ fn run_unit(
 /// charged; the caller then re-runs the whole row on the per-sub-tile
 /// walk. A scalar schedule always returns `true`.
 #[inline(always)]
-fn run_strips(
+fn run_strips<I: StripIsa>(
+    isa: I,
     planes: &[GlobalArray],
     sched: &Schedule,
     jobs: &[(usize, Tile2D)],
@@ -146,6 +155,8 @@ fn run_strips(
         if sched.fold == AccFold::Merge {
             st.vals[..MMA_M * aw].fill(0.0);
         }
+        // whether `acc` still holds the zeros above
+        let mut fresh = true;
         let mut cur = 0;
         let mut i = 0;
         while i < sched.ops.len() {
@@ -198,24 +209,29 @@ fn run_strips(
                         if !chain.iter().all(|op| w.admits(chain_frags(sched, op))) {
                             return false;
                         }
-                        {
+                        if !chain.is_empty() {
                             let _terms = foundation::obs::span(terms_span);
-                            for op in chain {
-                                let tf = chain_frags(sched, op);
-                                rdg_apply_term_strip(w, tf, &mut st.t, &mut st.acc);
-                            }
+                            let terms = chain.iter().map(|op| chain_frags(sched, op));
+                            let (tt, acc_t) = (&mut st.tt, &mut st.acc_t);
+                            rdg_apply_chain_strip(isa, w, terms, fresh, tt, acc_t, &mut st.acc);
                         }
                         if let Some(pw) = pw {
                             let _pointwise = foundation::obs::span("pointwise");
                             apply_pointwise_strip(w, pw, &mut st.acc);
                         }
                     }
+                    fresh = false;
                 }
                 Op::PointwisePlane { dz, weight } => {
                     // `Merge` keeps the point-wise planes apart from the
                     // tensor-core accumulator until the fold; `Vals` has
                     // one accumulator
-                    let dst = if sched.fold == AccFold::Merge { &mut st.vals } else { &mut st.acc };
+                    let dst = if sched.fold == AccFold::Merge {
+                        &mut st.vals
+                    } else {
+                        fresh = false;
+                        &mut st.acc
+                    };
                     let src = plane_at(planes, z, dz, h).as_slice();
                     for p in 0..TILE_M.min(row.h - sr) {
                         let xs = &src[(r0 + p) * cols..][..cols];
@@ -634,13 +650,14 @@ type UnitFn = unsafe fn(
 /// [`run_unit`] recompiled with extra target features. The loop and
 /// everything beneath it is `#[inline]`, so all of it — strip evaluators,
 /// op walk, walk accumulator, RDG term chains, tcu-sim primitives — is
-/// compiled for the wider vector unit. Rust never contracts `a * b + c`
-/// into an FMA and never reassociates, so vectorization only packs
-/// independent accumulator lanes: every output element keeps its
-/// operation sequence and the results are bit-identical to the portable
-/// instance.
+/// compiled for the wider vector unit, and the tensor-core strip kernel
+/// runs on its registers and shuffles ([`StripIsa`]). Rust never
+/// contracts `a * b + c` into an FMA and never reassociates, and a
+/// transpose only moves values, so vectorization only packs independent
+/// accumulator lanes: every output element keeps its operation sequence
+/// and the results are bit-identical to the portable instance.
 macro_rules! unit_instance {
-    ($name:ident, $feature:literal) => {
+    ($name:ident, $feature:literal, $isa:ident) => {
         #[cfg(target_arch = "x86_64")]
         #[target_feature(enable = $feature)]
         #[allow(clippy::too_many_arguments)]
@@ -654,13 +671,31 @@ macro_rules! unit_instance {
             scratch: &mut TileScratch,
             slots: &mut [PerfCounters],
         ) {
-            run_unit(planes, sched, first, jobs, base, cols, scratch, slots)
+            // SAFETY: the instance runs only on hosts with its target
+            // feature (`HostIsa::unit_fn` checks)
+            let isa = unsafe { $isa::new_unchecked() };
+            run_unit(isa, planes, sched, first, jobs, base, cols, scratch, slots)
         }
     };
 }
 
-unit_instance!(run_unit_avx512f, "avx512f");
-unit_instance!(run_unit_avx2, "avx2");
+unit_instance!(run_unit_avx512f, "avx512f", Avx512f);
+unit_instance!(run_unit_avx2, "avx2", Avx2);
+
+/// The portable instance of [`run_unit`], the reference of the others.
+#[allow(clippy::too_many_arguments)]
+fn run_unit_portable(
+    planes: &[GlobalArray],
+    sched: &Schedule,
+    first: usize,
+    jobs: &[(usize, Tile2D)],
+    base: *mut f64,
+    cols: usize,
+    scratch: &mut TileScratch,
+    slots: &mut [PerfCounters],
+) {
+    run_unit(Portable, planes, sched, first, jobs, base, cols, scratch, slots)
+}
 
 /// The compiled instances of the job loop, best first. The host picks
 /// the best one it supports once per application; nothing configures
@@ -719,7 +754,7 @@ impl HostIsa {
             HostIsa::Avx512f => run_unit_avx512f,
             #[cfg(target_arch = "x86_64")]
             HostIsa::Avx2 => run_unit_avx2,
-            _ => run_unit,
+            _ => run_unit_portable,
         }
     }
 }
