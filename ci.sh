@@ -161,13 +161,15 @@ backend_smoke() {
 profile_smoke() {
     # run the profiler on a small 2-D workload, check the breakdown
     # names every instrumented host phase, and validate the emitted
-    # chrome trace with the CLI's own Json::parse-based validator
+    # chrome trace with the CLI's own Json::parse-based validator. The
+    # 2-D tensor-core strip kernel adds the pyramid tip as it stores the
+    # strip, inside mma_batch, so a 2-D run has no pointwise phase.
     local out trace=target/ci-profile-trace.json
     out=$(cargo run --release --offline -p stencil-cli --bin lorastencil-cli -- \
         profile --kernel Box-2D9P --size 96 --iters 4 --trace-out "$trace")
     echo "$out" | sed 's/^/   /'
     local phase
-    for phase in plan decompose fuse frag_build apply rdg_gather mma_batch pointwise; do
+    for phase in plan decompose fuse frag_build apply rdg_gather mma_batch; do
         if ! grep -q "$phase" <<<"$out"; then
             echo "error: profile breakdown is missing phase '$phase'" >&2
             exit 1
@@ -327,6 +329,8 @@ step "cargo build --release --offline" cargo build --release --offline --workspa
 step "cargo doc -D warnings (no dangling intra-doc links)" doc_check
 step "cargo test -q --offline" cargo test -q --offline --workspace
 step "cargo test -q --offline (FOUNDATION_THREADS=1)" serial_tests
+step "foundation unit tests in release (optimizer-sensitive timing tests)" \
+    cargo test -q --release --offline -p foundation --lib
 step "examples (cargo run --release --example *)" run_examples
 step "bounded fuzz (STENCIL_VERIFY_CASES=${STENCIL_VERIFY_CASES:-25})" fuzz_bounded
 step "quick executor bench (tuned schedules, writes $CI_OUT/executors.json)" quick_bench

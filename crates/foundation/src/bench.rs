@@ -5,7 +5,10 @@
 //! one iteration, then the measurement phase runs enough iterations to
 //! fill the measurement window, in several batches; the reported figure
 //! is the **minimum** per-iteration time across batches (least noise),
-//! with the mean alongside.
+//! with the mean alongside. Per-iteration times are fractional
+//! nanoseconds, so a body faster than 1 ns still reads as its time; a
+//! benchmark whose batches all end within the clock's resolution reports
+//! that, never a time of 0 ns.
 //!
 //! CLI (all optional, criterion-compatible enough for `cargo bench`):
 //!
@@ -34,10 +37,13 @@ use std::time::{Duration, Instant};
 pub struct Summary {
     /// Benchmark name (group-qualified).
     pub name: String,
-    /// Best (minimum) per-iteration time across batches.
-    pub best: Duration,
-    /// Mean per-iteration time across all measured iterations.
-    pub mean: Duration,
+    /// Best (minimum) per-iteration time across batches, in nanoseconds.
+    /// `None` when nothing was timed: a `--test` run, or every batch
+    /// ended within the clock's resolution (its elapsed time read zero).
+    pub best_ns: Option<f64>,
+    /// Mean per-iteration time across all measured iterations, in
+    /// nanoseconds.
+    pub mean_ns: f64,
     /// Total iterations measured.
     pub iters: u64,
     /// Grid points processed per iteration (0 = not reported).
@@ -50,10 +56,8 @@ impl Summary {
     /// Throughput at the best per-iteration time, in Mpoints/s
     /// (`None` when the benchmark did not report points).
     pub fn mpoints_per_sec(&self) -> Option<f64> {
-        if self.points == 0 || self.best.is_zero() {
-            return None;
-        }
-        Some(self.points as f64 / self.best.as_secs_f64() / 1e6)
+        let best_ns = self.best_ns.filter(|_| self.points > 0)?;
+        Some(self.points as f64 / best_ns * 1e3)
     }
 }
 
@@ -142,8 +146,8 @@ impl Bench {
         println!(
             "{:<40} {:>14} /iter (mean {:>14}, {} iters){throughput}",
             s.name,
-            fmt_duration(s.best),
-            fmt_duration(s.mean),
+            s.best_ns.map_or("unresolved".to_string(), fmt_ns),
+            fmt_ns(s.mean_ns),
             s.iters
         );
         self.results.push(s);
@@ -185,8 +189,8 @@ impl Bench {
                 .map(|s| {
                     let mut pairs = vec![
                         ("name", Json::Str(s.name.clone())),
-                        ("best_ns", Json::Num(s.best.as_secs_f64() * 1e9)),
-                        ("mean_ns", Json::Num(s.mean.as_secs_f64() * 1e9)),
+                        ("best_ns", s.best_ns.map_or(Json::Null, Json::Num)),
+                        ("mean_ns", Json::Num(s.mean_ns)),
                         ("iters", Json::UInt(s.iters)),
                     ];
                     if s.points > 0 {
@@ -204,10 +208,11 @@ impl Bench {
                     if base.is_some() {
                         match base.and_then(|b| baseline_best_ns(b, &s.name)) {
                             // a zero (or negative) baseline time is not a
-                            // usable denominator — mark the entry instead
-                            // of reporting an absurd speedup
-                            Some(base_ns) if base_ns > 0.0 => {
-                                let now_ns = s.best.as_secs_f64() * 1e9;
+                            // usable denominator, and an unresolved time
+                            // no numerator — mark the entry instead of
+                            // reporting an absurd speedup
+                            Some(base_ns) if base_ns > 0.0 && s.best_ns.is_some() => {
+                                let now_ns = s.best_ns.unwrap_or(0.0);
                                 pairs.push(("baseline_best_ns", Json::Num(base_ns)));
                                 pairs.push((
                                     "speedup_vs_baseline",
@@ -259,21 +264,21 @@ impl Bench {
     fn print_baseline_delta(&self, path: &str, base: &crate::json::Json) {
         println!("\ndelta vs baseline {path} (negative = faster):");
         for s in &self.results {
-            match baseline_best_ns(base, &s.name) {
-                Some(base_ns) if base_ns > 0.0 => {
-                    let now_ns = s.best.as_secs_f64() * 1e9;
+            match (baseline_best_ns(base, &s.name), s.best_ns) {
+                (Some(base_ns), Some(now_ns)) if base_ns > 0.0 => {
                     let pct = (now_ns / base_ns - 1.0) * 100.0;
                     println!(
                         "{:<40} {:>+8.1}%  ({} -> {}, {:.2}x)",
                         s.name,
                         pct,
-                        fmt_duration(Duration::from_secs_f64(base_ns / 1e9)),
-                        fmt_duration(s.best),
+                        fmt_ns(base_ns),
+                        fmt_ns(now_ns),
                         base_ns / now_ns.max(1e-9),
                     );
                 }
-                Some(_) => println!("{:<40} (baseline time is zero: n/a)", s.name),
-                None => println!("{:<40} (new: not in baseline)", s.name),
+                (Some(_), None) => println!("{:<40} (time below clock resolution: n/a)", s.name),
+                (Some(_), _) => println!("{:<40} (baseline time is zero: n/a)", s.name),
+                (None, _) => println!("{:<40} (new: not in baseline)", s.name),
             }
         }
     }
@@ -350,8 +355,8 @@ impl Bencher {
             black_box(f());
             self.summary = Some(Summary {
                 name: String::new(),
-                best: Duration::ZERO,
-                mean: Duration::ZERO,
+                best_ns: None,
+                mean_ns: 0.0,
                 iters: 1,
                 points: 0,
                 phases: Vec::new(),
@@ -372,7 +377,7 @@ impl Bencher {
         let batch_iters = ((self.window.as_secs_f64() / BATCHES as f64 / per_iter.max(1e-9))
             as u64)
             .clamp(1, 1 << 24);
-        let mut best = Duration::MAX;
+        let mut best_ns: Option<f64> = None;
         let mut total = Duration::ZERO;
         let mut iters: u64 = 0;
         for _ in 0..BATCHES {
@@ -381,17 +386,18 @@ impl Bencher {
                 black_box(f());
             }
             let dt = t0.elapsed();
-            let per = dt / batch_iters as u32;
-            if per < best {
-                best = per;
+            // a batch the clock did not see advance measured nothing
+            if !dt.is_zero() {
+                let per = dt.as_nanos() as f64 / batch_iters as f64;
+                best_ns = Some(best_ns.map_or(per, |b| b.min(per)));
             }
             total += dt;
             iters += batch_iters;
         }
         self.summary = Some(Summary {
             name: String::new(),
-            best,
-            mean: total / iters.max(1) as u32,
+            best_ns,
+            mean_ns: total.as_nanos() as f64 / iters.max(1) as f64,
             iters,
             points: 0,
             phases: Vec::new(),
@@ -448,9 +454,10 @@ pub fn median_sample_ns<R>(clock: &mut impl Clock, reps: usize, mut f: impl FnMu
     samples[(reps - 1) / 2]
 }
 
-fn fmt_duration(d: Duration) -> String {
-    let ns = d.as_secs_f64() * 1e9;
-    if ns < 1_000.0 {
+fn fmt_ns(ns: f64) -> String {
+    if ns < 1.0 {
+        format!("{ns:.3} ns")
+    } else if ns < 1_000.0 {
         format!("{ns:.1} ns")
     } else if ns < 1_000_000.0 {
         format!("{:.2} µs", ns / 1_000.0)
@@ -481,7 +488,7 @@ mod tests {
         let s = &c.results()[0];
         assert_eq!(s.name, "sum");
         assert!(s.iters >= 8);
-        assert!(s.best <= s.mean || s.iters <= 8);
+        assert!(s.best_ns.unwrap() <= s.mean_ns || s.iters <= 8);
     }
 
     #[test]
@@ -534,7 +541,7 @@ mod tests {
         let mut c = quick();
         c.bench_function("grid", |b| {
             b.points(4096);
-            b.iter(|| (0..64u64).sum::<u64>())
+            b.iter(|| (0..64u64).map(black_box).sum::<u64>())
         });
         let s = &c.results()[0];
         assert_eq!(s.points, 4096);
@@ -543,6 +550,28 @@ mod tests {
         let dump = c.to_json().dump();
         assert!(dump.contains(r#""points":4096"#), "{dump}");
         assert!(dump.contains("mpoints_per_sec"), "{dump}");
+    }
+
+    #[test]
+    fn sub_nanosecond_bodies_are_not_reported_as_zero() {
+        use crate::json::Json;
+        let mut c = quick();
+        // folds to a constant: far under 1 ns per iteration
+        c.bench_function("folded", |b| b.iter(|| (0..64u64).sum::<u64>()));
+        let best = c.results()[0].best_ns.expect("a batch outlasts the clock's resolution");
+        assert!(best > 0.0);
+        // a time the clock never resolved is reported as such: no 0 ns,
+        // no speedup against a baseline
+        c.results[0].best_ns = None;
+        let base = Json::Arr(vec![Json::obj(vec![
+            ("name", Json::Str("folded".into())),
+            ("best_ns", Json::Num(10.0)),
+        ])]);
+        c.print_baseline_delta("mem", &base);
+        let report = c.to_json_with_baseline(Some(&base));
+        let entry = &report.as_arr().unwrap()[0];
+        assert!(matches!(entry.get("best_ns"), Some(Json::Null)));
+        assert_eq!(entry.get("baseline").and_then(Json::as_str), Some("n/a"));
     }
 
     /// A clock that replays a scripted sequence of timestamps; each
@@ -606,7 +635,7 @@ mod tests {
     fn baseline_delta_reads_previous_report() {
         use crate::json::Json;
         let mut c = quick();
-        c.bench_function("grid", |b| b.iter(|| (0..64u64).sum::<u64>()));
+        c.bench_function("grid", |b| b.iter(|| (0..64u64).map(black_box).sum::<u64>()));
         // round-trip the report through the parser the --baseline path uses
         let report = Json::parse(&c.to_json().dump()).unwrap();
         let entries = report.as_arr().unwrap();

@@ -430,19 +430,22 @@ impl Plan {
     /// a second buffer when `cp.async` double-buffering is on). Register
     /// pressure varies with the dimension and the compute path.
     pub fn block_resources(&self) -> BlockResources {
-        let buffers = if self.config.use_async_copy || self.params.staging == Staging::Double {
-            2
-        } else {
-            1
-        };
+        self.block_resources_with(&self.params)
+    }
+
+    /// [`Plan::block_resources`] under other tile and staging `params`
+    /// on this plan's geometry (`params.fuse_override` is not applied).
+    pub fn block_resources_with(&self, params: &ScheduleParams) -> BlockResources {
+        let buffers =
+            if self.config.use_async_copy || params.staging == Staging::Double { 2 } else { 1 };
         let shared_per_warp = match &self.kind {
             PlanKind::D1 { seg_len } => (8 * seg_len * 8) as u32,
             _ => {
                 // the staged window of a tile_rows × tile_cols macro job:
                 // S×S for the default 8×8 tile, growing by the extra
                 // interior rows/columns beyond the halo for larger jobs
-                let wr = self.geo.s + self.params.tile_rows - 8;
-                let wc = self.geo.s + self.params.tile_cols - 8;
+                let wr = self.geo.s + params.tile_rows - 8;
+                let wc = self.geo.s + params.tile_cols - 8;
                 (wr * wc * std::mem::size_of::<f64>()) as u32
             }
         };

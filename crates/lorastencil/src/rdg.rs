@@ -343,7 +343,7 @@ impl BandTable {
 
 /// The vector unit a compiled instance of the job loop runs the
 /// tensor-core strip kernel on: eight `f64` lanes, with the loads,
-/// stores, multiply-adds and 8×8 transposes the kernel is written in.
+/// stores, adds, multiply-adds and 8×8 transposes the kernel is written in.
 /// Holding a value of the type proves the host supports its target
 /// features. Every lane operation is one IEEE multiply then one IEEE add,
 /// as the scalar expression `acc + a * b` compiles; nothing fuses or
@@ -357,6 +357,8 @@ pub(crate) trait StripIsa: Copy {
     fn load(self, x: &[f64]) -> Self::F8;
     /// Lanes to memory.
     fn store(self, v: Self::F8, out: &mut [f64]);
+    /// `a + b` per lane, in that operand order.
+    fn add(self, a: Self::F8, b: Self::F8) -> Self::F8;
     /// `acc + a·b` per lane, rounded after the product and after the sum.
     fn add_mul(self, acc: Self::F8, a: Self::F8, b: Self::F8) -> Self::F8;
     /// Rows `m` as columns: lane `p` of `out[k]` is lane `k` of `m[p]`.
@@ -381,6 +383,13 @@ impl StripIsa for Portable {
     #[inline(always)]
     fn store(self, v: [f64; 8], out: &mut [f64]) {
         out[..8].copy_from_slice(&v);
+    }
+    #[inline(always)]
+    fn add(self, mut a: [f64; 8], b: [f64; 8]) -> [f64; 8] {
+        for (a, &b) in a.iter_mut().zip(&b) {
+            *a += b;
+        }
+        a
     }
     #[inline(always)]
     fn add_mul(self, mut acc: [f64; 8], a: [f64; 8], b: [f64; 8]) -> [f64; 8] {
@@ -444,6 +453,12 @@ impl StripIsa for Avx2 {
             _mm256_storeu_pd(out.as_mut_ptr(), v[0]);
             _mm256_storeu_pd(out[4..].as_mut_ptr(), v[1]);
         }
+    }
+    #[inline(always)]
+    fn add(self, a: Self::F8, b: Self::F8) -> Self::F8 {
+        use std::arch::x86_64::*;
+        // SAFETY: see the impl
+        unsafe { [_mm256_add_pd(a[0], b[0]), _mm256_add_pd(a[1], b[1])] }
     }
     #[inline(always)]
     fn add_mul(self, acc: Self::F8, a: Self::F8, b: Self::F8) -> Self::F8 {
@@ -517,6 +532,11 @@ impl StripIsa for Avx512f {
     fn store(self, v: Self::F8, out: &mut [f64]) {
         // SAFETY: see the impl
         unsafe { std::arch::x86_64::_mm512_storeu_pd(out[..8].as_mut_ptr(), v) }
+    }
+    #[inline(always)]
+    fn add(self, a: Self::F8, b: Self::F8) -> Self::F8 {
+        // SAFETY: see the impl
+        unsafe { std::arch::x86_64::_mm512_add_pd(a, b) }
     }
     #[inline(always)]
     fn add_mul(self, acc: Self::F8, a: Self::F8, b: Self::F8) -> Self::F8 {
@@ -622,6 +642,7 @@ macro_rules! band_instances {
         pub(crate) const SPECIALIZED: &[(usize, usize)] = &[$(($taps, $shift)),*];
 
         /// [`term_block`] on the term's instance.
+        #[allow(clippy::too_many_arguments)]
         #[inline(always)]
         fn term_block_any<I: StripIsa>(
             isa: I,
@@ -631,17 +652,18 @@ macro_rules! band_instances {
             m: usize,
             tt: &mut [f64],
             acc_t: &mut [f64],
+            zero: bool,
         ) {
             match (bt.fixed, bt.taps, bt.shift, bt.bvs) {
                 $(
                     (true, $taps, $shift, true) => {
-                        term_block(isa, Fixed::<$taps, $shift, true>, bt, w, j0, m, tt, acc_t)
+                        term_block(isa, Fixed::<$taps, $shift, true>, bt, w, j0, m, tt, acc_t, zero)
                     }
                     (true, $taps, $shift, false) => {
-                        term_block(isa, Fixed::<$taps, $shift, false>, bt, w, j0, m, tt, acc_t)
+                        term_block(isa, Fixed::<$taps, $shift, false>, bt, w, j0, m, tt, acc_t, zero)
                     }
                 )*
-                _ => term_block(isa, bt, bt, w, j0, m, tt, acc_t),
+                _ => term_block(isa, bt, bt, w, j0, m, tt, acc_t, zero),
             }
         }
     };
@@ -714,6 +736,14 @@ impl StripWindow {
     #[inline(always)]
     pub fn finite(&self) -> bool {
         self.max_abs.is_finite()
+    }
+
+    /// Row `p` of the sub-tiles' output points: window row `h + p` from
+    /// column `h`, `8·n` values, which the tip `pw·X[h+p][h+q]` reads.
+    #[inline(always)]
+    pub fn center_row(&self, p: usize) -> &[f64] {
+        let h = self.geo.h;
+        &self.x[(h + p) * self.width() + h..][..TILE_M * self.n]
     }
 
     /// Whether the tensor-core strip kernel may evaluate `tf` on this window:
@@ -1001,7 +1031,8 @@ fn store8<I: StripIsa>(isa: I, blk: [I::F8; 8], buf: &mut [f64], at: usize, stri
 ///   8×8 transpose into `tt`.
 /// * Step 2, band only: `accᵀ[8j+q][p] += v[c−shift−q]·Tᵀ[8j+c][p]` for
 ///   the `n_t` columns `c` of lane `q`'s band in [`lane_cols`] order,
-///   eight output rows `p` per operation and the eight lanes side by side.
+///   eight output rows `p` per operation and the eight lanes side by side,
+///   from `+0.0` instead of `accᵀ` when `zero` (nothing has written it).
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn term_block<I: StripIsa, K: BandShape>(
@@ -1013,6 +1044,7 @@ fn term_block<I: StripIsa, K: BandShape>(
     m: usize,
     tt: &mut [f64],
     acc_t: &mut [f64],
+    zero: bool,
 ) {
     let (taps, shift, width) = (k.taps(), k.shift(), w.width());
     // the Tᵀ blocks sub-tile j reads run from j + shift/8 to
@@ -1039,7 +1071,7 @@ fn term_block<I: StripIsa, K: BandShape>(
     for (j, at) in acc_t[..TILE_M * MMA_N * m].chunks_exact_mut(TILE_M * MMA_N).enumerate() {
         // sub-tile j's window column c is row c − 8·lo of `tj`
         let tj = &tt[TILE_M * MMA_N * j..][..MMA_N * span];
-        let mut a = load8(isa, at, 0, MMA_N);
+        let mut a = if zero { [isa.splat(0.0); 8] } else { load8(isa, at, 0, MMA_N) };
         for s in 0..taps {
             for (q, aq) in a.iter_mut().enumerate() {
                 let c = k.col(q, s);
@@ -1051,21 +1083,49 @@ fn term_block<I: StripIsa, K: BandShape>(
     }
 }
 
+/// Where [`rdg_apply_chain_strip`] leaves the chain's result.
+pub(crate) enum StripOut<'a> {
+    /// Back in the strip's row-major accumulator, for the op groups that
+    /// follow.
+    Acc,
+    /// The output plane: the strip's last chain group ends the strip.
+    Plane {
+        /// The group's pyramid tip `pw·X[h+p][h+q]`, added to the chain's
+        /// result unless `0.0`.
+        pw: f64,
+        /// Under `AccFold::Merge`, the strip's point-wise-plane
+        /// accumulator (8 rows of `8·n` columns): the output is
+        /// `vals + acc`.
+        vals: Option<&'a [f64]>,
+        /// The strip's output rows, `cols` apart; only the first `rows`
+        /// rows and `cols` columns are written.
+        out: &'a mut [f64],
+        rows: usize,
+        cols: usize,
+    },
+}
+
 /// Strip form of [`rdg_apply_term_frags_into`] and
 /// [`rdg_apply_term_sparse_into`] for a whole chain of terms: the same
 /// `acc += U·X·V`, term after term, for every sub-tile of a staged strip,
 /// forming only the products inside the bands of `U` and `V`. `w` must
 /// be [finite](StripWindow::finite) and [admit](StripWindow::admits)
-/// every term. `acc` is the strip's accumulator, 8 rows of `8·n` columns,
-/// row-major, all `+0.0` when `fresh`; `tt` and `acc_t` are scratch of
-/// [`STRIP_TT_LEN`] and [`STRIP_ACC_T_LEN`]. Charges nothing: the caller
-/// charges [`TermFrags::charge`] per term and sub-tile.
+/// every term; `chain` must not be empty. `acc` is the strip's
+/// accumulator, 8 rows of `8·n` columns, row-major; it is not read when
+/// `fresh` (the chain then starts from `+0.0`). `tt` and `acc_t` are scratch of [`STRIP_TT_LEN`] and
+/// [`STRIP_ACC_T_LEN`]. Charges nothing: the caller charges
+/// [`TermFrags::charge`] per term and sub-tile.
 ///
 /// The strip runs in column blocks of up to 32 sub-tiles. Each block
-/// transposes its part of `acc` into `accᵀ[x][p]` (or zeroes it when
-/// `fresh`), runs every term's step 1 and step 2 on it (`term_block`),
-/// and transposes it back. A term runs on its compile-time instance when
-/// its shape is in [`SPECIALIZED`], else on the generic one.
+/// transposes its part of `acc` into `accᵀ[x][p]` (when `fresh`, the
+/// first term's step 2 starts from `+0.0` instead), runs every term's
+/// step 1 and step 2 on it (`term_block`),
+/// and transposes it back into `out`: into `acc`, or, for the strip's
+/// last chain group, into the output plane with the group's tip
+/// `acc + pw·X` and the `vals + acc` fold applied to each row vector on
+/// the way, in the order the per-sub-tile walk applies them. A term runs
+/// on its compile-time instance when its shape is in [`SPECIALIZED`],
+/// else on the generic one.
 ///
 /// Each output element `(p, q)` receives exactly the fragment chain's
 /// non-identity operations, in its order: step 1 is the chain's k-loop
@@ -1075,6 +1135,7 @@ fn term_block<I: StripIsa, K: BandShape>(
 /// `x` (the admission check keeps `T` finite too), a signed zero, and a
 /// `+0.0`-seeded round-to-nearest sum never reaches `-0.0`, so adding a
 /// signed zero is the identity: the bits match.
+#[allow(clippy::too_many_arguments)]
 #[inline(always)]
 pub(crate) fn rdg_apply_chain_strip<'a, I: StripIsa>(
     isa: I,
@@ -1084,27 +1145,61 @@ pub(crate) fn rdg_apply_chain_strip<'a, I: StripIsa>(
     tt: &mut [f64],
     acc_t: &mut [f64],
     acc: &mut [f64],
+    mut out: StripOut<'_>,
 ) {
     let (n, aw) = (w.n, TILE_M * w.n);
+    let (h, width) = (w.geo.h, w.width());
     let mut j0 = 0;
     while j0 < n {
         let m = COL_BLOCK.min(n - j0);
         let acc_t = &mut acc_t[..TILE_M * MMA_N * m];
-        if fresh {
-            acc_t.fill(0.0);
-        } else {
+        if !fresh {
             for (j, at) in acc_t.chunks_exact_mut(TILE_M * MMA_N).enumerate() {
                 let blk = isa.transpose8(load8(isa, acc, TILE_M * (j0 + j), aw));
                 store8(isa, blk, at, 0, MMA_N);
             }
         }
-        for tf in chain.clone() {
+        for (t, tf) in chain.clone().enumerate() {
             let bt = tf.band.as_ref().expect("StripWindow::admits checked the band tables");
-            term_block_any(isa, bt, w, j0, m, tt, acc_t);
+            term_block_any(isa, bt, w, j0, m, tt, acc_t, fresh && t == 0);
         }
-        for (j, at) in acc_t.chunks_exact(TILE_M * MMA_N).enumerate() {
-            let blk = isa.transpose8(load8(isa, at, 0, MMA_N));
-            store8(isa, blk, acc, TILE_M * (j0 + j), aw);
+        match &mut out {
+            StripOut::Acc => {
+                for (j, at) in acc_t.chunks_exact(TILE_M * MMA_N).enumerate() {
+                    let blk = isa.transpose8(load8(isa, at, 0, MMA_N));
+                    store8(isa, blk, acc, TILE_M * (j0 + j), aw);
+                }
+            }
+            StripOut::Plane { pw, vals, out, rows, cols } => {
+                for (j, at) in acc_t.chunks_exact(TILE_M * MMA_N).enumerate() {
+                    let x = TILE_M * (j0 + j);
+                    let mut blk = isa.transpose8(load8(isa, at, 0, MMA_N));
+                    if *pw != 0.0 {
+                        let (pw, xs) = (isa.splat(*pw), load8(isa, &w.x, h * width + h + x, width));
+                        for (v, xp) in blk.iter_mut().zip(xs) {
+                            *v = isa.add_mul(*v, pw, xp);
+                        }
+                    }
+                    if let Some(vals) = vals {
+                        for (v, vp) in blk.iter_mut().zip(load8(isa, vals, x, aw)) {
+                            *v = isa.add(vp, *v);
+                        }
+                    }
+                    if *rows == TILE_M && x + MMA_N <= *cols {
+                        store8(isa, blk, out, x, *cols);
+                        continue;
+                    }
+                    // a strip past the plane's last row, or the last
+                    // sub-tile of a plane whose width is not a multiple of
+                    // 8, stores only its rows and lanes inside the plane
+                    let lanes = MMA_N.min(*cols - x);
+                    for (p, &v) in blk.iter().enumerate().take(*rows) {
+                        let mut part = [0.0; MMA_N];
+                        isa.store(v, &mut part);
+                        out[p * *cols + x..][..lanes].copy_from_slice(&part[..lanes]);
+                    }
+                }
+            }
         }
         j0 += m;
     }
@@ -1194,10 +1289,9 @@ pub fn apply_pointwise_strip(w: &StripWindow, pw: f64, acc: &mut [f64]) {
     if pw == 0.0 {
         return;
     }
-    let (h, width, aw) = (w.geo.h, w.width(), TILE_M * w.n);
+    let aw = TILE_M * w.n;
     for p in 0..MMA_M {
-        let xr = &w.x[(h + p) * width + h..][..aw];
-        for (a, &x) in acc[p * aw..][..aw].iter_mut().zip(xr) {
+        for (a, &x) in acc[p * aw..][..aw].iter_mut().zip(w.center_row(p)) {
             *a += pw * x;
         }
     }
@@ -1601,7 +1695,8 @@ mod tests {
         let fresh = init.iter().all(|&a| a.to_bits() == 0);
         let (mut tt, mut acc_t) = (vec![0.0; STRIP_TT_LEN], vec![0.0; STRIP_ACC_T_LEN]);
         let mut acc = init.to_vec();
-        rdg_apply_chain_strip(isa, w, chain.iter(), fresh, &mut tt, &mut acc_t, &mut acc);
+        let (tt, acc_t) = (&mut tt, &mut acc_t);
+        rdg_apply_chain_strip(isa, w, chain.iter(), fresh, tt, acc_t, &mut acc, StripOut::Acc);
         let mut counters = PerfCounters::new();
         for _ in 0..w.n {
             for tf in chain {

@@ -35,7 +35,8 @@ pub(crate) struct TileScratch {
 /// slot; the scalar step-1 `T` rows; the strip's term and point-wise-plane
 /// accumulators (the second only under `AccFold::Merge`), each 8 rows by
 /// the strip's width; and the tensor-core kernel's fixed-size column-block
-/// `Tᵀ` and `accᵀ`.
+/// `Tᵀ` and `accᵀ`. A strip whose only chain group the tensor-core kernel
+/// stores straight into the output never touches `acc`.
 pub(crate) struct StripScratch {
     pub windows: [StripWindow; 2],
     pub t: Vec<f64>,

@@ -5,9 +5,10 @@
 //! [`Stepper`] double-buffers the grid planes and reuses every per-apply
 //! buffer, so an iteration allocates nothing and spawns no threads.
 //! Units of work run in parallel and write their disjoint output bands
-//! directly; per-job counters land in preallocated index-addressed slots
-//! and merge sequentially **in job order**, so counters and values are
-//! bit-identical at any thread count.
+//! directly; each unit's counters land in a preallocated index-addressed
+//! slot, one per unit of work, and the slots merge sequentially **in
+//! unit order**, so counters and values are bit-identical at any thread
+//! count.
 //!
 //! A *job* is one macro tile of [`Schedule::tile_h`] × [`Schedule::tile_w`]
 //! output points (one modeled thread block). The interpreter evaluates
@@ -20,8 +21,11 @@
 //!   each `Stage` stages the union of the strip's sub-tile S×S windows
 //!   once, row-major, and each term's step 1 runs once across the strip,
 //!   shared by horizontally adjacent sub-tiles; step 2, the tip, the
-//!   point-wise planes and the fold follow in op order and write
-//!   straight to the output. A tensor-core chain runs in the band-only
+//!   point-wise planes and the fold follow, each element in its op
+//!   order. The strip ends at its last op group: on the tensor cores the
+//!   chain kernel adds that group's tip, folds and stores straight into
+//!   the output plane; on the scalar backends one write-out pass adds the
+//!   tip and stores. A tensor-core chain runs in the band-only
 //!   strip kernel (`rdg_apply_chain_strip`), which keeps each element's
 //!   fragment-chain operation sequence with `T` and the accumulator
 //!   transposed inside it, on the term's compile-time instance where its
@@ -29,8 +33,8 @@
 //!   loop's ISA token ([`StripIsa`]) supplies its vector operations and
 //!   transposes. A scalar element keeps the scalar chain's sequence
 //!   (`rdg_apply_term_strip_scalar`). Nothing is
-//!   charged while evaluating: each job's counters come from the closed
-//!   forms of what the modeled device is charged per sub-tile
+//!   charged while evaluating: each job row's counters come at once from
+//!   the closed forms of what the modeled device is charged per sub-tile
 //!   ([`StripCharges`]). A tensor-core job row whose staged input the
 //!   strip evaluator cannot reproduce bit for bit — a non-finite value
 //!   anywhere in a staged strip, padding included, or a term whose `T`
@@ -55,7 +59,7 @@ use super::{plane_extents, AccFold, LoweredTerm, Op, Schedule, ScheduleParams, S
 use crate::plan::{ExecConfig, Plan};
 use crate::rdg::{
     apply_pointwise_strip, rdg_apply_chain_strip, rdg_apply_term_strip_scalar, scalar_term_flops,
-    Portable, StripIsa, StripWindow, TermFrags, TILE_M,
+    Portable, StripIsa, StripOut, StripWindow, TermFrags, TILE_M,
 };
 #[cfg(target_arch = "x86_64")]
 use crate::rdg::{Avx2, Avx512f};
@@ -94,8 +98,8 @@ fn plane_at(planes: &[GlobalArray], z: usize, dz: usize, h: usize) -> &GlobalArr
 }
 
 /// Interpret one unit of work — a job row on strips, or a run of jobs on
-/// the per-sub-tile walk — writing the jobs' counters into `slots`
-/// (`slots[k]` is job `first + k`).
+/// the per-sub-tile walk — writing its counters into `slot`: a strip row
+/// charges `charges` in closed form, a walked run the sum of its jobs'.
 ///
 /// [`HostIsa`] compiles the loop once per vector unit, `isa` being that
 /// unit's token. Every backend runs the same instance.
@@ -105,22 +109,21 @@ fn run_unit<I: StripIsa>(
     isa: I,
     planes: &[GlobalArray],
     sched: &Schedule,
+    charges: &StripCharges,
     first: usize,
     jobs: &[(usize, Tile2D)],
     base: *mut f64,
     cols: usize,
     scratch: &mut TileScratch,
-    slots: &mut [PerfCounters],
+    slot: &mut PerfCounters,
 ) {
     if sched.on_strips && run_strips(isa, planes, sched, jobs, base, cols, &mut scratch.strip) {
-        let charges = StripCharges::of(sched);
-        for (&(_, t), slot) in jobs.iter().zip(slots.iter_mut()) {
-            *slot = charges.job(sched, t);
-        }
+        *slot = charges.row(sched, jobs);
         return;
     }
-    for (k, (&(z, t), slot)) in jobs.iter().zip(slots.iter_mut()).enumerate() {
-        *slot = run_job(planes, sched, first + k, z, t, base, cols, scratch);
+    *slot = PerfCounters::new();
+    for (k, &(z, t)) in jobs.iter().enumerate() {
+        slot.merge(&run_job(planes, sched, first + k, z, t, base, cols, scratch));
     }
 }
 
@@ -130,6 +133,14 @@ fn run_unit<I: StripIsa>(
 /// `T` could overflow — with the row's output partly written and nothing
 /// charged; the caller then re-runs the whole row on the per-sub-tile
 /// walk. A scalar schedule always returns `true`.
+///
+/// A strip ends at its last op group ([`strip_end`]). On the tensor cores
+/// the strip kernel stores that group's chain, tip and fold straight into
+/// the output rows; under `AccFold::Merge` the strip's `PointwisePlane`s
+/// run into `vals` before any group, since they touch only `vals` and the
+/// chains only `acc`. On the scalar backends the last tip is added by the
+/// write-out pass. `acc` is zero-filled only before an op reads it while
+/// nothing has written it yet.
 #[inline(always)]
 fn run_strips<I: StripIsa>(
     isa: I,
@@ -143,7 +154,9 @@ fn run_strips<I: StripIsa>(
     let (z, row) = jobs[0];
     let (h, geo) = (sched.h, sched.geo);
     let scalar = sched.backend.scalar_issue().is_some();
+    let merge = sched.fold == AccFold::Merge;
     let terms_span = sched.backend.terms_span();
+    let end = strip_end(sched);
     // the row's sub-tiles span the plane: columns 0..8n of the accumulators
     let n = cols.div_ceil(TILE_M);
     let aw = TILE_M * n;
@@ -151,12 +164,24 @@ fn run_strips<I: StripIsa>(
     let mut sr = 0;
     while sr < row.h {
         let r0 = row.r0 + sr;
-        st.acc[..MMA_M * aw].fill(0.0);
-        if sched.fold == AccFold::Merge {
+        let rows = TILE_M.min(row.h - sr);
+        // SAFETY: job rows (and their strips) write disjoint (z, band)
+        // regions; `base` stays valid because `out` is exclusively
+        // borrowed for the whole application
+        let out = unsafe { std::slice::from_raw_parts_mut(base.add(r0 * cols), rows * cols) };
+        if merge {
             st.vals[..MMA_M * aw].fill(0.0);
+            for op in &sched.ops {
+                if let Op::PointwisePlane { dz, weight } = *op {
+                    add_plane(plane_at(planes, z, dz, h), weight, r0, rows, &mut st.vals, aw);
+                }
+            }
         }
-        // whether `acc` still holds the zeros above
+        // whether nothing has written `acc` yet this strip
         let mut fresh = true;
+        // the last group's tip, left to the write-out: (slot, weight)
+        let mut tip = None;
+        let mut stored = false;
         let mut cur = 0;
         let mut i = 0;
         while i < sched.ops.len() {
@@ -188,81 +213,122 @@ fn run_strips<I: StripIsa>(
                         i += 1;
                     }
                     let chain = &sched.ops[first..i];
-                    let pw = if let Some(&Op::Pointwise { weight }) = sched.ops.get(i) {
+                    let mut pw = 0.0;
+                    if let Some(&Op::Pointwise { weight }) = sched.ops.get(i) {
+                        pw = weight;
                         i += 1;
-                        Some(weight)
-                    } else {
-                        None
-                    };
+                    }
+                    let last = end == Some(i);
                     let w = &st.windows[cur];
                     if scalar {
-                        // the scalar chain and its tip run under one span
+                        // the scalar chain and a tip before the last run
+                        // under one span
                         let _terms = foundation::obs::span(terms_span);
                         for op in chain {
+                            zero_if_fresh(&mut fresh, &mut st.acc[..MMA_M * aw]);
                             let term = &chain_term(sched, op).term;
                             rdg_apply_term_strip_scalar(w, term, &mut st.t, &mut st.acc);
                         }
-                        if let Some(pw) = pw {
+                        if last {
+                            tip = (pw != 0.0).then_some((cur, pw));
+                        } else if pw != 0.0 {
+                            zero_if_fresh(&mut fresh, &mut st.acc[..MMA_M * aw]);
                             apply_pointwise_strip(w, pw, &mut st.acc);
                         }
-                    } else {
-                        if !chain.iter().all(|op| w.admits(chain_frags(sched, op))) {
-                            return false;
-                        }
-                        if !chain.is_empty() {
-                            let _terms = foundation::obs::span(terms_span);
-                            let terms = chain.iter().map(|op| chain_frags(sched, op));
-                            let (tt, acc_t) = (&mut st.tt, &mut st.acc_t);
-                            rdg_apply_chain_strip(isa, w, terms, fresh, tt, acc_t, &mut st.acc);
-                        }
-                        if let Some(pw) = pw {
-                            let _pointwise = foundation::obs::span("pointwise");
-                            apply_pointwise_strip(w, pw, &mut st.acc);
-                        }
+                        continue;
                     }
-                    fresh = false;
+                    if !chain.iter().all(|op| w.admits(chain_frags(sched, op))) {
+                        return false;
+                    }
+                    if !chain.is_empty() {
+                        let _terms = foundation::obs::span(terms_span);
+                        let terms = chain.iter().map(|op| chain_frags(sched, op));
+                        let (tt, acc_t) = (&mut st.tt, &mut st.acc_t);
+                        let target = if last {
+                            stored = true;
+                            let vals = merge.then_some(&st.vals[..]);
+                            StripOut::Plane { pw, vals, out: &mut *out, rows, cols }
+                        } else {
+                            StripOut::Acc
+                        };
+                        rdg_apply_chain_strip(isa, w, terms, fresh, tt, acc_t, &mut st.acc, target);
+                        fresh = false;
+                    }
+                    if !stored && pw != 0.0 {
+                        let _pointwise = foundation::obs::span("pointwise");
+                        zero_if_fresh(&mut fresh, &mut st.acc[..MMA_M * aw]);
+                        apply_pointwise_strip(w, pw, &mut st.acc);
+                    }
                 }
                 Op::PointwisePlane { dz, weight } => {
-                    // `Merge` keeps the point-wise planes apart from the
-                    // tensor-core accumulator until the fold; `Vals` has
-                    // one accumulator
-                    let dst = if sched.fold == AccFold::Merge {
-                        &mut st.vals
-                    } else {
-                        fresh = false;
-                        &mut st.acc
-                    };
-                    let src = plane_at(planes, z, dz, h).as_slice();
-                    for p in 0..TILE_M.min(row.h - sr) {
-                        let xs = &src[(r0 + p) * cols..][..cols];
-                        for (v, &x) in dst[p * aw..][..cols].iter_mut().zip(xs) {
-                            *v += weight * x;
-                        }
+                    // `Merge` ran the point-wise planes into `vals` above;
+                    // `Vals` has one accumulator
+                    if !merge {
+                        zero_if_fresh(&mut fresh, &mut st.acc[..MMA_M * aw]);
+                        add_plane(plane_at(planes, z, dz, h), weight, r0, rows, &mut st.acc, aw);
                     }
                     i += 1;
                 }
                 Op::RdgGather => unreachable!("1-D schedules do not run on strips"),
             }
         }
-        for p in 0..TILE_M.min(row.h - sr) {
-            // SAFETY: job rows (and their strips) write disjoint (z, band)
-            // regions; `base` stays valid because `out` is exclusively
-            // borrowed for the whole application
-            let out = unsafe { std::slice::from_raw_parts_mut(base.add((r0 + p) * cols), cols) };
-            let acc = &st.acc[p * aw..][..cols];
-            if sched.fold == AccFold::Merge {
-                // fold the tensor-core accumulator into the scalar one
-                let vals = &st.vals[p * aw..][..cols];
-                for ((o, &v), &a) in out.iter_mut().zip(vals).zip(acc) {
-                    *o = v + a;
+        if !stored {
+            zero_if_fresh(&mut fresh, &mut st.acc[..MMA_M * aw]);
+            for (p, o) in out.chunks_exact_mut(cols).enumerate() {
+                let acc = &st.acc[p * aw..][..cols];
+                if merge {
+                    // fold the tensor-core accumulator into the scalar one
+                    let vals = &st.vals[p * aw..][..cols];
+                    for ((o, &v), &a) in o.iter_mut().zip(vals).zip(acc) {
+                        *o = v + a;
+                    }
+                } else if let Some((slot, pw)) = tip {
+                    let xs = st.windows[slot].center_row(p);
+                    for ((o, &a), &x) in o.iter_mut().zip(acc).zip(xs) {
+                        *o = a + pw * x;
+                    }
+                } else {
+                    o.copy_from_slice(acc);
                 }
-            } else {
-                out.copy_from_slice(acc);
             }
         }
         sr += TILE_M;
     }
     true
+}
+
+/// The index just past the op group a strip ends with: the last
+/// `Pointwise` op, when no op after it touches `acc` (only `SkipPlane`s
+/// and, under `AccFold::Merge`, `PointwisePlane`s follow). `None` when a
+/// `PointwisePlane` adds into `acc` after it (`AccFold::Vals`).
+fn strip_end(sched: &Schedule) -> Option<usize> {
+    let t = sched.ops.iter().rposition(|op| matches!(op, Op::Pointwise { .. }))?;
+    let tail_free = sched.ops[t + 1..].iter().all(|op| match op {
+        Op::SkipPlane { .. } => true,
+        Op::PointwisePlane { .. } => sched.fold == AccFold::Merge,
+        _ => false,
+    });
+    tail_free.then_some(t + 1)
+}
+
+/// Zero `acc` before its first read, if nothing has written it yet.
+#[inline(always)]
+fn zero_if_fresh(fresh: &mut bool, acc: &mut [f64]) {
+    if std::mem::take(fresh) {
+        acc.fill(0.0);
+    }
+}
+
+/// A `PointwisePlane`'s MAC `dst += weight·src` over the strip's `rows`
+/// output rows from grid row `r0` (`dst` rows `aw` apart).
+#[inline(always)]
+fn add_plane(src: &GlobalArray, weight: f64, r0: usize, rows: usize, dst: &mut [f64], aw: usize) {
+    let cols = src.cols();
+    for (p, xs) in src.as_slice()[r0 * cols..][..rows * cols].chunks_exact(cols).enumerate() {
+        for (v, &x) in dst[p * aw..][..cols].iter_mut().zip(xs) {
+            *v += weight * x;
+        }
+    }
 }
 
 /// The lowered term of an [`Op::MmaChain`].
@@ -384,6 +450,19 @@ impl StripCharges {
             center_planes,
             other_planes,
         }
+    }
+
+    /// The counters of a job row: every job but the last has the first
+    /// one's shape, so the row is that job's charges times their count
+    /// plus the (possibly narrower) last job's.
+    fn row(&self, sched: &Schedule, jobs: &[(usize, Tile2D)]) -> PerfCounters {
+        let (first, last) = (jobs[0].1, jobs[jobs.len() - 1].1);
+        debug_assert!(jobs[..jobs.len() - 1]
+            .iter()
+            .all(|&(_, t)| (t.h, t.w) == (first.h, first.w)));
+        let mut c = self.job(sched, first).scaled(jobs.len() as u64 - 1);
+        c.merge(&self.job(sched, last));
+        c
     }
 
     /// The counters of job `t`.
@@ -639,12 +718,13 @@ fn subtile(
 type UnitFn = unsafe fn(
     &[GlobalArray],
     &Schedule,
+    &StripCharges,
     usize,
     &[(usize, Tile2D)],
     *mut f64,
     usize,
     &mut TileScratch,
-    &mut [PerfCounters],
+    &mut PerfCounters,
 );
 
 /// [`run_unit`] recompiled with extra target features. The loop and
@@ -664,17 +744,18 @@ macro_rules! unit_instance {
         fn $name(
             planes: &[GlobalArray],
             sched: &Schedule,
+            charges: &StripCharges,
             first: usize,
             jobs: &[(usize, Tile2D)],
             base: *mut f64,
             cols: usize,
             scratch: &mut TileScratch,
-            slots: &mut [PerfCounters],
+            slot: &mut PerfCounters,
         ) {
             // SAFETY: the instance runs only on hosts with its target
             // feature (`HostIsa::unit_fn` checks)
             let isa = unsafe { $isa::new_unchecked() };
-            run_unit(isa, planes, sched, first, jobs, base, cols, scratch, slots)
+            run_unit(isa, planes, sched, charges, first, jobs, base, cols, scratch, slot)
         }
     };
 }
@@ -687,14 +768,15 @@ unit_instance!(run_unit_avx2, "avx2", Avx2);
 fn run_unit_portable(
     planes: &[GlobalArray],
     sched: &Schedule,
+    charges: &StripCharges,
     first: usize,
     jobs: &[(usize, Tile2D)],
     base: *mut f64,
     cols: usize,
     scratch: &mut TileScratch,
-    slots: &mut [PerfCounters],
+    slot: &mut PerfCounters,
 ) {
-    run_unit(Portable, planes, sched, first, jobs, base, cols, scratch, slots)
+    run_unit(Portable, planes, sched, charges, first, jobs, base, cols, scratch, slot)
 }
 
 /// The compiled instances of the job loop, best first. The host picks
@@ -768,17 +850,19 @@ pub fn host_isa() -> &'static str {
 }
 
 /// The reusable per-apply buffers of a plan on a fixed grid shape: the
-/// lowered schedule, the `(plane, tile)` job list, the counter slots and
-/// the output-pointer table. Callers that manage their own grids (the
-/// distributed executor) build one per (device, plan) and feed it a
-/// fresh input/output pair each application; [`Stepper`] wraps one
-/// together with double-buffered planes.
+/// lowered schedule and its strip charges, the `(plane, tile)` job list,
+/// the counter slots and the output-pointer table. Callers that manage
+/// their own grids (the distributed executor) build one per (device,
+/// plan) and feed it a fresh input/output pair each application;
+/// [`Stepper`] wraps one together with double-buffered planes.
 pub struct Workspace {
     sched: Schedule,
+    charges: StripCharges,
     jobs: Vec<(usize, Tile2D)>,
     /// Jobs per job row (jobs sharing `(z, r0)`, consecutive in `jobs`):
     /// the units of work on strips are `jobs.len() / row_len` rows.
     row_len: usize,
+    /// One counter slot per unit of work.
     slots: Vec<PerfCounters>,
     /// Reusable raw output-plane pointer table: the `UnsafeSlice`
     /// pattern cannot borrow a `Vec` of planes across worker lanes
@@ -794,6 +878,7 @@ impl Workspace {
     /// [`ScheduleParams::tile_cols`]; `8 · tile_cols` points for 1-D).
     pub fn new(plan: &Plan, extents: &[usize]) -> Self {
         let sched = Schedule::lower(plan);
+        let charges = StripCharges::of(&sched);
         let jobs: Vec<(usize, Tile2D)> = match *extents {
             [n] => tiles_1d(n, MMA_M * sched.tile_w)
                 .into_iter()
@@ -814,7 +899,7 @@ impl Workspace {
             [_, cols] | [_, _, cols] => cols.div_ceil(sched.tile_w).max(1),
             _ => jobs.len(),
         };
-        Workspace { sched, jobs, row_len, slots: Vec::new(), sinks: Vec::new() }
+        Workspace { sched, charges, jobs, row_len, slots: Vec::new(), sinks: Vec::new() }
     }
 
     /// The lowered schedule this workspace interprets.
@@ -830,12 +915,12 @@ impl Workspace {
 
     /// One (possibly fused) application from `planes` into `out`. Units
     /// of work — job rows on strips, single jobs otherwise — run in
-    /// parallel and write their disjoint output bands directly (each
-    /// job's counters include the `global_bytes_written` a `store_span`
-    /// of its outputs would charge); per-job counters go to preallocated
-    /// slots and merge sequentially in job order, keeping the totals
-    /// independent of scheduling. The loop runs on the best compiled
-    /// instance this host supports ([`host_isa`]).
+    /// parallel and write their disjoint output bands directly (the
+    /// counters include the `global_bytes_written` a `store_span` of the
+    /// outputs would charge); each unit's counters go to a preallocated
+    /// slot and the slots merge sequentially in unit order, keeping the
+    /// totals independent of scheduling. The loop runs on the best
+    /// compiled instance this host supports ([`host_isa`]).
     pub fn apply_planes(
         &mut self,
         planes: &[GlobalArray],
@@ -855,24 +940,24 @@ impl Workspace {
         let unit = isa.unit_fn();
         let _apply = foundation::obs::span("apply");
         let cols = planes[0].cols();
-        self.slots.clear();
-        self.slots.resize(self.jobs.len(), PerfCounters::new());
+        let per_unit = if self.sched.on_strips { self.row_len } else { 1 };
+        let units = self.jobs.len() / per_unit;
+        // every unit overwrites its slot, so the slots need no reset
+        self.slots.resize(units, PerfCounters::new());
         self.sinks.clear();
         self.sinks.extend(out.iter_mut().map(|p| p.as_mut_slice().as_mut_ptr() as usize));
         {
             let slot_sink = UnsafeSlice::new(&mut self.slots[..]);
             let sinks: &[usize] = &self.sinks;
-            let jobs = &self.jobs;
-            let sched = &self.sched;
-            let per_unit = if sched.on_strips { self.row_len } else { 1 };
-            for_each_index(jobs.len() / per_unit, |u| {
+            let (jobs, sched, charges) = (&self.jobs, &self.sched, &self.charges);
+            for_each_index(units, |u| {
                 let (lo, hi) = (u * per_unit, (u + 1) * per_unit);
                 let base = sinks[jobs[lo].0] as *mut f64;
-                // SAFETY: units cover disjoint ranges of jobs
-                let slots = unsafe { slot_sink.slice_mut(lo, hi - lo) };
+                // SAFETY: each unit writes only its own slot
+                let slot = unsafe { &mut slot_sink.slice_mut(u, 1)[0] };
                 // SAFETY: `unit_fn` checked the host supports the instance
                 with_tile_scratch(|s| unsafe {
-                    unit(planes, sched, lo, &jobs[lo..hi], base, cols, s, slots)
+                    unit(planes, sched, charges, lo, &jobs[lo..hi], base, cols, s, slot)
                 });
             });
         }
@@ -1150,6 +1235,78 @@ mod tests {
                                 p.describe()
                             );
                             assert_bitwise(&case, &run_on(&mut ws, isa, &planes), &want);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// A strip-evaluated job row charges its jobs in closed form: the
+    /// full jobs times one full job's charges plus the narrower last job.
+    /// On every registry 2-D/3-D kernel, backend and tile shape, over
+    /// grids whose width leaves a narrower last job in each row (and
+    /// whose height leaves a partial last strip), each row's charge must
+    /// equal the sum of its jobs' [`StripCharges::job`], and the slots,
+    /// values and totals must not move with the lane count. On the tensor
+    /// cores each row's charge must also equal what the per-sub-tile
+    /// fragment walk charges the same jobs, with the same output bits
+    /// (the walk runs tensor-core terms only).
+    #[test]
+    fn row_charges_match_the_job_sums_and_the_fragment_walk() {
+        let shapes = [(8, 8), (16, 16), (8, 64), (64, 64)]
+            .map(|(r, c)| (r, c, Staging::Single))
+            .into_iter()
+            .chain([(16, 16, Staging::Double)]);
+        let isa = HostIsa::detect();
+        for kernel in kernels::all_kernels().into_iter().filter(|k| k.dims() >= 2) {
+            for backend in DeviceBackend::all() {
+                for (tile_rows, tile_cols, staging) in shapes.clone() {
+                    for cols in [37, 44] {
+                        let planes = match kernel.dims() {
+                            2 => vec![wavy(20, cols, 5)],
+                            _ => (0..3).map(|z| wavy(11, cols, z + 6)).collect(),
+                        };
+                        let extents = plane_extents(&planes, kernel.dims());
+                        let params =
+                            ScheduleParams { tile_rows, tile_cols, staging, ..Default::default() };
+                        let config = ExecConfig { backend, ..ExecConfig::full() };
+                        let plan = Plan::new_with_params(&kernel, config, params);
+                        let case = format!(
+                            "{} {backend:?} {} cols {cols}",
+                            kernel.name,
+                            params.describe()
+                        );
+                        let mut ws = Workspace::new(&plan, &extents);
+                        assert!(ws.sched.on_strips, "{case}");
+                        for row in ws.jobs.chunks(ws.row_len) {
+                            let mut sum = PerfCounters::new();
+                            for &(_, t) in row {
+                                sum.merge(&ws.charges.job(&ws.sched, t));
+                            }
+                            let got = ws.charges.row(&ws.sched, row);
+                            assert_eq!(got.fields(), sum.fields(), "{case}: row {:?}", row[0]);
+                        }
+                        let mut runs = Vec::new();
+                        for lanes in ["1", "2", "7"] {
+                            std::env::set_var("FOUNDATION_THREADS", lanes);
+                            runs.push((run_on(&mut ws, isa, &planes), ws.slots.clone()));
+                        }
+                        std::env::remove_var("FOUNDATION_THREADS");
+                        let (want, rows) = &runs[0];
+                        for (got, slots) in &runs[1..] {
+                            assert_bitwise(&case, got, want);
+                            assert_eq!(slots, rows, "{case}");
+                        }
+                        if backend.uses_tcu() {
+                            let mut walk = Workspace::new(&plan, &extents);
+                            walk.sched.drop_band_tables();
+                            assert_bitwise(&case, &run_on(&mut walk, isa, &planes), want);
+                            for (row, jobs) in rows.iter().zip(walk.slots.chunks(ws.row_len)) {
+                                let mut sum = PerfCounters::new();
+                                jobs.iter().for_each(|c| sum.merge(c));
+                                assert_eq!(row.fields(), sum.fields(), "{case}");
+                            }
                         }
                     }
                 }

@@ -28,13 +28,15 @@ use lorastencil::schedule::{self, grid_to_planes, ScheduleParams, Staging};
 use lorastencil::tuning::{TuningDb, TuningEntry};
 use lorastencil::{ExecConfig, Plan, PlaneOp};
 use stencil_core::StencilKernel;
-use tcu_sim::{GlobalArray, PerfCounters};
+use tcu_sim::{occupancy, DeviceSpec, GlobalArray, PerfCounters};
 
 /// Enumerate every candidate [`ScheduleParams`] worth trying for this
 /// problem: tile extents clamped to the grid (a job larger than the
 /// grid is the same schedule as one exactly covering it), staging only
 /// where the lowering can honor it, batch widths up to the chain cap,
-/// and the fusion override only where the planner fuses at all.
+/// and the fusion override only where the planner fuses at all. A
+/// candidate whose thread block cannot launch on the modeled A100
+/// ([`launches`]) is not a schedule and is left out.
 pub fn candidate_space(
     kernel: &StencilKernel,
     config: ExecConfig,
@@ -66,6 +68,14 @@ pub fn candidate_space(
     } else {
         vec![None]
     };
+    // the plan of each fusion override, whose geometry sizes the block
+    let plans: Vec<(Option<usize>, Plan)> = fuses
+        .iter()
+        .map(|&fuse_override| {
+            let params = ScheduleParams { fuse_override, ..ScheduleParams::default() };
+            (fuse_override, Plan::new_with_params(kernel, config, params))
+        })
+        .collect();
     let mut out = Vec::new();
     for &tile_rows in &rows {
         for &tile_cols in &cols {
@@ -80,13 +90,25 @@ pub fn candidate_space(
                             fuse_override,
                         };
                         debug_assert!(p.validate().is_ok());
-                        out.push(p);
+                        let plan = &plans.iter().find(|(f, _)| *f == fuse_override);
+                        let plan = &plan.expect("a plan per fusion override").1;
+                        if launches(plan, &p) {
+                            out.push(p);
+                        }
                     }
                 }
             }
         }
     }
     out
+}
+
+/// Whether `plan`'s thread block under `params` can launch on the
+/// modeled A100: a block whose staged windows overflow an SM's shared
+/// memory (or its registers) gets zero occupancy, and the cost model
+/// would price the schedule at next to nothing.
+pub fn launches(plan: &Plan, params: &ScheduleParams) -> bool {
+    occupancy(&DeviceSpec::a100(), &plan.block_resources_with(params)).blocks_per_sm > 0
 }
 
 /// The search prior: a cheap synthetic cost that orders candidates
@@ -412,13 +434,62 @@ mod tests {
         let space = candidate_space(&k, ExecConfig::full(), &[16, 16]);
         assert!(space.iter().all(|p| p.tile_rows <= 16 && p.tile_cols <= 16), "{space:?}");
         assert!(space.contains(&ScheduleParams::default()));
-        // a big grid opens the full tile range and the fusion override
+        // a big grid opens the full tile range and the fusion override,
+        // up to the blocks the modeled A100 can launch
         let wide = candidate_space(&k, ExecConfig::full(), &[128, 128]);
-        assert!(wide.iter().any(|p| p.tile_rows == 64 && p.tile_cols == 64));
+        assert!(wide.iter().any(|p| p.tile_rows == 8 && p.tile_cols == 64));
+        assert!(wide.iter().any(|p| p.tile_rows == 64 && p.tile_cols == 8));
         assert!(wide.iter().any(|p| p.fuse_override == Some(1)));
         assert!(wide.iter().any(|p| p.staging == Staging::Double));
         for p in &wide {
             p.validate().unwrap();
+        }
+    }
+
+    /// Every candidate the tuner may try, every on-miss winner and every
+    /// checked-in `tuning.json` entry must launch on the modeled A100;
+    /// the gate must drop the blocks that cannot (a 64×64 Box-2D49P job
+    /// stages 663,552 shared bytes against the SM's 167,936).
+    #[test]
+    fn every_candidate_winner_and_checked_in_entry_launches() {
+        let extents_of = |dims: usize| match dims {
+            1 => vec![4096],
+            2 => vec![128, 128],
+            _ => vec![8, 64, 64],
+        };
+        for k in stencil_core::kernels::all_kernels() {
+            for spec in ["full", "no-async", "sparse", "simd", "no-tcu"] {
+                let config = crate::parse_config(spec).unwrap();
+                let plan = Plan::new(&k, config);
+                let space = candidate_space(&k, config, &extents_of(k.dims()));
+                assert!(space.contains(&ScheduleParams::default()), "{} {spec}", k.name);
+                for p in &space {
+                    let plan = Plan::new_with_params(&k, config, *p);
+                    assert!(launches(&plan, p), "{} {spec} {}", k.name, p.describe());
+                }
+                if k.dims() == 2 {
+                    let big = ScheduleParams { tile_rows: 64, tile_cols: 64, ..Default::default() };
+                    assert!(!launches(&plan, &big), "{} {spec}", k.name);
+                    assert!(!space.contains(&big), "{} {spec}", k.name);
+                }
+            }
+        }
+        for (name, extents) in
+            [("Box-2D49P", vec![64, 64]), ("Box-2D9P", vec![48, 48]), ("Heat-3D", vec![6, 24, 24])]
+        {
+            let k = find_kernel(name).unwrap();
+            let config = ExecConfig::full();
+            let win = tune_on_miss(&k, config, &extents, 3, 1, 6);
+            let plan = Plan::new_with_params(&k, config, win);
+            assert!(launches(&plan, &win), "{name}: on-miss winner {}", win.describe());
+        }
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tuning.json");
+        let db = TuningDb::load(std::path::Path::new(path)).unwrap();
+        assert!(!db.is_empty());
+        for (_, e) in db.iter() {
+            let k = find_kernel(&e.kernel).unwrap();
+            let plan = Plan::new_with_params(&k, crate::parse_config(&e.config).unwrap(), e.params);
+            assert!(launches(&plan, &e.params), "tuning.json: {} {:?}", e.kernel, e.extents);
         }
     }
 
