@@ -94,14 +94,19 @@ bench_guard() {
 }
 
 tune_smoke() {
-    # bounded end-to-end autotune: a small budget must still produce a
-    # valid DB, and a run under that DB must keep the schedule-invariant
-    # counters and verified values of the default schedule (DESIGN.md §12)
-    local db=target/ci-tune.json
+    # end-to-end modeled schedule choice: it must produce a valid DB, the
+    # same DB byte for byte on a second run (the choice is deterministic),
+    # and a run under that DB must keep the schedule-invariant counters
+    # and verified values of the default schedule (DESIGN.md §12)
+    local db=target/ci-tune.json again=target/ci-tune-again.json
     local cli="cargo run --release --offline -p stencil-cli --bin lorastencil-cli --"
-    rm -f "$db"
-    $cli tune --kernel Box-2D9P --size 96 --iters 2 --budget 6 --reps 3 \
-        --db "$db" | sed 's/^/   /'
+    rm -f "$db" "$again"
+    $cli tune --kernel Box-2D9P --size 96 --iters 2 --db "$db" | sed 's/^/   /'
+    $cli tune --kernel Box-2D9P --size 96 --iters 2 --db "$again" >/dev/null
+    if ! cmp "$db" "$again"; then
+        echo "error: two tunes of one key wrote different DBs" >&2
+        exit 1
+    fi
     local plain tuned
     plain=$($cli run --kernel Box-2D9P --size 96 --iters 2 --verify)
     tuned=$($cli run --kernel Box-2D9P --size 96 --iters 2 --verify --tuning-db "$db")
@@ -113,7 +118,7 @@ tune_smoke() {
         echo "error: tuned schedule changed an invariant counter or the values" >&2
         exit 1
     fi
-    rm -f "$db"
+    rm -f "$db" "$again"
 }
 
 backend_smoke() {
@@ -239,8 +244,8 @@ serve_smoke() {
     fi
     # invariant-counter parity with the offline CLI on the identical
     # job. Only the Prediction-class counters are compared: the daemon
-    # schedule-tunes on a cache miss, and descriptive counters (L2/HBM
-    # staging traffic, store requests) legitimately move with the tuned
+    # chooses a schedule on a cache miss, and descriptive counters (L2/HBM
+    # staging traffic, store requests) legitimately move with a non-default
     # schedule — the determinism contract (DESIGN.md §13) pins values
     # and invariants, not the schedule.
     local o_mma o_shuf o_shload
@@ -335,7 +340,7 @@ step "examples (cargo run --release --example *)" run_examples
 step "bounded fuzz (STENCIL_VERIFY_CASES=${STENCIL_VERIFY_CASES:-25})" fuzz_bounded
 step "quick executor bench (tuned schedules, writes $CI_OUT/executors.json)" quick_bench
 step "bench regression guard (>10% vs BENCH_pr2.json fails)" bench_guard
-step "tune smoke (bounded autotune + invariant-counter check)" tune_smoke
+step "tune smoke (modeled choice, byte-identical rerun + invariant-counter check)" tune_smoke
 step "backend smoke (4 backends x 3 dims + no-bvs tcu/sparse, verify + in-family bit-identity)" backend_smoke
 step "profile smoke (stencil-cli profile + trace validation)" profile_smoke
 step "crash-resume smoke (run, tear newest snapshot, resume)" crash_resume_smoke

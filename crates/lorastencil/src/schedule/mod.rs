@@ -50,7 +50,7 @@ pub(crate) use planes::plane_extents;
 pub use planes::{grid_to_planes, planes_to_grid};
 pub use session::ExecSession;
 pub(crate) use stepper::run_with_plans;
-pub use stepper::{apply_once, host_isa, run, run_tuned, Stepper, Workspace};
+pub use stepper::{apply_once, host_isa, run, run_tuned, RunCharges, Stepper, Workspace};
 
 use crate::decompose::{Decomposition, RankOneTerm};
 use crate::plan::{Plan, PlanKind, PlaneOp};

@@ -10,9 +10,9 @@
 //! keeps accumulator lanes register-resident across a chain whose FMA
 //! order is unchanged ([`tcu_sim::SimContext::mma_chain_into`]). The
 //! one exception is [`ScheduleParams::fuse_override`], which changes the
-//! executed kernel — the `tune` search therefore gates every candidate
-//! behind a bitwise output comparison against the default schedule and
-//! rejects any that diverge.
+//! executed kernel — the `tune` chooser therefore never searches it, and
+//! it still gates every non-default winner behind a bitwise output
+//! comparison against the default schedule.
 
 use foundation::json::{Json, ToJson};
 

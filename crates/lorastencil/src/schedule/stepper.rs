@@ -65,6 +65,7 @@ use crate::rdg::{
 use crate::rdg::{Avx2, Avx512f};
 use foundation::par::*;
 use std::convert::Infallible;
+use std::sync::OnceLock;
 use stencil_core::tiling::{clamped_span, tiles_1d, tiles_2d, window_origin, Tile2D};
 use stencil_core::StencilKernel;
 use tcu_sim::{BlockResources, CopyMode, GlobalArray, PerfCounters, SimContext, MMA_M, MMA_N};
@@ -879,26 +880,7 @@ impl Workspace {
     pub fn new(plan: &Plan, extents: &[usize]) -> Self {
         let sched = Schedule::lower(plan);
         let charges = StripCharges::of(&sched);
-        let jobs: Vec<(usize, Tile2D)> = match *extents {
-            [n] => tiles_1d(n, MMA_M * sched.tile_w)
-                .into_iter()
-                .map(|t| (0, Tile2D { r0: 0, c0: t.i0, h: 1, w: t.len }))
-                .collect(),
-            [rows, cols] => tiles_2d(rows, cols, sched.tile_h, sched.tile_w)
-                .into_iter()
-                .map(|t| (0, t))
-                .collect(),
-            [nz, ny, nx] => {
-                let tiles = tiles_2d(ny, nx, sched.tile_h, sched.tile_w);
-                (0..nz).flat_map(|z| tiles.iter().map(move |&t| (z, t))).collect()
-            }
-            _ => panic!("grids are 1-, 2- or 3-dimensional"),
-        };
-        // 2-D and 3-D tilings are row-major: a job row is one tile row
-        let row_len = match *extents {
-            [_, cols] | [_, _, cols] => cols.div_ceil(sched.tile_w).max(1),
-            _ => jobs.len(),
-        };
+        let (jobs, row_len) = job_rows(extents, sched.tile_h, sched.tile_w);
         Workspace { sched, charges, jobs, row_len, slots: Vec::new(), sinks: Vec::new() }
     }
 
@@ -966,6 +948,119 @@ impl Workspace {
             total.merge(c);
         }
         total
+    }
+}
+
+/// The `(plane, tile)` jobs of a `tile_h × tile_w` tiling of a grid of
+/// the given extents, and the jobs per job row (jobs sharing `(z, r0)`,
+/// consecutive in the list; a 1-D grid is one row).
+fn job_rows(extents: &[usize], tile_h: usize, tile_w: usize) -> (Vec<(usize, Tile2D)>, usize) {
+    let jobs: Vec<(usize, Tile2D)> = match *extents {
+        [n] => tiles_1d(n, MMA_M * tile_w)
+            .into_iter()
+            .map(|t| (0, Tile2D { r0: 0, c0: t.i0, h: 1, w: t.len }))
+            .collect(),
+        [rows, cols] => tiles_2d(rows, cols, tile_h, tile_w).into_iter().map(|t| (0, t)).collect(),
+        [nz, ny, nx] => {
+            let tiles = tiles_2d(ny, nx, tile_h, tile_w);
+            (0..nz).flat_map(|z| tiles.iter().map(move |&t| (z, t))).collect()
+        }
+        _ => panic!("grids are 1-, 2- or 3-dimensional"),
+    };
+    // 2-D and 3-D tilings are row-major: a job row is one tile row
+    let row_len = match *extents {
+        [_, cols] | [_, _, cols] => cols.div_ceil(tile_w).max(1),
+        _ => jobs.len(),
+    };
+    (jobs, row_len)
+}
+
+/// The counters runs of one 2-D or 3-D problem charge under any tile
+/// shape and staging, in closed form: what [`run_tuned`] — and an
+/// [`ExecSession::with_params`](super::ExecSession::with_params)
+/// session's `run` — returns, without running anything. Each
+/// application is the sum of its job rows' `StripCharges` (the
+/// per-sub-tile walk charges the same, so this holds off strips too),
+/// and a run is `iterations / fusion` fused applications plus the
+/// unfused remainder. The fused and the remainder plan are planned (and
+/// decomposed) once, here; each staging is lowered once, on first use.
+///
+/// `ScheduleParams::mma_batch` never moves a counter, and
+/// `fuse_override` is not a schedule; both are ignored.
+pub struct RunCharges {
+    extents: Vec<usize>,
+    fused: Variant,
+    /// The unfused remainder variant (`None` when the plan does not fuse).
+    rem: Option<Variant>,
+}
+
+/// One fusion variant of a [`RunCharges`]: its default-params plan and
+/// the lowering of each staging.
+struct Variant {
+    plan: Plan,
+    lowered: [OnceLock<(Schedule, StripCharges)>; 2],
+}
+
+impl Variant {
+    fn new(plan: Plan) -> Self {
+        Variant { plan, lowered: [OnceLock::new(), OnceLock::new()] }
+    }
+
+    /// The counters one application charges under `params`' tile shape
+    /// and staging.
+    fn application(&self, extents: &[usize], params: &ScheduleParams) -> PerfCounters {
+        let (sched, charges) = self.lowered[params.staging as usize].get_or_init(|| {
+            let params = ScheduleParams { staging: params.staging, ..self.plan.params };
+            let sched = Schedule::lower(&Plan { params, ..self.plan.clone() });
+            let charges = StripCharges::of(&sched);
+            (sched, charges)
+        });
+        let (jobs, row_len) = job_rows(extents, params.tile_rows, params.tile_cols);
+        let mut c = PerfCounters::new();
+        for row in jobs.chunks(row_len) {
+            c.merge(&charges.row(sched, row));
+        }
+        c
+    }
+}
+
+impl RunCharges {
+    /// Plan `kernel` under `config` for a grid of `extents` (`[rows,
+    /// cols]` or `[nz, ny, nx]`). `None` for 1-D kernels: the 1-D gather
+    /// runs the per-sub-tile walk on fixed 64-point sub-chunks, so its
+    /// charges do not depend on the schedule and have no closed form
+    /// here.
+    pub fn new(kernel: &StencilKernel, config: ExecConfig, extents: &[usize]) -> Option<Self> {
+        assert_eq!(
+            extents.len(),
+            kernel.dims(),
+            "extents {extents:?} for a {}-D kernel",
+            kernel.dims()
+        );
+        if kernel.dims() == 1 {
+            return None;
+        }
+        let fused = Variant::new(Plan::new(kernel, config));
+        let rem = (fused.plan.fusion > 1)
+            .then(|| Variant::new(Plan::new(kernel, ExecConfig { allow_fusion: false, ..config })));
+        Some(RunCharges { extents: extents.to_vec(), fused, rem })
+    }
+
+    /// The counters `iterations` steps charge under `params`.
+    pub fn counters(&self, params: &ScheduleParams, iterations: usize) -> PerfCounters {
+        let fusion = self.fused.plan.fusion;
+        let (full, rem) = (iterations / fusion, iterations % fusion);
+        let mut c = self.fused.application(&self.extents, params).scaled(full as u64);
+        if let Some(v) = self.rem.as_ref().filter(|_| rem > 0) {
+            c.merge(&v.application(&self.extents, params).scaled(rem as u64));
+        }
+        c
+    }
+
+    /// The fused plan's thread block under `params` (the block a run
+    /// reports).
+    pub fn block(&self, params: &ScheduleParams) -> BlockResources {
+        self.fused.plan.block_resources_with(params)
     }
 }
 

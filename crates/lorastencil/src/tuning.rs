@@ -1,5 +1,5 @@
-//! The persistent tuning database: winners of the empirical `tune`
-//! search, keyed by (kernel fingerprint, grid extents, [`ExecConfig`])
+//! The persistent tuning database: winners of the modeled `tune`
+//! choice, keyed by (kernel fingerprint, grid extents, [`ExecConfig`])
 //! and consulted transparently at planning time
 //! ([`crate::plan::Plan::new_tuned`]).
 //!
@@ -8,7 +8,10 @@
 //! A versioned JSON document (`{"version": "lorastencil-tuning-v1",
 //! "entries": [...]}`). Each entry carries the opaque lookup key, a
 //! human-readable identity (kernel name, extents, config tag), the
-//! winning [`ScheduleParams`] and the measured best/default wall times.
+//! winning [`ScheduleParams`] and the best/default times. The times are
+//! modeled A100 nanoseconds of the run `tune` ranked (`--iters` steps),
+//! rounded: `tune` chooses on the cost model, not on a host stopwatch,
+//! so an entry is the same on every host.
 //! Files are written with the checkpoint layer's atomic-rename
 //! discipline (`.tmp` sibling → `fsync` → `rename` → directory
 //! `fsync`), so a crash never leaves a torn DB; decoding maps corrupt,
@@ -90,9 +93,9 @@ pub struct TuningEntry {
     pub config: String,
     /// The winning schedule parameters.
     pub params: ScheduleParams,
-    /// Median wall time of the winner, nanoseconds.
+    /// Modeled A100 time of the winner's run, nanoseconds.
     pub best_ns: u64,
-    /// Median wall time of the default schedule, nanoseconds.
+    /// Modeled A100 time of the default schedule's run, nanoseconds.
     pub default_ns: u64,
 }
 

@@ -33,8 +33,6 @@ const VALUED: &[&str] = &[
     "checkpoint-keep",
     "tuning-db",
     "db",
-    "budget",
-    "reps",
     "socket",
     "tcp",
     "plan-cache",

@@ -580,7 +580,7 @@ pub fn usage() -> &'static str {
                       [--checkpoint-dir <dir> [--checkpoint-every N] [--checkpoint-keep K]]\n\
        lorastencil resume --checkpoint-dir <dir> [--checkpoint-keep K] [--verify]\n\
        lorastencil tune (--kernel <name> | --spec <file>) [--size NxM] [--iters N]\n\
-                      [--config ...] [--backend ...] [--seed N] [--budget N] [--reps N] [--db <file>]\n\
+                      [--config ...] [--backend ...] [--seed N] [--db <file>]\n\
        lorastencil profile (--kernel <name> | --spec <file>) [--method <name>]\n\
                       [--size NxM] [--iters N] [--trace-out <file>] [--tuning-db <file>]\n\
        lorastencil validate-trace --load <file>\n\

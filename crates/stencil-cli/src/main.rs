@@ -166,27 +166,9 @@ fn real_main() -> Result<(), String> {
                 args.opt("iters", "3").parse().map_err(|e| format!("bad --iters: {e}"))?;
             let seed: u64 =
                 args.opt("seed", "42").parse().map_err(|e| format!("bad --seed: {e}"))?;
-            let budget: usize =
-                args.opt("budget", "24").parse().map_err(|e| format!("bad --budget: {e}"))?;
-            if budget == 0 {
-                return Err("--budget must measure at least one candidate \
-                            (try --budget 8 for a quick search)"
-                    .into());
-            }
-            let reps: usize =
-                args.opt("reps", "5").parse().map_err(|e| format!("bad --reps: {e}"))?;
             print!(
                 "{}",
-                tune_report(
-                    &kernel,
-                    config,
-                    &dims,
-                    iters,
-                    seed,
-                    budget,
-                    reps,
-                    args.opt("db", "tuning.json"),
-                )?
+                tune_report(&kernel, config, &dims, iters, seed, args.opt("db", "tuning.json"))?
             );
         }
         "validate-trace" => {

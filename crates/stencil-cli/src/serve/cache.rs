@@ -209,8 +209,9 @@ impl PlanCache {
     /// pieces of one job. The backstop guards against such a path being
     /// added: a waiter that outlives `TAKEOVER` (250 ms) stops waiting and
     /// plans redundantly (a no-op permit). Redundant planning is wasted
-    /// work, never a wrong answer: the tuner's bit-identity gate keeps
-    /// every winner value- and invariant-counter-neutral.
+    /// work, never a different answer: the on-miss choice is
+    /// deterministic, and its bit-identity gate keeps every winner value-
+    /// and invariant-counter-neutral.
     pub fn lead_or_wait(&self, h: u64) -> Option<PlanPermit<'_>> {
         if self.capacity == 0 {
             return Some(PlanPermit { cache: None, h });

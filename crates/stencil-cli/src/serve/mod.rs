@@ -97,10 +97,11 @@ pub struct ServeConfig {
     /// Concurrent connections; excess connections get one `overloaded`
     /// line and are closed.
     pub max_conns: usize,
-    /// Candidate budget for on-miss schedule tuning when the tuning DB
-    /// has no entry for the job shape (see
-    /// [`tune_on_miss`](crate::tune::tune_on_miss)); <= 1 skips the
-    /// search and plans with default params.
+    /// On-miss schedule choice when the tuning DB has no entry for the
+    /// job shape (see [`tune_on_miss`](crate::tune::tune_on_miss)): an
+    /// on/off switch. `<= 1` plans with default params without ranking;
+    /// any larger value ranks every candidate on the modeled A100
+    /// (ranking runs nothing, so there is nothing to bound).
     pub tune_budget: usize,
     /// Canonical `--backend` token (`""`, `"tcu"`, `"sparse"`, `"simd"`
     /// or `"no-tcu"`) applied as the default config of run frames that
@@ -282,10 +283,10 @@ impl ServerCore {
     }
 
     /// Plan a missed shape end to end: kernel resolution, dims check,
-    /// tuning-DB lookup (with a bounded on-miss tune whose winner the
-    /// cache entry memoizes — the bit-identity gate keeps any winner
-    /// answer-neutral), session construction, cache insert. The caller
-    /// must hold the shape's single-flight permit.
+    /// tuning-DB lookup (else the modeled on-miss choice, which the
+    /// cache entry memoizes — the bit-identity gate keeps any non-default
+    /// winner answer-neutral), session construction, cache insert. The
+    /// caller must hold the shape's single-flight permit.
     fn plan_shape(
         &self,
         job: &JobSpec,
@@ -348,10 +349,10 @@ impl ServerCore {
                 Checkout::Miss(h) => {
                     // single-flight: one thread plans a missed shape; a
                     // concurrent miss on the same key waits and retries
-                    // the checkout against the published entry — the
-                    // thundering herd neither tunes twice nor (since the
-                    // tuner's winner is timing-dependent) races two
-                    // different schedules into the first responses
+                    // the checkout against the published entry, so the
+                    // thundering herd plans once (the modeled choice is
+                    // deterministic, so racing planners would only
+                    // duplicate the work, never disagree)
                     let Some(_permit) = self.cache.lead_or_wait(h) else {
                         continue;
                     };
@@ -846,4 +847,50 @@ pub fn submit(socket: &str, tcp: &str, frame: &str) -> Result<String, String> {
         }
     }
     Ok(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The memoized `(kernel, extents, params)` of every cache entry.
+    fn memoized(core: &ServerCore) -> Vec<(String, Vec<usize>, String)> {
+        let mut out: Vec<_> = core
+            .cache
+            .entries()
+            .iter()
+            .map(|e| (e.kernel.name.clone(), e.extents().to_vec(), e.params.describe()))
+            .collect();
+        out.sort();
+        out
+    }
+
+    /// The on-miss choice is deterministic: two fresh servers memoize
+    /// the same schedule for every key, non-default winners included.
+    #[test]
+    fn fresh_servers_memoize_the_same_params() {
+        let frames = [
+            r#"{"kernel":"Box-2D9P","size":[16,16],"iters":1,"config":"no-async"}"#,
+            r#"{"kernel":"Box-2D9P","size":[64,64],"iters":2}"#,
+            r#"{"kernel":"Box-2D49P","size":[40,48],"iters":3,"config":"no-bvs,no-async"}"#,
+            r#"{"kernel":"Heat-2D","size":[37,44],"iters":4,"config":"no-async"}"#,
+            r#"{"kernel":"Heat-3D","size":[4,16,24],"iters":2,"config":"no-async"}"#,
+            r#"{"kernel":"Heat-1D","size":[512],"iters":2}"#,
+        ];
+        let runs: Vec<_> = (0..2)
+            .map(|_| {
+                let core = ServerCore::new(ServeConfig::default());
+                let mut conn = ConnState::new();
+                for frame in frames {
+                    assert!(matches!(core.handle_line(&mut conn, frame), Action::Respond));
+                    assert!(conn.resp.contains(r#""ok":true"#), "{}", conn.resp);
+                }
+                memoized(&core)
+            })
+            .collect();
+        assert_eq!(runs[0].len(), frames.len());
+        assert_eq!(runs[0], runs[1]);
+        let default = lorastencil::ScheduleParams::default().describe();
+        assert!(runs[0].iter().any(|(_, _, p)| *p != default), "{:?}", runs[0]);
+    }
 }

@@ -1,48 +1,49 @@
-//! The `tune` subcommand: empirical schedule search over the
-//! [`ScheduleParams`] space with a persistent winners DB.
+//! Schedule choice on the modeled A100: the `tune` subcommand and the
+//! serve daemon's on-miss path share [`choose`].
 //!
-//! Per `(kernel, extents, config)` the tuner enumerates the candidate
-//! grid (tile extents × staging × MMA-chain batch × fusion override),
-//! orders it by a cost prior seeded from [`lorastencil::autotune`]'s
-//! per-tile pricing, caps it at `--budget` candidates (the default
-//! schedule is always kept), and measures the survivors with
-//! [`foundation::bench::median_sample_ns`].
+//! Per `(kernel, config, extents, iterations)` the chooser enumerates
+//! the candidate tilings (tile extents × staging, [`candidate_space`]),
+//! and ranks every one the modeled A100 can launch by
+//! `CostModel::a100().estimate(counters, block).total`. The counters are
+//! those a run would charge, from their closed forms
+//! ([`RunCharges`]), so no candidate runs: ranking is tens of
+//! microseconds of arithmetic, and the choice is deterministic — the
+//! same key gets the same schedule in every process and on every host.
+//! Ties keep the default schedule, then the candidate order. On the
+//! host the schedules cost the same: a strip spans the plane whatever
+//! the tile shape, so timing them would only rank host noise.
 //!
-//! **The bit-identity gate:** before a candidate is timed at all, its
-//! output planes and `Prediction`-class counters are compared against
-//! the default schedule's; any divergence rejects the candidate. A
-//! schedule is allowed to be *faster*, never *different* — so
-//! installing a tuning DB can never change a test outcome. In practice
-//! this rejects almost every `fuse_override` candidate (fusion changes
-//! the executed arithmetic), which is exactly the point of keeping the
-//! override in the space: the gate, not the enumerator, is the
-//! authority on semantic neutrality.
+//! Two axes of [`ScheduleParams`] are not searched. `mma_batch` never
+//! moves a counter or the block, and `fuse_override` changes the
+//! executed arithmetic, so the identity gate below always rejected it.
+//! 1-D kernels keep the default: the gather runs fixed 64-point
+//! sub-chunks, so every 1-D tiling charges the same counters on the
+//! same block.
+//!
+//! **The bit-identity gate:** a non-default winner runs once next to
+//! the default before it is memoized or persisted; its output planes
+//! and schedule-invariant counters
+//! ([`tcu_sim::PerfCounters::schedule_invariants`]) must match bit for
+//! bit, or the default is kept. A schedule is allowed to be *faster*, never
+//! *different* — so installing a tuning DB can never change a test
+//! outcome. A default winner needs no run.
 //!
 //! Winners are merged into the versioned JSON DB at `--db` with the
 //! atomic-rename discipline of [`lorastencil::tuning::TuningDb::save`];
 //! an existing DB that fails to decode is a hard error (never tune
 //! from garbage).
 
-use foundation::bench::{median_sample_ns, WallClock};
-use lorastencil::schedule::{self, grid_to_planes, ScheduleParams, Staging};
+use lorastencil::schedule::{self, grid_to_planes, RunCharges, ScheduleParams, Staging};
 use lorastencil::tuning::{TuningDb, TuningEntry};
-use lorastencil::{ExecConfig, Plan, PlaneOp};
+use lorastencil::{ExecConfig, Plan};
 use stencil_core::StencilKernel;
-use tcu_sim::{occupancy, DeviceSpec, GlobalArray, PerfCounters};
+use tcu_sim::{occupancy, BlockResources, CostModel, DeviceSpec, Estimate, GlobalArray};
 
-/// Enumerate every candidate [`ScheduleParams`] worth trying for this
-/// problem: tile extents clamped to the grid (a job larger than the
-/// grid is the same schedule as one exactly covering it), staging only
-/// where the lowering can honor it, batch widths up to the chain cap,
-/// and the fusion override only where the planner fuses at all. A
-/// candidate whose thread block cannot launch on the modeled A100
-/// ([`launches`]) is not a schedule and is left out.
-pub fn candidate_space(
-    kernel: &StencilKernel,
-    config: ExecConfig,
-    extents: &[usize],
-) -> Vec<ScheduleParams> {
-    let plan = Plan::new(kernel, config);
+/// Every tiling the chooser considers, launchable or not: tile extents
+/// clamped to the grid (a job larger than the grid is the same schedule
+/// as one exactly covering it) and staging only where the lowering can
+/// honor it, the default first.
+fn tilings(kernel: &StencilKernel, config: ExecConfig, extents: &[usize]) -> Vec<ScheduleParams> {
     let clamp = |e: usize| e.div_ceil(8) * 8;
     let (row_cap, col_cap) = match *extents {
         [n] => (8, clamp(n.div_ceil(8))),
@@ -51,151 +52,99 @@ pub fn candidate_space(
         _ => unreachable!("extents are 1-, 2- or 3-long"),
     };
     let tiles = [8usize, 16, 32, 64];
-    let rows: Vec<usize> = if kernel.dims() == 1 {
-        vec![8] // 1-D jobs are tile_cols-driven; tile_rows is inert
-    } else {
-        tiles.iter().copied().filter(|&t| t == 8 || t <= row_cap).collect()
-    };
-    let cols: Vec<usize> = tiles.iter().copied().filter(|&t| t == 8 || t <= col_cap).collect();
+    // 1-D jobs are tile_cols-driven; tile_rows is inert
+    let rows = if kernel.dims() == 1 { 8 } else { row_cap };
     let stagings: &[Staging] = if kernel.dims() >= 2 && config.use_tcu() {
         &[Staging::Single, Staging::Double]
     } else {
         &[Staging::Single]
     };
-    let batches = [1usize, 2, 4, 8, 16];
-    let fuses: Vec<Option<usize>> = if config.allow_fusion && kernel.dims() < 3 && plan.fusion > 1 {
-        vec![None, Some(1)]
-    } else {
-        vec![None]
-    };
-    // the plan of each fusion override, whose geometry sizes the block
-    let plans: Vec<(Option<usize>, Plan)> = fuses
-        .iter()
-        .map(|&fuse_override| {
-            let params = ScheduleParams { fuse_override, ..ScheduleParams::default() };
-            (fuse_override, Plan::new_with_params(kernel, config, params))
-        })
-        .collect();
     let mut out = Vec::new();
-    for &tile_rows in &rows {
-        for &tile_cols in &cols {
+    for &tile_rows in tiles.iter().filter(|&&t| t == 8 || t <= rows) {
+        for &tile_cols in tiles.iter().filter(|&&t| t == 8 || t <= col_cap) {
             for &staging in stagings {
-                for &mma_batch in &batches {
-                    for &fuse_override in &fuses {
-                        let p = ScheduleParams {
-                            tile_rows,
-                            tile_cols,
-                            staging,
-                            mma_batch,
-                            fuse_override,
-                        };
-                        debug_assert!(p.validate().is_ok());
-                        let plan = &plans.iter().find(|(f, _)| *f == fuse_override);
-                        let plan = &plan.expect("a plan per fusion override").1;
-                        if launches(plan, &p) {
-                            out.push(p);
-                        }
-                    }
-                }
+                let p = ScheduleParams { tile_rows, tile_cols, staging, ..Default::default() };
+                debug_assert!(p.validate().is_ok());
+                out.push(p);
             }
         }
     }
     out
 }
 
-/// Whether `plan`'s thread block under `params` can launch on the
-/// modeled A100: a block whose staged windows overflow an SM's shared
-/// memory (or its registers) gets zero occupancy, and the cost model
-/// would price the schedule at next to nothing.
-pub fn launches(plan: &Plan, params: &ScheduleParams) -> bool {
-    occupancy(&DeviceSpec::a100(), &plan.block_resources_with(params)).blocks_per_sm > 0
+/// The candidate schedules for this problem: every tiling whose thread
+/// block can launch on the modeled A100 ([`launches`]), the default
+/// first.
+pub fn candidate_space(
+    kernel: &StencilKernel,
+    config: ExecConfig,
+    extents: &[usize],
+) -> Vec<ScheduleParams> {
+    let plan = Plan::new(kernel, config);
+    tilings(kernel, config, extents)
+        .into_iter()
+        .filter(|p| launches(&plan.block_resources_with(p)))
+        .collect()
 }
 
-/// The search prior: a cheap synthetic cost that orders candidates
-/// most-promising-first before the budget cut. Per-sub-tile compute is
-/// anchored on the same pricing [`lorastencil::autotune::tile_cost`]
-/// uses (MMA flops per 8×8 tile); on top of that the prior charges a
-/// fixed per-job dispatch overhead (fewer, larger jobs win on a
-/// single-core host), the staged-window traffic (macro tiles amortize
-/// halo staging), and a per-chain issue overhead that batching divides
-/// down. Fusion overrides below the planner's depth multiply the
-/// application count.
-pub fn prior_cost(
-    p: &ScheduleParams,
+/// Whether a thread block can launch on the modeled A100: a block whose
+/// staged windows overflow an SM's shared memory (or its registers) gets
+/// zero occupancy, and the cost model would price the schedule at next
+/// to nothing.
+pub fn launches(block: &BlockResources) -> bool {
+    occupancy(&DeviceSpec::a100(), block).blocks_per_sm > 0
+}
+
+/// Every tiling of a 2-D or 3-D problem with its modeled run of
+/// `iterations` steps, in candidate order (the default first); `None`
+/// for a tiling the modeled A100 cannot launch. `None` overall for 1-D
+/// kernels, whose tilings all charge the same.
+fn model_tilings(
     kernel: &StencilKernel,
+    config: ExecConfig,
     extents: &[usize],
-    plan: &Plan,
-) -> u64 {
-    // Calibrated against the executor benches on the reference host
-    // (single core, thin-LTO build): one unit ≈ one MMA-FLOP ≈ 0.4 ns.
-    const C_JOB: u64 = 800; // dispatch + context + staging reset per job
-    const C_CELL: u64 = 2; // staged window cell (memcpy + accounting)
-    const C_ISSUE: u64 = 60; // MMA chain issue (monomorphized chains)
-    const C_FLOP: u64 = 1; // anchored compute
-    let halo = (plan.geo.s - 8) as u64;
-    // per-8×8-sub-tile MMA count and flops, by dimensionality
-    let (sub_mma, jobs, window_cells, subtiles) = match *extents {
-        [n] => {
-            let mma = (plan.seg_len() / 4) as u64;
-            let chunk = 8 * p.tile_cols;
-            let jobs = n.div_ceil(chunk) as u64;
-            let subtiles = n.div_ceil(64) as u64;
-            (mma, jobs, jobs * (chunk as u64 + 2 * kernel.radius as u64), subtiles)
-        }
-        [r, c] => {
-            let mma = plan.decomp().num_terms() as u64 * plan.geo.mma_per_term();
-            let jr = r.div_ceil(p.tile_rows) as u64;
-            let jc = c.div_ceil(p.tile_cols) as u64;
-            let window = (p.tile_rows as u64 + halo) * (p.tile_cols as u64 + halo);
-            let subtiles = (r.div_ceil(8) * c.div_ceil(8)) as u64;
-            (mma, jr * jc, jr * jc * window, subtiles)
-        }
-        [nz, ny, nx] => {
-            let (mut mma, mut staged_planes) = (0u64, 0u64);
-            for op in plan.plane_ops() {
-                if let PlaneOp::Rdg(d) = op {
-                    mma += d.num_terms() as u64 * plan.geo.mma_per_term();
-                    staged_planes += 1;
-                }
+    iterations: usize,
+) -> Option<Vec<(ScheduleParams, Option<Estimate>)>> {
+    let charges = RunCharges::new(kernel, config, extents)?;
+    let model = CostModel::a100();
+    let rows = tilings(kernel, config, extents)
+        .into_iter()
+        .map(|p| {
+            let block = charges.block(&p);
+            let est =
+                launches(&block).then(|| model.estimate(&charges.counters(&p, iterations), &block));
+            (p, est)
+        })
+        .collect();
+    Some(rows)
+}
+
+/// The schedule a run of `iterations` steps should use: the launchable
+/// candidate with the least modeled A100 time. Ties keep the default,
+/// then the candidate order; 1-D kernels keep the default. Runs
+/// nothing.
+pub fn choose(
+    kernel: &StencilKernel,
+    config: ExecConfig,
+    extents: &[usize],
+    iterations: usize,
+) -> ScheduleParams {
+    model_tilings(kernel, config, extents, iterations)
+        .map_or_else(ScheduleParams::default, |rows| fastest(&rows).0)
+}
+
+/// The launchable row with the least modeled time, and that time; the
+/// first row (the default) wins ties, then the earlier row.
+fn fastest(rows: &[(ScheduleParams, Option<Estimate>)]) -> (ScheduleParams, f64) {
+    let mut best: Option<(ScheduleParams, f64)> = None;
+    for (p, est) in rows {
+        if let Some(e) = est {
+            if best.is_none_or(|(_, t)| e.total < t) {
+                best = Some((*p, e.total));
             }
-            let jr = ny.div_ceil(p.tile_rows) as u64;
-            let jc = nx.div_ceil(p.tile_cols) as u64;
-            let jobs = nz as u64 * jr * jc;
-            let window = (p.tile_rows as u64 + halo) * (p.tile_cols as u64 + halo);
-            let subtiles = (nz * ny.div_ceil(8) * nx.div_ceil(8)) as u64;
-            (mma, jobs, jobs * window * staged_planes.max(1), subtiles)
-        }
-        _ => unreachable!("extents are 1-, 2- or 3-long"),
-    };
-    let flops = sub_mma * tcu_sim::FLOPS_PER_MMA;
-    let chains = sub_mma.div_ceil(p.mma_batch as u64);
-    // Staging mode is deliberately cost-neutral here: on a parallel host
-    // double buffering overlaps halo loads with the live slot's chains,
-    // on a serial one it only moves slot indices — either way the
-    // measurement, not the prior, decides.
-    let staging_cost = window_cells * C_CELL;
-    let mut cost = jobs * C_JOB + staging_cost + subtiles * (flops * C_FLOP + chains * C_ISSUE);
-    if let Some(f) = p.fuse_override {
-        if f < plan.fusion {
-            cost = cost.saturating_mul(plan.fusion as u64) / f.max(1) as u64;
         }
     }
-    cost
-}
-
-/// The counter fields a schedule must keep invariant (the `Prediction`
-/// class of the counter model). Keep in sync with `invariants` in
-/// `stencil-verify`'s params_grid module.
-fn invariant_counters(c: &PerfCounters) -> [u64; 7] {
-    [
-        c.mma_ops,
-        c.mma_sp_ops,
-        c.metadata_loads,
-        c.shared_load_requests,
-        c.shuffle_ops,
-        c.global_bytes_written,
-        c.points_updated,
-    ]
+    best.expect("the default schedule always launches")
 }
 
 /// Bitwise plane equality — `f64::to_bits`, so `-0.0 != 0.0` and NaN
@@ -209,15 +158,32 @@ fn planes_bit_identical(a: &[GlobalArray], b: &[GlobalArray]) -> bool {
         })
 }
 
-/// On-miss service tuning: the serve daemon's cold-plan path. When a
-/// job shape has no tuning-DB entry, run a bounded, prior-ordered
-/// search — the same candidate space and bit-identity gate as the
-/// `tune` subcommand, minus the persistent DB and the report — and
-/// return the winning [`ScheduleParams`] for the plan cache to
-/// memoize. `budget <= 1` (or a search where nothing beats it) returns
-/// the default schedule; the gate guarantees whatever wins produces
-/// values and invariant counters bit-identical to the default, so
-/// tuned cache entries can never change a job's answer.
+/// The bit-identity gate: run the default schedule and `params` for
+/// `iters` steps on the `seed` grid; `params` passes when its output
+/// planes and schedule-invariant counters equal the default's exactly.
+fn passes_gate(
+    kernel: &StencilKernel,
+    config: ExecConfig,
+    extents: &[usize],
+    seed: u64,
+    iters: usize,
+    params: ScheduleParams,
+) -> bool {
+    let planes = grid_to_planes(&crate::make_grid(extents, seed));
+    let run = |p| schedule::run_tuned(kernel, config, p, planes.clone(), iters);
+    let (want, want_c, _) = run(ScheduleParams::default());
+    let (got, got_c, _) = run(params);
+    planes_bit_identical(&got, &want) && got_c.schedule_invariants() == want_c.schedule_invariants()
+}
+
+/// On-miss schedule choice: the serve daemon's cold-plan path. When a
+/// job shape has no tuning-DB entry, [`choose`] a schedule for the job's
+/// iterations and return it for the plan cache to memoize. A non-default
+/// winner passes the bit-identity gate first (a short run of the default
+/// and of the winner on the `seed` grid) or the default is returned, so
+/// a memoized schedule can never change a job's answer. `budget <= 1`
+/// returns the default without ranking; any larger budget ranks every
+/// candidate (ranking runs nothing, so there is nothing to bound).
 pub fn tune_on_miss(
     kernel: &StencilKernel,
     config: ExecConfig,
@@ -230,53 +196,32 @@ pub fn tune_on_miss(
     if budget <= 1 {
         return default;
     }
-    // measure a short job: scheduling quality is shape-driven, not
-    // iteration-count-driven, and misses must stay bounded
-    let iters = iters.clamp(1, 2);
-    let input = crate::make_grid(extents, seed);
-    let planes = grid_to_planes(&input);
-    let run_params =
-        |p: ScheduleParams| schedule::run_tuned(kernel, config, p, planes.clone(), iters);
-    let (def_planes, def_counters, _) = run_params(default);
-    let def_inv = invariant_counters(&def_counters);
-
-    let plan = Plan::new(kernel, config);
-    let mut cands = candidate_space(kernel, config, extents);
-    cands.sort_by_key(|p| prior_cost(p, kernel, extents, &plan));
-    cands.retain(|p| *p != default);
-    cands.truncate(budget - 1);
-    cands.insert(0, default);
-
-    let mut clock = WallClock::new();
-    let mut best = (default, u64::MAX);
-    for p in cands {
-        // the reference run above is the default's output, so only the
-        // other candidates run the gate
-        if p != default {
-            let (out, counters, _) = run_params(p);
-            if !planes_bit_identical(&out, &def_planes) || invariant_counters(&counters) != def_inv
-            {
-                continue;
-            }
-        }
-        let ns = median_sample_ns(&mut clock, 2, || run_params(p));
-        if ns < best.1 {
-            best = (p, ns);
-        }
+    let win = choose(kernel, config, extents, iters);
+    // a short gate run: bit identity is shape-driven, not
+    // iteration-count-driven
+    if win == default || passes_gate(kernel, config, extents, seed, iters.clamp(1, 2), win) {
+        win
+    } else {
+        default
     }
-    best.0
 }
 
-/// The `tune` subcommand body: search, gate, measure, persist, report.
-#[allow(clippy::too_many_arguments)]
+/// `default / t`, or 1 when nothing is modeled (a run of no steps).
+fn speedup(default: f64, t: f64) -> f64 {
+    if t > 0.0 {
+        default / t
+    } else {
+        1.0
+    }
+}
+
+/// The `tune` subcommand body: model, rank, gate, persist, report.
 pub fn tune_report(
     kernel: &StencilKernel,
     config: ExecConfig,
     dims: &[usize],
     iters: usize,
     seed: u64,
-    budget: usize,
-    reps: usize,
     db_path: &str,
 ) -> Result<String, String> {
     let dims = &crate::broadcast_dims(dims, kernel.dims())[..];
@@ -288,7 +233,7 @@ pub fn tune_report(
             dims.len()
         ));
     }
-    // load-or-create the DB *before* measuring anything: an existing
+    // load-or-create the DB *before* modeling anything: an existing
     // but undecodable DB is a hard error, never silently replaced
     let path = std::path::Path::new(db_path);
     let mut db = if path.exists() {
@@ -297,95 +242,75 @@ pub fn tune_report(
         TuningDb::new()
     };
 
-    let input = crate::make_grid(dims, seed);
-    let planes = grid_to_planes(&input);
-    let run_params =
-        |p: ScheduleParams| schedule::run_tuned(kernel, config, p, planes.clone(), iters);
     let default = ScheduleParams::default();
-    let (def_planes, def_counters, _) = run_params(default);
-    let def_inv = invariant_counters(&def_counters);
-
-    let plan = Plan::new(kernel, config);
-    let mut cands = candidate_space(kernel, config, dims);
-    let total_space = cands.len();
-    cands.sort_by_key(|p| prior_cost(p, kernel, dims, &plan));
-    cands.retain(|p| *p != default);
-    cands.truncate(budget.max(1) - 1);
-    cands.insert(0, default);
-
     let mut report = format!(
-        "tuning LoRAStencil({}) on {} {:?} for {} iterations\n\
-         candidate space: {} schedules, measuring {} (budget {}), {} reps each\n\n",
+        "choosing a schedule for LoRAStencil({}) on {} {:?}, {} iterations, \
+         by modeled A100 time\n",
         config.tag(),
         kernel.name,
         dims,
         iters,
-        total_space,
-        cands.len(),
-        budget,
-        reps,
     );
-    let mut clock = WallClock::new();
-    let mut best: Option<(ScheduleParams, u64)> = None;
-    let mut default_ns = 0u64;
-    let mut rejected = 0usize;
-    let mut lines = Vec::new();
-    for p in cands {
-        let (out, counters, _) = run_params(p);
-        if !planes_bit_identical(&out, &def_planes) {
-            rejected += 1;
-            lines.push(format!(
-                "  {:<24} rejected: output diverges bitwise from the default schedule",
-                p.describe()
+    let (win, win_s, default_s) = match model_tilings(kernel, config, dims, iters) {
+        None => {
+            // no closed form: model the default's measured counters
+            let planes = grid_to_planes(&crate::make_grid(dims, seed));
+            let (_, counters, block) = schedule::run_tuned(kernel, config, default, planes, iters);
+            let t = CostModel::a100().estimate(&counters, &block).total;
+            report.push_str(
+                "1-D: the gather runs fixed 64-point sub-chunks, so every tiling charges \
+                 the same counters on the same block; the default is kept\n",
+            );
+            (default, t, t)
+        }
+        Some(rows) => {
+            let launchable = rows.iter().filter(|(_, e)| e.is_some()).count();
+            report.push_str(&format!(
+                "candidate space: {} tilings, {launchable} launch on the modeled A100\n\n",
+                rows.len()
             ));
-            continue;
-        }
-        if invariant_counters(&counters) != def_inv {
-            rejected += 1;
-            lines.push(format!(
-                "  {:<24} rejected: modeled counters diverge from the default schedule",
-                p.describe()
+            report.push_str(&format!(
+                "  {:<18} {:>14} {:>10}  {:<9} {:>8}\n",
+                "schedule", "modeled", "occupancy", "bound by", "speedup"
             ));
-            continue;
+            let default_s = rows[0].1.expect("the default launches").total;
+            for (p, est) in &rows {
+                match est {
+                    Some(e) => report.push_str(&format!(
+                        "  {:<18} {:>11.1} ns {:>10.3}  {:<9} {:>7.2}x\n",
+                        p.describe(),
+                        e.total * 1e9,
+                        e.occupancy,
+                        e.bound_by(),
+                        speedup(default_s, e.total),
+                    )),
+                    None => report.push_str(&format!(
+                        "  {:<18} cannot launch: the block's staged windows overflow an SM\n",
+                        p.describe()
+                    )),
+                }
+            }
+            let (win, win_s) = fastest(&rows);
+            if win != default && !passes_gate(kernel, config, dims, seed, iters, win) {
+                report.push_str(&format!(
+                    "\n  {:<18} rejected by the identity gate: output or invariant counters \
+                     diverge from the default schedule\n",
+                    win.describe()
+                ));
+                (default, default_s, default_s)
+            } else {
+                (win, win_s, default_s)
+            }
         }
-        let ns = median_sample_ns(&mut clock, reps, || run_params(p));
-        if p == default {
-            default_ns = ns;
-        }
-        if best.map_or(true, |(_, b)| ns < b) {
-            best = Some((p, ns));
-        }
-        let speedup = if default_ns > 0 && ns > 0 {
-            format!("  {:>6.2}x", default_ns as f64 / ns as f64)
-        } else {
-            String::new()
-        };
-        lines.push(format!("  {:<24} median {:>12} ns{speedup}", p.describe(), ns));
-    }
-    report.push_str(&lines.join("\n"));
-    report.push('\n');
-    let (win, win_ns) = best.expect("the default schedule is always measured");
-
-    // winner phase breakdown (host-side attribution of the choice)
-    foundation::obs::reset();
-    foundation::obs::enable();
-    let t0 = std::time::Instant::now();
-    let _ = run_params(win);
-    let wall_ns = t0.elapsed().as_nanos() as u64;
-    foundation::obs::disable();
-    foundation::obs::drain();
-    let breakdown = foundation::obs::phase_breakdown();
-    report.push_str(&format!("\nwinner: {} at {} ns median ", win.describe(), win_ns));
-    if default_ns > 0 {
-        report.push_str(&format!(
-            "({:.2}x vs default {} ns, {rejected} candidates rejected by the identity gate)\n",
-            default_ns as f64 / win_ns.max(1) as f64,
-            default_ns
-        ));
-    } else {
-        report.push('\n');
-    }
-    report.push_str(&foundation::obs::render_breakdown(&breakdown, wall_ns));
+    };
+    report.push_str(&format!(
+        "\nwinner: {}, modeled {:.1} ns ({:.2}x vs default {:.1} ns){}\n",
+        win.describe(),
+        win_s * 1e9,
+        speedup(default_s, win_s),
+        default_s * 1e9,
+        if win == default { "" } else { ", passed the identity gate" },
+    ));
 
     db.insert(
         kernel,
@@ -396,12 +321,12 @@ pub fn tune_report(
             extents: dims.to_vec(),
             config: config.tag(),
             params: win,
-            best_ns: win_ns,
-            default_ns,
+            best_ns: (win_s * 1e9).round() as u64,
+            default_ns: (default_s * 1e9).round() as u64,
         },
     );
     db.save(path).map_err(|e| format!("{db_path}: {e}"))?;
-    report.push_str(&format!("\ntuning DB {db_path} updated ({} entries)\n", db.len()));
+    report.push_str(&format!("tuning DB {db_path} updated ({} entries)\n", db.len()));
     Ok(report)
 }
 
@@ -427,29 +352,31 @@ pub fn install_tuning_db(path: &str) -> Result<String, String> {
 mod tests {
     use super::*;
     use crate::find_kernel;
+    use tcu_sim::PerfCounters;
 
     #[test]
     fn candidate_space_clamps_tiles_to_the_grid() {
         let k = find_kernel("Box-2D9P").unwrap();
         let space = candidate_space(&k, ExecConfig::full(), &[16, 16]);
         assert!(space.iter().all(|p| p.tile_rows <= 16 && p.tile_cols <= 16), "{space:?}");
-        assert!(space.contains(&ScheduleParams::default()));
-        // a big grid opens the full tile range and the fusion override,
-        // up to the blocks the modeled A100 can launch
+        assert_eq!(space[0], ScheduleParams::default(), "the default comes first");
+        // a big grid opens the full tile range, up to the blocks the
+        // modeled A100 can launch
         let wide = candidate_space(&k, ExecConfig::full(), &[128, 128]);
         assert!(wide.iter().any(|p| p.tile_rows == 8 && p.tile_cols == 64));
         assert!(wide.iter().any(|p| p.tile_rows == 64 && p.tile_cols == 8));
-        assert!(wide.iter().any(|p| p.fuse_override == Some(1)));
         assert!(wide.iter().any(|p| p.staging == Staging::Double));
         for p in &wide {
             p.validate().unwrap();
+            assert_eq!((p.mma_batch, p.fuse_override), (1, None), "{}", p.describe());
         }
     }
 
-    /// Every candidate the tuner may try, every on-miss winner and every
-    /// checked-in `tuning.json` entry must launch on the modeled A100;
-    /// the gate must drop the blocks that cannot (a 64×64 Box-2D49P job
-    /// stages 663,552 shared bytes against the SM's 167,936).
+    /// Every candidate the chooser may pick, every on-miss winner and
+    /// every checked-in `tuning.json` entry must launch on the modeled
+    /// A100; the gate must drop the blocks that cannot (a 64×64
+    /// Box-2D49P job stages 663,552 shared bytes against the SM's
+    /// 167,936).
     #[test]
     fn every_candidate_winner_and_checked_in_entry_launches() {
         let extents_of = |dims: usize| match dims {
@@ -465,11 +392,16 @@ mod tests {
                 assert!(space.contains(&ScheduleParams::default()), "{} {spec}", k.name);
                 for p in &space {
                     let plan = Plan::new_with_params(&k, config, *p);
-                    assert!(launches(&plan, p), "{} {spec} {}", k.name, p.describe());
+                    assert!(
+                        launches(&plan.block_resources()),
+                        "{} {spec} {}",
+                        k.name,
+                        p.describe()
+                    );
                 }
                 if k.dims() == 2 {
                     let big = ScheduleParams { tile_rows: 64, tile_cols: 64, ..Default::default() };
-                    assert!(!launches(&plan, &big), "{} {spec}", k.name);
+                    assert!(!launches(&plan.block_resources_with(&big)), "{} {spec}", k.name);
                     assert!(!space.contains(&big), "{} {spec}", k.name);
                 }
             }
@@ -478,10 +410,16 @@ mod tests {
             [("Box-2D49P", vec![64, 64]), ("Box-2D9P", vec![48, 48]), ("Heat-3D", vec![6, 24, 24])]
         {
             let k = find_kernel(name).unwrap();
-            let config = ExecConfig::full();
-            let win = tune_on_miss(&k, config, &extents, 3, 1, 6);
-            let plan = Plan::new_with_params(&k, config, win);
-            assert!(launches(&plan, &win), "{name}: on-miss winner {}", win.describe());
+            for spec in ["full", "no-async"] {
+                let config = crate::parse_config(spec).unwrap();
+                let win = tune_on_miss(&k, config, &extents, 3, 1, 6);
+                let plan = Plan::new_with_params(&k, config, win);
+                assert!(
+                    launches(&plan.block_resources()),
+                    "{name} {spec}: on-miss winner {}",
+                    win.describe()
+                );
+            }
         }
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tuning.json");
         let db = TuningDb::load(std::path::Path::new(path)).unwrap();
@@ -489,24 +427,146 @@ mod tests {
         for (_, e) in db.iter() {
             let k = find_kernel(&e.kernel).unwrap();
             let plan = Plan::new_with_params(&k, crate::parse_config(&e.config).unwrap(), e.params);
-            assert!(launches(&plan, &e.params), "tuning.json: {} {:?}", e.kernel, e.extents);
+            assert!(launches(&plan.block_resources()), "tuning.json: {} {:?}", e.kernel, e.extents);
         }
     }
 
+    /// The configs the closed-form test covers.
+    const CONFIGS: [&str; 6] = ["full", "no-async", "sparse", "simd", "no-tcu", "no-bvs,no-async"];
+
+    /// For every registry kernel, config and candidate, on ragged 2-D and
+    /// on 3-D grids, the closed-form counters equal what `run_tuned`
+    /// measures on all 13 fields, over a fused run with a remainder; and
+    /// `choose` is the argmin of the modeled time of those measured
+    /// counters (ties to the default, then the candidate order). 1-D
+    /// keys keep the default: every 1-D tiling measures the same counters
+    /// on the same block.
     #[test]
-    fn prior_prefers_fewer_jobs_on_big_grids() {
+    fn closed_form_counters_match_measured_runs_and_choose_is_their_argmin() {
+        let model = CostModel::a100();
+        let iters = 4; // one fused application of a 3-step fusion plus one unfused
+        let mut nondefault = 0;
+        for k in stencil_core::kernels::all_kernels() {
+            let shapes: &[&[usize]] = match k.dims() {
+                1 => &[&[300], &[1000]],
+                2 => &[&[37, 44], &[16, 16], &[70, 9]],
+                _ => &[&[3, 11, 21], &[2, 17, 16]],
+            };
+            for spec in CONFIGS {
+                let config = crate::parse_config(spec).unwrap();
+                for &extents in shapes {
+                    let case = format!("{} {spec} {extents:?}", k.name);
+                    let planes = grid_to_planes(&crate::make_grid(extents, 5));
+                    let measure = |p: ScheduleParams| {
+                        let (_, c, block) =
+                            schedule::run_tuned(&k, config, p, planes.clone(), iters);
+                        (c, block)
+                    };
+                    let space = candidate_space(&k, config, extents);
+                    let Some(charges) = RunCharges::new(&k, config, extents) else {
+                        let want = measure(ScheduleParams::default());
+                        for p in &space {
+                            assert_eq!(measure(*p), want, "{case} {}", p.describe());
+                        }
+                        assert_eq!(choose(&k, config, extents, iters), ScheduleParams::default());
+                        continue;
+                    };
+                    let mut best: Option<(ScheduleParams, f64)> = None;
+                    for p in &space {
+                        let (measured, block) = measure(*p);
+                        let closed = charges.counters(p, iters);
+                        assert_eq!(
+                            closed.fields(),
+                            measured.fields(),
+                            "{case} {}: closed form vs measured",
+                            p.describe()
+                        );
+                        assert_eq!(charges.block(p), block, "{case} {}", p.describe());
+                        let t = model.estimate(&measured, &block).total;
+                        if best.is_none_or(|(_, b)| t < b) {
+                            best = Some((*p, t));
+                        }
+                    }
+                    let win = choose(&k, config, extents, iters);
+                    assert_eq!(win, best.unwrap().0, "{case}");
+                    nondefault += usize::from(win != ScheduleParams::default());
+                }
+            }
+        }
+        assert!(nondefault > 0, "some key must pick a non-default schedule");
+    }
+
+    #[test]
+    fn a_run_of_zero_iterations_keeps_the_default() {
         let k = find_kernel("Box-2D9P").unwrap();
-        let plan = Plan::new(&k, ExecConfig::full());
-        let small = ScheduleParams::default();
-        let big = ScheduleParams { tile_rows: 64, tile_cols: 64, ..ScheduleParams::default() };
-        assert!(
-            prior_cost(&big, &k, &[128, 128], &plan) < prior_cost(&small, &k, &[128, 128], &plan)
-        );
-        // and batching beats unbatched at equal tiling
-        let batched = ScheduleParams { mma_batch: 8, ..big };
-        assert!(
-            prior_cost(&batched, &k, &[128, 128], &plan) < prior_cost(&big, &k, &[128, 128], &plan)
-        );
+        let config = crate::parse_config("no-async").unwrap();
+        assert_eq!(choose(&k, config, &[16, 16], 0), ScheduleParams::default());
+        let charges = RunCharges::new(&k, config, &[16, 16]).unwrap();
+        let p = ScheduleParams { tile_rows: 16, tile_cols: 16, ..Default::default() };
+        assert_eq!(charges.counters(&p, 0), PerfCounters::new());
+    }
+
+    /// Every checked-in `tuning.json` entry is exactly what `tune` writes
+    /// for its key at the default `--iters 3`: the chooser is
+    /// deterministic, so the DB can be regenerated and compared.
+    #[test]
+    fn checked_in_tuning_db_entries_equal_choose() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tuning.json");
+        let db = TuningDb::load(std::path::Path::new(path)).unwrap();
+        let dir = std::env::temp_dir().join("lorastencil-cli-tune-regen");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let fresh = dir.join("tuning.json");
+        for (_, e) in db.iter() {
+            let k = find_kernel(&e.kernel).unwrap();
+            let config = crate::parse_config(&e.config).unwrap();
+            assert_eq!(choose(&k, config, &e.extents, 3), e.params, "{} {:?}", e.kernel, e.extents);
+            tune_report(&k, config, &e.extents, 3, 42, fresh.to_str().unwrap()).unwrap();
+        }
+        let regenerated = TuningDb::load(&fresh).unwrap();
+        let entries =
+            |db: &TuningDb| db.iter().map(|(k, e)| (k.clone(), e.clone())).collect::<Vec<_>>();
+        assert_eq!(entries(&regenerated), entries(&db));
+        assert_eq!(std::fs::read(&fresh).unwrap(), std::fs::read(path).unwrap());
+    }
+
+    #[test]
+    fn two_tunes_of_one_key_write_byte_identical_dbs() {
+        let dir = std::env::temp_dir().join("lorastencil-cli-tune-twice");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let k = find_kernel("Box-2D9P").unwrap();
+        let config = crate::parse_config("no-async").unwrap();
+        let mut dbs = Vec::new();
+        for i in 0..2 {
+            let p = dir.join(format!("t{i}.json"));
+            tune_report(&k, config, &[16, 16], 2, 7, p.to_str().unwrap()).unwrap();
+            dbs.push(std::fs::read(&p).unwrap());
+        }
+        assert_eq!(dbs[0], dbs[1]);
+    }
+
+    #[test]
+    fn tune_report_explains_every_candidate() {
+        let dir = std::env::temp_dir().join("lorastencil-cli-tune-report");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let db = dir.join("t.json");
+        let k = find_kernel("Box-2D49P").unwrap();
+        let r =
+            tune_report(&k, ExecConfig::full(), &[128, 128], 1, 7, db.to_str().unwrap()).unwrap();
+        for want in ["modeled", "occupancy", "bound by", "tensor", "cannot launch", "winner:"] {
+            assert!(r.contains(want), "{want}: {r}");
+        }
+        // one line per tiling, launchable or not
+        let rows = tilings(&k, ExecConfig::full(), &[128, 128]);
+        for p in &rows {
+            assert!(r.lines().any(|l| l.trim_start().starts_with(&p.describe())), "{r}");
+        }
+        // a 1-D key says why it keeps the default
+        let k = find_kernel("Heat-1D").unwrap();
+        let r = tune_report(&k, ExecConfig::full(), &[512], 2, 7, db.to_str().unwrap()).unwrap();
+        assert!(r.contains("1-D") && r.contains("default is kept"), "{r}");
     }
 
     #[test]
@@ -517,7 +577,7 @@ mod tests {
         let db_path = dir.join("tuning.json");
         let dbs = db_path.to_str().unwrap();
         let k = find_kernel("Box-2D9P").unwrap();
-        let r = tune_report(&k, ExecConfig::full(), &[48, 48], 2, 7, 6, 3, dbs).unwrap();
+        let r = tune_report(&k, ExecConfig::full(), &[48, 48], 2, 7, dbs).unwrap();
         assert!(r.contains("winner:"), "{r}");
         assert!(r.contains("tuning DB"), "{r}");
         let db = TuningDb::load(&db_path).unwrap();
@@ -527,7 +587,7 @@ mod tests {
         assert_eq!(entry.extents, vec![48, 48]);
         entry.params.validate().unwrap();
         // a second tune at other extents merges, not replaces
-        let r2 = tune_report(&k, ExecConfig::full(), &[24, 24], 2, 7, 4, 3, dbs).unwrap();
+        let r2 = tune_report(&k, ExecConfig::full(), &[24, 24], 2, 7, dbs).unwrap();
         assert!(r2.contains("2 entries"), "{r2}");
         assert_eq!(TuningDb::load(&db_path).unwrap().len(), 2);
         // and the install path accepts what tune wrote
@@ -537,29 +597,22 @@ mod tests {
     }
 
     #[test]
-    fn tune_on_miss_returns_gated_params_within_budget() {
-        let k = find_kernel("Box-2D49P").unwrap();
-        // budget 1 never measures: straight to defaults
-        assert_eq!(
-            tune_on_miss(&k, ExecConfig::full(), &[16, 16], 7, 1, 1),
-            ScheduleParams::default()
-        );
-        // a real budget returns params the identity gate accepted: the
-        // winner must reproduce the default schedule's output bitwise
-        let p = tune_on_miss(&k, ExecConfig::full(), &[16, 16], 7, 1, 4);
-        p.validate().unwrap();
-        let input = crate::make_grid(&[16, 16], 7);
-        let planes = grid_to_planes(&input);
-        let (want, wc, _) = schedule::run_tuned(
-            &k,
-            ExecConfig::full(),
-            ScheduleParams::default(),
-            planes.clone(),
-            1,
-        );
-        let (got, gc, _) = schedule::run_tuned(&k, ExecConfig::full(), p, planes, 1);
+    fn tune_on_miss_returns_gated_params() {
+        // Box-2D9P without cp.async picks a 16×16 tiling at 16×16
+        let k = find_kernel("Box-2D9P").unwrap();
+        let config = crate::parse_config("no-async").unwrap();
+        // budget 1 never ranks: straight to defaults
+        assert_eq!(tune_on_miss(&k, config, &[16, 16], 7, 1, 1), ScheduleParams::default());
+        let p = tune_on_miss(&k, config, &[16, 16], 7, 1, 2);
+        assert_eq!(p, choose(&k, config, &[16, 16], 1));
+        assert_ne!(p, ScheduleParams::default(), "this key's model winner is not the default");
+        // the winner reproduces the default schedule's output bitwise
+        let planes = grid_to_planes(&crate::make_grid(&[16, 16], 7));
+        let (want, wc, _) =
+            schedule::run_tuned(&k, config, ScheduleParams::default(), planes.clone(), 1);
+        let (got, gc, _) = schedule::run_tuned(&k, config, p, planes, 1);
         assert!(planes_bit_identical(&got, &want), "winner {} diverges", p.describe());
-        assert_eq!(invariant_counters(&gc), invariant_counters(&wc));
+        assert_eq!(gc.schedule_invariants(), wc.schedule_invariants());
     }
 
     #[test]
@@ -576,34 +629,20 @@ mod tests {
         assert!(e.contains("corrupt"), "{e}");
         // tune refuses to overwrite a garbage DB too
         let k = find_kernel("Box-2D9P").unwrap();
-        let e = tune_report(&k, ExecConfig::full(), &[24, 24], 1, 7, 2, 1, p.to_str().unwrap())
-            .unwrap_err();
+        let e =
+            tune_report(&k, ExecConfig::full(), &[24, 24], 1, 7, p.to_str().unwrap()).unwrap_err();
         assert!(e.contains("corrupt"), "{e}");
     }
 
     #[test]
-    fn fuse_override_candidates_fall_to_the_identity_gate() {
+    fn the_identity_gate_rejects_a_fusion_override() {
         // Heat-2D fuses 3×: overriding to 1 changes the arithmetic, so
-        // the gate must reject it rather than let it win on time
-        let dir = std::env::temp_dir().join("lorastencil-cli-tune-gate");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let dbs = dir.join("t.json");
+        // the gate rejects it; a tiling passes
         let k = find_kernel("Heat-2D").unwrap();
-        let r = tune_report(
-            &k,
-            ExecConfig::full(),
-            &[32, 32],
-            3,
-            7,
-            usize::MAX,
-            1,
-            dbs.to_str().unwrap(),
-        )
-        .unwrap();
-        assert!(r.contains("rejected"), "{r}");
-        let db = TuningDb::load(&dbs).unwrap();
-        let params = db.lookup(&k, &[32, 32], ExecConfig::full()).unwrap();
-        assert_eq!(params.fuse_override, None, "a gated candidate must never be persisted");
+        let config = ExecConfig::full();
+        let unfused = ScheduleParams { fuse_override: Some(1), ..Default::default() };
+        assert!(!passes_gate(&k, config, &[32, 32], 7, 3, unfused));
+        let tiled = ScheduleParams { tile_rows: 16, tile_cols: 32, ..Default::default() };
+        assert!(passes_gate(&k, config, &[32, 32], 7, 3, tiled));
     }
 }

@@ -12,13 +12,13 @@
 //!
 //! `fuse_override` is deliberately *not* sampled: overriding the fusion
 //! depth changes the executed arithmetic, which is why the `tune`
-//! command gates it behind its own bitwise comparison instead of
-//! promising neutrality here.
+//! chooser does not search it. The sampler still covers `mma_batch`,
+//! which the chooser leaves at its default.
 
 use foundation::rng::Xoshiro256pp;
 use lorastencil::schedule::{self, grid_to_planes, ScheduleParams, Staging};
 use lorastencil::ExecConfig;
-use tcu_sim::{GlobalArray, PerfCounters};
+use tcu_sim::GlobalArray;
 
 use crate::gen::Case;
 use crate::oracle::replay_hint;
@@ -40,20 +40,6 @@ pub fn sample_params(case: &Case) -> (ScheduleParams, ExecConfig) {
     let roster = ExecConfig::ablation_roster();
     let (_, config) = roster[rng.range_usize(0, roster.len())];
     (params, config)
-}
-
-/// The counter fields a schedule must keep invariant. Keep in sync with
-/// `invariant_counters` in `stencil-cli`'s tune module.
-fn invariants(c: &PerfCounters) -> [u64; 7] {
-    [
-        c.mma_ops,
-        c.mma_sp_ops,
-        c.metadata_loads,
-        c.shared_load_requests,
-        c.shuffle_ops,
-        c.global_bytes_written,
-        c.points_updated,
-    ]
 }
 
 fn first_bit_divergence(a: &[GlobalArray], b: &[GlobalArray]) -> Option<String> {
@@ -101,14 +87,14 @@ pub fn check_params_identity(case: &Case) -> Result<(), String> {
             replay_hint()
         ));
     }
-    if invariants(&def_ctr) != invariants(&tuned_ctr) {
+    if def_ctr.schedule_invariants() != tuned_ctr.schedule_invariants() {
         return Err(format!(
             "ScheduleParams {} (config {}) drifts modeled counters: \
              default {:?} vs tuned {:?}\n{}",
             params.describe(),
             config.tag(),
-            invariants(&def_ctr),
-            invariants(&tuned_ctr),
+            def_ctr.schedule_invariants(),
+            tuned_ctr.schedule_invariants(),
             replay_hint()
         ));
     }

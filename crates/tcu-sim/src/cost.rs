@@ -93,6 +93,23 @@ impl Estimate {
         points_updated as f64 / self.total / 1e9
     }
 
+    /// The pool that sets [`Estimate::total`]: the slowest overlapping
+    /// pool (`tensor`, `tensor16`, `cuda`, `shared`, `hbm` or `l2`), or
+    /// `shuffle` when the exposed shuffle time exceeds it. Ties go to
+    /// the earlier name in that list.
+    pub fn bound_by(&self) -> &'static str {
+        let pools = [
+            ("tensor", self.t_tensor),
+            ("tensor16", self.t_tensor16),
+            ("cuda", self.t_cuda),
+            ("shared", self.t_shared),
+            ("hbm", self.t_hbm),
+            ("l2", self.t_l2),
+            ("shuffle", self.t_shuffle),
+        ];
+        pools.iter().fold(pools[0], |best, &p| if p.1 > best.1 { p } else { best }).0
+    }
+
     /// "Compute (SM) Throughput" à la Nsight (Table III): the busiest
     /// compute pipeline's share of total time, discounted by issue
     /// utilization — below ~32 resident warps per SM the schedulers
@@ -214,6 +231,19 @@ mod tests {
         let g = e.gstencil_per_sec(c.points_updated);
         assert!(g > 0.0);
         assert!((g - 1.0 / e.total).abs() / g < 1e-9);
+    }
+
+    #[test]
+    fn bound_by_names_the_slowest_pool() {
+        let m = CostModel::a100();
+        let mut c = PerfCounters::new();
+        c.mma_ops = 1_000_000;
+        assert_eq!(m.estimate(&c, &block()).bound_by(), "tensor");
+        c.global_bytes_read = 1 << 34;
+        assert_eq!(m.estimate(&c, &block()).bound_by(), "hbm");
+        c.shuffle_ops = 1 << 40;
+        assert_eq!(m.estimate(&c, &block()).bound_by(), "shuffle");
+        assert_eq!(m.estimate(&PerfCounters::new(), &block()).bound_by(), "tensor");
     }
 
     #[test]

@@ -135,6 +135,24 @@ impl PerfCounters {
         ]
     }
 
+    /// The fields no schedule choice may move: the `Prediction` class
+    /// of the counter model (MMAs dense and sparse, metadata loads,
+    /// shared-memory loads, shuffles, HBM bytes written, points). Tile
+    /// shapes and staging regroup the same sub-tiles, so they move only
+    /// the staging traffic (store requests, HBM/L2 reads, staged bytes)
+    /// and, on the scalar backends, nothing at all.
+    pub fn schedule_invariants(&self) -> [u64; 7] {
+        [
+            self.mma_ops,
+            self.mma_sp_ops,
+            self.metadata_loads,
+            self.shared_load_requests,
+            self.shuffle_ops,
+            self.global_bytes_written,
+            self.points_updated,
+        ]
+    }
+
     /// Exact field-by-field comparison: every `(field, self, other)`
     /// triple where the two counter sets disagree, in declaration order.
     /// Empty means the sets are identical.

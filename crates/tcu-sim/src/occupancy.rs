@@ -10,7 +10,7 @@
 use crate::device::DeviceSpec;
 
 /// Resource usage of one thread block.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlockResources {
     /// Shared-memory bytes allocated per block.
     pub shared_bytes: u32,

@@ -52,8 +52,8 @@ fn counter_model_is_exact_on_generated_shapes() {
 }
 
 /// Schedule-space neutrality: a randomly sampled `ScheduleParams` point
-/// (tiles, staging, batching — the `tune` search space minus the
-/// semantics-changing fusion override) must stay bit-identical in
+/// (tiles and staging — the `tune` candidate space — plus batching,
+/// without the semantics-changing fusion override) must stay bit-identical in
 /// values and invariant in modeled counters against the default
 /// lowering on every generated kernel.
 #[test]

@@ -9,11 +9,12 @@
 //!   runs the entry's memoized schedule.
 //! - *Across servers* (and against an offline [`ExecSession`]): the
 //!   digest and the Prediction-class invariant counters are identical.
-//!   A cold cache re-runs the on-miss schedule tuner whose winner is
-//!   timing-dependent, and schedule choice may legitimately move the
-//!   *descriptive* counters (staging traffic, issue counts) — but the
-//!   tuner's bit-identity gate only admits schedules whose values and
-//!   invariant counters match the default exactly, so scheduling
+//!   A cold cache re-runs the on-miss schedule choice, which is
+//!   deterministic (every server memoizes the same schedule for a key),
+//!   and a non-default schedule may legitimately move the *descriptive*
+//!   counters (staging traffic) against the offline default run — but
+//!   the chooser's bit-identity gate only admits schedules whose values
+//!   and invariant counters match the default exactly, so scheduling
 //!   freedom never becomes answer freedom.
 
 use std::sync::Arc;
