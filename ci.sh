@@ -218,11 +218,11 @@ checkpoint_battery() {
 
 serve_smoke() {
     # end-to-end daemon smoke: serve over a unix socket, a plan-miss then
-    # a cache-hit of the same job must answer one digest, the served
-    # invariant counters must equal what an offline `run` of the
-    # identical job reports, hostile frames get typed errors, `stats`
-    # sees the tenant and the connection limit, and `shutdown` exits
-    # cleanly.
+    # a cache-hit of the same job must answer one digest, sum, min and
+    # max, the served invariant counters must equal what an offline `run`
+    # of the identical job reports, hostile frames get typed errors,
+    # `stats` sees the tenant and the connection limit, and `shutdown`
+    # exits cleanly.
     local sock=target/ci-serve.sock
     local cli="cargo run --release --offline -p stencil-cli --bin lorastencil-cli --"
     rm -f "$sock"
@@ -239,9 +239,13 @@ serve_smoke() {
         || { echo "error: first job did not plan: $first" >&2; kill "$pid"; exit 1; }
     grep -q '"cache":"hit"' <<<"$second" \
         || { echo "error: second job did not hit the plan cache: $second" >&2; kill "$pid"; exit 1; }
-    if ! diff <(grep -o '"digest":"[^"]*"' <<<"$first") <(grep -o '"digest":"[^"]*"' <<<"$second"); then
-        echo "error: the cache hit changed the digest" >&2; kill "$pid"; exit 1
-    fi
+    local key got want
+    for key in digest sum min max; do
+        want=$(grep -o "\"$key\":[^,}]*" <<<"$first")
+        got=$(grep -o "\"$key\":[^,}]*" <<<"$second")
+        [ -n "$want" ] && [ "$got" = "$want" ] \
+            || { echo "error: the cache hit changed $key ($want vs $got)" >&2; kill "$pid"; exit 1; }
+    done
     # invariant-counter parity with the offline CLI on the identical
     # job. Only the Prediction-class counters are compared: the daemon
     # chooses a schedule on a cache miss, and descriptive counters (L2/HBM

@@ -10,7 +10,7 @@
 //! the one-shot [`run`](super::run) path by construction: both interpret
 //! the same lowered schedules in the same fused/remainder split.
 
-use super::stepper::Workspace;
+use super::stepper::{RunCharges, Workspace};
 use super::ScheduleParams;
 use crate::plan::{ExecConfig, Plan};
 use stencil_core::StencilKernel;
@@ -75,6 +75,22 @@ impl ExecSession {
         Self::from_plan(kernel, plan, rem, extents)
     }
 
+    /// The [`with_params`](Self::with_params) session, built from the
+    /// plans (and the lowerings) a schedule choice already made for its
+    /// kernel, config and extents: nothing is planned, decomposed or,
+    /// for a staging the choice priced, lowered again. The serve daemon's
+    /// on-miss path uses this after ranking schedules.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `params.fuse_override` is set (a chosen schedule never
+    /// sets it).
+    pub fn from_charges(charges: RunCharges, params: ScheduleParams) -> Self {
+        let extents = charges.extents().to_vec();
+        let (plan, ws, rem_ws) = charges.into_workspaces(params);
+        Self::from_workspaces(&plan, ws, rem_ws, &extents)
+    }
+
     fn from_plan(
         kernel: &StencilKernel,
         plan: Plan,
@@ -87,20 +103,37 @@ impl ExecSession {
             "extents {extents:?} do not match a {}-D kernel",
             kernel.dims()
         );
-        let block = plan.block_resources();
-        let fusion = plan.fusion;
-        let params = plan.params;
-        let rem_ws = rem_plan(fusion).map(|rp| Workspace::new(&rp, extents));
+        let rem_ws = rem_plan(plan.fusion).map(|rp| Workspace::new(&rp, extents));
         let ws = Workspace::new(&plan, extents);
+        Self::from_workspaces(&plan, ws, rem_ws, extents)
+    }
+
+    /// A session around the fused `plan`'s workspace (and the remainder
+    /// workspace when it fuses), with fresh planes for `extents`.
+    fn from_workspaces(
+        plan: &Plan,
+        ws: Workspace,
+        rem_ws: Option<Workspace>,
+        extents: &[usize],
+    ) -> Self {
         let (nplanes, rows, cols) = match *extents {
             [n] => (1, 1, n),
             [rows, cols] => (1, rows, cols),
             [nz, ny, nx] => (nz, ny, nx),
-            _ => unreachable!("dims checked above"),
+            _ => unreachable!("grids are 1-, 2- or 3-dimensional"),
         };
         let cur = (0..nplanes).map(|_| GlobalArray::new(rows, cols)).collect();
         let next = (0..nplanes).map(|_| GlobalArray::new(rows, cols)).collect();
-        ExecSession { ws, rem_ws, fusion, params, block, extents: extents.to_vec(), cur, next }
+        ExecSession {
+            ws,
+            rem_ws,
+            fusion: plan.fusion,
+            params: plan.params,
+            block: plan.block_resources(),
+            extents: extents.to_vec(),
+            cur,
+            next,
+        }
     }
 
     /// Overwrite the current grid with `f(linear_index)`, the same
@@ -174,7 +207,7 @@ impl ExecSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedule::run;
+    use crate::schedule::{run, Staging};
     use stencil_core::kernels;
 
     fn seed_fn(seed: u64) -> impl Fn(u64) -> f64 {
@@ -272,6 +305,54 @@ mod tests {
             assert_eq!(g.to_bits(), w.to_bits());
         }
         assert_eq!(counters.fields(), want_counters.fields());
+    }
+
+    #[test]
+    fn from_charges_matches_with_params_bitwise() {
+        // fused and unfused kernels, 2-D and 3-D, tensor-core and scalar
+        // configs, default and non-default tilings on both stagings;
+        // the charges are priced for some stagings first (reused
+        // lowerings) and for none on the others (lowered on the spot)
+        let roster = ExecConfig::ablation_roster();
+        let tiled = |tile_rows, tile_cols, staging| ScheduleParams {
+            tile_rows,
+            tile_cols,
+            staging,
+            ..ScheduleParams::default()
+        };
+        let cases: [(&str, Vec<usize>, ScheduleParams); 5] = [
+            ("Box-2D9P", vec![40, 48], ScheduleParams::default()),
+            ("Heat-2D", vec![37, 44], tiled(16, 32, Staging::Double)),
+            ("Box-2D49P", vec![24, 40], tiled(16, 8, Staging::Single)),
+            ("Heat-3D", vec![4, 16, 24], tiled(8, 16, Staging::Double)),
+            ("Box-3D27P", vec![3, 16, 16], ScheduleParams::default()),
+        ];
+        for (name, extents, params) in &cases {
+            let kernel = kernels::by_name(name).unwrap();
+            for (tag, config) in &roster {
+                for priced in [false, true] {
+                    let ctx = format!("{name} {tag} {} priced={priced}", params.describe());
+                    let charges = RunCharges::new(&kernel, *config, extents).unwrap();
+                    if priced {
+                        charges.counters(params, 5);
+                    }
+                    let mut got = ExecSession::from_charges(charges, *params);
+                    let mut want = ExecSession::with_params(&kernel, *config, extents, *params);
+                    assert_eq!(got.params(), want.params(), "{ctx}");
+                    assert_eq!(got.fusion(), want.fusion(), "{ctx}");
+                    assert_eq!(got.block(), want.block(), "{ctx}");
+                    for sess in [&mut got, &mut want] {
+                        sess.fill_with(seed_fn(3));
+                    }
+                    assert_eq!(got.run(5).fields(), want.run(5).fields(), "{ctx}");
+                    for (g, w) in got.planes().iter().zip(want.planes()) {
+                        for (a, b) in g.as_slice().iter().zip(w.as_slice()) {
+                            assert_eq!(a.to_bits(), b.to_bits(), "{ctx}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

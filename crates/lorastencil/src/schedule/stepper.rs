@@ -880,6 +880,11 @@ impl Workspace {
     pub fn new(plan: &Plan, extents: &[usize]) -> Self {
         let sched = Schedule::lower(plan);
         let charges = StripCharges::of(&sched);
+        Workspace::from_lowered(sched, charges, extents)
+    }
+
+    /// Buffers for an already lowered schedule and its strip charges.
+    fn from_lowered(sched: Schedule, charges: StripCharges, extents: &[usize]) -> Self {
         let (jobs, row_len) = job_rows(extents, sched.tile_h, sched.tile_w);
         Workspace { sched, charges, jobs, row_len, slots: Vec::new(), sinks: Vec::new() }
     }
@@ -1022,6 +1027,27 @@ impl Variant {
         }
         c
     }
+
+    /// The plan under `params` and a workspace running it over grids of
+    /// `extents`, reusing the lowering of `params.staging` if one was
+    /// priced. Lowering reads `params` only for the staging and the
+    /// fields set here, so the reused schedule is the one
+    /// `Schedule::lower` would build for the returned plan.
+    fn into_workspace(self, params: ScheduleParams, extents: &[usize]) -> (Plan, Workspace) {
+        let plan = Plan { params, ..self.plan };
+        let [single, double] = self.lowered;
+        let priced = if params.staging == Staging::Single { single } else { double };
+        let ws = match priced.into_inner() {
+            Some((mut sched, charges)) => {
+                sched.tile_h = params.tile_rows;
+                sched.tile_w = params.tile_cols;
+                sched.mma_batch = params.mma_batch;
+                Workspace::from_lowered(sched, charges, extents)
+            }
+            None => Workspace::new(&plan, extents),
+        };
+        (plan, ws)
+    }
 }
 
 impl RunCharges {
@@ -1061,6 +1087,33 @@ impl RunCharges {
     /// reports).
     pub fn block(&self, params: &ScheduleParams) -> BlockResources {
         self.fused.plan.block_resources_with(params)
+    }
+
+    /// The grid extents the charges are for.
+    pub fn extents(&self) -> &[usize] {
+        &self.extents
+    }
+
+    /// The fused plan under `params` with its workspace, and the
+    /// remainder workspace when the plan fuses: what
+    /// [`ExecSession::with_params`](super::ExecSession::with_params)
+    /// builds, from the plans and lowerings made here.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `params.fuse_override` is set: these plans were made
+    /// without one.
+    pub(crate) fn into_workspaces(
+        self,
+        params: ScheduleParams,
+    ) -> (Plan, Workspace, Option<Workspace>) {
+        assert_eq!(
+            params.fuse_override, None,
+            "the charges were planned without a fusion override"
+        );
+        let (plan, ws) = self.fused.into_workspace(params, &self.extents);
+        let rem_ws = self.rem.map(|v| v.into_workspace(params, &self.extents).1);
+        (plan, ws, rem_ws)
     }
 }
 

@@ -29,6 +29,7 @@ use std::time::{Duration, Instant};
 use foundation::json::{Json, NdjsonReader, ToJson};
 use foundation::{crc::Crc32, par};
 use lorastencil::{ExecConfig, ExecSession};
+use tcu_sim::GlobalArray;
 
 use cache::{Checkout, PlanCache};
 use metrics::ServerMetrics;
@@ -285,8 +286,9 @@ impl ServerCore {
     /// Plan a missed shape end to end: kernel resolution, dims check,
     /// tuning-DB lookup (else the modeled on-miss choice, which the
     /// cache entry memoizes — the bit-identity gate keeps any non-default
-    /// winner answer-neutral), session construction, cache insert. The
-    /// caller must hold the shape's single-flight permit.
+    /// winner answer-neutral — and whose plans the session is built
+    /// from), session construction, cache insert. The caller must hold
+    /// the shape's single-flight permit.
     fn plan_shape(
         &self,
         job: &JobSpec,
@@ -312,17 +314,17 @@ impl ServerCore {
             });
         }
         let extents = &job.extents[..job.ndims];
-        let params = lorastencil::tuning::lookup(&kernel, extents, config).unwrap_or_else(|| {
-            crate::tune::tune_on_miss(
+        let (params, session) = match lorastencil::tuning::lookup(&kernel, extents, config) {
+            Some(params) => (params, ExecSession::with_params(&kernel, config, extents, params)),
+            None => crate::tune::session_on_miss(
                 &kernel,
                 config,
                 extents,
                 job.seed,
                 job.iters,
                 self.cfg.tune_budget,
-            )
-        });
-        let session = ExecSession::with_params(&kernel, config, extents, params);
+            ),
+        };
         let entry = self.cache.insert(kernel, job.extents, job.ndims, config, params);
         Ok((entry, session))
     }
@@ -391,22 +393,8 @@ impl ServerCore {
         let counters = session.run(job.iters);
         let exec_ns = elapsed_ns(t_exec);
 
-        // digest: CRC-32 over the output bit patterns plus sum/min/max,
-        // accumulated in plane-major order so it is thread-count-
-        // independent (the determinism test's currency)
         let t_digest = Instant::now();
-        let mut crc = Crc32::new();
-        let (mut sum, mut lo, mut hi) = (0.0f64, f64::INFINITY, f64::NEG_INFINITY);
-        if job.values != ValuesMode::None {
-            for plane in session.planes() {
-                for &v in plane.as_slice() {
-                    crc.update(&v.to_bits().to_le_bytes());
-                    sum += v;
-                    lo = lo.min(v);
-                    hi = hi.max(v);
-                }
-            }
-        }
+        let answer = (job.values != ValuesMode::None).then(|| digest(session.planes()));
         let digest_ns = elapsed_ns(t_digest);
 
         // response
@@ -428,11 +416,10 @@ impl ServerCore {
             points,
             if hit { "hit" } else { "miss" }
         );
-        if job.values != ValuesMode::None {
+        if let Some((crc, sum, lo, hi)) = answer {
             let _ = write!(
                 resp,
-                ",\"digest\":\"crc32:{:08x}\",\"sum\":{sum},\"min\":{lo},\"max\":{hi}",
-                crc.finish()
+                ",\"digest\":\"crc32:{crc:08x}\",\"sum\":{sum},\"min\":{lo},\"max\":{hi}"
             );
         }
         if job.values == ValuesMode::Full {
@@ -527,6 +514,68 @@ impl ServerCore {
         ]);
         Json::Obj(fields)
     }
+}
+
+/// The answer check of a job's output `planes` (DESIGN.md §13): the
+/// CRC-32 of every value's little-endian bit pattern, plane-major; the
+/// plane-major serial `sum`; and the `min`/`max` with NaN ignored (`inf`
+/// and `-inf` when every value is NaN). All four depend only on the
+/// values, never on the thread count.
+///
+/// One pass, 64 values at a time: each value goes into the serial sum
+/// (it is on the wire, so its rounding order is fixed) and into one of
+/// eight independent `min`/`max` lanes, and its bytes into a stack
+/// buffer that then feeds one bulk CRC update. The lanes combine to the
+/// value the serial `f64::min`/`f64::max` fold gives in any order,
+/// except that a zero extreme may come out with either sign; a zero
+/// extreme is therefore folded again serially, so its sign bit is
+/// exactly the per-element fold's.
+fn digest(planes: &[GlobalArray]) -> (u32, f64, f64, f64) {
+    const LANES: usize = 8;
+    let mut crc = Crc32::new();
+    let mut sum = 0.0f64;
+    let mut lo = [f64::INFINITY; LANES];
+    let mut hi = [f64::NEG_INFINITY; LANES];
+    let mut bytes = [[0u8; 8]; 64];
+    for plane in planes {
+        for chunk in plane.as_slice().chunks(bytes.len()) {
+            let (rows, rest) = chunk.as_chunks::<LANES>();
+            for (row, out) in rows.iter().zip(bytes.as_chunks_mut::<LANES>().0) {
+                for i in 0..LANES {
+                    out[i] = digest_value(row[i], &mut sum, &mut lo[i], &mut hi[i]);
+                }
+            }
+            let tail = &mut bytes[rows.len() * LANES..];
+            for (i, (&v, out)) in rest.iter().zip(tail).enumerate() {
+                *out = digest_value(v, &mut sum, &mut lo[i], &mut hi[i]);
+            }
+            crc.update(bytes[..chunk.len()].as_flattened());
+        }
+    }
+    let serial = |init: f64, f: fn(f64, f64) -> f64| {
+        planes.iter().flat_map(|p| p.as_slice()).fold(init, |acc, &v| f(acc, v))
+    };
+    let mut min = lo.into_iter().fold(f64::INFINITY, f64::min);
+    let mut max = hi.into_iter().fold(f64::NEG_INFINITY, f64::max);
+    if min == 0.0 {
+        min = serial(f64::INFINITY, f64::min);
+    }
+    if max == 0.0 {
+        max = serial(f64::NEG_INFINITY, f64::max);
+    }
+    (crc.finish(), sum, min, max)
+}
+
+/// One value of [`digest`]: added to the sum, folded into its lane's
+/// extremes, returned as its little-endian bytes. The compare-selects
+/// compile to bare SIMD min/max: a lane never holds NaN, and a NaN `v`
+/// compares false, so NaN is ignored as `f64::min` ignores it.
+#[inline(always)]
+fn digest_value(v: f64, sum: &mut f64, lo: &mut f64, hi: &mut f64) -> [u8; 8] {
+    *sum += v;
+    *lo = if v < *lo { v } else { *lo };
+    *hi = if v > *hi { v } else { *hi };
+    v.to_bits().to_le_bytes()
 }
 
 fn elapsed_ns(t: Instant) -> u64 {
@@ -863,6 +912,68 @@ mod tests {
             .collect();
         out.sort();
         out
+    }
+
+    /// The per-element fold `digest` replaced: one 8-byte CRC update and
+    /// one `sum`/`min`/`max` step per value, plane-major.
+    fn per_element(planes: &[GlobalArray]) -> (u32, f64, f64, f64) {
+        let mut crc = Crc32::new();
+        let (mut sum, mut lo, mut hi) = (0.0f64, f64::INFINITY, f64::NEG_INFINITY);
+        for plane in planes {
+            for &v in plane.as_slice() {
+                crc.update(&v.to_bits().to_le_bytes());
+                sum += v;
+                lo = lo.min(v);
+                hi = hi.max(v);
+            }
+        }
+        (crc.finish(), sum, lo, hi)
+    }
+
+    fn bits((crc, sum, min, max): (u32, f64, f64, f64)) -> (u32, u64, u64, u64) {
+        (crc, sum.to_bits(), min.to_bits(), max.to_bits())
+    }
+
+    #[test]
+    fn digest_matches_the_per_element_fold_bit_for_bit() {
+        type Pattern = (&'static str, fn(usize) -> f64);
+        let patterns: [Pattern; 12] = [
+            ("+0", |_| 0.0),
+            ("-0", |_| -0.0),
+            ("+0 then -0", |i| if i % 2 == 0 { 0.0 } else { -0.0 }),
+            ("-0 then +0", |i| if i % 2 == 0 { -0.0 } else { 0.0 }),
+            ("+0 -0 over positives", |i| [0.0, 2.0, -0.0, 1.0][i % 4]),
+            ("-0 +0 over negatives", |i| [-3.0, -0.0, -1.0, 0.0][i % 4]),
+            ("all NaN", |_| f64::NAN),
+            ("NaN among zeros", |i| [f64::NAN, -0.0, 0.0][i % 3]),
+            ("±inf", |i| if i % 3 == 0 { f64::NEG_INFINITY } else { f64::INFINITY }),
+            ("subnormals", |i| (i as f64 - 8.0) * f64::MIN_POSITIVE / 64.0),
+            ("specials", |i| [0.0, -0.0, f64::NAN, f64::INFINITY, -1.5, 5e-324][i % 6]),
+            ("ramp", |i| i as f64 * 0.25 - 2.0),
+        ];
+        let check = |name: &str, planes: &[GlobalArray]| {
+            assert_eq!(bits(digest(planes)), bits(per_element(planes)), "{name}");
+        };
+        for (name, f) in patterns {
+            for len in 0..=17 {
+                let vals = (0..len).map(f).collect();
+                check(&format!("{name}, {len} values"), &[GlobalArray::from_vec(1, len, vals)]);
+            }
+            // several 64-value chunks and a partial one on every plane
+            let planes: Vec<GlobalArray> = (0..3)
+                .map(|z| GlobalArray::from_vec(9, 13, (0..117).map(|i| f(i + z)).collect()))
+                .collect();
+            check(&format!("{name}, 3 planes"), &planes);
+        }
+        // a zero extreme that only a later plane reaches, either sign first
+        for (a, b) in [(0.0, -0.0), (-0.0, 0.0)] {
+            let planes = [
+                GlobalArray::from_vec(2, 5, vec![3.0; 10]),
+                GlobalArray::from_vec(2, 5, (0..10).map(|i| if i < 5 { a } else { b }).collect()),
+                GlobalArray::from_vec(2, 5, [f64::NAN, 1.0].repeat(5)),
+            ];
+            check(&format!("zero extreme in plane 1 ({a}, {b})"), &planes);
+        }
     }
 
     /// The on-miss choice is deterministic: two fresh servers memoize

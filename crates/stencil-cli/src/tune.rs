@@ -35,7 +35,7 @@
 
 use lorastencil::schedule::{self, grid_to_planes, RunCharges, ScheduleParams, Staging};
 use lorastencil::tuning::{TuningDb, TuningEntry};
-use lorastencil::{ExecConfig, Plan};
+use lorastencil::{ExecConfig, ExecSession, Plan};
 use stencil_core::StencilKernel;
 use tcu_sim::{occupancy, BlockResources, CostModel, DeviceSpec, Estimate, GlobalArray};
 
@@ -106,8 +106,18 @@ fn model_tilings(
     iterations: usize,
 ) -> Option<Vec<(ScheduleParams, Option<Estimate>)>> {
     let charges = RunCharges::new(kernel, config, extents)?;
+    Some(model_rows(&charges, kernel, config, iterations))
+}
+
+/// [`model_tilings`] on charges already planned for the problem.
+fn model_rows(
+    charges: &RunCharges,
+    kernel: &StencilKernel,
+    config: ExecConfig,
+    iterations: usize,
+) -> Vec<(ScheduleParams, Option<Estimate>)> {
     let model = CostModel::a100();
-    let rows = tilings(kernel, config, extents)
+    tilings(kernel, config, charges.extents())
         .into_iter()
         .map(|p| {
             let block = charges.block(&p);
@@ -115,8 +125,7 @@ fn model_tilings(
                 launches(&block).then(|| model.estimate(&charges.counters(&p, iterations), &block));
             (p, est)
         })
-        .collect();
-    Some(rows)
+        .collect()
 }
 
 /// The schedule a run of `iterations` steps should use: the launchable
@@ -192,18 +201,50 @@ pub fn tune_on_miss(
     iters: usize,
     budget: usize,
 ) -> ScheduleParams {
+    choose_on_miss(kernel, config, extents, seed, iters, budget).0
+}
+
+/// [`tune_on_miss`] and a session running its schedule. When the choice
+/// ranked candidates, the session is built from the plans and lowerings
+/// the ranking made ([`ExecSession::from_charges`]), so a miss plans
+/// each kernel once; otherwise it is planned here
+/// ([`ExecSession::with_params`]).
+pub fn session_on_miss(
+    kernel: &StencilKernel,
+    config: ExecConfig,
+    extents: &[usize],
+    seed: u64,
+    iters: usize,
+    budget: usize,
+) -> (ScheduleParams, ExecSession) {
+    match choose_on_miss(kernel, config, extents, seed, iters, budget) {
+        (params, Some(charges)) => (params, ExecSession::from_charges(charges, params)),
+        (params, None) => (params, ExecSession::with_params(kernel, config, extents, params)),
+    }
+}
+
+/// The on-miss schedule, and the charges it was ranked on (`None` when
+/// nothing was ranked: `budget <= 1` or a 1-D kernel).
+fn choose_on_miss(
+    kernel: &StencilKernel,
+    config: ExecConfig,
+    extents: &[usize],
+    seed: u64,
+    iters: usize,
+    budget: usize,
+) -> (ScheduleParams, Option<RunCharges>) {
     let default = ScheduleParams::default();
     if budget <= 1 {
-        return default;
+        return (default, None);
     }
-    let win = choose(kernel, config, extents, iters);
+    let Some(charges) = RunCharges::new(kernel, config, extents) else {
+        return (default, None);
+    };
+    let win = fastest(&model_rows(&charges, kernel, config, iters)).0;
     // a short gate run: bit identity is shape-driven, not
     // iteration-count-driven
-    if win == default || passes_gate(kernel, config, extents, seed, iters.clamp(1, 2), win) {
-        win
-    } else {
-        default
-    }
+    let kept = win == default || passes_gate(kernel, config, extents, seed, iters.clamp(1, 2), win);
+    (if kept { win } else { default }, Some(charges))
 }
 
 /// `default / t`, or 1 when nothing is modeled (a run of no steps).
@@ -613,6 +654,31 @@ mod tests {
         let (got, gc, _) = schedule::run_tuned(&k, config, p, planes, 1);
         assert!(planes_bit_identical(&got, &want), "winner {} diverges", p.describe());
         assert_eq!(gc.schedule_invariants(), wc.schedule_invariants());
+    }
+
+    #[test]
+    fn session_on_miss_runs_the_on_miss_schedule() {
+        // a non-default winner, a default one, a 1-D key and budget 1;
+        // the session's answer is the with_params session's
+        let no_async = crate::parse_config("no-async").unwrap();
+        let cases: [(&str, ExecConfig, Vec<usize>, usize); 4] = [
+            ("Box-2D9P", no_async, vec![16, 16], 2),
+            ("Heat-2D", ExecConfig::full(), vec![37, 44], 2),
+            ("Heat-1D", ExecConfig::full(), vec![512], 2),
+            ("Box-2D9P", no_async, vec![16, 16], 1),
+        ];
+        for (name, config, extents, budget) in cases {
+            let k = find_kernel(name).unwrap();
+            let want = tune_on_miss(&k, config, &extents, 7, 3, budget);
+            let (params, mut got) = session_on_miss(&k, config, &extents, 7, 3, budget);
+            assert_eq!((params, got.params()), (want, want), "{name} {extents:?}");
+            let mut fresh = ExecSession::with_params(&k, config, &extents, want);
+            for s in [&mut got, &mut fresh] {
+                s.fill_with(|idx| crate::grid_value(7, idx));
+            }
+            assert_eq!(got.run(3).fields(), fresh.run(3).fields(), "{name} {extents:?}");
+            assert!(planes_bit_identical(got.planes(), fresh.planes()), "{name} {extents:?}");
+        }
     }
 
     #[test]
