@@ -107,6 +107,16 @@ tune_smoke() {
         echo "error: two tunes of one key wrote different DBs" >&2
         exit 1
     fi
+    # a 1-D key ranks its tilings from the same closed forms
+    local db1=target/ci-tune-1d.json again1=target/ci-tune-1d-again.json
+    rm -f "$db1" "$again1"
+    $cli tune --kernel Heat-1D --size 4096 --iters 2 --db "$db1" >/dev/null
+    $cli tune --kernel Heat-1D --size 4096 --iters 2 --db "$again1" >/dev/null
+    if ! cmp "$db1" "$again1"; then
+        echo "error: two tunes of one 1-D key wrote different DBs" >&2
+        exit 1
+    fi
+    rm -f "$db1" "$again1"
     local plain tuned
     plain=$($cli run --kernel Box-2D9P --size 96 --iters 2 --verify)
     tuned=$($cli run --kernel Box-2D9P --size 96 --iters 2 --verify --tuning-db "$db")
@@ -132,7 +142,8 @@ backend_smoke() {
     # what --verify is for.
     local cli="cargo run --release --offline -p stencil-cli --bin lorastencil-cli --"
     local kernel size out
-    for spec in "Heat-1D:4096" "Heat-2D:96x96" "Box-2D49P:96x96" "Heat-3D:8x24x24"; do
+    for spec in "Heat-1D:4096" "Heat-1D:4097" "1D5P:157" "Heat-2D:96x96" "Box-2D49P:96x96" \
+        "Heat-3D:8x24x24"; do
         kernel=${spec%%:*}; size=${spec##*:}
         local backend
         for backend in tcu sparse simd cuda; do
@@ -182,6 +193,16 @@ profile_smoke() {
     done
     cargo run --release --offline -p stencil-cli --bin lorastencil-cli -- \
         validate-trace --load "$trace"
+    # a 1-D job stages its span under rdg_gather and runs its banded MM
+    # under mma_batch
+    out=$(cargo run --release --offline -p stencil-cli --bin lorastencil-cli -- \
+        profile --kernel Heat-1D --size 4096 --iters 4 --trace-out "$trace")
+    for phase in rdg_gather mma_batch; do
+        if ! grep -q "$phase" <<<"$out"; then
+            echo "error: 1-D profile breakdown is missing phase '$phase'" >&2
+            exit 1
+        fi
+    done
 }
 
 crash_resume_smoke() {

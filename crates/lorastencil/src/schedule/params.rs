@@ -6,10 +6,9 @@
 //! `Prediction`-class counters (MMAs, shared loads, shuffles, HBM bytes
 //! written, points) to the default schedule. Tile extents only regroup
 //! the same 8×8 sub-tiles into larger jobs, double staging only changes
-//! which shared-memory slot a window lands in, and MMA batching only
-//! keeps accumulator lanes register-resident across a chain whose FMA
-//! order is unchanged ([`tcu_sim::SimContext::mma_chain_into`]). The
-//! one exception is [`ScheduleParams::fuse_override`], which changes the
+//! which shared-memory slot a window lands in, and `mma_batch` no longer
+//! shapes anything (the host runs every term on strips; the field stays
+//! in the tuning-DB and checkpoint formats). The one exception is [`ScheduleParams::fuse_override`], which changes the
 //! executed kernel — the `tune` chooser therefore never searches it, and
 //! it still gates every non-default winner behind a bitwise output
 //! comparison against the default schedule.
@@ -48,6 +47,10 @@ impl Staging {
     }
 }
 
+/// Largest [`ScheduleParams::mma_batch`]: the tuning-DB and checkpoint
+/// formats carry the field, so it is still validated.
+pub(crate) const MAX_MMA_BATCH: usize = 16;
+
 /// The tunable knobs of one lowered schedule. `Default` reproduces the
 /// PR 5 fixed choices exactly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,7 +63,8 @@ pub struct ScheduleParams {
     pub tile_cols: usize,
     /// Staging discipline for `Op::Stage`.
     pub staging: Staging,
-    /// Step-1 MMA chain batch width (1 = unbatched, ≤ 16).
+    /// Step-1 MMA chain batch width (1 = unbatched, ≤ 16). Read by
+    /// nothing but validation, fingerprints and the tuning-DB format.
     pub mma_batch: usize,
     /// Override the temporal fusion depth chosen by the cost model
     /// (`None` keeps the planner's choice; ignored when fusion is
@@ -97,11 +101,10 @@ impl ScheduleParams {
                 self.tile_cols
             ));
         }
-        if self.mma_batch == 0 || self.mma_batch > crate::rdg::MAX_MMA_BATCH {
+        if self.mma_batch == 0 || self.mma_batch > MAX_MMA_BATCH {
             return Err(format!(
                 "mma_batch must be in 1..={}, got {}",
-                crate::rdg::MAX_MMA_BATCH,
-                self.mma_batch
+                MAX_MMA_BATCH, self.mma_batch
             ));
         }
         if let Some(f) = self.fuse_override {

@@ -1,42 +1,27 @@
-//! Per-worker tile scratch: two `SharedTile` slots and an `XFragments`
-//! buffer for the per-sub-tile walk, and the strip evaluators' buffers,
-//! per OS thread, reused across every job that thread computes.
+//! Per-worker strip scratch: the job loop's buffers, per OS thread,
+//! reused across every unit of work that thread computes.
 //!
 //! The worker threads behind `foundation::par` are persistent, so a
-//! thread-local buffer is warm after the first job and the per-job
+//! thread-local buffer is warm after the first unit and the per-unit
 //! path performs **zero heap allocation** in steady state (asserted by
-//! the `steady_state` integration test). Two shared-window slots back
-//! the schedule IR's double-buffered staging; single-staged schedules
-//! only ever touch slot 0, so the second slot stays at its initial 0×0
-//! capacity and costs nothing. The strip buffers grow once to the widest
-//! plane and largest `S` the worker has run: they are O(plane width),
-//! never O(plane).
-//! Safe with the pool's help-draining join because a job computation
-//! never blocks or nests a parallel call — the `RefCell` borrow is
-//! released before any join point.
+//! the `steady_state` integration test). The buffers grow once to the
+//! widest plane, largest `S` and longest 1-D job the worker has run:
+//! they are O(plane width), never O(plane). Safe with the pool's
+//! help-draining join because a unit computation never blocks or nests
+//! a parallel call — the `RefCell` borrow is released before any join
+//! point.
 
-use crate::rdg::{RdgGeometry, StripWindow, XFragments, STRIP_ACC_T_LEN, STRIP_TT_LEN};
+use crate::rdg::{strip_tt_len, RdgGeometry, StripWindow, STRIP_ACC_T_LEN, TILE_M};
 use std::cell::RefCell;
-use tcu_sim::{SharedTile, MMA_M};
-
-/// The reusable per-worker buffers of the tile hot path.
-pub(crate) struct TileScratch {
-    /// Simulated shared-memory window slots (resized per geometry;
-    /// slot 1 is the double-staging ping-pong partner).
-    pub tiles: [SharedTile; 2],
-    /// The tile's B fragments (refilled per sub-tile) on the per-sub-tile
-    /// walk.
-    pub x: XFragments,
-    /// The strip evaluators' buffers.
-    pub strip: StripScratch,
-}
+use tcu_sim::MMA_M;
 
 /// The buffers one job row's strips reuse: a staged window per `Stage`
 /// slot; the scalar step-1 `T` rows; the strip's term and point-wise-plane
 /// accumulators (the second only under `AccFold::Merge`), each 8 rows by
-/// the strip's width; and the tensor-core kernel's fixed-size column-block
-/// `Tᵀ` and `accᵀ`. A strip whose only chain group the tensor-core kernel
-/// stores straight into the output never touches `acc`.
+/// the strip's width; the tensor-core kernel's column-block `Tᵀ` and
+/// `accᵀ`; and a 1-D job's staged span. A strip whose only chain group
+/// the tensor-core kernel stores straight into the output never touches
+/// `acc`.
 pub(crate) struct StripScratch {
     pub windows: [StripWindow; 2],
     pub t: Vec<f64>,
@@ -44,37 +29,41 @@ pub(crate) struct StripScratch {
     pub vals: Vec<f64>,
     pub tt: Vec<f64>,
     pub acc_t: Vec<f64>,
+    pub line: Vec<f64>,
 }
 
 impl StripScratch {
-    /// Grow the `T` rows to `width` columns and the accumulators to `aw`
-    /// (a no-op once the worker has seen a strip this wide).
+    /// Grow the buffers for strips of `n` sub-tiles on `geo` (a no-op
+    /// once the worker has seen a strip this wide and an `S` this large).
     #[inline(always)]
-    pub fn reserve(&mut self, width: usize, aw: usize) {
-        for (buf, w) in [(&mut self.t, width), (&mut self.acc, aw), (&mut self.vals, aw)] {
-            if buf.len() < MMA_M * w {
-                buf.resize(MMA_M * w, 0.0);
+    pub fn reserve(&mut self, geo: RdgGeometry, n: usize) {
+        let (width, aw) = (StripWindow::width_for(geo, n), TILE_M * n);
+        for (buf, len) in [
+            (&mut self.t, MMA_M * width),
+            (&mut self.acc, MMA_M * aw),
+            (&mut self.vals, MMA_M * aw),
+            (&mut self.tt, strip_tt_len(geo)),
+        ] {
+            if buf.len() < len {
+                buf.resize(len, 0.0);
             }
         }
     }
 }
 
 thread_local! {
-    static SCRATCH: RefCell<TileScratch> = RefCell::new(TileScratch {
-        tiles: [SharedTile::new(0, 0), SharedTile::new(0, 0)],
-        x: XFragments::empty(RdgGeometry::for_radius(1)),
-        strip: StripScratch {
-            windows: [StripWindow::new(), StripWindow::new()],
-            t: Vec::new(),
-            acc: Vec::new(),
-            vals: Vec::new(),
-            tt: vec![0.0; STRIP_TT_LEN],
-            acc_t: vec![0.0; STRIP_ACC_T_LEN],
-        },
+    static SCRATCH: RefCell<StripScratch> = RefCell::new(StripScratch {
+        windows: [StripWindow::new(), StripWindow::new()],
+        t: Vec::new(),
+        acc: Vec::new(),
+        vals: Vec::new(),
+        tt: Vec::new(),
+        acc_t: vec![0.0; STRIP_ACC_T_LEN],
+        line: Vec::new(),
     });
 }
 
 /// Run `f` with this thread's scratch buffers.
-pub(crate) fn with_tile_scratch<R>(f: impl FnOnce(&mut TileScratch) -> R) -> R {
+pub(crate) fn with_strip_scratch<R>(f: impl FnOnce(&mut StripScratch) -> R) -> R {
     SCRATCH.with(|s| f(&mut s.borrow_mut()))
 }

@@ -332,7 +332,7 @@ mod tests {
             for (tag, config) in &roster {
                 for priced in [false, true] {
                     let ctx = format!("{name} {tag} {} priced={priced}", params.describe());
-                    let charges = RunCharges::new(&kernel, *config, extents).unwrap();
+                    let charges = RunCharges::new(&kernel, *config, extents);
                     if priced {
                         charges.counters(params, 5);
                     }

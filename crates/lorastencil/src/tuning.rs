@@ -472,7 +472,7 @@ mod tests {
                     } else {
                         Staging::Double
                     },
-                    mma_batch: rng.range_usize(1, crate::rdg::MAX_MMA_BATCH + 1),
+                    mma_batch: rng.range_usize(1, crate::schedule::MAX_MMA_BATCH + 1),
                     fuse_override: match rng.range_usize(0, 3) {
                         0 => None,
                         f => Some(f),

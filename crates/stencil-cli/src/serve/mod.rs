@@ -417,10 +417,11 @@ impl ServerCore {
             if hit { "hit" } else { "miss" }
         );
         if let Some((crc, sum, lo, hi)) = answer {
-            let _ = write!(
-                resp,
-                ",\"digest\":\"crc32:{crc:08x}\",\"sum\":{sum},\"min\":{lo},\"max\":{hi}"
-            );
+            let _ = write!(resp, ",\"digest\":\"crc32:{crc:08x}\"");
+            for (key, x) in [("sum", sum), ("min", lo), ("max", hi)] {
+                let _ = write!(resp, ",\"{key}\":");
+                write_f64(resp, x);
+            }
         }
         if job.values == ValuesMode::Full {
             resp.push_str(",\"values\":[");
@@ -431,7 +432,7 @@ impl ServerCore {
                         resp.push(',');
                     }
                     first = false;
-                    let _ = write!(resp, "{v}");
+                    write_f64(resp, v);
                 }
             }
             resp.push(']');
@@ -649,6 +650,17 @@ fn escape_into(out: &mut String, s: &str) {
             }
             c => out.push(c),
         }
+    }
+}
+
+/// Write `x` as a JSON value: a finite value as its shortest round-trip
+/// number, a non-finite one as the string `"NaN"`, `"inf"` or `"-inf"`
+/// (JSON has no non-finite numbers).
+fn write_f64(resp: &mut String, x: f64) {
+    if x.is_finite() {
+        let _ = write!(resp, "{x}");
+    } else {
+        let _ = write!(resp, "\"{x}\"");
     }
 }
 
