@@ -15,7 +15,7 @@ use super::{banner, lit, tile_name, Caps, ChainLower, Cx, EmitState, Target};
 use crate::rdg::{build_u_frags, build_v_frags};
 use crate::schedule::{AccSplit, BackendKind, Op, Schedule};
 use std::fmt::Write as _;
-use tcu_sim::FragASp;
+use tcu_sim::{FragASp, MMA_K};
 
 /// The [`Target::Cuda`] emitter.
 pub struct CudaEmitter;
@@ -140,16 +140,16 @@ pub(super) fn emit_banded_table(sched: &Schedule, out: &mut String) {
         out,
         "// banded gather matrix V (Eq. 11): {}x8 as {} B fragments",
         sched.seg_len,
-        sched.v1d.len()
+        sched.seg_len / MMA_K
     )
     .unwrap();
     writeln!(
         out,
         "__constant__ double V1D[{}][32] = {{ /* per-lane B fragments */",
-        sched.v1d.len()
+        sched.seg_len / MMA_K
     )
     .unwrap();
-    for frag in &sched.v1d {
+    for frag in &sched.v1d_frags() {
         let row: Vec<String> = frag.lanes.iter().map(|x| lit(*x)).collect();
         writeln!(out, "  {{{}}},", row.join(", ")).unwrap();
     }
@@ -415,10 +415,10 @@ fn emit_gather_1d(sched: &Schedule, out: &mut String) {
     writeln!(
         out,
         "  // the single banded MM gathers the whole dimension: {} chained MMAs, no MCM",
-        sched.v1d.len()
+        sched.seg_len / MMA_K
     )
     .unwrap();
-    writeln!(out, "  for (int blk = 0; blk < {}; ++blk)", sched.v1d.len()).unwrap();
+    writeln!(out, "  for (int blk = 0; blk < {}; ++blk)", sched.seg_len / MMA_K).unwrap();
     writeln!(out, "    wmma::mma_sync(acc, fragA(&seg_tile[0][4 * blk]), fragB(V1D[blk]), acc);")
         .unwrap();
 }

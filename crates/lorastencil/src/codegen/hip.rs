@@ -19,6 +19,7 @@
 use super::{banner, Caps, ChainLower, Cx, EmitState, Target};
 use crate::schedule::{AccSplit, BackendKind, Op, Schedule};
 use std::fmt::Write as _;
+use tcu_sim::MMA_K;
 
 /// The [`Target::Hip`] emitter.
 pub struct HipEmitter;
@@ -254,10 +255,10 @@ fn emit_gather_1d(sched: &Schedule, out: &mut String) {
     writeln!(
         out,
         "  // the single banded MM gathers the whole dimension: {} chained MMAs, no MCM",
-        sched.v1d.len()
+        sched.seg_len / MMA_K
     )
     .unwrap();
-    writeln!(out, "  for (int blk = 0; blk < {}; ++blk)", sched.v1d.len()).unwrap();
+    writeln!(out, "  for (int blk = 0; blk < {}; ++blk)", sched.seg_len / MMA_K).unwrap();
     writeln!(
         out,
         "    rocwmma::mma_sync(acc, fragA(&seg_tile[0][4 * blk]), fragB(V1D[blk]), acc);"

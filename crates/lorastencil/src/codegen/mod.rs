@@ -37,6 +37,7 @@ pub mod wgsl;
 
 use crate::plan::Plan;
 use crate::schedule::{BackendKind, Op, Schedule, Staging};
+use tcu_sim::MMA_K;
 
 /// A code-generation target.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -349,7 +350,7 @@ pub(crate) fn banner(cx: &Cx, out: &mut String) {
             out,
             "// single banded MM (§IV-C): {}-long segments, {} MMAs per 64 outputs",
             sched.seg_len,
-            sched.v1d.len()
+            sched.seg_len / MMA_K
         )
         .unwrap(),
         2 => writeln!(
@@ -676,7 +677,7 @@ mod tests {
                 vals.extend_from_slice(&lt.term.u);
                 vals.extend_from_slice(&lt.term.v);
             }
-            for frag in &sched.v1d {
+            for frag in &sched.v1d_frags() {
                 vals.extend_from_slice(&frag.lanes);
             }
             for x in vals {

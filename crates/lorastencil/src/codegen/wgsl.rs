@@ -26,6 +26,7 @@
 use super::{banner, lit, tile_name, Caps, ChainLower, Cx, EmitState, Target};
 use crate::schedule::{AccSplit, BackendKind, Op, Schedule};
 use std::fmt::Write as _;
+use tcu_sim::MMA_K;
 
 /// The [`Target::Wgsl`] emitter.
 pub struct WgslEmitter;
@@ -275,13 +276,13 @@ fn emit_gather_1d(sched: &Schedule, out: &mut String) {
     writeln!(
         out,
         "  // the single banded MM gathers the whole dimension: {} chained MMAs,",
-        sched.v1d.len()
+        sched.seg_len / MMA_K
     )
     .unwrap();
     writeln!(out, "  // EMULATED as per-lane dot products over the fragment layout").unwrap();
     writeln!(out, "  // (A element (r, k) is seg_tile[r][4*blk + k]; V element (k, c)").unwrap();
     writeln!(out, "  //  lives at lane 4c + k)").unwrap();
-    writeln!(out, "  for (var blk = 0u; blk < {}u; blk++) {{", sched.v1d.len()).unwrap();
+    writeln!(out, "  for (var blk = 0u; blk < {}u; blk++) {{", sched.seg_len / MMA_K).unwrap();
     writeln!(out, "    for (var kk = 0u; kk < 4u; kk++) {{").unwrap();
     writeln!(
         out,
@@ -369,12 +370,12 @@ impl super::Emitter for WgslEmitter {
             out,
             "// banded gather matrix V (Eq. 11): {}x8 as {} B fragments",
             sched.seg_len,
-            sched.v1d.len()
+            sched.seg_len / MMA_K
         )
         .unwrap();
         writeln!(out, "// V1D[blk][lane]: B-fragment element (k, c) lives at lane 4c + k").unwrap();
         writeln!(out, "var<private> V1D = array(").unwrap();
-        for frag in &sched.v1d {
+        for frag in &sched.v1d_frags() {
             let row: Vec<String> = frag.lanes.iter().map(|x| lit(*x)).collect();
             writeln!(out, "  array({}),", row.join(", ")).unwrap();
         }

@@ -52,7 +52,7 @@ pub mod occupancy;
 pub mod shared;
 pub mod trace;
 
-pub use context::SimContext;
+pub use context::{acc_add, SimContext};
 pub use cost::{gstencil_per_sec, CostModel, Estimate};
 pub use counters::{PerfCounters, FLOPS_PER_MMA, FLOPS_PER_MMA_SP};
 pub use device::DeviceSpec;
