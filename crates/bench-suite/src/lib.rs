@@ -17,7 +17,6 @@
 pub mod ablation;
 pub mod figures;
 pub mod fp16_study;
-pub mod loadgen;
 pub mod report;
 pub mod runner;
 pub mod workloads;

@@ -146,7 +146,7 @@ impl Json {
 /// Deepest array/object nesting [`Json::parse`] accepts. Each level is
 /// one recursion frame, so the bound is what keeps a hostile
 /// deeply-nested document from overflowing the stack; 128 is far beyond
-/// anything the workspace writes (traces nest 3 levels, tuning DBs 4).
+/// anything the workspace writes (traces nest 3 levels).
 pub const MAX_DEPTH: usize = 128;
 
 /// Recursive-descent parser state over the input bytes.

@@ -56,11 +56,9 @@ pub mod fusion;
 pub mod plan;
 pub mod rdg;
 pub mod schedule;
-pub mod tuning;
 
 pub use decompose::{decompose, Decomposition, RankOneTerm, Strategy};
 pub use exec::LoRaStencil;
 pub use plan::{DeviceBackend, ExecConfig, Plan, PlanKind, PlaneOp};
 pub use rdg::{RdgGeometry, XFragments, TILE_M};
 pub use schedule::{ExecSession, Schedule, ScheduleParams, Staging, Stepper, Workspace};
-pub use tuning::{TuningDb, TuningDbError, TuningEntry};

@@ -7,6 +7,9 @@
 //! sequence is lowering, owned by [`crate::schedule`]: the same plan
 //! type covers 1-D, 2-D and 3-D kernels, with the per-dimension payload
 //! in [`PlanKind`].
+//!
+//! A plan's [`ScheduleParams`] are the defaults unless its caller passes
+//! others ([`Plan::new_with_params`]); no process-wide state picks them.
 
 use crate::decompose::{self, Decomposition};
 use crate::fusion;
@@ -264,7 +267,7 @@ pub struct Plan {
     /// Feature toggles.
     pub config: ExecConfig,
     /// Tunable schedule parameters (defaults unless constructed through
-    /// [`Plan::new_with_params`] / [`Plan::new_tuned`]).
+    /// [`Plan::new_with_params`]).
     pub params: ScheduleParams,
     /// Dimension-specific payload.
     pub kind: PlanKind,
@@ -278,15 +281,15 @@ impl Plan {
     }
 
     /// Plan a kernel with explicit [`ScheduleParams`] (the `tune` search
-    /// and tuning-DB hits come through here). `params.fuse_override`
+    /// and serve's on-miss choice come through here). `params.fuse_override`
     /// replaces the cost model's fusion depth when fusion is enabled;
     /// 3-D kernels never fuse, so it is ignored there.
     ///
     /// # Panics
     ///
     /// Panics on invalid parameters (see [`ScheduleParams::validate`] —
-    /// every decoded or enumerated value was validated upstream, so this
-    /// only fires on programmer error).
+    /// every enumerated value was validated upstream, so this only fires
+    /// on programmer error).
     pub fn new_with_params(
         kernel: &StencilKernel,
         config: ExecConfig,
@@ -330,19 +333,6 @@ impl Plan {
                 }
             }
             d => panic!("no LoRAStencil plan for {d}-D kernels"),
-        }
-    }
-
-    /// Plan with the process-global tuning DB consulted for
-    /// `(kernel, extents, config)`: a hit plans with the tuned
-    /// parameters, a miss (or no installed DB) falls back to defaults.
-    /// Every executor entry point resolves its plan through this, so
-    /// installing a DB transparently retunes the bench suite, the CLI
-    /// and the differential oracle alike.
-    pub fn new_tuned(kernel: &StencilKernel, config: ExecConfig, extents: &[usize]) -> Self {
-        match crate::tuning::lookup(kernel, extents, config) {
-            Some(params) => Plan::new_with_params(kernel, config, params),
-            None => Plan::new(kernel, config),
         }
     }
 

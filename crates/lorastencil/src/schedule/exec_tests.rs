@@ -236,15 +236,13 @@ fn explicit_schedule_params_stay_bit_identical() {
             tile_rows: 16,
             tile_cols: 16,
             staging: Staging::Double,
-            mma_batch: 4,
             fuse_override: None,
         },
-        ScheduleParams { tile_rows: 32, tile_cols: 8, mma_batch: 8, ..ScheduleParams::default() },
+        ScheduleParams { tile_rows: 32, tile_cols: 8, ..ScheduleParams::default() },
         ScheduleParams {
             tile_rows: 64,
             tile_cols: 64,
             staging: Staging::Double,
-            mma_batch: 16,
             fuse_override: None,
         },
     ];

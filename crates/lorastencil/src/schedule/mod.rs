@@ -46,8 +46,6 @@ mod stepper;
 mod walk;
 
 pub use backend::band_fallbacks;
-#[cfg(test)]
-pub(crate) use params::MAX_MMA_BATCH;
 pub use params::{ScheduleParams, Staging};
 pub(crate) use planes::plane_extents;
 pub use planes::{grid_to_planes, planes_to_grid};

@@ -31,8 +31,6 @@ const VALUED: &[&str] = &[
     "checkpoint-dir",
     "checkpoint-every",
     "checkpoint-keep",
-    "tuning-db",
-    "db",
     "socket",
     "tcp",
     "plan-cache",
@@ -187,6 +185,16 @@ mod tests {
         let e = parse(&sv(&["run", "--zzzzzzzz"])).unwrap_err();
         assert!(e.contains("unknown option --zzzzzzzz"), "{e}");
         assert!(!e.contains("did you mean"), "{e}");
+    }
+
+    /// Schedules are chosen from their key alone, so the flags that
+    /// once named a schedule file are gone.
+    #[test]
+    fn schedule_file_flags_are_unknown_options() {
+        let e = parse(&sv(&["run", "--tuning-db", "x"])).unwrap_err();
+        assert!(e.starts_with("unknown option --tuning-db"), "{e}");
+        let e = parse(&sv(&["tune", "--db", "x"])).unwrap_err();
+        assert!(e.starts_with("unknown option --db"), "{e}");
     }
 
     /// `usage()` shows exactly the keys the parser accepts: every

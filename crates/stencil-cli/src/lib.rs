@@ -18,7 +18,7 @@ pub mod args;
 pub mod serve;
 pub mod tune;
 
-pub use tune::{install_tuning_db, tune_report};
+pub use tune::tune_report;
 
 use lorastencil::checkpoint::CkptPolicy;
 use lorastencil::{codegen, ExecConfig, LoRaStencil, Plan};
@@ -575,21 +575,21 @@ pub fn usage() -> &'static str {
        lorastencil list\n\
        lorastencil run (--kernel <name> | --spec <file>) [--method <name>]\n\
                       [--size NxM] [--iters N] [--config no-bvs,...] [--backend tcu|sparse|simd|cuda]\n\
-                      [--seed N] [--verify] [--trace-out <file>] [--tuning-db <file>]\n\
+                      [--seed N] [--verify] [--trace-out <file>]\n\
                       [--load <file>] [--save <file>]\n\
                       [--checkpoint-dir <dir> [--checkpoint-every N] [--checkpoint-keep K]]\n\
        lorastencil resume --checkpoint-dir <dir> [--checkpoint-keep K] [--verify]\n\
        lorastencil tune (--kernel <name> | --spec <file>) [--size NxM] [--iters N]\n\
-                      [--config ...] [--backend ...] [--seed N] [--db <file>]\n\
+                      [--config ...] [--backend ...] [--seed N]\n\
        lorastencil profile (--kernel <name> | --spec <file>) [--method <name>]\n\
-                      [--size NxM] [--iters N] [--trace-out <file>] [--tuning-db <file>]\n\
+                      [--size NxM] [--iters N] [--trace-out <file>]\n\
        lorastencil validate-trace --load <file>\n\
        lorastencil emit (--kernel <name> | --spec <file>) [--target cuda|hip|wgsl]\n\
                       [--config ...] [--backend ...]\n\
        lorastencil trace (--kernel <name> | --spec <file>) [--config ...]\n\
        lorastencil analyze [--radius h]\n\
        lorastencil serve (--socket <path> | --tcp <addr>) [--plan-cache N] [--max-conns N]\n\
-                      [--tune-budget N] [--backend ...] [--tuning-db <file>]\n\
+                      [--tune-budget N] [--backend ...]\n\
        lorastencil submit (--socket <path> | --tcp <addr>) [--frame '<json>']   # or frames on stdin\n\
        lorastencil help\n\n\
      SERVE PROTOCOL (one JSON object per line; see DESIGN.md \u{00a7}13):\n\

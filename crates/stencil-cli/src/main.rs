@@ -3,10 +3,10 @@
 
 use stencil_cli::args::{parse, parse_size};
 use stencil_cli::{
-    analyze_text, apply_backend, backend_token, emit_text, find_method, install_tuning_db,
-    list_text, parse_checkpoint_every, parse_checkpoint_keep, parse_config, parse_target,
-    profile_report, resolve_kernel, resume_report, run_checkpointed_report, run_report, trace_text,
-    tune_report, usage, validate_trace,
+    analyze_text, apply_backend, backend_token, emit_text, find_method, list_text,
+    parse_checkpoint_every, parse_checkpoint_keep, parse_config, parse_target, profile_report,
+    resolve_kernel, resume_report, run_checkpointed_report, run_report, trace_text, tune_report,
+    usage, validate_trace,
 };
 
 fn real_main() -> Result<(), String> {
@@ -59,10 +59,6 @@ fn real_main() -> Result<(), String> {
                 args.opt("iters", "1").parse().map_err(|e| format!("bad --iters: {e}"))?;
             let seed: u64 =
                 args.opt("seed", "42").parse().map_err(|e| format!("bad --seed: {e}"))?;
-            let tuning_db = args.opt("tuning-db", "");
-            if !tuning_db.is_empty() {
-                print!("{}", install_tuning_db(tuning_db)?);
-            }
             let ckpt_dir = args.opt("checkpoint-dir", "");
             if ckpt_dir.is_empty() {
                 if args.options.contains_key("checkpoint-every")
@@ -136,10 +132,6 @@ fn real_main() -> Result<(), String> {
                 args.opt("iters", "1").parse().map_err(|e| format!("bad --iters: {e}"))?;
             let seed: u64 =
                 args.opt("seed", "42").parse().map_err(|e| format!("bad --seed: {e}"))?;
-            let tuning_db = args.opt("tuning-db", "");
-            if !tuning_db.is_empty() {
-                print!("{}", install_tuning_db(tuning_db)?);
-            }
             print!(
                 "{}",
                 profile_report(
@@ -166,10 +158,7 @@ fn real_main() -> Result<(), String> {
                 args.opt("iters", "3").parse().map_err(|e| format!("bad --iters: {e}"))?;
             let seed: u64 =
                 args.opt("seed", "42").parse().map_err(|e| format!("bad --seed: {e}"))?;
-            print!(
-                "{}",
-                tune_report(&kernel, config, &dims, iters, seed, args.opt("db", "tuning.json"))?
-            );
+            print!("{}", tune_report(&kernel, config, &dims, iters, seed)?);
         }
         "validate-trace" => {
             let path = args.opt("load", "");
@@ -179,10 +168,6 @@ fn real_main() -> Result<(), String> {
             print!("{}", validate_trace(path)?);
         }
         "serve" => {
-            let tuning_db = args.opt("tuning-db", "");
-            if !tuning_db.is_empty() {
-                print!("{}", install_tuning_db(tuning_db)?);
-            }
             let num = |key: &str, default: &str| -> Result<usize, String> {
                 args.opt(key, default).parse().map_err(|e| format!("bad --{key}: {e}"))
             };

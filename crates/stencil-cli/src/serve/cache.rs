@@ -1,20 +1,19 @@
 //! The concurrent plan cache: the daemon's whole reason to exist.
 //!
-//! Planning a job — tuning-DB lookup, low-rank decomposition, schedule
-//! lowering, fragment pre-building, plane allocation — costs orders of
-//! magnitude more than executing a small grid. The cache keys on
-//! (normalized kernel name, extents, `ExecConfig` bits) and holds, per
-//! entry, a small pool of ready [`ExecSession`]s so concurrent clients
-//! of the same job shape each check out a warm session without
-//! re-planning. `BENCH_pr8.json`'s hit/cold throughput ratio is this
-//! module's acceptance test.
+//! Planning a job — schedule choice, low-rank decomposition, schedule
+//! lowering, fragment pre-building, plane allocation — costs more than
+//! executing a small grid. The cache keys on (normalized kernel name,
+//! extents, `ExecConfig` bits) and holds, per entry, a small pool of
+//! ready [`ExecSession`]s so concurrent clients of the same job shape
+//! each check out a warm session without re-planning
+//! (`tests/steady_state.rs` pins that a warm hit plans nothing).
 //!
 //! Keying subtlety: [`ScheduleParams`] is **not** part of the key even
 //! though it shapes the lowered schedule — params are an *output* of
-//! planning (tuning-DB hit or defaults), fully determined by the key
-//! triple, so caching them per entry is exactly the memoization the
-//! tuning DB wants. Schedule-neutrality (PR 7) guarantees values and
-//! counters cannot depend on which params a DB revision picked.
+//! planning: the modeled choice for the key and the iteration count of
+//! the job that missed, memoized per entry.
+//! Schedule-neutrality (PR 7) guarantees values and counters cannot
+//! depend on which params were picked.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -42,8 +41,8 @@ pub struct CacheEntry {
     config_bits: u64,
     /// The resolved kernel, kept so pool refills skip the registry scan.
     pub kernel: StencilKernel,
-    /// Params planning resolved to (tuning DB or defaults) — surfaced in
-    /// `stats` so operators can see which shapes run tuned.
+    /// Params the on-miss choice picked — surfaced in `stats` so
+    /// operators can see which shapes run a non-default tiling.
     pub params: ScheduleParams,
     config: ExecConfig,
     /// Warm sessions ready to check out.
@@ -262,8 +261,8 @@ impl PlanCache {
                 let session = pooled.unwrap_or_else(|| {
                     // pool drained by concurrent checkouts: build another
                     // session for this shape, pinned to the params the
-                    // entry memoized (a DB or on-miss-tune winner must
-                    // not be re-resolved per refill)
+                    // entry memoized (an on-miss winner is not re-chosen
+                    // per refill)
                     ExecSession::with_params(
                         &entry.kernel,
                         entry.config,

@@ -24,7 +24,9 @@
 //!
 //! Temporal fusion splits `iterations` into `⌊iters/f⌋` applications of
 //! the fused kernel (radius `h·f`) plus `iters mod f` base applications;
-//! both sides of the split use the same per-application forms.
+//! both sides of the split use the same per-application forms. The
+//! fusion depth is the planner's: the forms take no schedule inputs,
+//! since tile extents and staging move no counter.
 
 use baselines::ConvStencil;
 use lorastencil::rdg::{term_is_sparse, CUDA_RDG_ISSUE_OVERHEAD, SIMD_RDG_ISSUE_OVERHEAD};
@@ -197,12 +199,10 @@ fn app_3d(plan: &Plan, jobs: u64, points: u64) -> Prediction {
 /// fragment loads, and their term chains as CUDA-core FLOPs; the 1-D
 /// executor has a single (dense-TCU) MMA path and no CUDA-core work.
 ///
-/// Plans resolve through [`Plan::new_tuned`] — the same tuning-DB lookup
-/// the executors make — so a `fuse_override` from an installed DB moves
-/// the fusion split identically in model and measurement. Every other
-/// [`ScheduleParams`](lorastencil::ScheduleParams) axis (tile extents,
-/// staging, MMA batching) is counter-invariant by construction, so the
-/// closed forms need no other tuning inputs.
+/// Plans are [`Plan::new`]'s, with the default
+/// [`ScheduleParams`](lorastencil::ScheduleParams), as the executors
+/// plan them. Tile extents and staging are counter-invariant by
+/// construction, so the closed forms hold for any tiling too.
 pub fn predict_lora(
     kernel: &StencilKernel,
     extents: &[usize],
@@ -213,12 +213,12 @@ pub fn predict_lora(
     let base_cfg = ExecConfig { allow_fusion: false, ..config };
     match *extents {
         [n] => {
-            let plan = Plan::new_tuned(kernel, config, extents);
+            let plan = Plan::new(kernel, config);
             let full = (iterations / plan.fusion) as u64;
             let rem = (iterations % plan.fusion) as u64;
             let tiles = n.div_ceil(64) as u64;
             let app = tiles * (plan.seg_len() / 4) as u64;
-            let base = tiles * (Plan::new_tuned(kernel, base_cfg, extents).seg_len() / 4) as u64;
+            let base = tiles * (Plan::new(kernel, base_cfg).seg_len() / 4) as u64;
             // the 1-D gather is a single MM: loads ≡ MMAs, no shuffles
             // (and no sparse split — 1-D lowering is always dense TCU)
             let mma = full * app + rem * base;
@@ -231,13 +231,13 @@ pub fn predict_lora(
             }
         }
         [rows, cols] => {
-            let plan = Plan::new_tuned(kernel, config, extents);
+            let plan = Plan::new(kernel, config);
             let full = (iterations / plan.fusion) as u64;
             let rem = (iterations % plan.fusion) as u64;
             let tiles = tiles_2d(rows, cols);
             let mut pred = Prediction::default().add_apps(full, &app_2d(&plan, tiles));
             if rem > 0 {
-                let base = Plan::new_tuned(kernel, base_cfg, extents);
+                let base = Plan::new(kernel, base_cfg);
                 pred = pred.add_apps(rem, &app_2d(&base, tiles));
             }
             Prediction {
@@ -248,7 +248,7 @@ pub fn predict_lora(
         }
         [nz, ny, nx] => {
             // 3-D is never fused (dimension residue, §IV-C)
-            let plan = Plan::new_tuned(kernel, config, extents);
+            let plan = Plan::new(kernel, config);
             let jobs = nz as u64 * tiles_2d(ny, nx);
             let apps = iterations as u64;
             Prediction {

@@ -17,8 +17,8 @@
 
 use foundation::prop::check_with;
 use stencil_verify::{
-    check_counters, check_params_identity, check_relations, differential_check,
-    differential_check_against, roster, verify_config, CaseGen, FaultInjector,
+    check_counters, check_params_identity, check_relations, differential_check_against, roster,
+    verify_config, CaseGen, FaultInjector,
 };
 
 /// Default per-engine case counts. Together ≥ 200 generated kernels per

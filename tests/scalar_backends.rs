@@ -33,7 +33,6 @@ const SHAPES: [(&str, ScheduleParams); 3] = [
             tile_rows: 8,
             tile_cols: 8,
             staging: Staging::Single,
-            mma_batch: 1,
             fuse_override: None,
         },
     ),
@@ -43,7 +42,6 @@ const SHAPES: [(&str, ScheduleParams); 3] = [
             tile_rows: 64,
             tile_cols: 64,
             staging: Staging::Single,
-            mma_batch: 1,
             fuse_override: None,
         },
     ),
@@ -53,7 +51,6 @@ const SHAPES: [(&str, ScheduleParams); 3] = [
             tile_rows: 16,
             tile_cols: 16,
             staging: Staging::Double,
-            mma_batch: 1,
             fuse_override: None,
         },
     ),

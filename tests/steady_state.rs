@@ -248,10 +248,13 @@ fn steady_state_steps_allocate_nothing_and_spawn_nothing() {
     }
     let allocs = allocation_count();
     let spawned = threads_spawned();
+    let misses = core.metrics.cache_misses.get();
     for _ in 0..8 {
         let _ = core.handle_line(&mut conn, frame);
         assert!(conn.resp.contains("\"cache\":\"hit\""), "not a hit: {}", conn.resp);
     }
+    // a warm hit plans nothing: no request of the loop took the miss path
+    assert_eq!(core.metrics.cache_misses.get(), misses, "a warm serve cache hit planned");
     assert_eq!(
         allocation_count(),
         allocs,

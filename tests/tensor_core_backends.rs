@@ -37,7 +37,6 @@ const SHAPES: [(&str, ScheduleParams); 3] = [
             tile_rows: 8,
             tile_cols: 8,
             staging: Staging::Single,
-            mma_batch: 1,
             fuse_override: None,
         },
     ),
@@ -47,7 +46,6 @@ const SHAPES: [(&str, ScheduleParams); 3] = [
             tile_rows: 64,
             tile_cols: 64,
             staging: Staging::Single,
-            mma_batch: 1,
             fuse_override: None,
         },
     ),
@@ -57,7 +55,6 @@ const SHAPES: [(&str, ScheduleParams); 3] = [
             tile_rows: 16,
             tile_cols: 16,
             staging: Staging::Double,
-            mma_batch: 1,
             fuse_override: None,
         },
     ),
