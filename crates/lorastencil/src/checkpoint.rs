@@ -189,11 +189,80 @@ pub struct CkptOutcome {
     pub snapshots_written: usize,
 }
 
+/// The snapshot side of a checkpointed loop, single-device or
+/// distributed: it counts steps and, whenever an application crosses a
+/// multiple of `policy.every`, saves one LSC1 [`Snapshot`] of the run.
+/// The identity fields (fingerprint, kernel, config, extents, seed,
+/// method, rng) are fixed at construction; the state is asked for only
+/// on a crossing, so a distributed run gathers its shards only then.
+pub struct Checkpointer<'a> {
+    store: &'a CheckpointStore,
+    /// Holds the run identity; `step`, `counters` and `planes` are
+    /// filled in per save.
+    snap: Snapshot,
+    written: usize,
+}
+
+impl<'a> Checkpointer<'a> {
+    /// Start counting at `start_step` of a `total`-step run of `kernel`
+    /// under `config` on a grid of `extents`. `rng` is recorded as is.
+    pub fn new(
+        policy: &CkptPolicy<'a>,
+        kernel: &StencilKernel,
+        config: ExecConfig,
+        extents: &[usize],
+        start_step: u64,
+        total: u64,
+        rng: [u64; 4],
+    ) -> Self {
+        assert!(policy.every >= 1, "CLI validation rejects --checkpoint-every < 1");
+        let snap = Snapshot {
+            flags: FLAG_SEEDED_INPUT,
+            fingerprint: plan_fingerprint(kernel, config, extents),
+            step: start_step,
+            steps_total: total,
+            every: policy.every,
+            seed: policy.seed,
+            rng,
+            kernel: kernel.name.clone(),
+            config: config.tag(),
+            method: policy.method.to_string(),
+            extents: extents.to_vec(),
+            counters: PerfCounters::new(),
+            planes: Vec::new(),
+        };
+        Checkpointer { store: policy.store, snap, written: 0 }
+    }
+
+    /// Count an application that advanced `advance` steps. If the step
+    /// counter crossed a multiple of `every`, save a snapshot of the
+    /// counters and planes `state()` returns (called only then).
+    pub fn advance(
+        &mut self,
+        advance: u64,
+        state: impl FnOnce() -> (PerfCounters, Vec<Plane>),
+    ) -> std::io::Result<()> {
+        let (step, every) = (self.snap.step, self.snap.every);
+        self.snap.step += advance;
+        if (step + advance) / every > step / every {
+            (self.snap.counters, self.snap.planes) = state();
+            self.store.save(&self.snap)?;
+            self.snap.planes = Vec::new();
+            self.written += 1;
+        }
+        Ok(())
+    }
+
+    /// Snapshots saved so far.
+    pub fn written(&self) -> usize {
+        self.written
+    }
+}
+
 /// The checkpointed time loop shared by [`run`] and [`resume`]: the
 /// schedule's time loop from `start_step` to `total`, with a
-/// per-application hook that snapshots whenever the step counter crosses
-/// a multiple of `policy.every`. `counters` carries the pre-resume
-/// accumulation (zero for a fresh run).
+/// per-application [`Checkpointer`] hook. `counters` carries the
+/// pre-resume accumulation (zero for a fresh run).
 #[allow(clippy::too_many_arguments)]
 fn run_loop(
     kernel: &StencilKernel,
@@ -206,34 +275,11 @@ fn run_loop(
     rng: [u64; 4],
     policy: &CkptPolicy,
 ) -> Result<CkptOutcome, CkptRunError> {
-    assert!(policy.every >= 1, "CLI validation rejects --checkpoint-every < 1");
-    let fingerprint = plan_fingerprint(kernel, config, extents);
+    let mut ckpt = Checkpointer::new(policy, kernel, config, extents, start_step, total, rng);
     let plan = Plan::new(kernel, config);
     let rem_plan = || Plan::new(kernel, ExecConfig { allow_fusion: false, ..config });
-    let mut step = start_step;
-    let mut written = 0usize;
     let snapshot = |advance: usize, planes: &[GlobalArray], counters: &PerfCounters| {
-        let crossed = (step + advance as u64) / policy.every > step / policy.every;
-        step += advance as u64;
-        if crossed {
-            policy.store.save(&Snapshot {
-                flags: FLAG_SEEDED_INPUT,
-                fingerprint,
-                step,
-                steps_total: total,
-                every: policy.every,
-                seed: policy.seed,
-                rng,
-                kernel: kernel.name.clone(),
-                config: config.tag(),
-                method: policy.method.to_string(),
-                extents: extents.to_vec(),
-                counters: *counters,
-                planes: snapshot_planes(planes),
-            })?;
-            written += 1;
-        }
-        Ok::<_, CkptRunError>(())
+        ckpt.advance(advance as u64, || (*counters, snapshot_planes(planes)))
     };
     let remaining = (total - start_step) as usize;
     let (cur, counters, block) =
@@ -242,7 +288,7 @@ fn run_loop(
         output: planes_to_grid(&cur, extents.len()),
         counters,
         block,
-        snapshots_written: written,
+        snapshots_written: ckpt.written(),
     })
 }
 
