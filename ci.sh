@@ -283,9 +283,9 @@ serve_smoke() {
 emit_smoke() {
     # multi-target codegen smoke: every emit target across one kernel
     # per dimensionality and all four device backends must render
-    # non-empty, and the CUDA output is diffed byte-for-byte against
-    # the checked-in goldens (tests/snapshots/cuda/) — any drift fails
-    # the build. Regenerate goldens
+    # non-empty, and each target's output is diffed byte-for-byte
+    # against the checked-in goldens (tests/snapshots/{cuda,hip,wgsl}/)
+    # — any drift fails the build. Regenerate goldens
     # deliberately with UPDATE_SNAPSHOTS=1 (see tests/codegen_snapshots.rs).
     local cli="cargo run --release --offline -p stencil-cli --bin lorastencil-cli --"
     local kernel backend target out=target/ci-emit.out
@@ -297,14 +297,18 @@ emit_smoke() {
                 [ -s "$out" ] || { echo "error: emit $kernel/$backend/$target is empty" >&2; exit 1; }
             done
         done
-        # golden pin: `emit --target cuda` == the checked-in snapshot
-        local stem golden
+        # golden pin: `emit --target T` == the checked-in snapshot
+        local stem golden ext
         stem=$(tr '[:upper:]' '[:lower:]' <<<"$kernel")
-        golden="tests/snapshots/cuda/$stem.cu"
-        $cli emit --kernel "$kernel" --target cuda >"$out"
-        diff -u "$golden" "$out" \
-            || { echo "error: $kernel CUDA listing drifted from $golden" >&2; exit 1; }
-        echo "   $kernel: 3 targets x 4 backends emitted; CUDA matches golden"
+        for target in cuda hip wgsl; do
+            ext=$target
+            [ "$target" = cuda ] && ext=cu
+            golden="tests/snapshots/$target/$stem.$ext"
+            $cli emit --kernel "$kernel" --target "$target" >"$out"
+            diff -u "$golden" "$out" \
+                || { echo "error: $kernel $target listing drifted from $golden" >&2; exit 1; }
+        done
+        echo "   $kernel: 3 targets x 4 backends emitted; every target matches its golden"
     done
     # a near-miss --target spelling must fail with a suggestion
     if $cli emit --kernel Heat-1D --target wsgl >/dev/null 2>"$out"; then
@@ -340,7 +344,7 @@ step "backend smoke (4 backends x 3 dims + no-bvs tcu/sparse, verify + in-family
 step "profile smoke (stencil-cli profile + trace validation)" profile_smoke
 step "crash-resume smoke (run, tear newest snapshot, resume)" crash_resume_smoke
 step "serve smoke (daemon over unix socket: parity, errors, shutdown)" serve_smoke
-step "emit smoke (3 targets x 4 backends x 3 dims; CUDA golden diff)" emit_smoke
+step "emit smoke (3 targets x 4 backends x 3 dims; golden diff per target)" emit_smoke
 step "checkpoint battery (FOUNDATION_THREADS=1)" checkpoint_battery
 step "dependency audit (workspace members only)" dep_audit
 
