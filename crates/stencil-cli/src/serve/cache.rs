@@ -168,8 +168,9 @@ pub struct PlanCache {
 }
 
 impl PlanCache {
-    /// `capacity` is the entry budget; 0 disables caching entirely
-    /// (every job re-plans — the load generator's "cold" arm).
+    /// `capacity` is the entry budget; 0 (`serve --plan-cache 0`)
+    /// disables caching entirely: every job plans its shape afresh and
+    /// nothing is kept.
     pub fn new(capacity: usize) -> Self {
         PlanCache {
             map: RwLock::new(HashMap::new()),
@@ -194,9 +195,9 @@ impl PlanCache {
     /// a new leader, so errors never strand waiters.
     ///
     /// With `capacity == 0` there is no shared entry for waiters to
-    /// reuse, so every caller leads (a no-op permit): the cold arm of
-    /// the load generator must measure *concurrent* re-planning, not a
-    /// serialized queue behind one planner.
+    /// reuse, so every caller leads (a no-op permit): concurrent jobs of
+    /// one shape plan side by side instead of queueing behind a planner
+    /// whose result none of them could read.
     ///
     /// **Deadlock backstop.** A waiter parked here must never sit
     /// *above the leader on the same stack*. The worker pool's join loop
