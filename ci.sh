@@ -35,6 +35,15 @@ fmt_check() {
     fi
 }
 
+clippy_check() {
+    # every lint warning of the root workspace fails, tests included
+    if cargo clippy --version >/dev/null 2>&1; then
+        cargo clippy --offline --workspace --all-targets -- -D warnings
+    else
+        echo "   clippy not installed; skipping lint"
+    fi
+}
+
 doc_check() {
     # every rustdoc warning fails, so a deleted or private item cannot
     # leave a dangling intra-doc link behind
@@ -288,7 +297,10 @@ emit_smoke() {
     # — any drift fails the build. Regenerate goldens
     # deliberately with UPDATE_SNAPSHOTS=1 (see tests/codegen_snapshots.rs).
     local cli="cargo run --release --offline -p stencil-cli --bin lorastencil-cli --"
-    local kernel backend target out=target/ci-emit.out
+    local kernel backend target out
+    # a temporary file: `target/` need not exist when CARGO_TARGET_DIR
+    # points elsewhere
+    out=$(mktemp)
     for kernel in Heat-1D Box-2D49P Heat-3D; do
         for backend in tcu sparse simd cuda; do
             for target in cuda hip wgsl; do
@@ -331,6 +343,7 @@ dep_audit() {
 step "cargo fmt --check" fmt_check
 step "cargo build --release --offline" cargo build --release --offline --workspace
 step "cargo doc -D warnings (no dangling intra-doc links)" doc_check
+step "cargo clippy -D warnings (root workspace, all targets)" clippy_check
 step "cargo test -q --offline" cargo test -q --offline --workspace
 step "cargo test -q --offline (FOUNDATION_THREADS=1)" serial_tests
 step "foundation unit tests in release (optimizer-sensitive timing tests)" \

@@ -436,9 +436,9 @@ where
         run_lanes(lanes, |lane| {
             let lo = lane * chunk;
             let hi = (lo + chunk).min(n);
-            for i in lo..hi {
+            for (i, item) in (lo..hi).zip(&items[lo..hi]) {
                 // SAFETY: lanes cover disjoint index ranges.
-                unsafe { sink.write(i, MaybeUninit::new(f(&items[i]))) };
+                unsafe { sink.write(i, MaybeUninit::new(f(item))) };
             }
         });
         // run_lanes joins every lane before returning (even on panic),

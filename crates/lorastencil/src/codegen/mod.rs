@@ -782,7 +782,7 @@ mod tests {
         for kernel in &kernels_under_test {
             for backend in crate::DeviceBackend::all() {
                 let cfg = ExecConfig { backend, ..ExecConfig::full() };
-                let plan = Plan::new_with_params(kernel, cfg, params.clone());
+                let plan = Plan::new_with_params(kernel, cfg, params);
                 let sched = Schedule::lower(&plan);
                 seen_staging.insert(match sched.staging {
                     Staging::Single => "single",

@@ -102,39 +102,6 @@ impl Decomposition {
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn term_matrix_is_outer_product() {
-        let t = RankOneTerm::new(vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]);
-        let m = t.to_matrix();
-        assert_eq!(m.get(1, 2), 12.0);
-        assert_eq!(m.rank(1e-12), 1);
-        assert_eq!(t.radius(), 1);
-    }
-
-    #[test]
-    fn reconstruct_sums_terms_and_pointwise() {
-        let d = Decomposition {
-            side: 3,
-            terms: vec![RankOneTerm::new(vec![1.0], vec![2.0])],
-            pointwise: 0.5,
-            strategy: Strategy::Pyramidal,
-        };
-        let w = d.reconstruct();
-        assert_eq!(w.get(1, 1), 2.5);
-        assert_eq!(w.get(0, 0), 0.0);
-    }
-
-    #[test]
-    #[should_panic]
-    fn mismatched_vectors_rejected() {
-        RankOneTerm::new(vec![1.0, 2.0, 3.0], vec![1.0]);
-    }
-}
-
 impl foundation::json::ToJson for RankOneTerm {
     fn to_json(&self) -> foundation::json::Json {
         use foundation::json::Json;
@@ -166,5 +133,38 @@ impl foundation::json::ToJson for Decomposition {
             ("pointwise", Json::Num(self.pointwise)),
             ("strategy", self.strategy.to_json()),
         ])
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn term_matrix_is_outer_product() {
+        let t = RankOneTerm::new(vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]);
+        let m = t.to_matrix();
+        assert_eq!(m.get(1, 2), 12.0);
+        assert_eq!(m.rank(1e-12), 1);
+        assert_eq!(t.radius(), 1);
+    }
+
+    #[test]
+    fn reconstruct_sums_terms_and_pointwise() {
+        let d = Decomposition {
+            side: 3,
+            terms: vec![RankOneTerm::new(vec![1.0], vec![2.0])],
+            pointwise: 0.5,
+            strategy: Strategy::Pyramidal,
+        };
+        let w = d.reconstruct();
+        assert_eq!(w.get(1, 1), 2.5);
+        assert_eq!(w.get(0, 0), 0.0);
+    }
+
+    #[test]
+    #[should_panic]
+    fn mismatched_vectors_rejected() {
+        RankOneTerm::new(vec![1.0, 2.0, 3.0], vec![1.0]);
     }
 }

@@ -485,6 +485,19 @@ fn fuse(
     (exec_kernel, fusion)
 }
 
+impl foundation::json::ToJson for ExecConfig {
+    fn to_json(&self) -> foundation::json::Json {
+        use foundation::json::Json;
+        Json::obj([
+            ("backend", Json::Str(self.backend.token().into())),
+            ("use_tcu", Json::Bool(self.use_tcu())),
+            ("use_bvs", Json::Bool(self.use_bvs)),
+            ("use_async_copy", Json::Bool(self.use_async_copy)),
+            ("allow_fusion", Json::Bool(self.allow_fusion)),
+        ])
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -655,18 +668,5 @@ mod tests {
         let mut labels: Vec<_> = roster.iter().map(|(n, _)| *n).collect();
         labels.dedup();
         assert_eq!(labels.len(), roster.len(), "labels must be unique");
-    }
-}
-
-impl foundation::json::ToJson for ExecConfig {
-    fn to_json(&self) -> foundation::json::Json {
-        use foundation::json::Json;
-        Json::obj([
-            ("backend", Json::Str(self.backend.token().into())),
-            ("use_tcu", Json::Bool(self.use_tcu())),
-            ("use_bvs", Json::Bool(self.use_bvs)),
-            ("use_async_copy", Json::Bool(self.use_async_copy)),
-            ("allow_fusion", Json::Bool(self.allow_fusion)),
-        ])
     }
 }

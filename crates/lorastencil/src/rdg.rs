@@ -32,9 +32,11 @@
 //!   `V`; and a dense instance, which forms every product the chain
 //!   forms, for windows where skipping a zero weight's product would
 //!   change a bit;
-//! * the scalar strip evaluator ([`rdg_apply_term_strip_scalar`]) of the
+//! * the scalar strip kernel ([`rdg_apply_term_strip_scalar`]) of the
 //!   `CudaCore` and `SimdCore` backends, which forms the band's products
-//!   only (Fig. 9 "RDG w/o TCU").
+//!   only (Fig. 9 "RDG w/o TCU") in the scalar chain's order: the same
+//!   register-blocked step 1 as the tensor-core kernel, on the same
+//!   vector unit, with compile-time instances per tap count.
 //!
 //! The strip forms charge nothing; the interpreter charges their closed
 //! forms ([`TermFrags::charge`], [`scalar_term_flops`]) per sub-tile.
@@ -360,9 +362,14 @@ pub(crate) trait StripIsa: Copy {
     /// `acc_add(acc, a·b)` per lane, rounded after the product and after
     /// the sum.
     fn add_mul(self, acc: Self::F8, a: Self::F8, b: Self::F8) -> Self::F8;
-    /// [`add_mul`](Self::add_mul) where no product `a·b` is NaN, so no two
-    /// NaNs meet and the plain add is exact: the band-only kernel's form.
+    /// The plain `acc + a·b` per lane, rounded after the product and
+    /// after the sum, with no NaN pinning: where no product is NaN (the
+    /// band-only kernel) no two NaNs meet and it equals
+    /// [`add_mul`](Self::add_mul). The scalar chain's form too.
     fn add_mul_finite(self, acc: Self::F8, a: Self::F8, b: Self::F8) -> Self::F8;
+    /// The plain `a + b` per lane, with no NaN pinning: the scalar chain's
+    /// accumulate.
+    fn add_finite(self, a: Self::F8, b: Self::F8) -> Self::F8;
     /// Rows `m` as columns: lane `p` of `out[k]` is lane `k` of `m[p]`.
     fn transpose8(self, m: [Self::F8; 8]) -> [Self::F8; 8];
 }
@@ -406,6 +413,13 @@ impl StripIsa for Portable {
             *c += a * b;
         }
         acc
+    }
+    #[inline(always)]
+    fn add_finite(self, mut a: [f64; 8], b: [f64; 8]) -> [f64; 8] {
+        for (a, &b) in a.iter_mut().zip(&b) {
+            *a += b;
+        }
+        a
     }
     #[inline(always)]
     fn transpose8(self, m: [[f64; 8]; 8]) -> [[f64; 8]; 8] {
@@ -493,6 +507,12 @@ impl StripIsa for Avx2 {
         }
     }
     #[inline(always)]
+    fn add_finite(self, a: Self::F8, b: Self::F8) -> Self::F8 {
+        use std::arch::x86_64::*;
+        // SAFETY: see the impl
+        unsafe { [_mm256_add_pd(a[0], b[0]), _mm256_add_pd(a[1], b[1])] }
+    }
+    #[inline(always)]
     fn transpose8(self, m: [Self::F8; 8]) -> [Self::F8; 8] {
         use std::arch::x86_64::*;
         // SAFETY: see the impl
@@ -573,6 +593,11 @@ impl StripIsa for Avx512f {
         use std::arch::x86_64::*;
         // SAFETY: see the impl
         unsafe { _mm512_add_pd(acc, _mm512_mul_pd(a, b)) }
+    }
+    #[inline(always)]
+    fn add_finite(self, a: Self::F8, b: Self::F8) -> Self::F8 {
+        // SAFETY: see the impl
+        unsafe { std::arch::x86_64::_mm512_add_pd(a, b) }
     }
     #[inline(always)]
     fn transpose8(self, r: [Self::F8; 8]) -> [Self::F8; 8] {
@@ -1024,12 +1049,63 @@ fn store8<I: StripIsa>(isa: I, blk: [I::F8; 8], buf: &mut [f64], at: usize, stri
     }
 }
 
+/// Step 1 of a term on one 8-column block of a window `width` columns
+/// wide: `T[p][x0+q] = Σ_i u[i]·W[p+shift+i][x0+q]` for the eight rows `p`,
+/// one 8-lane accumulator each, seeded at `+0.0`, taps in increasing `i`;
+/// `at` indexes `W[shift][x0]` in `x`. Each window row is loaded once and
+/// fed to every `T` row it reaches: row `shift + r` feeds row `p` through
+/// tap `i = r − p`, so each row still sums its taps in increasing `i`.
+/// Both strip kernels run it for step 1 ([`step1_strip`]); the scalar one
+/// runs it on `Tᵀ` for step 2 too.
+#[inline(always)]
+fn step1_block<I: StripIsa>(
+    isa: I,
+    u: &[f64],
+    x: &[f64],
+    at: usize,
+    width: usize,
+) -> [I::F8; MMA_M] {
+    let mut t = [isa.splat(0.0); MMA_M];
+    for r in 0..u.len() + MMA_M - 1 {
+        let xr = isa.load(&x[at + r * width..]);
+        for (p, tp) in t.iter_mut().enumerate() {
+            if let Some(&ui) = r.checked_sub(p).and_then(|i| u.get(i)) {
+                *tp = isa.add_mul_finite(*tp, isa.splat(ui), xr);
+            }
+        }
+    }
+    t
+}
+
+/// Step 1 of a `n_t = u.len()`-tap term shifted by `shift` on sub-tiles
+/// `j0 .. j0 + m` of the strip: [`step1_block`] on every 8-column block
+/// the sub-tiles' band reads, blocks `j0 + shift/8 ..`, each transposed
+/// into the next 64 `f64`s of `tt`: `Tᵀ[x][p]`. Both strip kernels run
+/// it. It writes `m + (shift % 8 + n_t + 6)/8` blocks; the last ends
+/// inside the window (a band reaches no further than `shift + n_t ≤
+/// S − 7`).
+#[inline(always)]
+fn step1_strip<I: StripIsa>(
+    isa: I,
+    u: &[f64],
+    shift: usize,
+    w: &StripWindow,
+    j0: usize,
+    m: usize,
+    tt: &mut [f64],
+) {
+    let width = w.width();
+    let x0 = shift * width + MMA_N * (j0 + shift / MMA_N);
+    let nb = m + (shift % MMA_N + u.len() + MMA_N - 2) / MMA_N;
+    for (b, out) in tt[..TILE_M * MMA_N * nb].chunks_exact_mut(TILE_M * MMA_N).enumerate() {
+        let t = step1_block(isa, u, &w.x, x0 + MMA_N * b, width);
+        store8(isa, isa.transpose8(t), out, 0, MMA_N);
+    }
+}
+
 /// One term on sub-tiles `j0 .. j0 + m` of the strip, on instance `k`.
 ///
-/// * Step 1, transposed: `Tᵀ[x][p] = Σ_i u[i]·W[p+shift+i][x]`, seeded at
-///   `+0.0`, taps in increasing `i`, for every 8-column block of `x` the
-///   sub-tiles' band reads; each block is eight 8-lane row sums, then one
-///   8×8 transpose into `tt`.
+/// * Step 1, transposed: [`step1_strip`] into `tt`.
 /// * Step 2, band only: `accᵀ[8j+q][p] += v[c−shift−q]·Tᵀ[8j+c][p]` for
 ///   the `n_t` columns `c` of lane `q`'s band in [`lane_cols`] order,
 ///   eight output rows `p` per operation and the eight lanes side by side,
@@ -1047,28 +1123,13 @@ fn term_block<I: StripIsa, K: BandShape>(
     acc_t: &mut [f64],
     zero: bool,
 ) {
-    let (taps, shift, width) = (k.taps(), k.shift(), w.width());
+    let (taps, shift) = (k.taps(), k.shift());
     // the Tᵀ blocks sub-tile j reads run from j + shift/8 to
     // j + (shift + n_t + 6)/8
     let lo = shift / MMA_N;
     let span = shift % MMA_N + taps + MMA_N - 1;
-    let nb = m + (shift + taps + MMA_N - 2) / MMA_N - lo;
     let (u, v) = (&bt.u[..taps], &bt.v[..taps]);
-    for (b, out) in tt[..TILE_M * MMA_N * nb].chunks_exact_mut(TILE_M * MMA_N).enumerate() {
-        let x0 = shift * width + MMA_N * (j0 + lo + b);
-        let mut t = [isa.splat(0.0); MMA_M];
-        // window row shift + r feeds T row p through tap i = r − p, so
-        // each row p still sums its taps in increasing i
-        for r in 0..taps + MMA_M - 1 {
-            let x = isa.load(&w.x[x0 + r * width..]);
-            for (p, tp) in t.iter_mut().enumerate() {
-                if let Some(&ui) = r.checked_sub(p).and_then(|i| u.get(i)) {
-                    *tp = isa.add_mul_finite(*tp, isa.splat(ui), x);
-                }
-            }
-        }
-        store8(isa, isa.transpose8(t), out, 0, MMA_N);
-    }
+    step1_strip(isa, u, shift, w, j0, m, tt);
     for (j, at) in acc_t[..TILE_M * MMA_N * m].chunks_exact_mut(TILE_M * MMA_N).enumerate() {
         // sub-tile j's window column c is row c − 8·lo of `tj`
         let tj = &tt[TILE_M * MMA_N * j..][..MMA_N * span];
@@ -1273,24 +1334,62 @@ pub(crate) fn rdg_apply_chain_strip<'a, I: StripIsa>(
     dense
 }
 
-/// Step 1 of a term on a strip for the scalar evaluator:
-/// `T[p][x] = Σ_i u[i]·W[p+shift+i][x]` for every `x` in
-/// `[shift, shift + 8n + n_t − 1)`, the columns some sub-tile's step 2
-/// reads; seeded at `+0.0`, taps in increasing `i`, one contiguous AXPY
-/// per `(p, i)` across the strip. `t` holds 8 rows of `w.width()`.
-#[inline(always)]
-fn strip_step1(w: &StripWindow, u: &[f64], shift: usize, t: &mut [f64]) {
-    let width = w.width();
-    let len = TILE_M * w.n + u.len() - 1;
-    for p in 0..MMA_M {
-        let tp = &mut t[p * width + shift..][..len];
-        tp.fill(0.0);
-        for (i, &ui) in u.iter().enumerate() {
-            let xr = &w.x[(p + shift + i) * width + shift..][..len];
-            for (a, &x) in tp.iter_mut().zip(xr) {
-                *a += ui * x;
+/// Declares [`SCALAR_TAPS`] and the dispatch that runs a scalar term on
+/// its instance.
+macro_rules! scalar_instances {
+    ($($taps:literal),* $(,)?) => {
+        /// The tap counts the scalar strip kernel has compile-time
+        /// instances of: every tap count of [`SPECIALIZED`]. Any other
+        /// runs the run-time instance.
+        #[cfg(test)]
+        pub(crate) const SCALAR_TAPS: &[usize] = &[$($taps),*];
+
+        /// The scalar backends' term chain on a strip, on the job loop's
+        /// vector unit `isa`: [`rdg_apply_term_strip_scalar`] on any ISA.
+        #[inline(always)]
+        pub(crate) fn rdg_apply_term_strip_scalar_on<I: StripIsa>(
+            isa: I,
+            w: &StripWindow,
+            term: &RankOneTerm,
+            t: &mut [f64],
+            acc: &mut [f64],
+        ) {
+            match term.u.len() {
+                $($taps => scalar_term::<I, $taps>(isa, w, term, t, acc),)*
+                _ => scalar_term::<I, 0>(isa, w, term, t, acc),
             }
         }
+    };
+}
+
+scalar_instances!(3, 5, 7, 9);
+
+/// [`rdg_apply_term_strip_scalar`] on the instance for `N` taps, a
+/// compile-time constant so every loop over the taps unrolls, or on the
+/// run-time instance when `N = 0` (no term has zero taps).
+#[inline(always)]
+fn scalar_term<I: StripIsa, const N: usize>(
+    isa: I,
+    w: &StripWindow,
+    term: &RankOneTerm,
+    t: &mut [f64],
+    acc: &mut [f64],
+) {
+    let taps = if N == 0 { term.u.len() } else { N };
+    let (u, v) = (&term.u[..taps], &term.v[..taps]);
+    let shift = w.geo.h - term.radius();
+    let aw = TILE_M * w.n;
+    step1_strip(isa, u, shift, w, 0, w.n, t);
+    // output column x reads the Tᵀ rows from x + shift, row x + shift % 8
+    // of `t`: the same register blocking over `v`, eight columns `x` per
+    // block with the rows `p` in lanes, then back to rows
+    for j in 0..w.n {
+        let s = step1_block(isa, v, t, MMA_N * (MMA_N * j + shift % MMA_N), MMA_N);
+        let mut a = load8(isa, acc, MMA_N * j, aw);
+        for (ap, sp) in a.iter_mut().zip(isa.transpose8(s)) {
+            *ap = isa.add_finite(*ap, sp);
+        }
+        store8(isa, a, acc, MMA_N * j, aw);
     }
 }
 
@@ -1300,18 +1399,23 @@ fn strip_step1(w: &StripWindow, u: &[f64], shift: usize, t: &mut [f64]) {
 /// it. `w` may hold any value and any `S`; `acc` is the strip's
 /// accumulator, 8 rows of `8·n` columns, row-major, and `t` is scratch of
 /// at least `8 × w.width()`. Charges nothing: the caller charges
-/// [`scalar_term_flops`] per sub-tile.
+/// [`scalar_term_flops`] per sub-tile. This is the portable instance; the
+/// job loop runs the one of its vector unit.
 ///
-/// * Step 1 forms the tensor-core kernel's sums, row-major, on `term.u`:
-///   `T[p][x] = Σ_i u[i]·W[p+shift+i][x]`, seeded at `+0.0`, `i`
-///   increasing.
-/// * Step 2, per output column `x`:
+/// * Step 1 is the tensor-core kernel's on `term.u`, transposed into
+///   `t`: `T[p][x] = Σ_i u[i]·W[p+shift+i][x]`, seeded at `+0.0`, `i`
+///   increasing, eight `T` rows per 8-column block in registers.
+/// * Step 2, per row `p` and 8-column block of output columns `x`:
 ///   `s[x] = Σ_k v[k]·T[p][x+shift+k]`, seeded at `+0.0`, `k`
-///   increasing, then `acc[p][x] += s[x]`.
+///   increasing, all eight rows at once in registers, then
+///   `acc[p][x] += s[x]`.
 ///
-/// Only the band's products are formed, and every one of them is, so
-/// the operation sequence per element does not depend on the input:
-/// non-finite windows need no check and no fallback.
+/// Each operation is a plain IEEE multiply then add. Each tap count the
+/// registry lowers to (3, 5, 7, 9) has a compile-time instance; any
+/// other runs the run-time one. Only the band's products are formed, and
+/// every one of them is, so the operation sequence per element does not
+/// depend on the input: non-finite windows need no check and no
+/// fallback.
 #[inline(always)]
 pub fn rdg_apply_term_strip_scalar(
     w: &StripWindow,
@@ -1319,23 +1423,7 @@ pub fn rdg_apply_term_strip_scalar(
     t: &mut [f64],
     acc: &mut [f64],
 ) {
-    let shift = w.geo.h - term.radius();
-    strip_step1(w, &term.u, shift, t);
-    let (width, aw) = (w.width(), TILE_M * w.n);
-    for p in 0..MMA_M {
-        let tp = &t[p * width + shift..];
-        for (x0, out) in (0..aw).step_by(MMA_N).zip(acc[p * aw..][..aw].chunks_exact_mut(MMA_N)) {
-            let mut s = [0.0f64; MMA_N];
-            for (k, &vk) in term.v.iter().enumerate() {
-                for (sq, &tv) in s.iter_mut().zip(&tp[x0 + k..][..MMA_N]) {
-                    *sq += vk * tv;
-                }
-            }
-            for (a, sq) in out.iter_mut().zip(s) {
-                *a += sq;
-            }
-        }
-    }
+    rdg_apply_term_strip_scalar_on(Portable, w, term, t, acc);
 }
 
 /// The CUDA-core FLOPs one scalar term costs one 8×8 sub-tile on the
@@ -1919,6 +2007,119 @@ mod tests {
         let mut acc = vec![0.0; MMA_M * TILE_M * n];
         rdg_apply_term_strip_scalar(w, term, &mut t, &mut acc);
         acc
+    }
+
+    /// The scalar backends' plain-loop evaluator the strip kernel
+    /// replaced, the reference its instances are checked against: step 1
+    /// one AXPY per `(p, i)` across the strip, step 2 one sum per output
+    /// column, each `+0.0`-seeded with taps increasing.
+    fn plain_scalar_strip(w: &StripWindow, term: &RankOneTerm, acc: &mut [f64]) {
+        let shift = w.geo.h - term.radius();
+        let (width, aw) = (w.width(), TILE_M * w.n);
+        let len = aw + term.u.len() - 1;
+        let mut t = vec![0.0; MMA_M * width];
+        for p in 0..MMA_M {
+            let tp = &mut t[p * width + shift..][..len];
+            for (i, &ui) in term.u.iter().enumerate() {
+                let xr = &w.x[(p + shift + i) * width + shift..][..len];
+                for (a, &x) in tp.iter_mut().zip(xr) {
+                    *a += ui * x;
+                }
+            }
+        }
+        for p in 0..MMA_M {
+            let tp = &t[p * width + shift..];
+            for x in 0..aw {
+                let mut s = 0.0;
+                for (k, &vk) in term.v.iter().enumerate() {
+                    s += vk * tp[x + k];
+                }
+                acc[p * aw + x] += s;
+            }
+        }
+    }
+
+    /// Every compile-time instance of the scalar strip kernel and its
+    /// run-time instance (taps 3, 5, 7, 9, 11 and 33 at `S = 40`) must
+    /// reproduce the plain-loop evaluator bit for bit, NaNs canonicalized
+    /// as the backend goldens do: on strips of 1, 2, 3 and 37 sub-tiles,
+    /// finite and non-finite windows, from a nonzero accumulator, on every
+    /// ISA token the host supports.
+    #[test]
+    fn every_scalar_strip_instance_matches_the_plain_loops() {
+        for &(taps, _) in SPECIALIZED {
+            assert!(SCALAR_TAPS.contains(&taps), "{taps} taps need a scalar instance");
+        }
+        let geo = RdgGeometry::for_radius(16);
+        assert_eq!(geo.s, 40);
+        let canonical = |v: f64| if v.is_nan() { f64::NAN } else { v }.to_bits();
+        for taps in [3usize, 5, 7, 9, 11, 33] {
+            let scale = 1.0 / taps as f64;
+            // a zero tap turns an infinite window value into a NaN
+            let weight =
+                |t: usize, a: f64, b: f64| if t == 1 { 0.0 } else { (a + b * t as f64) * scale };
+            let term = RankOneTerm::new(
+                (0..taps).map(|t| weight(t, 0.3, 0.1)).collect(),
+                (0..taps).map(|t| weight(t, 1.1, -0.2)).collect(),
+            );
+            let shift = geo.h - term.radius();
+            for n in [1usize, 2, 3, 37] {
+                let width = StripWindow::width_for(geo, n);
+                let (mut tile, _) = random_tile(width, (100 * taps + n) as u64);
+                let finite = strip_of(&tile, geo, n);
+                // non-finite values of both signs inside the band, some
+                // close enough for their NaNs to meet
+                let (r, c) = (shift + 3, shift + 4);
+                for (dr, dc, x) in
+                    [(0, 0, f64::INFINITY), (1, 2, f64::NAN), (2, 1, f64::NEG_INFINITY)]
+                {
+                    tile.poke(r + dr, c + dc, x);
+                }
+                let non_finite = strip_of(&tile, geo, n);
+                let init: Vec<f64> =
+                    (0..MMA_M * TILE_M * n).map(|i| (i % 13) as f64 - 6.5).collect();
+                for (window, w) in [("finite", &finite), ("non-finite", &non_finite)] {
+                    let mut want = init.clone();
+                    plain_scalar_strip(w, &term, &mut want);
+                    let run = |isa: &str, got: Vec<f64>| {
+                        for (i, (g, e)) in got.iter().zip(&want).enumerate() {
+                            assert_eq!(
+                                canonical(*g),
+                                canonical(*e),
+                                "taps={taps} n={n} {window} {isa}: row {} column {}",
+                                i / (TILE_M * n),
+                                i % (TILE_M * n)
+                            );
+                        }
+                    };
+                    let on = |isa: &dyn Fn(&mut [f64], &mut [f64])| {
+                        let (mut t, mut acc) = (vec![0.0; MMA_M * width], init.clone());
+                        isa(&mut t, &mut acc);
+                        acc
+                    };
+                    run("portable", on(&|t, acc| rdg_apply_term_strip_scalar(w, &term, t, acc)));
+                    #[cfg(target_arch = "x86_64")]
+                    {
+                        if std::is_x86_feature_detected!("avx2") {
+                            // SAFETY: detected just above
+                            let isa = unsafe { Avx2::new_unchecked() };
+                            run(
+                                "avx2",
+                                on(&|t, acc| rdg_apply_term_strip_scalar_on(isa, w, &term, t, acc)),
+                            );
+                        }
+                        if std::is_x86_feature_detected!("avx512f") {
+                            // SAFETY: detected just above
+                            let isa = unsafe { Avx512f::new_unchecked() };
+                            run(
+                                "avx512f",
+                                on(&|t, acc| rdg_apply_term_strip_scalar_on(isa, w, &term, t, acc)),
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -68,13 +68,13 @@ impl ScheduleParams {
     /// [`Plan::new_with_params`](crate::plan::Plan::new_with_params) run
     /// this, so an invalid value can never reach the interpreter.
     pub fn validate(&self) -> Result<(), String> {
-        if self.tile_rows == 0 || self.tile_rows % 8 != 0 {
+        if self.tile_rows == 0 || !self.tile_rows.is_multiple_of(8) {
             return Err(format!(
                 "tile_rows must be a positive multiple of 8, got {}",
                 self.tile_rows
             ));
         }
-        if self.tile_cols == 0 || self.tile_cols % 8 != 0 {
+        if self.tile_cols == 0 || !self.tile_cols.is_multiple_of(8) {
             return Err(format!(
                 "tile_cols must be a positive multiple of 8, got {}",
                 self.tile_cols

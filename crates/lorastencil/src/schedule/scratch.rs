@@ -16,7 +16,7 @@ use std::cell::RefCell;
 use tcu_sim::MMA_M;
 
 /// The buffers one job row's strips reuse: a staged window per `Stage`
-/// slot; the scalar step-1 `T` rows; the strip's term and point-wise-plane
+/// slot; the scalar kernel's `Tᵀ` of the whole strip; the strip's term and point-wise-plane
 /// accumulators (the second only under `AccFold::Merge`), each 8 rows by
 /// the strip's width; the tensor-core kernel's column-block `Tᵀ` and
 /// `accᵀ`; and a 1-D job's staged span. A strip whose only chain group

@@ -31,10 +31,12 @@
 //!   instance otherwise, or, where the staged strip holds a non-finite
 //!   value (padding included) or the term's `T` could overflow, on the
 //!   dense instance, which also forms the products of the zero weights.
-//!   The job loop's ISA token ([`StripIsa`]) supplies the vector
-//!   operations and transposes. A scalar element keeps the scalar
-//!   chain's sequence (`rdg_apply_term_strip_scalar`), which needs no
-//!   such check.
+//!   A scalar chain runs in the scalar strip kernel
+//!   (`rdg_apply_term_strip_scalar`), which shares the tensor-core
+//!   kernel's step 1 and keeps each element's scalar-chain sequence, so
+//!   it needs no such check and the staging takes no magnitude for it.
+//!   The job loop's ISA token ([`StripIsa`]) supplies both kernels'
+//!   vector operations and transposes.
 //! * **1-D: one staged span per job.** `Op::RdgGather` stages the job's
 //!   overlapping segments as one run of the array, and each output is the
 //!   dense banded sum over its `seg_len` taps, in the order the modeled
@@ -54,8 +56,8 @@ use super::scratch::{with_strip_scratch, StripScratch};
 use super::{plane_extents, AccFold, LoweredTerm, Op, Schedule, ScheduleParams, Staging};
 use crate::plan::{ExecConfig, Plan};
 use crate::rdg::{
-    apply_pointwise_strip, rdg_apply_chain_strip, rdg_apply_term_strip_scalar, scalar_term_flops,
-    Portable, StripIsa, StripOut, StripWindow, TermFrags, TILE_M,
+    apply_pointwise_strip, rdg_apply_chain_strip, rdg_apply_term_strip_scalar_on,
+    scalar_term_flops, Portable, StripIsa, StripOut, StripWindow, TermFrags, TILE_M,
 };
 #[cfg(target_arch = "x86_64")]
 use crate::rdg::{Avx2, Avx512f};
@@ -258,7 +260,7 @@ fn run_strips<I: StripIsa>(
                         for op in chain {
                             zero_if_fresh(&mut fresh, &mut st.acc[..MMA_M * aw]);
                             let term = &chain_term(sched, op).term;
-                            rdg_apply_term_strip_scalar(w, term, &mut st.t, &mut st.acc);
+                            rdg_apply_term_strip_scalar_on(isa, w, term, &mut st.t, &mut st.acc);
                         }
                         if last {
                             tip = (pw != 0.0).then_some((cur, pw));

@@ -101,18 +101,16 @@ fn exchange_halos(devices: &mut [Device], rows: usize, cols: usize, needed: usiz
 }
 
 /// Reassemble the authoritative slabs (ghost rows excluded) into the
-/// global grid — one *consistent* view: callers only invoke this between
-/// applications, when every device has completed the same step.
-fn gather_global(devices: &[Device], rows: usize, cols: usize) -> Grid2D {
-    let mut output = Grid2D::new(rows, cols);
+/// global grid's row-major values — one *consistent* view: callers only
+/// invoke this between applications, when every device has completed the
+/// same step.
+fn gather_global(devices: &[Device], rows: usize, cols: usize) -> Vec<f64> {
+    let mut data = vec![0.0; rows * cols];
     for d in devices {
-        for r in 0..d.slab.len {
-            for c in 0..cols {
-                output.set(d.slab.start + r, c, d.local.peek(d.pad + r, c));
-            }
-        }
+        let slab = &d.local.as_slice()[d.pad * cols..][..d.slab.len * cols];
+        data[d.slab.start * cols..][..slab.len()].copy_from_slice(slab);
     }
-    output
+    data
 }
 
 /// Checkpointing policy for [`run_distributed_checkpointed`] /
@@ -290,8 +288,7 @@ fn run_inner(
             for c in per_device {
                 counters.merge(c);
             }
-            let global = gather_global(devices, rows, cols);
-            (counters, vec![Plane { rows, cols, data: global.as_slice().to_vec() }])
+            (counters, vec![Plane { rows, cols, data: gather_global(devices, rows, cols) }])
         })
     };
 
@@ -310,7 +307,7 @@ fn run_inner(
     }
 
     let written = ckpt.map_or(0, |c| c.written());
-    let output = gather_global(&devices, rows, cols);
+    let output = Grid2D::from_vec(rows, cols, gather_global(&devices, rows, cols));
     Ok((
         DistributedOutcome {
             output,

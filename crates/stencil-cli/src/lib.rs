@@ -804,8 +804,7 @@ weights1d:
         .unwrap();
         assert!(r.contains("2 snapshots written"), "{r}");
         // the checkpointed run reports the same counters/model as plain
-        let tail =
-            |s: &str| s.lines().filter(|l| l.starts_with("counters")).last().unwrap().to_string();
+        let tail = |s: &str| s.lines().rfind(|l| l.starts_with("counters")).unwrap().to_string();
         assert_eq!(tail(&r), tail(&straight));
         // delete the final snapshot to simulate a crash at step 3, then
         // resume runs the remaining steps and verifies end-to-end

@@ -113,6 +113,9 @@ fn key_hash(kernel_raw: &str, extents: &[usize; 3], ndims: usize, config_bits: u
 }
 
 /// What a lookup produced.
+// `Hit` carries the session by value: boxing it would allocate on every
+// warm hit, and a warm hit allocates nothing (tests/steady_state.rs)
+#[allow(clippy::large_enum_variant)]
 pub enum Checkout {
     /// Warm entry; the session is ready to fill and run.
     Hit(Arc<CacheEntry>, ExecSession),
@@ -322,7 +325,7 @@ impl PlanCache {
             for (&bh, bucket) in map.iter() {
                 for (i, e) in bucket.iter().enumerate() {
                     let used = e.last_used.load(Ordering::Relaxed);
-                    if victim.map_or(true, |(_, _, best)| used < best) {
+                    if victim.is_none_or(|(_, _, best)| used < best) {
                         victim = Some((bh, i, used));
                     }
                 }

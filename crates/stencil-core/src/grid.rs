@@ -373,6 +373,47 @@ impl From<Grid3D> for GridData {
     }
 }
 
+impl foundation::json::ToJson for Grid1D {
+    fn to_json(&self) -> foundation::json::Json {
+        use foundation::json::Json;
+        Json::obj([("n", Json::UInt(self.n as u64)), ("data", self.data.to_json())])
+    }
+}
+
+impl foundation::json::ToJson for Grid2D {
+    fn to_json(&self) -> foundation::json::Json {
+        use foundation::json::Json;
+        Json::obj([
+            ("rows", Json::UInt(self.rows as u64)),
+            ("cols", Json::UInt(self.cols as u64)),
+            ("data", self.data.to_json()),
+        ])
+    }
+}
+
+impl foundation::json::ToJson for Grid3D {
+    fn to_json(&self) -> foundation::json::Json {
+        use foundation::json::Json;
+        Json::obj([
+            ("nz", Json::UInt(self.nz as u64)),
+            ("ny", Json::UInt(self.ny as u64)),
+            ("nx", Json::UInt(self.nx as u64)),
+            ("data", self.data.to_json()),
+        ])
+    }
+}
+
+impl foundation::json::ToJson for GridData {
+    fn to_json(&self) -> foundation::json::Json {
+        use foundation::json::Json;
+        match self {
+            GridData::D1(g) => Json::obj([("D1", g.to_json())]),
+            GridData::D2(g) => Json::obj([("D2", g.to_json())]),
+            GridData::D3(g) => Json::obj([("D3", g.to_json())]),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -434,46 +475,5 @@ mod tests {
         let v: GridData = Grid3D::from_fn(2, 2, 2, |z, y, x| (z * 4 + y * 2 + x) as f64).into();
         // rolling by the full extent in every axis is the identity
         assert_eq!(v.rolled(&[2, 2, 2]), v);
-    }
-}
-
-impl foundation::json::ToJson for Grid1D {
-    fn to_json(&self) -> foundation::json::Json {
-        use foundation::json::Json;
-        Json::obj([("n", Json::UInt(self.n as u64)), ("data", self.data.to_json())])
-    }
-}
-
-impl foundation::json::ToJson for Grid2D {
-    fn to_json(&self) -> foundation::json::Json {
-        use foundation::json::Json;
-        Json::obj([
-            ("rows", Json::UInt(self.rows as u64)),
-            ("cols", Json::UInt(self.cols as u64)),
-            ("data", self.data.to_json()),
-        ])
-    }
-}
-
-impl foundation::json::ToJson for Grid3D {
-    fn to_json(&self) -> foundation::json::Json {
-        use foundation::json::Json;
-        Json::obj([
-            ("nz", Json::UInt(self.nz as u64)),
-            ("ny", Json::UInt(self.ny as u64)),
-            ("nx", Json::UInt(self.nx as u64)),
-            ("data", self.data.to_json()),
-        ])
-    }
-}
-
-impl foundation::json::ToJson for GridData {
-    fn to_json(&self) -> foundation::json::Json {
-        use foundation::json::Json;
-        match self {
-            GridData::D1(g) => Json::obj([("D1", g.to_json())]),
-            GridData::D2(g) => Json::obj([("D2", g.to_json())]),
-            GridData::D3(g) => Json::obj([("D3", g.to_json())]),
-        }
     }
 }

@@ -301,6 +301,46 @@ impl StencilKernel {
     }
 }
 
+impl foundation::json::ToJson for Shape {
+    fn to_json(&self) -> foundation::json::Json {
+        use foundation::json::Json;
+        Json::Str(match self {
+            Shape::Star => "Star".to_string(),
+            Shape::Box => "Box".to_string(),
+        })
+    }
+}
+
+impl foundation::json::ToJson for WeightMatrix {
+    fn to_json(&self) -> foundation::json::Json {
+        use foundation::json::Json;
+        Json::obj([("n", Json::UInt(self.n as u64)), ("data", self.data.to_json())])
+    }
+}
+
+impl foundation::json::ToJson for Weights {
+    fn to_json(&self) -> foundation::json::Json {
+        use foundation::json::Json;
+        match self {
+            Weights::D1(w) => Json::obj([("D1", w.to_json())]),
+            Weights::D2(w) => Json::obj([("D2", w.to_json())]),
+            Weights::D3(planes) => Json::obj([("D3", Json::arr(planes.iter()))]),
+        }
+    }
+}
+
+impl foundation::json::ToJson for StencilKernel {
+    fn to_json(&self) -> foundation::json::Json {
+        use foundation::json::Json;
+        Json::obj([
+            ("name", Json::Str(self.name.clone())),
+            ("shape", self.shape.to_json()),
+            ("radius", Json::UInt(self.radius as u64)),
+            ("weights", self.weights.to_json()),
+        ])
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -383,45 +423,5 @@ mod tests {
         assert_eq!(k.points(), 2);
         assert_eq!(k.dims(), 2);
         assert_eq!(k.side(), 3);
-    }
-}
-
-impl foundation::json::ToJson for Shape {
-    fn to_json(&self) -> foundation::json::Json {
-        use foundation::json::Json;
-        Json::Str(match self {
-            Shape::Star => "Star".to_string(),
-            Shape::Box => "Box".to_string(),
-        })
-    }
-}
-
-impl foundation::json::ToJson for WeightMatrix {
-    fn to_json(&self) -> foundation::json::Json {
-        use foundation::json::Json;
-        Json::obj([("n", Json::UInt(self.n as u64)), ("data", self.data.to_json())])
-    }
-}
-
-impl foundation::json::ToJson for Weights {
-    fn to_json(&self) -> foundation::json::Json {
-        use foundation::json::Json;
-        match self {
-            Weights::D1(w) => Json::obj([("D1", w.to_json())]),
-            Weights::D2(w) => Json::obj([("D2", w.to_json())]),
-            Weights::D3(planes) => Json::obj([("D3", Json::arr(planes.iter()))]),
-        }
-    }
-}
-
-impl foundation::json::ToJson for StencilKernel {
-    fn to_json(&self) -> foundation::json::Json {
-        use foundation::json::Json;
-        Json::obj([
-            ("name", Json::Str(self.name.clone())),
-            ("shape", self.shape.to_json()),
-            ("radius", Json::UInt(self.radius as u64)),
-            ("weights", self.weights.to_json()),
-        ])
     }
 }

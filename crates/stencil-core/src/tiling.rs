@@ -140,7 +140,7 @@ mod tests {
                 let spans: Vec<usize> =
                     (0..n.div_ceil(8)).map(|i| clamped_span(i * 8, 8, n)).collect();
                 assert_eq!(spans.iter().sum::<usize>(), n, "h={h} n={n}");
-                assert!(spans.iter().all(|&s| s >= 1 && s <= 8), "h={h} n={n}");
+                assert!(spans.iter().all(|&s| (1..=8).contains(&s)), "h={h} n={n}");
                 // at or past the end: nothing left
                 assert_eq!(clamped_span(n, 8, n), 0);
                 assert_eq!(clamped_span(n + h, 8, n), 0);

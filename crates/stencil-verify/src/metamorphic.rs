@@ -54,7 +54,7 @@ pub fn check_relations(case: &Case) -> Result<(), String> {
     let fy = run(&exec, case, y, case.iterations)?;
     let expect = fx.scaled(a).added(&fy.scaled(b));
     let diff = combined.max_abs_diff(&expect);
-    if !(diff <= META_TOL) {
+    if diff.is_nan() || diff > META_TOL {
         return Err(format!(
             "superposition violated: |F(ax+by) - aF(x) - bF(y)| = {diff:.3e} (tol {META_TOL:.1e})\n{}",
             replay_hint()
@@ -70,7 +70,7 @@ pub fn check_relations(case: &Case) -> Result<(), String> {
     let rolled_then_run = run(&exec, case, x.rolled(&shift), case.iterations)?;
     let run_then_rolled = fx.rolled(&shift);
     let diff = rolled_then_run.max_abs_diff(&run_then_rolled);
-    if !(diff <= META_TOL) {
+    if diff.is_nan() || diff > META_TOL {
         return Err(format!(
             "translation equivariance violated: shift {shift:?} deviates by {diff:.3e} \
              (tol {META_TOL:.1e})\n{}",

@@ -84,7 +84,7 @@ pub fn differential_check_against(exes: &[LabeledExecutor], case: &Case) -> Resu
             }
             Ok(ExecOutcome { output, counters, .. }) => {
                 let diff = output.max_abs_diff(&want);
-                if !(diff <= DIFF_TOL) {
+                if diff.is_nan() || diff > DIFF_TOL {
                     return Err(format!(
                         "executor `{label}` diverged from reference: max |Δ| = {diff:.3e} \
                          (tol {DIFF_TOL:.1e})\n{}",

@@ -169,6 +169,36 @@ pub fn gstencil_per_sec(model: &CostModel, counters: &PerfCounters, block: &Bloc
     model.estimate(counters, block).gstencil_per_sec(counters.points_updated)
 }
 
+impl foundation::json::ToJson for CostModel {
+    fn to_json(&self) -> foundation::json::Json {
+        use foundation::json::Json;
+        Json::obj([
+            ("device", self.device.to_json()),
+            ("staging_overhead", Json::Num(self.staging_overhead)),
+            ("shuffle_exposed_cycles", Json::Num(self.shuffle_exposed_cycles)),
+            ("latency_saturation_occupancy", Json::Num(self.latency_saturation_occupancy)),
+            ("achievable_fraction", Json::Num(self.achievable_fraction)),
+        ])
+    }
+}
+
+impl foundation::json::ToJson for Estimate {
+    fn to_json(&self) -> foundation::json::Json {
+        use foundation::json::Json;
+        Json::obj([
+            ("t_tensor", Json::Num(self.t_tensor)),
+            ("t_tensor16", Json::Num(self.t_tensor16)),
+            ("t_cuda", Json::Num(self.t_cuda)),
+            ("t_shared", Json::Num(self.t_shared)),
+            ("t_l2", Json::Num(self.t_l2)),
+            ("t_hbm", Json::Num(self.t_hbm)),
+            ("t_shuffle", Json::Num(self.t_shuffle)),
+            ("occupancy", Json::Num(self.occupancy)),
+            ("total", Json::Num(self.total)),
+        ])
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -255,35 +285,5 @@ mod tests {
         let e = m.estimate(&c, &block());
         let ct = e.compute_throughput();
         assert!(ct > 0.0 && ct <= 1.0);
-    }
-}
-
-impl foundation::json::ToJson for CostModel {
-    fn to_json(&self) -> foundation::json::Json {
-        use foundation::json::Json;
-        Json::obj([
-            ("device", self.device.to_json()),
-            ("staging_overhead", Json::Num(self.staging_overhead)),
-            ("shuffle_exposed_cycles", Json::Num(self.shuffle_exposed_cycles)),
-            ("latency_saturation_occupancy", Json::Num(self.latency_saturation_occupancy)),
-            ("achievable_fraction", Json::Num(self.achievable_fraction)),
-        ])
-    }
-}
-
-impl foundation::json::ToJson for Estimate {
-    fn to_json(&self) -> foundation::json::Json {
-        use foundation::json::Json;
-        Json::obj([
-            ("t_tensor", Json::Num(self.t_tensor)),
-            ("t_tensor16", Json::Num(self.t_tensor16)),
-            ("t_cuda", Json::Num(self.t_cuda)),
-            ("t_shared", Json::Num(self.t_shared)),
-            ("t_l2", Json::Num(self.t_l2)),
-            ("t_hbm", Json::Num(self.t_hbm)),
-            ("t_shuffle", Json::Num(self.t_shuffle)),
-            ("occupancy", Json::Num(self.occupancy)),
-            ("total", Json::Num(self.total)),
-        ])
     }
 }

@@ -188,6 +188,27 @@ impl PerfCounters {
     }
 }
 
+impl foundation::json::ToJson for PerfCounters {
+    fn to_json(&self) -> foundation::json::Json {
+        use foundation::json::Json;
+        Json::obj([
+            ("mma_ops", Json::UInt(self.mma_ops)),
+            ("mma_sp_ops", Json::UInt(self.mma_sp_ops)),
+            ("mma_fp16_ops", Json::UInt(self.mma_fp16_ops)),
+            ("metadata_loads", Json::UInt(self.metadata_loads)),
+            ("cuda_flops", Json::UInt(self.cuda_flops)),
+            ("shuffle_ops", Json::UInt(self.shuffle_ops)),
+            ("shared_load_requests", Json::UInt(self.shared_load_requests)),
+            ("shared_store_requests", Json::UInt(self.shared_store_requests)),
+            ("global_bytes_read", Json::UInt(self.global_bytes_read)),
+            ("global_bytes_written", Json::UInt(self.global_bytes_written)),
+            ("l2_bytes", Json::UInt(self.l2_bytes)),
+            ("staged_copy_bytes", Json::UInt(self.staged_copy_bytes)),
+            ("points_updated", Json::UInt(self.points_updated)),
+        ])
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -286,26 +307,5 @@ mod tests {
         let mut c = PerfCounters::new();
         c.mma_ops = 7;
         assert_eq!(c.scaled(0), PerfCounters::new());
-    }
-}
-
-impl foundation::json::ToJson for PerfCounters {
-    fn to_json(&self) -> foundation::json::Json {
-        use foundation::json::Json;
-        Json::obj([
-            ("mma_ops", Json::UInt(self.mma_ops)),
-            ("mma_sp_ops", Json::UInt(self.mma_sp_ops)),
-            ("mma_fp16_ops", Json::UInt(self.mma_fp16_ops)),
-            ("metadata_loads", Json::UInt(self.metadata_loads)),
-            ("cuda_flops", Json::UInt(self.cuda_flops)),
-            ("shuffle_ops", Json::UInt(self.shuffle_ops)),
-            ("shared_load_requests", Json::UInt(self.shared_load_requests)),
-            ("shared_store_requests", Json::UInt(self.shared_store_requests)),
-            ("global_bytes_read", Json::UInt(self.global_bytes_read)),
-            ("global_bytes_written", Json::UInt(self.global_bytes_written)),
-            ("l2_bytes", Json::UInt(self.l2_bytes)),
-            ("staged_copy_bytes", Json::UInt(self.staged_copy_bytes)),
-            ("points_updated", Json::UInt(self.points_updated)),
-        ])
     }
 }

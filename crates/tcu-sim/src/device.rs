@@ -79,6 +79,27 @@ impl Default for DeviceSpec {
     }
 }
 
+impl foundation::json::ToJson for DeviceSpec {
+    fn to_json(&self) -> foundation::json::Json {
+        use foundation::json::Json;
+        Json::obj([
+            ("name", Json::Str(self.name.to_string())),
+            ("num_sms", Json::UInt(self.num_sms as u64)),
+            ("clock_hz", Json::Num(self.clock_hz)),
+            ("fp64_tensor_flops", Json::Num(self.fp64_tensor_flops)),
+            ("fp64_cuda_flops", Json::Num(self.fp64_cuda_flops)),
+            ("fp16_tensor_flops", Json::Num(self.fp16_tensor_flops)),
+            ("hbm_bytes_per_sec", Json::Num(self.hbm_bytes_per_sec)),
+            ("l2_bytes_per_sec", Json::Num(self.l2_bytes_per_sec)),
+            ("shared_bytes_per_cycle_per_sm", Json::Num(self.shared_bytes_per_cycle_per_sm)),
+            ("shared_bytes_per_sm", Json::UInt(self.shared_bytes_per_sm as u64)),
+            ("max_warps_per_sm", Json::UInt(self.max_warps_per_sm as u64)),
+            ("max_blocks_per_sm", Json::UInt(self.max_blocks_per_sm as u64)),
+            ("registers_per_sm", Json::UInt(self.registers_per_sm as u64)),
+        ])
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -104,26 +125,5 @@ mod tests {
         // faster than FP64" — the spec ratio the TCStencil conversion uses.
         let d = DeviceSpec::a100();
         assert!((d.fp16_tensor_flops / d.fp64_tensor_flops - 16.0).abs() < 1e-9);
-    }
-}
-
-impl foundation::json::ToJson for DeviceSpec {
-    fn to_json(&self) -> foundation::json::Json {
-        use foundation::json::Json;
-        Json::obj([
-            ("name", Json::Str(self.name.to_string())),
-            ("num_sms", Json::UInt(self.num_sms as u64)),
-            ("clock_hz", Json::Num(self.clock_hz)),
-            ("fp64_tensor_flops", Json::Num(self.fp64_tensor_flops)),
-            ("fp64_cuda_flops", Json::Num(self.fp64_cuda_flops)),
-            ("fp16_tensor_flops", Json::Num(self.fp16_tensor_flops)),
-            ("hbm_bytes_per_sec", Json::Num(self.hbm_bytes_per_sec)),
-            ("l2_bytes_per_sec", Json::Num(self.l2_bytes_per_sec)),
-            ("shared_bytes_per_cycle_per_sm", Json::Num(self.shared_bytes_per_cycle_per_sm)),
-            ("shared_bytes_per_sm", Json::UInt(self.shared_bytes_per_sm as u64)),
-            ("max_warps_per_sm", Json::UInt(self.max_warps_per_sm as u64)),
-            ("max_blocks_per_sm", Json::UInt(self.max_blocks_per_sm as u64)),
-            ("registers_per_sm", Json::UInt(self.registers_per_sm as u64)),
-        ])
     }
 }

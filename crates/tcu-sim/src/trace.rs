@@ -151,6 +151,40 @@ impl SimContext {
     }
 }
 
+impl foundation::json::ToJson for TraceEvent {
+    fn to_json(&self) -> foundation::json::Json {
+        use foundation::json::Json;
+        match self {
+            TraceEvent::Mma => Json::Str("Mma".into()),
+            TraceEvent::MmaSp => Json::Str("MmaSp".into()),
+            TraceEvent::Mma16 => Json::Str("Mma16".into()),
+            TraceEvent::MetaLoad(n) => Json::obj([("MetaLoad", Json::UInt(*n))]),
+            TraceEvent::SharedLoad => Json::Str("SharedLoad".into()),
+            TraceEvent::SharedStore => Json::Str("SharedStore".into()),
+            TraceEvent::AccExtract { cols, shuffles } => Json::obj([(
+                "AccExtract",
+                Json::obj([
+                    ("cols", Json::Arr(cols.iter().map(|&c| Json::UInt(c as u64)).collect())),
+                    ("shuffles", Json::UInt(*shuffles)),
+                ]),
+            )]),
+            TraceEvent::GlobalCopy { bytes, staged } => Json::obj([(
+                "GlobalCopy",
+                Json::obj([("bytes", Json::UInt(*bytes)), ("staged", Json::Bool(*staged))]),
+            )]),
+            TraceEvent::CudaFlops(n) => Json::obj([("CudaFlops", Json::UInt(*n))]),
+            TraceEvent::Shuffles(n) => Json::obj([("Shuffles", Json::UInt(*n))]),
+        }
+    }
+}
+
+impl foundation::json::ToJson for Trace {
+    fn to_json(&self) -> foundation::json::Json {
+        use foundation::json::Json;
+        Json::obj([("events", Json::arr(self.events.iter()))])
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -210,39 +244,5 @@ mod tests {
         t.push(TraceEvent::Shuffles(2)); // breaks the burst
         t.push(TraceEvent::Mma);
         assert_eq!(t.longest_mma_burst(), 3);
-    }
-}
-
-impl foundation::json::ToJson for TraceEvent {
-    fn to_json(&self) -> foundation::json::Json {
-        use foundation::json::Json;
-        match self {
-            TraceEvent::Mma => Json::Str("Mma".into()),
-            TraceEvent::MmaSp => Json::Str("MmaSp".into()),
-            TraceEvent::Mma16 => Json::Str("Mma16".into()),
-            TraceEvent::MetaLoad(n) => Json::obj([("MetaLoad", Json::UInt(*n))]),
-            TraceEvent::SharedLoad => Json::Str("SharedLoad".into()),
-            TraceEvent::SharedStore => Json::Str("SharedStore".into()),
-            TraceEvent::AccExtract { cols, shuffles } => Json::obj([(
-                "AccExtract",
-                Json::obj([
-                    ("cols", Json::Arr(cols.iter().map(|&c| Json::UInt(c as u64)).collect())),
-                    ("shuffles", Json::UInt(*shuffles)),
-                ]),
-            )]),
-            TraceEvent::GlobalCopy { bytes, staged } => Json::obj([(
-                "GlobalCopy",
-                Json::obj([("bytes", Json::UInt(*bytes)), ("staged", Json::Bool(*staged))]),
-            )]),
-            TraceEvent::CudaFlops(n) => Json::obj([("CudaFlops", Json::UInt(*n))]),
-            TraceEvent::Shuffles(n) => Json::obj([("Shuffles", Json::UInt(*n))]),
-        }
-    }
-}
-
-impl foundation::json::ToJson for Trace {
-    fn to_json(&self) -> foundation::json::Json {
-        use foundation::json::Json;
-        Json::obj([("events", Json::arr(self.events.iter()))])
     }
 }

@@ -24,7 +24,10 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 use stencil_core::kernels;
 
-const CONFIGS: [(&str, fn() -> ExecConfig); 3] = [
+/// A toggle set and the name its rows carry.
+type NamedConfig = (&'static str, fn() -> ExecConfig);
+
+const CONFIGS: [NamedConfig; 3] = [
     ("full", ExecConfig::full),
     ("no-bvs", || ExecConfig { use_bvs: false, ..ExecConfig::full() }),
     ("no-fusion", || ExecConfig { allow_fusion: false, ..ExecConfig::full() }),

@@ -96,8 +96,7 @@ fn injected_off_by_one_halo_is_caught_shrunk_and_reported() {
 /// the params-grid engine alone sees ≥ 50 (the schedule-space floor).
 #[test]
 fn default_case_budget_meets_the_coverage_floor() {
-    if std::env::var("STENCIL_VERIFY_CASES").is_err() {
-        assert!(DIFFERENTIAL_CASES + METAMORPHIC_CASES + COUNTER_CASES >= 200);
-        assert!(PARAMS_GRID_CASES >= 50);
-    }
+    // the defaults are constants, so the floor is checked at compile time
+    const { assert!(DIFFERENTIAL_CASES + METAMORPHIC_CASES + COUNTER_CASES >= 200) };
+    const { assert!(PARAMS_GRID_CASES >= 50) };
 }

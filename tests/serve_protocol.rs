@@ -195,7 +195,7 @@ fn fuzzed_frames_never_panic_and_errors_are_typed() {
                 f.line.len()
             );
             prop::prop_assert!(
-                err.get("detail").and_then(Json::as_str).map_or(false, |d| !d.is_empty()),
+                err.get("detail").and_then(Json::as_str).is_some_and(|d| !d.is_empty()),
                 "error without a human-readable detail"
             );
         }
