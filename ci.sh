@@ -64,6 +64,14 @@ run_examples() {
     done
 }
 
+bench_crate() {
+    # the repository benchmark (bench/) is a cargo workspace of its own,
+    # which the workspace steps above never build: build it and run its
+    # self-tests, so an API change that breaks it fails here
+    cargo build --release --offline --manifest-path bench/Cargo.toml
+    cargo test -q --offline --manifest-path bench/Cargo.toml
+}
+
 fuzz_bounded() {
     # bounded by default; STENCIL_VERIFY_CASES scales all three engines
     STENCIL_VERIFY_CASES="${STENCIL_VERIFY_CASES:-25}" \
@@ -349,6 +357,7 @@ step "cargo test -q --offline (FOUNDATION_THREADS=1)" serial_tests
 step "foundation unit tests in release (optimizer-sensitive timing tests)" \
     cargo test -q --release --offline -p foundation --lib
 step "examples (cargo run --release --example *)" run_examples
+step "benchmark crate (bench/: release build + self-tests)" bench_crate
 step "bounded fuzz (STENCIL_VERIFY_CASES=${STENCIL_VERIFY_CASES:-25})" fuzz_bounded
 step "quick executor bench (writes $CI_OUT/executors.json)" quick_bench
 step "bench regression guard (>10% vs BENCH_pr2.json fails)" bench_guard

@@ -70,7 +70,7 @@ fn bench_3d(c: &mut Bench) {
         let exec = LoRaStencil::new();
         b.points(6 * 24 * 24).iter(|| exec.execute(black_box(&problem)).unwrap())
     });
-    // multi-iteration steady state: the Stepper loop reuses every
+    // multi-iteration steady state: the session time loop reuses every
     // buffer, so per-step cost drops well below the single-apply bench
     let problem6 = Problem::new(kernels::heat_3d(), GridData::D3(grid), 6);
     c.bench_function("lora_heat3d_6x24x24_6steps", |b| {

@@ -1,5 +1,5 @@
-//! Checkpointed execution: the generic [`Stepper`](crate::schedule::Stepper)
-//! loop with a crash-consistent snapshot hook between applications, plus
+//! Checkpointed execution: the single-device time loop ([`ExecSession`])
+//! with a crash-consistent snapshot hook between applications, plus
 //! deterministic resume.
 //!
 //! ## Bit-identical resume
@@ -25,11 +25,11 @@
 //! run executes with. [`resume`] recomputes the fingerprint from its own
 //! arguments and rejects a mismatch, so a checkpoint can never be
 //! silently continued under a different plan.
-//!
-//! [`ScheduleParams`]: crate::schedule::ScheduleParams
 
-use crate::plan::{ExecConfig, Plan};
-use crate::schedule::{self, grid_to_planes, plane_extents, planes_to_grid};
+use crate::plan::ExecConfig;
+use crate::schedule::{
+    grid_to_planes, plane_extents, planes_to_grid, ExecSession, ScheduleParams, Staging,
+};
 use stencil_core::checkpoint::{CheckpointStore, Plane, Snapshot, FLAG_SEEDED_INPUT};
 use stencil_core::{GridData, StencilKernel};
 use tcu_sim::{BlockResources, GlobalArray, PerfCounters};
@@ -37,9 +37,8 @@ use tcu_sim::{BlockResources, GlobalArray, PerfCounters};
 /// FNV-1a 64 over the plan identity: kernel name, radius,
 /// dimensionality, every weight's exact `f64` bits, the [`ExecConfig`]
 /// toggle bits, the grid extents, and the fields of the default
-/// [`ScheduleParams`](crate::schedule::ScheduleParams) the run executes
-/// with. Any change to any of these yields a different fingerprint, so
-/// resume rejects mismatched plans.
+/// [`ScheduleParams`] the run executes with. Any change to any of these
+/// yields a different fingerprint, so resume rejects mismatched plans.
 pub fn plan_fingerprint(kernel: &StencilKernel, config: ExecConfig, extents: &[usize]) -> u64 {
     const OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01B3;
@@ -82,18 +81,18 @@ pub fn plan_fingerprint(kernel: &StencilKernel, config: ExecConfig, extents: &[u
     for &e in extents {
         h.eat_u64(e as u64);
     }
-    let params = crate::schedule::ScheduleParams::default();
+    let params = ScheduleParams::default();
     h.eat_u64(params.tile_rows as u64);
     h.eat_u64(params.tile_cols as u64);
     h.eat_u64(match params.staging {
-        crate::schedule::Staging::Single => 0,
-        crate::schedule::Staging::Double => 1,
+        Staging::Single => 0,
+        Staging::Double => 1,
     });
-    // the MMA batch width the LSC1 format once carried: always 1, kept
-    // so existing snapshots keep their fingerprints
+    // the MMA batch width and the fusion override the LSC1 format once
+    // carried, at their only values (1 and none): kept so existing
+    // snapshots keep their fingerprints
     h.eat_u64(1);
-    // None and Some(n) must hash apart, so shift overrides by one
-    h.eat_u64(params.fuse_override.map_or(0, |f| f as u64 + 1));
+    h.eat_u64(0);
     h.0
 }
 
@@ -276,18 +275,16 @@ fn run_loop(
     policy: &CkptPolicy,
 ) -> Result<CkptOutcome, CkptRunError> {
     let mut ckpt = Checkpointer::new(policy, kernel, config, extents, start_step, total, rng);
-    let plan = Plan::new(kernel, config);
-    let rem_plan = || Plan::new(kernel, ExecConfig { allow_fusion: false, ..config });
-    let snapshot = |advance: usize, planes: &[GlobalArray], counters: &PerfCounters| {
-        ckpt.advance(advance as u64, || (*counters, snapshot_planes(planes)))
-    };
     let remaining = (total - start_step) as usize;
-    let (cur, counters, block) =
-        schedule::run_with_plans(plan, rem_plan, planes, remaining, counters, snapshot)?;
+    let mut session =
+        ExecSession::for_run(kernel, config, ScheduleParams::default(), planes, remaining);
+    let counters = session.run_from(remaining, counters, |advance, planes, counters| {
+        ckpt.advance(advance as u64, || (*counters, snapshot_planes(planes)))
+    })?;
     Ok(CkptOutcome {
-        output: planes_to_grid(&cur, extents.len()),
+        output: planes_to_grid(session.planes(), extents.len()),
         counters,
-        block,
+        block: session.block(),
         snapshots_written: ckpt.written(),
     })
 }
@@ -358,6 +355,7 @@ pub fn resume(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schedule;
     use stencil_core::{kernels, Grid2D};
 
     fn store(name: &str, keep: usize) -> CheckpointStore {

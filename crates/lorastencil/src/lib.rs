@@ -23,7 +23,7 @@
 //! ablation toggles), [`schedule`] (the execution IR one plan lowers to —
 //! including the 1-D/2-D/3-D lowering rules of §IV-C / Algorithm 2 — its
 //! backend seam, the grid↔plane conversion and the generic
-//! interpreter/stepper), [`exec`] (the one public executor,
+//! interpreter and its time loop), [`exec`] (the one public executor,
 //! [`LoRaStencil`]) and [`analysis`] (the closed-form Eq. 12–16 models).
 //!
 //! ## Quickstart
@@ -61,4 +61,4 @@ pub use decompose::{decompose, Decomposition, RankOneTerm, Strategy};
 pub use exec::LoRaStencil;
 pub use plan::{DeviceBackend, ExecConfig, Plan, PlanKind, PlaneOp};
 pub use rdg::{RdgGeometry, XFragments, TILE_M};
-pub use schedule::{ExecSession, Schedule, ScheduleParams, Staging, Stepper, Workspace};
+pub use schedule::{ExecSession, Schedule, ScheduleParams, Staging, Workspace};

@@ -10,6 +10,11 @@
 //!
 //! A plan's [`ScheduleParams`] are the defaults unless its caller passes
 //! others ([`Plan::new_with_params`]); no process-wide state picks them.
+//! They never change the fusion depth, which the planner alone chooses.
+//!
+//! A run of `n` steps is `n / fusion` applications of the fused plan
+//! followed by `n % fusion` of the unfused one; [`Plan::with_remainder`]
+//! plans that pair, for every single-device and distributed run.
 
 use crate::decompose::{self, Decomposition};
 use crate::fusion;
@@ -281,9 +286,7 @@ impl Plan {
     }
 
     /// Plan a kernel with explicit [`ScheduleParams`] (the `tune` search
-    /// and serve's on-miss choice come through here). `params.fuse_override`
-    /// replaces the cost model's fusion depth when fusion is enabled;
-    /// 3-D kernels never fuse, so it is ignored there.
+    /// and serve's on-miss choice come through here).
     ///
     /// # Panics
     ///
@@ -301,14 +304,14 @@ impl Plan {
         let _plan = foundation::obs::span("plan");
         match kernel.dims() {
             1 => {
-                let (exec_kernel, fusion) = fuse(kernel, config, params.fuse_override);
+                let (exec_kernel, fusion) = fuse(kernel, config);
                 let need = 8 + 2 * exec_kernel.radius;
                 let seg_len = need.div_ceil(4) * 4;
                 let geo = RdgGeometry::for_radius(exec_kernel.radius);
                 Plan { exec_kernel, fusion, geo, config, params, kind: PlanKind::D1 { seg_len } }
             }
             2 => {
-                let (exec_kernel, fusion) = fuse(kernel, config, params.fuse_override);
+                let (exec_kernel, fusion) = fuse(kernel, config);
                 let decomp = {
                     let _decompose = foundation::obs::span("decompose");
                     decompose::decompose(exec_kernel.weights_2d(), 1e-12)
@@ -336,6 +339,21 @@ impl Plan {
         }
     }
 
+    /// The plan pair of a run under the default [`ScheduleParams`]: the
+    /// fused plan, and the unfused plan of the trailing `steps % fusion`
+    /// steps. The remainder is planned when the fused plan fuses and
+    /// `steps` (`None`: any step count) leaves a remainder.
+    pub fn with_remainder(
+        kernel: &StencilKernel,
+        config: ExecConfig,
+        steps: Option<usize>,
+    ) -> (Plan, Option<Plan>) {
+        let fused = Plan::new(kernel, config);
+        let rem = (fused.fusion > 1 && steps.is_none_or(|n| n % fused.fusion > 0))
+            .then(|| Plan::new(kernel, ExecConfig { allow_fusion: false, ..config }));
+        (fused, rem)
+    }
+
     /// Plan a 2-D kernel with cost-model-driven decomposition selection
     /// (see [`crate::autotune`]): like [`Plan::new`], but the strategy is
     /// chosen by modeled per-tile cost rather than structural precedence
@@ -344,7 +362,7 @@ impl Plan {
     pub fn new_autotuned(kernel: &StencilKernel, config: ExecConfig) -> Self {
         let _plan = foundation::obs::span("plan");
         assert_eq!(kernel.dims(), 2, "autotuned planning covers 2-D kernels");
-        let (exec_kernel, fusion) = fuse(kernel, config, None);
+        let (exec_kernel, fusion) = fuse(kernel, config);
         let decomp = {
             let _decompose = foundation::obs::span("decompose");
             crate::autotune::choose(exec_kernel.weights_2d(), 1e-12)
@@ -424,7 +442,7 @@ impl Plan {
     }
 
     /// [`Plan::block_resources`] under other tile and staging `params`
-    /// on this plan's geometry (`params.fuse_override` is not applied).
+    /// on this plan's geometry.
     pub fn block_resources_with(&self, params: &ScheduleParams) -> BlockResources {
         let buffers =
             if self.config.use_async_copy || params.staging == Staging::Double { 2 } else { 1 };
@@ -464,20 +482,10 @@ impl Plan {
     }
 }
 
-/// Shared 1-D/2-D fusion decision (3-D kernels are never fused). A
-/// tuned `fuse_override` replaces the cost model's depth, but only when
-/// fusion is enabled at all — `no-fusion` configs stay unfused so the
-/// ablation semantics are untouched.
-fn fuse(
-    kernel: &StencilKernel,
-    config: ExecConfig,
-    fuse_override: Option<usize>,
-) -> (StencilKernel, usize) {
-    let fusion = if config.allow_fusion {
-        fuse_override.unwrap_or_else(|| fusion::fusion_factor(kernel)).max(1)
-    } else {
-        1
-    };
+/// Shared 1-D/2-D fusion decision (3-D kernels are never fused): the
+/// cost model's depth when fusion is enabled, none otherwise.
+fn fuse(kernel: &StencilKernel, config: ExecConfig) -> (StencilKernel, usize) {
+    let fusion = if config.allow_fusion { fusion::fusion_factor(kernel) } else { 1 };
     let exec_kernel = {
         let _fuse = foundation::obs::span("fuse");
         fusion::fuse_kernel(kernel, fusion)

@@ -1768,33 +1768,36 @@ mod tests {
     }
 
     /// Every `(S, n_t, shift)` the registry's 2-D and 3-D kernels lower to
-    /// on the tensor cores, fused or not, with fusion overridden up to 4×.
+    /// on the tensor cores, fused or not, and their 2-D kernels fused up
+    /// to 4× ahead of planning.
     fn registry_band_shapes() -> std::collections::BTreeSet<(usize, usize, usize)> {
         use crate::plan::{DeviceBackend, ExecConfig, Plan};
-        use crate::schedule::{Schedule, ScheduleParams};
+        use crate::schedule::Schedule;
         let mut kernels = stencil_core::kernels::all_kernels();
         kernels.extend(stencil_core::kernels_ext::all_extended());
+        let config = ExecConfig { backend: DeviceBackend::TcuF64, ..ExecConfig::full() };
+        let unfused = ExecConfig { allow_fusion: false, ..config };
         let mut shapes = std::collections::BTreeSet::new();
         for kernel in kernels.iter().filter(|k| k.dims() >= 2) {
-            for allow_fusion in [true, false] {
-                for fuse_override in [None, Some(1), Some(2), Some(3), Some(4)] {
-                    let config = ExecConfig {
-                        backend: DeviceBackend::TcuF64,
-                        allow_fusion,
-                        ..ExecConfig::full()
-                    };
-                    let params = ScheduleParams { fuse_override, ..ScheduleParams::default() };
-                    let sched = Schedule::lower(&Plan::new_with_params(kernel, config, params));
-                    for lt in &sched.terms {
-                        let (taps, shift) = (lt.term.u.len(), sched.h - lt.term.radius());
-                        shapes.insert((sched.geo.s, taps, shift));
-                        if allow_fusion && fuse_override.is_none() {
-                            assert!(
-                                SPECIALIZED.contains(&(taps, shift)),
-                                "{} lowers to ({taps}, {shift}) by default: specialize it",
-                                kernel.name
-                            );
-                        }
+            let mut plans =
+                vec![(true, Plan::new(kernel, config)), (false, Plan::new(kernel, unfused))];
+            if kernel.dims() == 2 {
+                for n in 1..=4 {
+                    let fused = crate::fusion::fuse_kernel(kernel, n);
+                    plans.push((false, Plan::new(&fused, unfused)));
+                }
+            }
+            for (by_default, plan) in plans {
+                let sched = Schedule::lower(&plan);
+                for lt in &sched.terms {
+                    let (taps, shift) = (lt.term.u.len(), sched.h - lt.term.radius());
+                    shapes.insert((sched.geo.s, taps, shift));
+                    if by_default {
+                        assert!(
+                            SPECIALIZED.contains(&(taps, shift)),
+                            "{} lowers to ({taps}, {shift}) by default: specialize it",
+                            kernel.name
+                        );
                     }
                 }
             }

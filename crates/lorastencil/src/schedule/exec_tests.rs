@@ -232,19 +232,9 @@ fn explicit_schedule_params_stay_bit_identical() {
         (kernels::box_3d27p(), (0..4).map(|z| wavy(9, 9, z + 9)).collect()),
     ];
     let grid = [
-        ScheduleParams {
-            tile_rows: 16,
-            tile_cols: 16,
-            staging: Staging::Double,
-            fuse_override: None,
-        },
+        ScheduleParams { tile_rows: 16, tile_cols: 16, staging: Staging::Double },
         ScheduleParams { tile_rows: 32, tile_cols: 8, ..ScheduleParams::default() },
-        ScheduleParams {
-            tile_rows: 64,
-            tile_cols: 64,
-            staging: Staging::Double,
-            fuse_override: None,
-        },
+        ScheduleParams { tile_rows: 64, tile_cols: 64, staging: Staging::Double },
     ];
     for (k, planes) in &cases {
         let (base, bc, _) = schedule::run(k, ExecConfig::full(), planes.clone(), 3);

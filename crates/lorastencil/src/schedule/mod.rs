@@ -4,8 +4,10 @@
 //! instantiated per dimension. This module makes that literal: a
 //! [`Plan`] of any dimensionality lowers to one [`Schedule`] — a flat
 //! sequence of [`Op`]s describing what one warp does per output tile —
-//! and a single interpreter ([`crate::schedule::Stepper`]) executes that
-//! sequence, for every backend, with one compiled job loop per host ISA.
+//! and a single interpreter ([`Workspace`]) executes that sequence, for
+//! every backend, with one compiled job loop per host ISA. One time loop
+//! ([`ExecSession`]) runs the fused applications and the unfused
+//! remainder of every single-device run.
 //! The dimensions differ only in their lowering rule
 //! ([`Schedule::lower`]): 1-D is one banded MM, 2-D one decomposition,
 //! and 3-D a superposition of 2-D planes (§IV-C, Algorithm 2). The
@@ -49,9 +51,8 @@ pub use backend::band_fallbacks;
 pub use params::{ScheduleParams, Staging};
 pub(crate) use planes::plane_extents;
 pub use planes::{grid_to_planes, planes_to_grid};
-pub use session::ExecSession;
-pub(crate) use stepper::run_with_plans;
-pub use stepper::{apply_once, host_isa, run, run_tuned, RunCharges, Stepper, Workspace};
+pub use session::{run, run_tuned, ExecSession};
+pub use stepper::{apply_once, host_isa, RunCharges, Workspace};
 
 use crate::decompose::{Decomposition, RankOneTerm};
 use crate::plan::{Plan, PlanKind, PlaneOp};

@@ -6,11 +6,11 @@
 //! `Prediction`-class counters (MMAs, shared loads, shuffles, HBM bytes
 //! written, points) to the default schedule. Tile extents only regroup
 //! the same 8×8 sub-tiles into larger jobs, and double staging only
-//! changes which shared-memory slot a window lands in. The one exception
-//! is [`ScheduleParams::fuse_override`], which changes the executed
-//! kernel — the `tune` chooser therefore never searches it, and it
-//! still gates every non-default winner behind a bitwise output
-//! comparison against the default schedule.
+//! changes which shared-memory slot a window lands in. The temporal
+//! fusion depth is not a schedule parameter: the planner chooses it from
+//! the kernel, so no value here changes the executed arithmetic. The
+//! `tune` chooser still gates every non-default winner behind a bitwise
+//! output comparison against the default schedule.
 //!
 //! A value is chosen, never stored: the default everywhere, or the
 //! `tune` chooser's pick, a pure function of the problem on the modeled
@@ -51,15 +51,11 @@ pub struct ScheduleParams {
     pub tile_cols: usize,
     /// Staging discipline for `Op::Stage`.
     pub staging: Staging,
-    /// Override the temporal fusion depth chosen by the cost model
-    /// (`None` keeps the planner's choice; ignored when fusion is
-    /// disabled by config and for 3-D plans, which never fuse).
-    pub fuse_override: Option<usize>,
 }
 
 impl Default for ScheduleParams {
     fn default() -> Self {
-        ScheduleParams { tile_rows: 8, tile_cols: 8, staging: Staging::Single, fuse_override: None }
+        ScheduleParams { tile_rows: 8, tile_cols: 8, staging: Staging::Single }
     }
 }
 
@@ -80,21 +76,12 @@ impl ScheduleParams {
                 self.tile_cols
             ));
         }
-        if let Some(f) = self.fuse_override {
-            if f == 0 {
-                return Err("fuse_override must be ≥ 1 when set".to_string());
-            }
-        }
         Ok(())
     }
 
-    /// Compact human-readable form for reports (`32x16/double/f3`).
+    /// Compact human-readable form for reports (`32x16/double`).
     pub fn describe(&self) -> String {
-        let mut s = format!("{}x{}/{}", self.tile_rows, self.tile_cols, self.staging.as_str());
-        if let Some(f) = self.fuse_override {
-            s.push_str(&format!("/f{f}"));
-        }
-        s
+        format!("{}x{}/{}", self.tile_rows, self.tile_cols, self.staging.as_str())
     }
 }
 
@@ -107,7 +94,6 @@ mod tests {
         let p = ScheduleParams::default();
         assert_eq!((p.tile_rows, p.tile_cols), (8, 8));
         assert_eq!(p.staging, Staging::Single);
-        assert_eq!(p.fuse_override, None);
         p.validate().unwrap();
     }
 
@@ -117,26 +103,15 @@ mod tests {
         assert!(ScheduleParams { tile_rows: 12, ..ok }.validate().is_err());
         assert!(ScheduleParams { tile_rows: 0, ..ok }.validate().is_err());
         assert!(ScheduleParams { tile_cols: 7, ..ok }.validate().is_err());
-        assert!(ScheduleParams { fuse_override: Some(0), ..ok }.validate().is_err());
-        assert!(ScheduleParams {
-            tile_rows: 64,
-            tile_cols: 16,
-            fuse_override: Some(6),
-            staging: Staging::Double,
-        }
-        .validate()
-        .is_ok());
+        assert!(ScheduleParams { tile_rows: 64, tile_cols: 16, staging: Staging::Double }
+            .validate()
+            .is_ok());
     }
 
     #[test]
-    fn describe_names_tiles_staging_and_a_fusion_override() {
-        let p = ScheduleParams {
-            tile_rows: 32,
-            tile_cols: 16,
-            staging: Staging::Double,
-            fuse_override: Some(3),
-        };
-        assert_eq!(p.describe(), "32x16/double/f3");
+    fn describe_names_tiles_and_staging() {
+        let p = ScheduleParams { tile_rows: 32, tile_cols: 16, staging: Staging::Double };
+        assert_eq!(p.describe(), "32x16/double");
         assert_eq!(ScheduleParams::default().describe(), "8x8/single");
     }
 }

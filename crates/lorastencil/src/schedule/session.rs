@@ -1,23 +1,30 @@
-//! Reusable execution sessions for long-lived callers (the serve daemon).
+//! The one single-device time loop: every run — one-shot, checkpointed,
+//! or a long-lived caller's re-run — is an [`ExecSession`].
 //!
-//! [`run`](super::run) builds a plan, lowers it, allocates workspaces and
-//! grid planes, steps, and throws everything away. A request server
-//! answering the same (kernel, config, extents) job thousands of times
-//! should pay that setup once: an [`ExecSession`] owns the tuned fused
-//! workspace, the unfused-remainder workspace, and the double-buffered
-//! planes, and re-runs jobs with **zero heap allocation** after the first
-//! call. Results — values and invariant counters — are bit-identical to
-//! the one-shot [`run`](super::run) path by construction: both interpret
-//! the same lowered schedules in the same fused/remainder split.
+//! A run of `n` steps is `n / fusion` fused applications followed by
+//! `n % fusion` unfused ones. An [`ExecSession`] owns the workspace of
+//! each ([`RunCharges`] plans the pair) and the double-buffered planes,
+//! and [`ExecSession::run`] steps through both phases. A one-shot
+//! [`run_tuned`] (and [`run`]) moves its input planes into a session,
+//! runs it once and hands the planes back; it plans and lowers the
+//! remainder only when the run has one. A checkpointed run
+//! (`crate::checkpoint`) does the same, starting from the counters of the
+//! steps before the resume and snapshotting between applications.
+//!
+//! A request server answering the same (kernel, config, extents) job
+//! thousands of times builds its session once, remainder included, and
+//! re-runs jobs with **zero heap allocation** after the first call.
 
+use super::planes::plane_extents;
 use super::stepper::{RunCharges, Workspace};
 use super::ScheduleParams;
-use crate::plan::{ExecConfig, Plan};
+use crate::plan::ExecConfig;
+use std::convert::Infallible;
 use stencil_core::StencilKernel;
 use tcu_sim::{BlockResources, GlobalArray, PerfCounters};
 
-/// A cached, re-runnable execution context for one
-/// (kernel, config, extents) triple.
+/// A re-runnable execution context for one (kernel, config, extents)
+/// triple.
 ///
 /// Construction does all the expensive work — low-rank decomposition,
 /// schedule lowering, fragment pre-building, plane and counter-slot
@@ -26,9 +33,10 @@ use tcu_sim::{BlockResources, GlobalArray, PerfCounters};
 /// threads (`tests/steady_state.rs` enforces this end-to-end).
 pub struct ExecSession {
     ws: Workspace,
-    /// Unfused workspace for `iterations % fusion` trailing steps; built
-    /// eagerly (the whole point is no work on the request path) when the
-    /// fused plan advances more than one step per application.
+    /// Unfused workspace for `iterations % fusion` trailing steps: built
+    /// whenever the fused plan advances more than one step per
+    /// application, except for a single run ([`ExecSession::for_run`])
+    /// that leaves no remainder.
     rem_ws: Option<Workspace>,
     fusion: usize,
     params: ScheduleParams,
@@ -39,38 +47,27 @@ pub struct ExecSession {
 }
 
 impl ExecSession {
-    /// Build a session with the default [`ScheduleParams`], exactly like
-    /// [`run`](super::run) (same `Plan::new` calls, so the lowered
-    /// schedules — and with them values and counters — match the offline
-    /// path bit for bit). `extents` is `[n]`, `[rows, cols]` or
-    /// `[nz, ny, nx]` and must match `kernel.dims()`.
+    /// Build a session with the default [`ScheduleParams`]. `extents` is
+    /// `[n]`, `[rows, cols]` or `[nz, ny, nx]` and must match
+    /// `kernel.dims()`.
     pub fn new(kernel: &StencilKernel, config: ExecConfig, extents: &[usize]) -> Self {
-        let plan = Plan::new(kernel, config);
-        let rem = |fusion: usize| {
-            (fusion > 1).then(|| Plan::new(kernel, ExecConfig { allow_fusion: false, ..config }))
-        };
-        Self::from_plan(kernel, plan, rem, extents)
+        Self::with_params(kernel, config, extents, ScheduleParams::default())
     }
 
-    /// The explicit-params variant of [`new`](Self::new): build with
-    /// exactly the given [`ScheduleParams`] — the same plan pair
-    /// [`run_tuned`](super::run_tuned) constructs, so
-    /// the tuner's bit-identity gate applies verbatim to sessions. The
-    /// serve daemon uses this to pin a cache entry's pool refills to the
+    /// The explicit-params variant of [`new`](Self::new). The serve
+    /// daemon uses this to pin a cache entry's pool refills to the
     /// params the entry memoized at insert time.
+    ///
+    /// # Panics
+    ///
+    /// Panics on invalid parameters (see [`ScheduleParams::validate`]).
     pub fn with_params(
         kernel: &StencilKernel,
         config: ExecConfig,
         extents: &[usize],
         params: ScheduleParams,
     ) -> Self {
-        let plan = Plan::new_with_params(kernel, config, params);
-        let rem = |fusion: usize| {
-            (fusion > 1).then(|| {
-                Plan::new_with_params(kernel, ExecConfig { allow_fusion: false, ..config }, params)
-            })
-        };
-        Self::from_plan(kernel, plan, rem, extents)
+        Self::from_charges(RunCharges::new(kernel, config, extents), params)
     }
 
     /// The [`with_params`](Self::with_params) session, built from the
@@ -78,57 +75,45 @@ impl ExecSession {
     /// kernel, config and extents: nothing is planned, decomposed or,
     /// for a staging the choice priced, lowered again. The serve daemon's
     /// on-miss path uses this after ranking schedules.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `params.fuse_override` is set (a chosen schedule never
-    /// sets it).
     pub fn from_charges(charges: RunCharges, params: ScheduleParams) -> Self {
-        let extents = charges.extents().to_vec();
-        let (plan, ws, rem_ws) = charges.into_workspaces(params);
-        Self::from_workspaces(&plan, ws, rem_ws, &extents)
-    }
-
-    fn from_plan(
-        kernel: &StencilKernel,
-        plan: Plan,
-        rem_plan: impl FnOnce(usize) -> Option<Plan>,
-        extents: &[usize],
-    ) -> Self {
-        assert_eq!(
-            extents.len(),
-            kernel.dims(),
-            "extents {extents:?} do not match a {}-D kernel",
-            kernel.dims()
-        );
-        let rem_ws = rem_plan(plan.fusion).map(|rp| Workspace::new(&rp, extents));
-        let ws = Workspace::new(&plan, extents);
-        Self::from_workspaces(&plan, ws, rem_ws, extents)
-    }
-
-    /// A session around the fused `plan`'s workspace (and the remainder
-    /// workspace when it fuses), with fresh planes for `extents`.
-    fn from_workspaces(
-        plan: &Plan,
-        ws: Workspace,
-        rem_ws: Option<Workspace>,
-        extents: &[usize],
-    ) -> Self {
-        let (nplanes, rows, cols) = match *extents {
+        let (nplanes, rows, cols) = match *charges.extents() {
             [n] => (1, 1, n),
             [rows, cols] => (1, rows, cols),
             [nz, ny, nx] => (nz, ny, nx),
             _ => unreachable!("grids are 1-, 2- or 3-dimensional"),
         };
-        let cur = (0..nplanes).map(|_| GlobalArray::new(rows, cols)).collect();
-        let next = (0..nplanes).map(|_| GlobalArray::new(rows, cols)).collect();
+        let planes = (0..nplanes).map(|_| GlobalArray::new(rows, cols)).collect();
+        Self::over_planes(charges, params, planes)
+    }
+
+    /// A session for one run of `steps` steps from `planes`, which it
+    /// takes over as its current grid: the remainder is planned only if
+    /// the run has one.
+    pub(crate) fn for_run(
+        kernel: &StencilKernel,
+        config: ExecConfig,
+        params: ScheduleParams,
+        planes: Vec<GlobalArray>,
+        steps: usize,
+    ) -> Self {
+        let extents = plane_extents(&planes, kernel.dims());
+        let charges = RunCharges::planned(kernel, config, &extents, Some(steps));
+        Self::over_planes(charges, params, planes)
+    }
+
+    /// A session running `charges`' plans under `params`, with `cur` as
+    /// its current grid.
+    fn over_planes(charges: RunCharges, params: ScheduleParams, cur: Vec<GlobalArray>) -> Self {
+        let extents = charges.extents().to_vec();
+        let (plan, ws, rem_ws) = charges.into_workspaces(params);
+        let next = cur.iter().map(|p| GlobalArray::new(p.rows(), p.cols())).collect();
         ExecSession {
             ws,
             rem_ws,
             fusion: plan.fusion,
-            params: plan.params,
+            params,
             block: plan.block_resources(),
-            extents: extents.to_vec(),
+            extents,
             cur,
             next,
         }
@@ -149,30 +134,49 @@ impl ExecSession {
 
     /// Run `iterations` time steps from the current grid contents:
     /// `iterations / fusion` fused applications, then the remainder on
-    /// the unfused workspace — the exact split of [`run`](super::run).
-    /// The result becomes the current grid; counters are the merged
-    /// per-application invariants.
+    /// the unfused workspace. The result becomes the current grid;
+    /// counters are the merged per-application invariants.
     pub fn run(&mut self, iterations: usize) -> PerfCounters {
-        let mut counters = PerfCounters::new();
-        let full = iterations / self.fusion;
-        let rem = iterations % self.fusion;
+        let Ok(counters) =
+            self.run_from(iterations, PerfCounters::new(), |_, _, _| Ok::<(), Infallible>(()));
+        counters
+    }
+
+    /// [`run`](Self::run) continuing from `counters` (a resumed run's
+    /// prefix). After every application, `on_apply(advance, planes,
+    /// counters)` sees the steps it advanced, the new planes and the
+    /// running counters; an error from it stops the run.
+    pub(crate) fn run_from<E>(
+        &mut self,
+        iterations: usize,
+        mut counters: PerfCounters,
+        mut on_apply: impl FnMut(usize, &[GlobalArray], &PerfCounters) -> Result<(), E>,
+    ) -> Result<PerfCounters, E> {
+        let (full, rem) = (iterations / self.fusion, iterations % self.fusion);
         for _ in 0..full {
             counters.merge(&self.ws.apply_planes(&self.cur, &mut self.next));
             std::mem::swap(&mut self.cur, &mut self.next);
+            on_apply(self.fusion, &self.cur, &counters)?;
         }
         if rem > 0 {
-            let rw = self.rem_ws.as_mut().expect("fusion > 1 implies a remainder workspace");
+            let rw = self.rem_ws.as_mut().expect("a run with a remainder plans its workspace");
             for _ in 0..rem {
                 counters.merge(&rw.apply_planes(&self.cur, &mut self.next));
                 std::mem::swap(&mut self.cur, &mut self.next);
+                on_apply(1, &self.cur, &counters)?;
             }
         }
-        counters
+        Ok(counters)
     }
 
     /// The current grid planes (job output after [`run`](Self::run)).
     pub fn planes(&self) -> &[GlobalArray] {
         &self.cur
+    }
+
+    /// Consume the session, returning the current grid planes.
+    pub fn into_planes(self) -> Vec<GlobalArray> {
+        self.cur
     }
 
     /// Grid extents the session was built for.
@@ -203,10 +207,38 @@ impl ExecSession {
     }
 }
 
+/// The full time loop of a one-shot run with the default
+/// [`ScheduleParams`]: [`run_tuned`] under them.
+pub fn run(
+    kernel: &StencilKernel,
+    config: ExecConfig,
+    planes: Vec<GlobalArray>,
+    iterations: usize,
+) -> (Vec<GlobalArray>, PerfCounters, BlockResources) {
+    run_tuned(kernel, config, ScheduleParams::default(), planes, iterations)
+}
+
+/// A one-shot run of `iterations` steps from `planes` with exactly the
+/// given [`ScheduleParams`]: a session over the planes, run once. It
+/// returns the final planes, the counters and the fused plan's block.
+pub fn run_tuned(
+    kernel: &StencilKernel,
+    config: ExecConfig,
+    params: ScheduleParams,
+    planes: Vec<GlobalArray>,
+    iterations: usize,
+) -> (Vec<GlobalArray>, PerfCounters, BlockResources) {
+    let mut session = ExecSession::for_run(kernel, config, params, planes, iterations);
+    let counters = session.run(iterations);
+    let block = session.block;
+    (session.into_planes(), counters, block)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedule::{run, Staging};
+    use crate::plan::Plan;
+    use crate::schedule::Staging;
     use stencil_core::kernels;
 
     fn seed_fn(seed: u64) -> impl Fn(u64) -> f64 {
@@ -216,94 +248,128 @@ mod tests {
         }
     }
 
-    fn offline(
+    /// `iters` steps written out as a plain loop, independent of the
+    /// session: `iters / f` applications of a workspace of the fused
+    /// plan, then `iters % f` of one of the unfused plan, both planned
+    /// under `params`.
+    fn plain_loop(
         kernel: &StencilKernel,
         config: ExecConfig,
+        params: ScheduleParams,
         extents: &[usize],
         iters: usize,
         seed: u64,
     ) -> (Vec<f64>, PerfCounters) {
-        let f = seed_fn(seed);
         let (nplanes, rows, cols) = match *extents {
             [n] => (1, 1, n),
             [rows, cols] => (1, rows, cols),
             [nz, ny, nx] => (nz, ny, nx),
             _ => unreachable!(),
         };
-        let mut idx = 0u64;
-        let planes: Vec<GlobalArray> = (0..nplanes)
-            .map(|_| {
-                let vals: Vec<f64> = (0..rows * cols)
-                    .map(|_| {
-                        let v = f(idx);
-                        idx += 1;
-                        v
-                    })
-                    .collect();
-                GlobalArray::from_vec(rows, cols, vals)
+        let f = seed_fn(seed);
+        let mut cur: Vec<GlobalArray> = (0..nplanes)
+            .map(|z| {
+                let n = rows * cols;
+                GlobalArray::from_vec(rows, cols, (0..n).map(|i| f((z * n + i) as u64)).collect())
             })
             .collect();
-        let (out, counters, _) = run(kernel, config, planes, iters);
-        (out.iter().flat_map(|p| p.as_slice().iter().copied()).collect(), counters)
+        let mut next = cur.clone();
+        let fused = Plan::new_with_params(kernel, config, params);
+        let unfused =
+            Plan::new_with_params(kernel, ExecConfig { allow_fusion: false, ..config }, params);
+        let mut counters = PerfCounters::new();
+        let f = fused.fusion;
+        for (plan, n) in [(&fused, iters / f), (&unfused, iters % f)] {
+            let mut ws = Workspace::new(plan, extents);
+            for _ in 0..n {
+                counters.merge(&ws.apply_planes(&cur, &mut next));
+                std::mem::swap(&mut cur, &mut next);
+            }
+        }
+        (cur.iter().flat_map(|p| p.as_slice().iter().copied()).collect(), counters)
+    }
+
+    fn assert_session_is_the_plain_loop(
+        sess: &mut ExecSession,
+        kernel: &StencilKernel,
+        config: ExecConfig,
+        iters: usize,
+        ctx: &str,
+    ) {
+        let (want_vals, want_counters) =
+            plain_loop(kernel, config, sess.params(), sess.extents(), iters, 42);
+        for round in 0..3 {
+            sess.fill_with(seed_fn(42));
+            let counters = sess.run(iters);
+            let got: Vec<f64> =
+                sess.planes().iter().flat_map(|p| p.as_slice().iter().copied()).collect();
+            assert_eq!(got.len(), want_vals.len(), "{ctx}");
+            for (i, (g, w)) in got.iter().zip(&want_vals).enumerate() {
+                assert_eq!(g.to_bits(), w.to_bits(), "{ctx} round {round} value {i}");
+            }
+            assert_eq!(counters.fields(), want_counters.fields(), "{ctx} round {round} counters");
+        }
     }
 
     #[test]
-    fn session_matches_one_shot_run_bitwise() {
-        // fused (Box2D -> fusion 3 by default) with a non-multiple
-        // iteration count exercises the fused + remainder split, plus a
-        // 1-D and a 3-D case
-        let cases: [(&str, Vec<usize>, usize); 3] = [
+    fn session_matches_a_plain_fused_and_remainder_loop_bitwise() {
+        // fused (Box-2D9P -> fusion 3 by default) with a non-multiple
+        // iteration count exercises the fused + remainder split, plus an
+        // unfused 2-D, a 1-D and a 3-D case
+        let cases: [(&str, Vec<usize>, usize); 4] = [
+            ("Box-2D9P", vec![40, 48], 5),
             ("Box-2D49P", vec![40, 48], 5),
-            ("1D5P", vec![256], 4),
+            ("Heat-1D", vec![256], 4),
             ("Heat-3D", vec![4, 16, 24], 2),
         ];
         for (name, extents, iters) in cases {
             let kernel = kernels::by_name(name).unwrap();
             let config = ExecConfig::default();
-            let (want_vals, want_counters) = offline(&kernel, config, &extents, iters, 42);
-
             let mut sess = ExecSession::new(&kernel, config, &extents);
-            for round in 0..3 {
-                sess.fill_with(seed_fn(42));
-                let counters = sess.run(iters);
-                let got: Vec<f64> =
-                    sess.planes().iter().flat_map(|p| p.as_slice().iter().copied()).collect();
-                assert_eq!(got.len(), want_vals.len(), "{name}");
-                for (i, (g, w)) in got.iter().zip(&want_vals).enumerate() {
-                    assert_eq!(g.to_bits(), w.to_bits(), "{name} round {round} value {i}");
-                }
-                assert_eq!(
-                    counters.fields(),
-                    want_counters.fields(),
-                    "{name} round {round} counters"
-                );
-            }
+            assert_session_is_the_plain_loop(&mut sess, &kernel, config, iters, name);
         }
     }
 
     #[test]
-    fn with_params_matches_run_tuned_bitwise() {
-        // a non-default (but schedule-neutral) tiling: the session must
-        // reproduce `run_tuned`'s fused + remainder split exactly
-        let kernel = kernels::by_name("Box-2D49P").unwrap();
+    fn with_params_matches_a_plain_fused_and_remainder_loop_bitwise() {
+        // non-default (but schedule-neutral) tilings on a fused kernel
+        // with a remainder
+        let kernel = kernels::by_name("Box-2D9P").unwrap();
         let config = ExecConfig::default();
-        let params = ScheduleParams { tile_rows: 16, tile_cols: 16, ..ScheduleParams::default() };
-        let (extents, iters, seed) = ([40usize, 48], 5usize, 42u64);
-
-        let f = seed_fn(seed);
-        let vals: Vec<f64> = (0..extents[0] * extents[1]).map(|i| f(i as u64)).collect();
-        let planes = vec![GlobalArray::from_vec(extents[0], extents[1], vals)];
-        let (want, want_counters, _) =
-            crate::schedule::run_tuned(&kernel, config, params, planes, iters);
-
-        let mut sess = ExecSession::with_params(&kernel, config, &extents, params);
-        assert_eq!(sess.params(), params);
-        sess.fill_with(seed_fn(seed));
-        let counters = sess.run(iters);
-        for (g, w) in sess.planes()[0].as_slice().iter().zip(want[0].as_slice()) {
-            assert_eq!(g.to_bits(), w.to_bits());
+        for params in [
+            ScheduleParams { tile_rows: 16, tile_cols: 16, ..ScheduleParams::default() },
+            ScheduleParams { tile_rows: 32, tile_cols: 8, staging: Staging::Double },
+        ] {
+            let mut sess = ExecSession::with_params(&kernel, config, &[40, 48], params);
+            assert_eq!(sess.params(), params);
+            assert_session_is_the_plain_loop(&mut sess, &kernel, config, 5, &params.describe());
         }
-        assert_eq!(counters.fields(), want_counters.fields());
+    }
+
+    #[test]
+    fn run_from_continues_the_counters_and_stops_on_a_hook_error() {
+        let kernel = kernels::by_name("Box-2D9P").unwrap();
+        let mut sess = ExecSession::new(&kernel, ExecConfig::default(), &[16, 16]);
+        sess.fill_with(seed_fn(1));
+        let whole = sess.run(7);
+        // the same 7 steps, resumed after 4: the prefix carries over and
+        // the hook sees every application's advance
+        sess.fill_with(seed_fn(1));
+        let prefix = sess.run(4);
+        let mut advances = Vec::new();
+        let Ok(resumed) = sess.run_from(3, prefix, |advance, planes, _| {
+            advances.push((advance, planes.len()));
+            Ok::<(), Infallible>(())
+        });
+        assert_eq!(resumed.fields(), whole.fields());
+        assert_eq!(advances, [(3, 1)]);
+        // an error from the hook stops the run after that application
+        let mut calls = 0;
+        let err = sess.run_from(5, PerfCounters::new(), |_, _, _| {
+            calls += 1;
+            Err("stop")
+        });
+        assert_eq!((err, calls), (Err("stop"), 1));
     }
 
     #[test]
@@ -313,12 +379,8 @@ mod tests {
         // the charges are priced for some stagings first (reused
         // lowerings) and for none on the others (lowered on the spot)
         let roster = ExecConfig::ablation_roster();
-        let tiled = |tile_rows, tile_cols, staging| ScheduleParams {
-            tile_rows,
-            tile_cols,
-            staging,
-            ..ScheduleParams::default()
-        };
+        let tiled =
+            |tile_rows, tile_cols, staging| ScheduleParams { tile_rows, tile_cols, staging };
         let cases: [(&str, Vec<usize>, ScheduleParams); 5] = [
             ("Box-2D9P", vec![40, 48], ScheduleParams::default()),
             ("Heat-2D", vec![37, 44], tiled(16, 32, Staging::Double)),

@@ -1,9 +1,10 @@
-//! The generic schedule interpreter: one [`Workspace`]/[`Stepper`] pair
-//! executes lowered [`Schedule`]s of any dimensionality.
+//! The generic schedule interpreter: a [`Workspace`] executes lowered
+//! [`Schedule`]s of any dimensionality, one application at a time.
 //!
-//! The host-side loop keeps the PR 2 steady-state guarantees: a
-//! [`Stepper`] double-buffers the grid planes and reuses every per-apply
-//! buffer, so an iteration allocates nothing and spawns no threads.
+//! The host-side loop keeps the steady-state guarantees: a workspace
+//! reuses every per-apply buffer (and an
+//! [`ExecSession`](super::ExecSession) double-buffers the grid planes
+//! around it), so an iteration allocates nothing and spawns no threads.
 //! Units of work run in parallel and write their disjoint output bands
 //! directly; each unit's counters land in a preallocated index-addressed
 //! slot, one per unit of work, and the slots merge sequentially **in
@@ -62,7 +63,6 @@ use crate::rdg::{
 #[cfg(target_arch = "x86_64")]
 use crate::rdg::{Avx2, Avx512f};
 use foundation::par::*;
-use std::convert::Infallible;
 use std::sync::OnceLock;
 use stencil_core::tiling::{tiles_1d, tiles_2d, window_origin, Tile2D};
 use stencil_core::StencilKernel;
@@ -379,7 +379,9 @@ fn chain_frags<'a>(sched: &'a Schedule, op: &Op) -> &'a TermFrags {
 
 /// Stage the strip of `n` sub-tiles whose windows start at grid row
 /// `r_origin` and column `-h` into `w`, wrapping periodically in both
-/// directions as the per-sub-tile walk's staging does.
+/// directions as the per-sub-tile walk's staging does. The scalar
+/// backends read only rows `0 .. 8 + 2h`, so only those are staged; the
+/// tensor cores stage all `S`, padding included.
 #[inline(always)]
 fn stage_strip(
     src: &GlobalArray,
@@ -392,7 +394,9 @@ fn stage_strip(
     let data = src.as_slice();
     let width = StripWindow::width_for(sched.geo, n);
     let c_origin = window_origin(0, sched.h).rem_euclid(cols as isize) as usize;
-    for (rr, dst) in w.rows_mut(sched.geo, n).chunks_exact_mut(width).enumerate() {
+    let read =
+        if sched.backend.scalar_issue().is_some() { TILE_M + 2 * sched.h } else { sched.geo.s };
+    for (rr, dst) in w.rows_mut(sched.geo, n).chunks_exact_mut(width).take(read).enumerate() {
         let r = (r_origin + rr as isize).rem_euclid(rows as isize) as usize;
         copy_wrapped(&data[r * cols..][..cols], c_origin, dst);
     }
@@ -679,7 +683,8 @@ pub fn host_isa() -> &'static str {
 /// the counter slots and the output-pointer table. Callers that manage
 /// their own grids (the distributed executor) build one per (device,
 /// plan) and feed it a fresh input/output pair each application;
-/// [`Stepper`] wraps one together with double-buffered planes.
+/// an [`ExecSession`](super::ExecSession) wraps one together with
+/// double-buffered planes.
 pub struct Workspace {
     sched: Schedule,
     charges: StripCharges,
@@ -803,15 +808,14 @@ fn job_rows(extents: &[usize], tile_h: usize, tile_w: usize) -> (Vec<(usize, Til
     (jobs, row_len)
 }
 
-/// The counters runs of one problem charge under any tile shape and
-/// staging, in closed form: what [`run_tuned`] — and an
-/// [`ExecSession::with_params`](super::ExecSession::with_params)
-/// session's `run` — returns, without running anything. Each
-/// application is the sum of its units' `StripCharges`, and a run is `iterations / fusion` fused applications plus the
+/// The plans of runs of one problem, and the counters they charge under
+/// any tile shape and staging in closed form: what an
+/// [`ExecSession`](super::ExecSession)'s `run` returns, without running
+/// anything. Each application is the sum of its units' `StripCharges`,
+/// and a run is `iterations / fusion` fused applications plus the
 /// unfused remainder. The fused and the remainder plan are planned (and
-/// decomposed) once, here; each staging is lowered once, on first use.
-///
-/// `fuse_override` is not a schedule; it is ignored.
+/// decomposed) once, here ([`Plan::with_remainder`]); each staging is
+/// lowered once, on first use, or when a session is built from them.
 pub struct RunCharges {
     extents: Vec<usize>,
     fused: Variant,
@@ -873,16 +877,29 @@ impl RunCharges {
     /// Plan `kernel` under `config` for a grid of `extents` (`[n]`,
     /// `[rows, cols]` or `[nz, ny, nx]`).
     pub fn new(kernel: &StencilKernel, config: ExecConfig, extents: &[usize]) -> Self {
+        Self::planned(kernel, config, extents, None)
+    }
+
+    /// [`RunCharges::new`] for runs of `steps` steps (`None`: any count),
+    /// planning the remainder only when such a run has one.
+    pub(crate) fn planned(
+        kernel: &StencilKernel,
+        config: ExecConfig,
+        extents: &[usize],
+        steps: Option<usize>,
+    ) -> Self {
         assert_eq!(
             extents.len(),
             kernel.dims(),
             "extents {extents:?} for a {}-D kernel",
             kernel.dims()
         );
-        let fused = Variant::new(Plan::new(kernel, config));
-        let rem = (fused.plan.fusion > 1)
-            .then(|| Variant::new(Plan::new(kernel, ExecConfig { allow_fusion: false, ..config })));
-        RunCharges { extents: extents.to_vec(), fused, rem }
+        let (fused, rem) = Plan::with_remainder(kernel, config, steps);
+        RunCharges {
+            extents: extents.to_vec(),
+            fused: Variant::new(fused),
+            rem: rem.map(Variant::new),
+        }
     }
 
     /// The counters `iterations` steps charge under `params`.
@@ -908,173 +925,33 @@ impl RunCharges {
     }
 
     /// The fused plan under `params` with its workspace, and the
-    /// remainder workspace when the plan fuses: what
-    /// [`ExecSession::with_params`](super::ExecSession::with_params)
-    /// builds, from the plans and lowerings made here.
+    /// remainder workspace when a remainder was planned: what an
+    /// [`ExecSession`](super::ExecSession) runs, from the plans and
+    /// lowerings made here.
     ///
     /// # Panics
     ///
-    /// Panics if `params.fuse_override` is set: these plans were made
-    /// without one.
+    /// Panics on invalid parameters (see [`ScheduleParams::validate`]).
     pub(crate) fn into_workspaces(
         self,
         params: ScheduleParams,
     ) -> (Plan, Workspace, Option<Workspace>) {
-        assert_eq!(
-            params.fuse_override, None,
-            "the charges were planned without a fusion override"
-        );
+        if let Err(e) = params.validate() {
+            panic!("invalid ScheduleParams: {e}");
+        }
         let (plan, ws) = self.fused.into_workspace(params, &self.extents);
         let rem_ws = self.rem.map(|v| v.into_workspace(params, &self.extents).1);
         (plan, ws, rem_ws)
     }
 }
 
-/// The steady-state time-stepping loop for any dimensionality:
-/// double-buffered grid planes plus every per-apply buffer, allocated
-/// once and reused by each [`Stepper::step`]. Safe to ping-pong without
-/// clearing because the job list covers every output cell each
-/// application.
-pub struct Stepper {
-    ws: Workspace,
-    cur: Vec<GlobalArray>,
-    next: Vec<GlobalArray>,
-}
-
-impl Stepper {
-    /// Set up the loop over `planes` for `plan` (one plane for 1-D
-    /// arrays — shaped `1 × n` — and 2-D grids; `nz` planes for 3-D).
-    pub fn new(plan: Plan, planes: Vec<GlobalArray>) -> Self {
-        let ws = Workspace::new(&plan, &plane_extents(&planes, plan.dims()));
-        let next = planes.iter().map(|p| GlobalArray::new(p.rows(), p.cols())).collect();
-        Stepper { ws, cur: planes, next }
-    }
-
-    /// Set up the loop over a single-plane grid.
-    pub fn from_grid(plan: Plan, input: GlobalArray) -> Self {
-        Stepper::new(plan, vec![input])
-    }
-
-    /// Advance one (possibly fused) application; the result becomes the
-    /// current state.
-    pub fn step(&mut self) -> PerfCounters {
-        let c = self.ws.apply_planes(&self.cur, &mut self.next);
-        std::mem::swap(&mut self.cur, &mut self.next);
-        c
-    }
-
-    /// The current single-plane grid.
-    pub fn grid(&self) -> &GlobalArray {
-        &self.cur[0]
-    }
-
-    /// The current volume's planes.
-    pub fn planes(&self) -> &[GlobalArray] {
-        &self.cur
-    }
-
-    /// Copy out the current planes — the checkpoint hook between steps.
-    /// Only the live side of the ping-pong pair is captured: the partner
-    /// buffer is fully overwritten by the next application, so it holds
-    /// no resumable state. The copy allocates (serialization may); the
-    /// step loop itself stays allocation-free.
-    pub fn capture_planes(&self) -> Vec<GlobalArray> {
-        self.cur.clone()
-    }
-
-    /// Consume the stepper, returning the current single-plane grid.
-    pub fn into_grid(mut self) -> GlobalArray {
-        self.cur.swap_remove(0)
-    }
-
-    /// Consume the stepper, returning the current planes.
-    pub fn into_planes(self) -> Vec<GlobalArray> {
-        self.cur
-    }
-}
-
-/// One (possibly fused) stencil application over a single-plane grid
-/// (allocating convenience form of the [`Stepper`] loop).
+/// One (possibly fused) stencil application of `plan` over a
+/// single-plane grid, into a new grid.
 pub fn apply_once(input: &GlobalArray, plan: &Plan) -> (GlobalArray, PerfCounters) {
     let mut ws = Workspace::new(plan, &plane_extents(std::slice::from_ref(input), plan.dims()));
     let mut out = GlobalArray::new(input.rows(), input.cols());
     let counters = ws.apply(input, &mut out);
     (out, counters)
-}
-
-/// The full time loop of a one-shot run: plan with the default
-/// [`ScheduleParams`], split the iterations into fused applications
-/// plus an unfused remainder, and step through both phases with reused
-/// buffers.
-pub fn run(
-    kernel: &StencilKernel,
-    config: ExecConfig,
-    planes: Vec<GlobalArray>,
-    iterations: usize,
-) -> (Vec<GlobalArray>, PerfCounters, BlockResources) {
-    let plan = Plan::new(kernel, config);
-    let rem_plan = || Plan::new(kernel, ExecConfig { allow_fusion: false, ..config });
-    let Ok(out) = run_with_plans(plan, rem_plan, planes, iterations, PerfCounters::new(), no_hook);
-    out
-}
-
-/// The explicit-params variant of [`run`]: execute with exactly the
-/// given [`ScheduleParams`]. This is the measurement primitive of
-/// `stencil-cli tune` — every candidate runs through the same loop the
-/// production path uses.
-pub fn run_tuned(
-    kernel: &StencilKernel,
-    config: ExecConfig,
-    params: ScheduleParams,
-    planes: Vec<GlobalArray>,
-    iterations: usize,
-) -> (Vec<GlobalArray>, PerfCounters, BlockResources) {
-    let plan = Plan::new_with_params(kernel, config, params);
-    // the remainder is unfused by construction; the candidate's other
-    // knobs still apply
-    let rem_plan =
-        || Plan::new_with_params(kernel, ExecConfig { allow_fusion: false, ..config }, params);
-    let Ok(out) = run_with_plans(plan, rem_plan, planes, iterations, PerfCounters::new(), no_hook);
-    out
-}
-
-/// The per-application hook of a run that only wants its result.
-fn no_hook(_: usize, _: &[GlobalArray], _: &PerfCounters) -> Result<(), Infallible> {
-    Ok(())
-}
-
-/// The one fused/remainder time loop: `iterations / plan.fusion`
-/// applications of `plan`, then the remainder one step at a time under
-/// `rem_plan()`, which is planned only if there is a remainder.
-/// Counters accumulate onto `counters` (a resumed run's prefix). After
-/// every application, `on_apply(advance, planes, counters)` sees the
-/// steps it advanced, the new planes and the running counters; an error
-/// from it stops the run.
-pub(crate) fn run_with_plans<E>(
-    plan: Plan,
-    rem_plan: impl FnOnce() -> Plan,
-    planes: Vec<GlobalArray>,
-    iterations: usize,
-    mut counters: PerfCounters,
-    mut on_apply: impl FnMut(usize, &[GlobalArray], &PerfCounters) -> Result<(), E>,
-) -> Result<(Vec<GlobalArray>, PerfCounters, BlockResources), E> {
-    let block = plan.block_resources();
-    let fusion = plan.fusion;
-    let rem = iterations % fusion;
-    let rem_plan = (rem > 0).then(rem_plan);
-    let mut stepper = Stepper::new(plan, planes);
-    for _ in 0..iterations / fusion {
-        counters.merge(&stepper.step());
-        on_apply(fusion, stepper.planes(), &counters)?;
-    }
-    if let Some(rp) = rem_plan {
-        stepper = Stepper::new(rp, stepper.into_planes());
-        for _ in 0..rem {
-            counters.merge(&stepper.step());
-            on_apply(1, stepper.planes(), &counters)?;
-        }
-    }
-    Ok((stepper.into_planes(), counters, block))
 }
 
 #[cfg(test)]
@@ -1115,12 +992,7 @@ mod tests {
         [
             ScheduleParams::default(),
             ScheduleParams { tile_rows: 64, tile_cols: 64, ..ScheduleParams::default() },
-            ScheduleParams {
-                tile_rows: 16,
-                tile_cols: 16,
-                staging: Staging::Double,
-                fuse_override: None,
-            },
+            ScheduleParams { tile_rows: 16, tile_cols: 16, staging: Staging::Double },
         ]
     }
 
@@ -1245,8 +1117,7 @@ mod tests {
                             _ => (0..3).map(|z| wavy(11, cols, z + 6)).collect(),
                         };
                         let extents = plane_extents(&planes, kernel.dims());
-                        let params =
-                            ScheduleParams { tile_rows, tile_cols, staging, ..Default::default() };
+                        let params = ScheduleParams { tile_rows, tile_cols, staging };
                         let config = ExecConfig { backend, ..ExecConfig::full() };
                         let plan = Plan::new_with_params(&kernel, config, params);
                         let case = format!(

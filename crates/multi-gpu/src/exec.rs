@@ -219,8 +219,7 @@ fn run_inner(
     assert_eq!(kernel.dims(), 2, "the distributed executor covers 2-D kernels");
     let iterations = (total - start_step) as usize;
     let (rows, cols) = (grid.rows(), grid.cols());
-    let plan = Plan::new(kernel, config);
-    let unfused = Plan::new(kernel, ExecConfig { allow_fusion: false, ..config });
+    let (plan, unfused) = Plan::with_remainder(kernel, config, Some(iterations));
     let full = iterations / plan.fusion;
     let rem = iterations % plan.fusion;
 
@@ -228,9 +227,9 @@ fn run_inner(
     let mut devices: Vec<Device> = slabs
         .iter()
         .map(|&slab| {
-            // ghost depth: the deepest radius any plan needs, tile-aligned
-            let g = plan.exec_kernel.radius.max(unfused.exec_kernel.radius);
-            let pad = stencil_core::tiling::ghost_extent(g, ALIGN);
+            // ghost depth: the fused radius (the deepest any plan needs,
+            // `fusion · r ≥ r`), tile-aligned
+            let pad = stencil_core::tiling::ghost_extent(plan.exec_kernel.radius, ALIGN);
             let mut local = GlobalArray::new(pad + slab.len + pad, cols);
             for r in 0..slab.len {
                 for c in 0..cols {
@@ -254,10 +253,9 @@ fn run_inner(
     // nothing.
     let mut ws_fused: Vec<Workspace> =
         devices.iter().map(|d| Workspace::new(&plan, &[d.local.rows(), cols])).collect();
-    let mut ws_unfused: Vec<Workspace> = if rem > 0 {
-        devices.iter().map(|d| Workspace::new(&unfused, &[d.local.rows(), cols])).collect()
-    } else {
-        Vec::new()
+    let mut ws_unfused: Vec<Workspace> = match &unfused {
+        Some(p) => devices.iter().map(|d| Workspace::new(p, &[d.local.rows(), cols])).collect(),
+        None => Vec::new(),
     };
 
     let step = |devices: &mut Vec<Device>,
@@ -292,18 +290,20 @@ fn run_inner(
         })
     };
 
-    // not `schedule::run_with_plans`: that drives one Stepper over whole
-    // planes, while here every device applies its own workspace to its
-    // slab, after a halo exchange
+    // not an `ExecSession`: that runs one workspace over whole planes,
+    // while here every device applies its own workspace to its slab,
+    // after a halo exchange
     for _ in 0..full {
         step(&mut devices, &mut per_device, &mut nvlink_bytes, &plan, &mut ws_fused);
         applies += 1;
         checkpoint(&devices, &per_device, plan.fusion as u64)?;
     }
-    for _ in 0..rem {
-        step(&mut devices, &mut per_device, &mut nvlink_bytes, &unfused, &mut ws_unfused);
-        applies += 1;
-        checkpoint(&devices, &per_device, 1)?;
+    if let Some(unfused) = &unfused {
+        for _ in 0..rem {
+            step(&mut devices, &mut per_device, &mut nvlink_bytes, unfused, &mut ws_unfused);
+            applies += 1;
+            checkpoint(&devices, &per_device, 1)?;
+        }
     }
 
     let written = ckpt.map_or(0, |c| c.written());

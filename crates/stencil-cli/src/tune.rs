@@ -14,9 +14,8 @@
 //! strip spans the plane whatever the tile shape, so timing them would
 //! only rank host noise.
 //!
-//! [`ScheduleParams::fuse_override`] is not searched: it changes the
-//! executed arithmetic, so the identity gate below always rejected it.
-//! 1-D tilings all tie: the gather charges per 64-point sub-chunk
+//! No candidate changes the temporal fusion depth: the planner alone
+//! chooses it. 1-D tilings all tie: the gather charges per 64-point sub-chunk
 //! whatever the job length, on the same block, so the default wins.
 //!
 //! **The bit-identity gate:** a non-default winner runs once next to
@@ -34,7 +33,9 @@
 use lorastencil::schedule::{self, grid_to_planes, RunCharges, ScheduleParams, Staging};
 use lorastencil::{ExecConfig, ExecSession, Plan};
 use stencil_core::StencilKernel;
-use tcu_sim::{occupancy, BlockResources, CostModel, DeviceSpec, Estimate, GlobalArray};
+use tcu_sim::{
+    occupancy, BlockResources, CostModel, DeviceSpec, Estimate, GlobalArray, PerfCounters,
+};
 
 /// Every tiling the chooser considers, launchable or not: tile extents
 /// clamped to the grid (a job larger than the grid is the same schedule
@@ -60,7 +61,7 @@ fn tilings(kernel: &StencilKernel, config: ExecConfig, extents: &[usize]) -> Vec
     for &tile_rows in tiles.iter().filter(|&&t| t == 8 || t <= rows) {
         for &tile_cols in tiles.iter().filter(|&&t| t == 8 || t <= col_cap) {
             for &staging in stagings {
-                let p = ScheduleParams { tile_rows, tile_cols, staging, ..Default::default() };
+                let p = ScheduleParams { tile_rows, tile_cols, staging };
                 debug_assert!(p.validate().is_ok());
                 out.push(p);
             }
@@ -152,8 +153,8 @@ fn planes_bit_identical(a: &[GlobalArray], b: &[GlobalArray]) -> bool {
 }
 
 /// The bit-identity gate: run the default schedule and `params` for
-/// `iters` steps on the `seed` grid; `params` passes when its output
-/// planes and schedule-invariant counters equal the default's exactly.
+/// `iters` steps on the `seed` grid; `params` passes when its run
+/// [`same_answer`] the default's.
 fn passes_gate(
     kernel: &StencilKernel,
     config: ExecConfig,
@@ -163,10 +164,21 @@ fn passes_gate(
     params: ScheduleParams,
 ) -> bool {
     let planes = grid_to_planes(&crate::make_grid(extents, seed));
-    let run = |p| schedule::run_tuned(kernel, config, p, planes.clone(), iters);
-    let (want, want_c, _) = run(ScheduleParams::default());
-    let (got, got_c, _) = run(params);
-    planes_bit_identical(&got, &want) && got_c.schedule_invariants() == want_c.schedule_invariants()
+    let run = |p| {
+        let (planes, counters, _) = schedule::run_tuned(kernel, config, p, planes.clone(), iters);
+        (planes, counters)
+    };
+    same_answer(&run(params), &run(ScheduleParams::default()))
+}
+
+/// The gate's comparison: output planes bit for bit, and the
+/// schedule-invariant counters exactly.
+fn same_answer(
+    got: &(Vec<GlobalArray>, PerfCounters),
+    want: &(Vec<GlobalArray>, PerfCounters),
+) -> bool {
+    planes_bit_identical(&got.0, &want.0)
+        && got.1.schedule_invariants() == want.1.schedule_invariants()
 }
 
 /// On-miss schedule choice: the serve daemon's cold-plan path.
@@ -188,11 +200,10 @@ pub fn tune_on_miss(
     choose_on_miss(kernel, config, extents, seed, iters, budget).0
 }
 
-/// [`tune_on_miss`] and a session running its schedule. When the choice
-/// ranked candidates, the session is built from the plans and lowerings
-/// the ranking made ([`ExecSession::from_charges`]), so a miss plans
-/// each kernel once; otherwise (`budget <= 1`) it is planned here
-/// ([`ExecSession::with_params`]).
+/// [`tune_on_miss`] and a session running its schedule, built from the
+/// plans and lowerings the ranking made ([`ExecSession::from_charges`]),
+/// so a miss plans each kernel once; when nothing was ranked
+/// (`budget <= 1`) it is planned here.
 pub fn session_on_miss(
     kernel: &StencilKernel,
     config: ExecConfig,
@@ -201,10 +212,9 @@ pub fn session_on_miss(
     iters: usize,
     budget: usize,
 ) -> (ScheduleParams, ExecSession) {
-    match choose_on_miss(kernel, config, extents, seed, iters, budget) {
-        (params, Some(charges)) => (params, ExecSession::from_charges(charges, params)),
-        (params, None) => (params, ExecSession::with_params(kernel, config, extents, params)),
-    }
+    let (params, charges) = choose_on_miss(kernel, config, extents, seed, iters, budget);
+    let charges = charges.unwrap_or_else(|| RunCharges::new(kernel, config, extents));
+    (params, ExecSession::from_charges(charges, params))
 }
 
 /// The on-miss schedule, and the charges it was ranked on (`None` when
@@ -315,7 +325,6 @@ pub fn tune_report(
 mod tests {
     use super::*;
     use crate::find_kernel;
-    use tcu_sim::PerfCounters;
 
     #[test]
     fn candidate_space_clamps_tiles_to_the_grid() {
@@ -331,7 +340,6 @@ mod tests {
         assert!(wide.iter().any(|p| p.staging == Staging::Double));
         for p in &wide {
             p.validate().unwrap();
-            assert_eq!(p.fuse_override, None, "{}", p.describe());
         }
     }
 
@@ -531,14 +539,23 @@ mod tests {
     }
 
     #[test]
-    fn the_identity_gate_rejects_a_fusion_override() {
-        // Heat-2D fuses 3×: overriding to 1 changes the arithmetic, so
-        // the gate rejects it; a tiling passes
+    fn the_identity_gate_rejects_a_flipped_bit_or_a_moved_invariant() {
+        // a tiling passes the gate; one flipped output bit or one changed
+        // invariant counter fails its comparison
         let k = find_kernel("Heat-2D").unwrap();
         let config = ExecConfig::full();
-        let unfused = ScheduleParams { fuse_override: Some(1), ..Default::default() };
-        assert!(!passes_gate(&k, config, &[32, 32], 7, 3, unfused));
         let tiled = ScheduleParams { tile_rows: 16, tile_cols: 32, ..Default::default() };
         assert!(passes_gate(&k, config, &[32, 32], 7, 3, tiled));
+        let planes = grid_to_planes(&crate::make_grid(&[32, 32], 7));
+        let (out, counters, _) = schedule::run_tuned(&k, config, tiled, planes, 3);
+        let want = (out, counters);
+        assert!(same_answer(&want, &want));
+        let mut flipped = want.clone();
+        let v = flipped.0[0].peek(5, 9);
+        flipped.0[0].poke(5, 9, f64::from_bits(v.to_bits() ^ 1));
+        assert!(!same_answer(&flipped, &want), "a flipped output bit must fail the gate");
+        let mut moved = want.clone();
+        moved.1.mma_ops += 1;
+        assert!(!same_answer(&moved, &want), "a moved invariant counter must fail the gate");
     }
 }

@@ -8,11 +8,9 @@
 //! feature configuration. This module samples a
 //! random valid parameter point per generated case and asserts exactly
 //! that, so the `tune` search space is fuzzed with the same generator
-//! coverage as the executors themselves.
-//!
-//! `fuse_override` is deliberately *not* sampled: overriding the fusion
-//! depth changes the executed arithmetic, which is why the `tune`
-//! chooser does not search it.
+//! coverage as the executors themselves. The temporal fusion depth is
+//! not a schedule parameter (the planner chooses it), so every sampled
+//! point runs the default schedule's arithmetic.
 
 use foundation::rng::Xoshiro256pp;
 use lorastencil::schedule::{self, grid_to_planes, ScheduleParams, Staging};
@@ -31,7 +29,6 @@ pub fn sample_params(case: &Case) -> (ScheduleParams, ExecConfig) {
         tile_rows: tiles[rng.range_usize(0, tiles.len())],
         tile_cols: tiles[rng.range_usize(0, tiles.len())],
         staging: if rng.range_usize(0, 2) == 0 { Staging::Single } else { Staging::Double },
-        fuse_override: None,
     };
     // the draw that once picked an MMA batch width: kept, so every case
     // samples the same config as before

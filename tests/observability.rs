@@ -11,9 +11,8 @@
 
 use foundation::json::Json;
 use foundation::obs;
-use lorastencil::{DeviceBackend, ExecConfig, Plan, Stepper};
+use lorastencil::{DeviceBackend, ExecConfig, ExecSession};
 use stencil_core::kernels;
-use tcu_sim::GlobalArray;
 
 /// The profiled backends, with the term span each must record.
 const BACKENDS: [(DeviceBackend, &str); 3] = [
@@ -29,16 +28,13 @@ fn profiled_run(backend: DeviceBackend) -> Profile {
     obs::reset();
     obs::enable();
     let config = ExecConfig { backend, ..ExecConfig::full() };
-    let plan = Plan::new(&kernels::box_2d9p(), config);
-    let mut input = GlobalArray::new(48, 48);
-    for r in 0..48 {
-        for c in 0..48 {
-            input.poke(r, c, ((r * 13 + c * 7) % 19) as f64 * 0.25 - 1.0);
-        }
-    }
-    let mut stepper = Stepper::from_grid(plan, input);
+    let mut sess = ExecSession::new(&kernels::box_2d9p(), config, &[48, 48]);
+    sess.fill_with(|i| {
+        let (r, c) = ((i / 48) as usize, (i % 48) as usize);
+        ((r * 13 + c * 7) % 19) as f64 * 0.25 - 1.0
+    });
     for _ in 0..3 {
-        stepper.step();
+        sess.run(sess.fusion());
     }
     obs::disable();
     let trace = obs::drain();
@@ -64,7 +60,7 @@ fn trace_and_breakdown_are_deterministic_across_thread_counts() {
         std::env::remove_var("FOUNDATION_THREADS");
 
         let (counts0, breakdown0, len0) = &runs[0];
-        assert!(!counts0.is_empty(), "the instrumented stepper must record spans");
+        assert!(!counts0.is_empty(), "the instrumented session must record spans");
         for phase in ["plan", "apply", "rdg_gather", terms_span] {
             assert!(
                 counts0.iter().any(|(n, _)| *n == phase),
@@ -89,9 +85,8 @@ fn trace_and_breakdown_are_deterministic_across_thread_counts() {
     std::env::set_var("FOUNDATION_THREADS", "2");
     obs::reset();
     obs::enable();
-    let plan = Plan::new(&kernels::box_2d9p(), ExecConfig::full());
-    let mut stepper = Stepper::from_grid(plan, GlobalArray::new(32, 32));
-    stepper.step();
+    let mut sess = ExecSession::new(&kernels::box_2d9p(), ExecConfig::full(), &[32, 32]);
+    sess.run(sess.fusion());
     obs::disable();
     std::env::remove_var("FOUNDATION_THREADS");
     let trace = obs::drain();
@@ -110,15 +105,17 @@ fn trace_and_breakdown_are_deterministic_across_thread_counts() {
     // ran on the fragment path: none on a plain run, some once a cell is
     // non-finite (`0 · inf` is NaN, so the band form cannot skip zeros)
     let step = |kernel: &stencil_core::StencilKernel, backend: DeviceBackend, value: f64| {
-        let plan = Plan::new(kernel, ExecConfig { backend, ..ExecConfig::full() });
-        let mut input = GlobalArray::new(32, 32);
-        for r in 0..32 {
-            for c in 0..32 {
-                input.poke(r, c, ((r * 5 + c * 3) % 7) as f64 * 0.5);
+        let config = ExecConfig { backend, ..ExecConfig::full() };
+        let mut sess = ExecSession::new(kernel, config, &[32, 32]);
+        sess.fill_with(|i| {
+            let (r, c) = ((i / 32) as usize, (i % 32) as usize);
+            if (r, c) == (9, 21) {
+                value
+            } else {
+                ((r * 5 + c * 3) % 7) as f64 * 0.5
             }
-        }
-        input.poke(9, 21, value);
-        Stepper::from_grid(plan, input).step();
+        });
+        sess.run(sess.fusion());
     };
     let fallbacks = |value: f64| {
         obs::reset();

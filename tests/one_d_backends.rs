@@ -18,8 +18,9 @@
 //! ```
 
 use foundation::crc::crc32;
+use lorastencil::fusion::fuse_kernel;
 use lorastencil::schedule::run_tuned;
-use lorastencil::{DeviceBackend, ExecConfig, ScheduleParams};
+use lorastencil::{decompose, DeviceBackend, ExecConfig, Plan, ScheduleParams, Workspace};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use stencil_core::{kernels, StencilKernel};
@@ -103,6 +104,34 @@ fn row(
     cells: Cells,
 ) {
     let (planes, counters, _) = run_tuned(kernel, config, params, vec![input], iters);
+    write_row(out, case, cells, &planes, &counters);
+}
+
+/// One application of the 2-D `kernel` fused `fuse` steps deep under the
+/// default schedule: the plan the planner makes at that fusion depth.
+fn fused_once(
+    kernel: &StencilKernel,
+    fuse: usize,
+    config: ExecConfig,
+    input: GlobalArray,
+) -> (Vec<GlobalArray>, PerfCounters) {
+    let exec = fuse_kernel(kernel, fuse);
+    let decomp = decompose(exec.weights_2d(), 1e-12);
+    let plan = Plan::custom_2d(exec, fuse, decomp, config);
+    let (rows, cols) = (input.rows(), input.cols());
+    let mut out = vec![GlobalArray::new(rows, cols)];
+    let counters = Workspace::new(&plan, &[rows, cols]).apply_planes(&[input], &mut out);
+    (out, counters)
+}
+
+/// Append the row of `case`: the crc32 of `planes` and the `counters`.
+fn write_row(
+    out: &mut String,
+    case: &str,
+    cells: Cells,
+    planes: &[GlobalArray],
+    counters: &PerfCounters,
+) {
     // a NaN's sign and payload depend on which operand the compiled code
     // propagates, which differs between optimization levels; every other
     // bit is pinned exactly
@@ -148,14 +177,14 @@ fn current_table() -> String {
     }
     // 13 fused Heat-2D steps: radius 13, a 40-wide window
     let kernel = kernels::heat_2d();
-    let params = ScheduleParams { fuse_override: Some(13), ..ScheduleParams::default() };
     for backend in [DeviceBackend::TcuF64, DeviceBackend::SparseTcu] {
         for (cname, _, use_bvs) in [CONFIGS[0], CONFIGS[2]] {
             let config = ExecConfig { backend, use_bvs, ..ExecConfig::full() };
             for cells in [Cells::Plain, Cells::NonFinite, Cells::Huge] {
                 let case = format!("{}\t{backend:?}\t{cname}\tfuse13\t61x70\t13", kernel.name);
-                let input = plant(wavy(61, 70, 1), cells);
-                row(&mut out, &case, &kernel, config, params, 13, input, cells);
+                let (planes, counters) =
+                    fused_once(&kernel, 13, config, plant(wavy(61, 70, 1), cells));
+                write_row(&mut out, &case, cells, &planes, &counters);
             }
         }
     }

@@ -14,8 +14,9 @@
 //! ```
 
 use foundation::crc::crc32;
+use lorastencil::fusion::fuse_kernel;
 use lorastencil::schedule::run_tuned;
-use lorastencil::{DeviceBackend, ExecConfig, ScheduleParams, Staging};
+use lorastencil::{decompose, DeviceBackend, ExecConfig, Plan, ScheduleParams, Staging, Workspace};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use stencil_core::{kernels, kernels_ext, StencilKernel};
@@ -27,33 +28,9 @@ const BACKENDS: [DeviceBackend; 2] = [DeviceBackend::CudaCore, DeviceBackend::Si
 const CONFIGS: [(&str, bool); 2] = [("full", true), ("no-fusion", false)];
 
 const SHAPES: [(&str, ScheduleParams); 3] = [
-    (
-        "default",
-        ScheduleParams {
-            tile_rows: 8,
-            tile_cols: 8,
-            staging: Staging::Single,
-            fuse_override: None,
-        },
-    ),
-    (
-        "64x64",
-        ScheduleParams {
-            tile_rows: 64,
-            tile_cols: 64,
-            staging: Staging::Single,
-            fuse_override: None,
-        },
-    ),
-    (
-        "16x16-double",
-        ScheduleParams {
-            tile_rows: 16,
-            tile_cols: 16,
-            staging: Staging::Double,
-            fuse_override: None,
-        },
-    ),
+    ("default", ScheduleParams { tile_rows: 8, tile_cols: 8, staging: Staging::Single }),
+    ("64x64", ScheduleParams { tile_rows: 64, tile_cols: 64, staging: Staging::Single }),
+    ("16x16-double", ScheduleParams { tile_rows: 16, tile_cols: 16, staging: Staging::Double }),
 ];
 
 fn golden_path() -> PathBuf {
@@ -97,6 +74,35 @@ fn row(
     non_finite: bool,
 ) {
     let (planes, counters, _) = run_tuned(kernel, config, params, input(kernel, non_finite), iters);
+    write_row(out, case, non_finite, &planes, &counters);
+}
+
+/// One application of the 2-D `kernel` fused `fuse` steps deep under the
+/// default schedule: the plan the planner makes at that fusion depth.
+fn fused_once(
+    kernel: &StencilKernel,
+    fuse: usize,
+    config: ExecConfig,
+    non_finite: bool,
+) -> (Vec<GlobalArray>, PerfCounters) {
+    let exec = fuse_kernel(kernel, fuse);
+    let decomp = decompose(exec.weights_2d(), 1e-12);
+    let plan = Plan::custom_2d(exec, fuse, decomp, config);
+    let planes = input(kernel, non_finite);
+    let (rows, cols) = (planes[0].rows(), planes[0].cols());
+    let mut out = vec![GlobalArray::new(rows, cols)];
+    let counters = Workspace::new(&plan, &[rows, cols]).apply_planes(&planes, &mut out);
+    (out, counters)
+}
+
+/// Append the row of `case`: the crc32 of `planes` and the `counters`.
+fn write_row(
+    out: &mut String,
+    case: &str,
+    non_finite: bool,
+    planes: &[GlobalArray],
+    counters: &PerfCounters,
+) {
     // a NaN's sign and payload depend on which operand the compiled code
     // propagates, which differs between optimization levels; every other
     // bit is pinned exactly
@@ -149,11 +155,11 @@ fn current_table() -> String {
     for kernel in [kernels::heat_2d(), kernels::box_2d9p()] {
         for backend in BACKENDS {
             for (fuse, sname) in [(20, "S48"), (36, "S80")] {
-                let params = ScheduleParams { fuse_override: Some(fuse), ..SHAPES[0].1 };
                 let config = ExecConfig { backend, ..ExecConfig::full() };
                 for non_finite in [false, true] {
                     let case = format!("{}\t{backend:?}\tfull\t{sname}\t{fuse}", kernel.name);
-                    row(&mut out, &case, &kernel, config, params, fuse, non_finite);
+                    let (planes, counters) = fused_once(&kernel, fuse, config, non_finite);
+                    write_row(&mut out, &case, non_finite, &planes, &counters);
                 }
             }
         }

@@ -1,5 +1,5 @@
-//! Zero-allocation steady-state executor loop: once a [`Stepper`] is
-//! warmed up, further time steps perform **no heap allocation** and
+//! Zero-allocation steady-state executor loop: once an [`ExecSession`]
+//! is warmed up, further time steps perform **no heap allocation** and
 //! spawn **no threads** — the double-buffered grids, the tiling, the
 //! weight fragments, the counter slots and the per-worker scratch are
 //! all reused, and the worker pool persists (see DESIGN.md, "Host-side
@@ -13,12 +13,36 @@
 
 use foundation::alloc_counter::{allocation_count, CountingAllocator};
 use foundation::par::threads_spawned;
-use lorastencil::{DeviceBackend, ExecConfig, Plan, ScheduleParams, Stepper};
-use stencil_core::kernels;
+use lorastencil::fusion::fuse_kernel;
+use lorastencil::{DeviceBackend, ExecConfig, ExecSession, ScheduleParams};
+use stencil_core::{kernels, StencilKernel};
 use tcu_sim::GlobalArray;
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
+
+/// A session of `kernel` under `config` and `params` whose current grid
+/// is `planes`.
+fn session(
+    kernel: &StencilKernel,
+    config: ExecConfig,
+    params: ScheduleParams,
+    planes: &[GlobalArray],
+) -> ExecSession {
+    let extents = match planes {
+        [p] if kernel.dims() == 2 => vec![p.rows(), p.cols()],
+        _ => vec![planes.len(), planes[0].rows(), planes[0].cols()],
+    };
+    let mut s = ExecSession::with_params(kernel, config, &extents, params);
+    let values: Vec<f64> = planes.iter().flat_map(|p| p.as_slice().iter().copied()).collect();
+    s.fill_with(|i| values[i as usize]);
+    s
+}
+
+/// Advance one (possibly fused) application.
+fn step(s: &mut ExecSession) {
+    s.run(s.fusion());
+}
 
 /// One test function (not two) so the `FOUNDATION_THREADS` mutations
 /// cannot race another test in this binary.
@@ -29,25 +53,25 @@ fn steady_state_steps_allocate_nothing_and_spawn_nothing() {
     // no clock read, no event, no allocation — so the assertions below
     // also prove the observability layer is free when off.
     assert!(!foundation::obs::enabled(), "span tracing must default to off");
-    let plan = Plan::new(&kernels::box_2d9p(), ExecConfig::full());
     let mut input = GlobalArray::new(64, 64);
     for r in 0..64 {
         for c in 0..64 {
             input.poke(r, c, ((r * 13 + c * 7) % 19) as f64 * 0.25 - 1.0);
         }
     }
-    let mut stepper = Stepper::from_grid(plan, input);
+    let mut sess =
+        session(&kernels::box_2d9p(), ExecConfig::full(), ScheduleParams::default(), &[input]);
 
     // Allocation assertion under sequential lanes: each pool worker
     // lazily allocates its tile scratch on the first tile it ever runs,
     // and the OS scheduler decides when a worker first wins a lane, so
     // only the single-lane loop has a deterministic allocation profile.
     std::env::set_var("FOUNDATION_THREADS", "1");
-    stepper.step();
-    stepper.step(); // warm-up: counter slots, main-thread scratch
+    step(&mut sess);
+    step(&mut sess); // warm-up: counter slots, main-thread scratch
     let allocs = allocation_count();
     for _ in 0..8 {
-        stepper.step();
+        step(&mut sess);
     }
     assert_eq!(
         allocation_count(),
@@ -59,13 +83,13 @@ fn steady_state_steps_allocate_nothing_and_spawn_nothing() {
     // their window and T columns live in the per-worker scratch.
     for backend in DeviceBackend::all() {
         let config = ExecConfig { backend, ..ExecConfig::full() };
-        let mut stepper =
-            Stepper::from_grid(Plan::new(&kernels::heat_2d(), config), stepper.grid().clone());
-        stepper.step();
-        stepper.step();
+        let mut sess =
+            session(&kernels::heat_2d(), config, ScheduleParams::default(), sess.planes());
+        step(&mut sess);
+        step(&mut sess);
         let allocs = allocation_count();
         for _ in 0..4 {
-            stepper.step();
+            step(&mut sess);
         }
         assert_eq!(
             allocation_count(),
@@ -85,14 +109,15 @@ fn steady_state_steps_allocate_nothing_and_spawn_nothing() {
     }
     for backend in [DeviceBackend::CudaCore, DeviceBackend::SimdCore] {
         for fuse in [20, 36] {
-            let config = ExecConfig { backend, ..ExecConfig::full() };
-            let params = ScheduleParams { fuse_override: Some(fuse), ..ScheduleParams::default() };
-            let plan = Plan::new_with_params(&kernels::heat_2d(), config, params);
-            let mut wide = Stepper::from_grid(plan, small.clone());
-            wide.step();
+            // Heat-2D fused ahead of planning: one application is `fuse` steps
+            let config = ExecConfig { backend, allow_fusion: false, ..ExecConfig::full() };
+            let fused = fuse_kernel(&kernels::heat_2d(), fuse);
+            let mut wide =
+                session(&fused, config, ScheduleParams::default(), std::slice::from_ref(&small));
+            step(&mut wide);
             let (allocs, spawned) = (allocation_count(), threads_spawned());
             for _ in 0..2 {
-                wide.step();
+                step(&mut wide);
             }
             assert_eq!(
                 (allocation_count(), threads_spawned()),
@@ -106,15 +131,17 @@ fn steady_state_steps_allocate_nothing_and_spawn_nothing() {
     // tables inline in the weight fragments and its transposed window in
     // the per-worker scratch: Box-2D49P on TcuF64, three pyramid terms
     // plus a pointwise tip, allocates nothing either.
-    let mut box49 = Stepper::from_grid(
-        Plan::new(&kernels::box_2d49p(), ExecConfig::full()),
-        stepper.grid().clone(),
+    let mut box49 = session(
+        &kernels::box_2d49p(),
+        ExecConfig::full(),
+        ScheduleParams::default(),
+        sess.planes(),
     );
-    box49.step();
-    box49.step();
+    step(&mut box49);
+    step(&mut box49);
     let allocs = allocation_count();
     for _ in 0..4 {
-        box49.step();
+        step(&mut box49);
     }
     assert_eq!(
         allocation_count(),
@@ -143,37 +170,35 @@ fn steady_state_steps_allocate_nothing_and_spawn_nothing() {
     let tcu = [DeviceBackend::TcuF64, DeviceBackend::SparseTcu];
     let shapes = [
         ScheduleParams { tile_rows: 64, tile_cols: 64, ..ScheduleParams::default() },
-        ScheduleParams {
-            tile_rows: 16,
-            tile_cols: 16,
-            staging: lorastencil::Staging::Double,
-            ..ScheduleParams::default()
-        },
+        ScheduleParams { tile_rows: 16, tile_cols: 16, staging: lorastencil::Staging::Double },
     ];
-    let mut strip_runs: Vec<(String, Stepper)> = tcu
+    let mut strip_runs: Vec<(String, ExecSession)> = tcu
         .iter()
         .map(|&backend| {
             let config = ExecConfig { backend, ..ExecConfig::full() };
-            let plan = Plan::new(&kernels::box_2d49p(), config);
             (
                 format!("Box-2D49P 16x512 on {backend:?}"),
-                Stepper::from_grid(plan, wide_grid.clone()),
+                session(
+                    &kernels::box_2d49p(),
+                    config,
+                    ScheduleParams::default(),
+                    std::slice::from_ref(&wide_grid),
+                ),
             )
         })
         .collect();
     for kernel in [kernels::heat_3d(), kernels::box_3d27p()] {
         for params in shapes {
-            let plan = Plan::new_with_params(&kernel, ExecConfig::full(), params);
             let name = format!("{} {}", kernel.name, params.describe());
-            strip_runs.push((name, Stepper::new(plan, volume.clone())));
+            strip_runs.push((name, session(&kernel, ExecConfig::full(), params, &volume)));
         }
     }
-    for (name, strip_stepper) in &mut strip_runs {
-        strip_stepper.step();
-        strip_stepper.step();
+    for (name, strip_sess) in &mut strip_runs {
+        step(strip_sess);
+        step(strip_sess);
         let (allocs, spawned) = (allocation_count(), threads_spawned());
         for _ in 0..3 {
-            strip_stepper.step();
+            step(strip_sess);
         }
         assert_eq!(
             (allocation_count(), threads_spawned()),
@@ -187,7 +212,7 @@ fn steady_state_steps_allocate_nothing_and_spawn_nothing() {
     // persisting a snapshot allocates (it clones the live planes and
     // encodes them), but the steps *between* checkpoints must stay
     // allocation-free — the snapshot hook may not leave any per-step
-    // allocation behind in the stepper.
+    // allocation behind in the session.
     let store_dir = std::env::temp_dir().join("lorastencil-steady-ckpt");
     let _ = std::fs::remove_dir_all(&store_dir);
     let store = stencil_core::checkpoint::CheckpointStore::new(&store_dir, 2).unwrap();
@@ -196,7 +221,7 @@ fn steady_state_steps_allocate_nothing_and_spawn_nothing() {
         lorastencil::checkpoint::plan_fingerprint(&kernel, ExecConfig::full(), &[64, 64]);
     for round in 0..3u64 {
         // a checkpoint boundary: capture + encode + fsync (may allocate)
-        let planes = stepper.capture_planes();
+        let planes = sess.planes().to_vec();
         let snap = stencil_core::checkpoint::Snapshot {
             flags: stencil_core::checkpoint::FLAG_SEEDED_INPUT,
             fingerprint,
@@ -223,7 +248,7 @@ fn steady_state_steps_allocate_nothing_and_spawn_nothing() {
         // ... and the steps between checkpoints stay allocation-free
         let allocs = allocation_count();
         for _ in 0..4 {
-            stepper.step();
+            step(&mut sess);
         }
         assert_eq!(
             allocation_count(),
@@ -268,10 +293,10 @@ fn steady_state_steps_allocate_nothing_and_spawn_nothing() {
     // pool width, including one wider than the job count divides evenly.
     for lanes in ["2", "7"] {
         std::env::set_var("FOUNDATION_THREADS", lanes);
-        stepper.step(); // warm-up: grows the pool to `lanes - 1` workers
+        step(&mut sess); // warm-up: grows the pool to `lanes - 1` workers
         let spawned = threads_spawned();
         for _ in 0..8 {
-            stepper.step();
+            step(&mut sess);
         }
         assert_eq!(
             threads_spawned(),

@@ -31,33 +31,9 @@ const CONFIGS: [(&str, bool, bool); 3] =
     [("full", true, true), ("no-fusion", false, true), ("no-bvs", true, false)];
 
 const SHAPES: [(&str, ScheduleParams); 3] = [
-    (
-        "default",
-        ScheduleParams {
-            tile_rows: 8,
-            tile_cols: 8,
-            staging: Staging::Single,
-            fuse_override: None,
-        },
-    ),
-    (
-        "64x64",
-        ScheduleParams {
-            tile_rows: 64,
-            tile_cols: 64,
-            staging: Staging::Single,
-            fuse_override: None,
-        },
-    ),
-    (
-        "16x16-double",
-        ScheduleParams {
-            tile_rows: 16,
-            tile_cols: 16,
-            staging: Staging::Double,
-            fuse_override: None,
-        },
-    ),
+    ("default", ScheduleParams { tile_rows: 8, tile_cols: 8, staging: Staging::Single }),
+    ("64x64", ScheduleParams { tile_rows: 64, tile_cols: 64, staging: Staging::Single }),
+    ("16x16-double", ScheduleParams { tile_rows: 16, tile_cols: 16, staging: Staging::Double }),
 ];
 
 /// The planted-cell inputs besides `plain`.
