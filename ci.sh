@@ -114,11 +114,15 @@ tune_smoke() {
     # byte (DESIGN.md §12). That a chosen schedule keeps the values and
     # invariant counters is checked by serve_smoke's served-vs-offline
     # parity, the params_grid fuzz and session_on_miss_runs_the_on_miss_schedule.
+    # The last key, Box-2D9P 16x16 without cp.async, picks a non-default
+    # tiling, so its winner must have passed the release binary's
+    # identity gate.
     local cli="cargo run --release --offline -p stencil-cli --bin lorastencil-cli --"
-    local spec first again
-    for spec in "Box-2D9P:96" "Heat-1D:4096"; do
-        first=$($cli tune --kernel "${spec%%:*}" --size "${spec##*:}" --iters 2)
-        again=$($cli tune --kernel "${spec%%:*}" --size "${spec##*:}" --iters 2)
+    local spec kernel size config first again
+    for spec in "Box-2D9P:96:full" "Heat-1D:4096:full" "Box-2D9P:16:no-async"; do
+        IFS=: read -r kernel size config <<<"$spec"
+        first=$($cli tune --kernel "$kernel" --size "$size" --config "$config" --iters 2)
+        again=$($cli tune --kernel "$kernel" --size "$size" --config "$config" --iters 2)
         if ! cmp <(echo "$first") <(echo "$again"); then
             echo "error: two tunes of $spec printed different reports" >&2
             exit 1
@@ -127,6 +131,8 @@ tune_smoke() {
             || { echo "error: tune of $spec named no winner" >&2; exit 1; }
         grep "^winner: " <<<"$first" | sed "s/^/   $spec /"
     done
+    grep "^winner: " <<<"$first" | grep -q "passed the identity gate" \
+        || { echo "error: tune of $spec kept the default; its gate never ran" >&2; exit 1; }
 }
 
 backend_smoke() {

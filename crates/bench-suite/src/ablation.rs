@@ -2,7 +2,8 @@
 //!
 //! 1. **Decomposition strategy** — every applicable strategy per kernel,
 //!    priced by measured per-tile counters (does the paper's PMA beat a
-//!    plain eigendecomposition? when does the autotuner diverge?).
+//!    plain eigendecomposition? when does another strategy need fewer
+//!    terms?).
 //! 2. **Fusion factor** — the §IV-A temporal-fusion depth sweep: the
 //!    paper fixes 3×; the sweep shows the sweet spot and the cliff when
 //!    the fused radius no longer fits the 16×16 tile.
@@ -13,10 +14,11 @@
 use crate::report::{format_table, geomean};
 use crate::runner::evaluate;
 use crate::workloads;
+use lorastencil::decompose::{self, eigen, pyramid, star, svd, Decomposition};
 use lorastencil::rdg::RdgGeometry;
 use lorastencil::schedule::apply_once;
-use lorastencil::{autotune, decompose, fusion, ExecConfig, LoRaStencil, Plan};
-use stencil_core::{kernels, Grid2D, StencilKernel};
+use lorastencil::{fusion, ExecConfig, LoRaStencil, Plan};
+use stencil_core::{kernels, Grid2D, WeightMatrix};
 use tcu_sim::{CostModel, GlobalArray, PerfCounters};
 
 /// Run one custom plan over a grid and return counters.
@@ -25,6 +27,22 @@ fn run_plan(plan: &Plan, n: usize) -> PerfCounters {
     let input = GlobalArray::from_vec(n, n, grid.as_slice().to_vec());
     let (_, counters) = apply_once(&input, plan);
     counters
+}
+
+/// Every decomposition strategy applicable to `w`, in precedence order.
+fn candidates(w: &WeightMatrix, tol: f64) -> Vec<Decomposition> {
+    let mut out = Vec::with_capacity(4);
+    if let Some(d) = star::star(w, tol) {
+        out.push(d);
+    }
+    if let Ok(d) = pyramid::pyramidal(w, tol) {
+        out.push(d);
+    }
+    if let Some(d) = eigen::eigen(w, tol) {
+        out.push(d);
+    }
+    out.push(svd::svd(w, tol));
+    out
 }
 
 /// Study 1: decomposition-strategy ablation on the fused 2-D kernels.
@@ -37,7 +55,7 @@ pub fn decomposition_ablation(model: &CostModel) -> String {
         let fused = fusion::fuse_kernel(&k, fusion::fusion_factor(&k));
         let geo = RdgGeometry::for_radius(fused.radius);
         let base_plan = Plan::new(&k, ExecConfig::full());
-        for cand in autotune::candidates(fused.weights_2d(), 1e-12) {
+        for cand in candidates(fused.weights_2d(), 1e-12) {
             if cand.reconstruction_error(fused.weights_2d()) > 1e-8 {
                 continue;
             }
@@ -61,7 +79,7 @@ pub fn decomposition_ablation(model: &CostModel) -> String {
         "Ablation 1 — decomposition strategy (same executor, same tiles, measured counters)\n\n",
     );
     out.push_str(&format_table(&header, &rows));
-    out.push_str("\nPyramidal wins ties by construction (decreasing term sizes, free 1x1 tip);\nthe autotuner only diverges when the matrix rank is below the pyramid's term count.\n");
+    out.push_str("\nPyramidal wins ties by construction (decreasing term sizes, free 1x1 tip);\nanother strategy needs fewer terms only when the matrix rank is below the pyramid's term count.\n");
     out
 }
 
@@ -162,38 +180,6 @@ pub fn headline_ratio(model: &CostModel) -> f64 {
         })
         .collect();
     geomean(&ratios)
-}
-
-/// Autotune-vs-default planning comparison across every 2-D kernel
-/// (including the extended library).
-pub fn autotune_report() -> String {
-    let mut rows = Vec::new();
-    let mut all: Vec<StencilKernel> = kernels::all_kernels();
-    all.extend(stencil_core::kernels_ext::all_extended());
-    for k in all {
-        if k.dims() != 2 {
-            continue;
-        }
-        let d = Plan::new(&k, ExecConfig::full());
-        let a = Plan::new_autotuned(&k, ExecConfig::full());
-        rows.push(vec![
-            k.name.clone(),
-            format!("{:?} ({})", d.decomp().strategy, d.decomp().num_terms()),
-            format!("{:?} ({})", a.decomp().strategy, a.decomp().num_terms()),
-            if autotune::tile_cost(a.decomp(), a.geo) < autotune::tile_cost(d.decomp(), d.geo) {
-                "autotune wins".to_string()
-            } else {
-                "tie".to_string()
-            },
-        ]);
-    }
-    let header: Vec<String> = ["Kernel", "Default (terms)", "Autotuned (terms)", "Outcome"]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-    let mut out = String::from("Ablation 4 — autotuned vs precedence-based planning\n\n");
-    out.push_str(&format_table(&header, &rows));
-    out
 }
 
 #[cfg(test)]

@@ -1,6 +1,5 @@
 //! Ablation studies of the design choices: decomposition strategy,
-//! temporal-fusion depth, cost-model sensitivity, and autotuned vs
-//! precedence-based planning.
+//! temporal-fusion depth and cost-model sensitivity.
 
 fn main() {
     let model = tcu_sim::CostModel::a100();
@@ -9,6 +8,4 @@ fn main() {
     println!("{}", bench_suite::ablation::fusion_sweep(&model));
     println!();
     println!("{}", bench_suite::ablation::sensitivity(&model));
-    println!();
-    println!("{}", bench_suite::ablation::autotune_report());
 }

@@ -27,9 +27,7 @@
 //! silently continued under a different plan.
 
 use crate::plan::ExecConfig;
-use crate::schedule::{
-    grid_to_planes, plane_extents, planes_to_grid, ExecSession, ScheduleParams, Staging,
-};
+use crate::schedule::{grid_to_planes, plane_extents, planes_to_grid, ExecSession, ScheduleParams};
 use stencil_core::checkpoint::{CheckpointStore, Plane, Snapshot, FLAG_SEEDED_INPUT};
 use stencil_core::{GridData, StencilKernel};
 use tcu_sim::{BlockResources, GlobalArray, PerfCounters};
@@ -84,13 +82,10 @@ pub fn plan_fingerprint(kernel: &StencilKernel, config: ExecConfig, extents: &[u
     let params = ScheduleParams::default();
     h.eat_u64(params.tile_rows as u64);
     h.eat_u64(params.tile_cols as u64);
-    h.eat_u64(match params.staging {
-        Staging::Single => 0,
-        Staging::Double => 1,
-    });
-    // the MMA batch width and the fusion override the LSC1 format once
-    // carried, at their only values (1 and none): kept so existing
-    // snapshots keep their fingerprints
+    // the staging discipline, the MMA batch width and the fusion override
+    // the LSC1 format once carried, at their only values (single, 1 and
+    // none): kept so existing snapshots keep their fingerprints
+    h.eat_u64(0);
     h.eat_u64(1);
     h.eat_u64(0);
     h.0

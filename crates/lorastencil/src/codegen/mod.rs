@@ -39,7 +39,7 @@ pub mod wgsl;
 pub mod wmma;
 
 use crate::plan::Plan;
-use crate::schedule::{BackendKind, Op, Schedule, Staging};
+use crate::schedule::{BackendKind, Op, Schedule};
 use tcu_sim::MMA_K;
 
 /// A code-generation target.
@@ -171,11 +171,8 @@ impl Cx<'_> {
 #[derive(Debug, Default)]
 pub struct EmitState {
     /// Whether the X fragment array has been declared yet (the first
-    /// `FragBuild` declares it; later ones on other slots reuse it).
+    /// `FragBuild` declares it; later ones reuse it).
     pub x_declared: bool,
-    /// The slot the most recent `FragBuild` targeted — what emulated
-    /// chains (which read the staged window directly) index.
-    pub live_slot: u8,
 }
 
 /// How a constant table shows up in a listing: the token that declares
@@ -316,18 +313,6 @@ pub fn emit_cuda(plan: &Plan) -> String {
 /// listing reproduces the simulator bit for bit.
 pub fn lit(x: f64) -> String {
     format!("{x:?}")
-}
-
-/// The shared-window expression an op's `slot` addresses: single-staged
-/// schedules have one unindexed window, double-staged schedules a
-/// two-slot ping-pong array. Shared across emitters (the slot structure
-/// is target-independent).
-pub(crate) fn tile_name(sched: &Schedule, slot: u8) -> String {
-    if sched.staging == Staging::Double {
-        format!("tile[{slot}]")
-    } else {
-        "tile".to_string()
-    }
 }
 
 /// The target-independent banner: what was planned, how it decomposed,
@@ -503,25 +488,6 @@ mod tests {
                 .count();
             assert_eq!(v_tables, terms, "{}", k.name);
         }
-    }
-
-    #[test]
-    fn double_staged_listing_ping_pongs_two_slots() {
-        use crate::schedule::ScheduleParams;
-        let params = ScheduleParams { staging: Staging::Double, ..ScheduleParams::default() };
-        let plan = Plan::new_with_params(&kernels::box_3d27p(), ExecConfig::full(), params);
-        let code = emit_cuda(&plan);
-        // two-slot shared window, both slots touched, prefetch annotated
-        assert!(code.contains("__shared__ double tile[2]["));
-        assert!(code.contains("tile[0][e / "));
-        assert!(code.contains("tile[1][e / "));
-        assert!(code.contains("prefetch plane"));
-        assert!(code.contains("cp.async.wait_group"));
-        // the default single-staged listing is untouched by the feature
-        let single = emit_cuda(&Plan::new(&kernels::box_3d27p(), ExecConfig::full()));
-        assert!(!single.contains("tile[2]["));
-        assert!(!single.contains("prefetch"));
-        assert!(single.contains("cp.async.wait_all"));
     }
 
     #[test]
@@ -764,30 +730,16 @@ mod tests {
         use std::collections::BTreeSet;
 
         // Together these plans reach every reachable point of the
-        // Op × Staging × DeviceBackend lattice:
-        // * Heat-1D — RdgGather + Stage under Single staging (1-D always
-        //   lowers to the dense TCU backend, whatever the config says);
-        // * Box-2D49P — Stage/FragBuild/MmaChain/Pointwise, Double
-        //   staging on the fragment backends, Single on the scalar ones;
+        // Op × DeviceBackend lattice:
+        // * Heat-1D — RdgGather (1-D always lowers to the dense TCU
+        //   backend, whatever the config says);
+        // * Box-2D49P — Stage/FragBuild/MmaChain/Pointwise;
         // * Skip-3D — SkipPlane + PointwisePlane alongside the RDG ops.
         let kernels_under_test = [kernels::heat_1d(), kernels::box_2d49p(), skip_plane_kernel()];
         let mut seen_ops: BTreeSet<&'static str> = BTreeSet::new();
-        let mut seen_staging: BTreeSet<&'static str> = BTreeSet::new();
-        // ask for Double staging everywhere; lowering resolves it back to
-        // Single wherever the pipeline can't exist (1-D, scalar backends)
-        let params = crate::schedule::ScheduleParams {
-            staging: Staging::Double,
-            ..crate::schedule::ScheduleParams::default()
-        };
         for kernel in &kernels_under_test {
             for backend in crate::DeviceBackend::all() {
-                let cfg = ExecConfig { backend, ..ExecConfig::full() };
-                let plan = Plan::new_with_params(kernel, cfg, params);
-                let sched = Schedule::lower(&plan);
-                seen_staging.insert(match sched.staging {
-                    Staging::Single => "single",
-                    Staging::Double => "double",
-                });
+                let plan = Plan::new(kernel, ExecConfig { backend, ..ExecConfig::full() });
                 for target in Target::ALL {
                     let a = audit(&plan, target);
                     for (i, op) in a.ops.iter().enumerate() {
@@ -819,7 +771,6 @@ mod tests {
         // the plans above reached all of them on all targets
         let want: BTreeSet<&'static str> = Op::VOCABULARY.into_iter().collect();
         assert_eq!(seen_ops, want, "some Op variant never rendered");
-        assert_eq!(seen_staging.len(), 2, "both staging modes must be exercised");
     }
 
     #[test]

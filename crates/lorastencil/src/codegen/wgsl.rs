@@ -23,7 +23,7 @@
 //! mechanisms are native, emulated, or preserved, so a reader can audit
 //! the port at a glance.
 
-use super::{banner, lit, tile_name, Caps, ChainLower, Cx, EmitState, Target};
+use super::{banner, lit, Caps, ChainLower, Cx, EmitState, Target};
 use crate::schedule::{AccSplit, BackendKind, Op, Schedule};
 use std::fmt::Write as _;
 use tcu_sim::MMA_K;
@@ -135,10 +135,9 @@ fn scalar_term_tables(sched: &Schedule, ti: usize, out: &mut String) {
 }
 
 /// Emit the global→workgroup staging of one S×S window ([`Op::Stage`]).
-fn emit_stage(sched: &Schedule, dz: Option<usize>, slot: u8, out: &mut String) {
+fn emit_stage(sched: &Schedule, dz: Option<usize>, out: &mut String) {
     let s = sched.geo.s;
     let h = sched.h;
-    let tile = tile_name(sched, slot);
     if sched.copy_mode == tcu_sim::CopyMode::Async {
         writeln!(out, "  // §IV-B analogue: cp.async EMULATED — plain workgroup staging + barrier")
             .unwrap();
@@ -152,13 +151,13 @@ fn emit_stage(sched: &Schedule, dz: Option<usize>, slot: u8, out: &mut String) {
         Some(dz) => format!("base{dz} + "),
         None => String::new(),
     };
-    writeln!(out, "    {tile}[e / {s}u][e % {s}u] = field_in[{base}u32(rr * cols + cc)];").unwrap();
+    writeln!(out, "    tile[e / {s}u][e % {s}u] = field_in[{base}u32(rr * cols + cc)];").unwrap();
     writeln!(out, "  }}").unwrap();
     writeln!(out, "  workgroupBarrier();").unwrap();
 }
 
 /// Emit one emulated RDG matrix chain (both accumulator splits).
-fn emit_frag_chain(cx: &Cx, ti: usize, tile: &str, out: &mut String) {
+fn emit_frag_chain(cx: &Cx, ti: usize, out: &mut String) {
     let sched = cx.sched;
     let geo = sched.geo;
     writeln!(
@@ -179,8 +178,8 @@ fn emit_frag_chain(cx: &Cx, ti: usize, tile: &str, out: &mut String) {
     writeln!(out, "    for (var k = 0u; k < {}u; k++) {{", geo.row_blocks()).unwrap();
     writeln!(out, "      for (var kk = 0u; kk < 4u; kk++) {{").unwrap();
     writeln!(out, "        let uv = U{ti}[k][4u * acc_row(lane) + kk];").unwrap();
-    writeln!(out, "        t0 += uv * {tile}[4u * k + kk][8u * j + acc_col(lane, 0u)];").unwrap();
-    writeln!(out, "        t1 += uv * {tile}[4u * k + kk][8u * j + acc_col(lane, 1u)];").unwrap();
+    writeln!(out, "        t0 += uv * tile[4u * k + kk][8u * j + acc_col(lane, 0u)];").unwrap();
+    writeln!(out, "        t1 += uv * tile[4u * k + kk][8u * j + acc_col(lane, 1u)];").unwrap();
     writeln!(out, "      }}").unwrap();
     writeln!(out, "    }}").unwrap();
     if sched.split == AccSplit::Bvs {
@@ -220,7 +219,7 @@ fn emit_frag_chain(cx: &Cx, ti: usize, tile: &str, out: &mut String) {
 
 /// Emit one scalar-backend RDG chain (the ablation tap loop; each lane
 /// owns output elements `lane` and `lane + 32`).
-fn emit_scalar_chain(sched: &Schedule, ti: usize, tile: &str, out: &mut String) {
+fn emit_scalar_chain(sched: &Schedule, ti: usize, out: &mut String) {
     let term = &sched.terms[ti].term;
     if sched.backend == BackendKind::SimdCore {
         writeln!(
@@ -245,11 +244,11 @@ fn emit_scalar_chain(sched: &Schedule, ti: usize, tile: &str, out: &mut String) 
     )
     .unwrap();
     writeln!(out, "      let w = u{ti}[i] * v{ti}[j];").unwrap();
-    writeln!(out, "      sa0 += w * {tile}[lane / 8u + shift{ti} + i][lane % 8u + shift{ti} + j];")
+    writeln!(out, "      sa0 += w * tile[lane / 8u + shift{ti} + i][lane % 8u + shift{ti} + j];")
         .unwrap();
     writeln!(
         out,
-        "      sa1 += w * {tile}[(lane + 32u) / 8u + shift{ti} + i][(lane + 32u) % 8u + shift{ti} + j];"
+        "      sa1 += w * tile[(lane + 32u) / 8u + shift{ti} + i][(lane + 32u) % 8u + shift{ti} + j];"
     )
     .unwrap();
     writeln!(out, "    }}").unwrap();
@@ -299,7 +298,7 @@ fn emit_gather_1d(sched: &Schedule, out: &mut String) {
 }
 
 /// Emit the pointwise pyramid tip (§III-C).
-fn emit_tip(cx: &Cx, weight: f64, tile: &str, out: &mut String) {
+fn emit_tip(cx: &Cx, weight: f64, out: &mut String) {
     if weight == 0.0 {
         return;
     }
@@ -309,20 +308,20 @@ fn emit_tip(cx: &Cx, weight: f64, tile: &str, out: &mut String) {
     if cx.uses_fragments() {
         writeln!(
             out,
-            "  acc0 += {weight:.17e} * {tile}[{h}u + acc_row(lane)][{h}u + acc_col(lane, 0u)];"
+            "  acc0 += {weight:.17e} * tile[{h}u + acc_row(lane)][{h}u + acc_col(lane, 0u)];"
         )
         .unwrap();
         writeln!(
             out,
-            "  acc1 += {weight:.17e} * {tile}[{h}u + acc_row(lane)][{h}u + acc_col(lane, 1u)];"
+            "  acc1 += {weight:.17e} * tile[{h}u + acc_row(lane)][{h}u + acc_col(lane, 1u)];"
         )
         .unwrap();
     } else {
-        writeln!(out, "  sa0 += {weight:.17e} * {tile}[{h}u + lane / 8u][{h}u + lane % 8u];")
+        writeln!(out, "  sa0 += {weight:.17e} * tile[{h}u + lane / 8u][{h}u + lane % 8u];")
             .unwrap();
         writeln!(
             out,
-            "  sa1 += {weight:.17e} * {tile}[{h}u + (lane + 32u) / 8u][{h}u + (lane + 32u) % 8u];"
+            "  sa1 += {weight:.17e} * tile[{h}u + (lane + 32u) / 8u][{h}u + (lane + 32u) % 8u];"
         )
         .unwrap();
     }
@@ -412,12 +411,6 @@ impl super::Emitter for WgslEmitter {
                 sched.seg_len
             )
             .unwrap();
-        } else if sched.staging == crate::schedule::Staging::Double {
-            writeln!(
-                out,
-                "var<workgroup> tile : array<array<array<f32, {s}>, {s}>, 2>;   // double-buffered slots"
-            )
-            .unwrap();
         } else {
             writeln!(
                 out,
@@ -503,56 +496,41 @@ impl super::Emitter for WgslEmitter {
         let sched = cx.sched;
         let h = sched.h;
         match *op {
-            Op::Stage { dz, slot } => {
+            Op::Stage { dz } => {
                 writeln!(out).unwrap();
                 let dz3 = if sched.dims == 3 {
-                    if sched.staging == crate::schedule::Staging::Double {
-                        writeln!(
-                            out,
-                            "  // ---- prefetch plane dz={dz} into slot {slot} (software-pipelined;"
-                        )
-                        .unwrap();
-                        writeln!(out, "  //      Algorithm 2 line 8) ----").unwrap();
-                    } else {
-                        writeln!(
-                            out,
-                            "  // ---- plane dz={dz}: 2-D dependency gathering (Algorithm 2 line 8) ----"
-                        )
-                        .unwrap();
-                    }
+                    writeln!(
+                        out,
+                        "  // ---- plane dz={dz}: 2-D dependency gathering (Algorithm 2 line 8) ----"
+                    )
+                    .unwrap();
                     writeln!(out, "  let base{dz} = u32(pmod(z + {dz} - {h}, nz)) * plane;")
                         .unwrap();
                     Some(dz)
                 } else {
                     None
                 };
-                emit_stage(sched, dz3, slot, out);
+                emit_stage(sched, dz3, out);
             }
-            Op::FragBuild { slot } => {
-                st.live_slot = slot;
+            Op::FragBuild => {
                 st.x_declared = true;
-                let tile = tile_name(sched, slot);
                 writeln!(out).unwrap();
                 writeln!(out, "  // Eq. 12 fragment loads: EMULATED — no cooperative matrices in")
                     .unwrap();
-                writeln!(out, "  // WGSL; the chains below read {tile} directly through the A100")
+                writeln!(out, "  // WGSL; the chains below read tile directly through the A100")
                     .unwrap();
                 writeln!(out, "  // fragment layout").unwrap();
             }
             Op::RdgGather => emit_gather_1d(sched, out),
             Op::MmaChain { term } => {
                 writeln!(out).unwrap();
-                let tile = tile_name(sched, st.live_slot);
                 if cx.chain_lower(CAPS, term as usize) == ChainLower::Scalar {
-                    emit_scalar_chain(sched, term as usize, &tile, out);
+                    emit_scalar_chain(sched, term as usize, out);
                 } else {
-                    emit_frag_chain(cx, term as usize, &tile, out);
+                    emit_frag_chain(cx, term as usize, out);
                 }
             }
-            Op::Pointwise { weight } => {
-                let tile = tile_name(sched, st.live_slot);
-                emit_tip(cx, weight, &tile, out);
-            }
+            Op::Pointwise { weight } => emit_tip(cx, weight, out),
             Op::PointwisePlane { dz, weight } => {
                 writeln!(out).unwrap();
                 writeln!(
@@ -637,10 +615,8 @@ impl super::Emitter for WgslEmitter {
     fn op_anchor(&self, cx: &Cx, i: usize, op: &Op) -> Option<String> {
         let sched = cx.sched;
         match *op {
-            Op::Stage { slot, .. } => {
-                Some(format!("{}[e / {}u]", tile_name(sched, slot), sched.geo.s))
-            }
-            Op::FragBuild { .. } => Some("Eq. 12".to_string()),
+            Op::Stage { .. } => Some(format!("tile[e / {}u]", sched.geo.s)),
+            Op::FragBuild => Some("Eq. 12".to_string()),
             Op::RdgGather => Some("V1D[blk]".to_string()),
             Op::MmaChain { term } => Some(format!("---- RDG term {term} ")),
             Op::Pointwise { weight } => (weight != 0.0).then(|| "pyramid tip".to_string()),

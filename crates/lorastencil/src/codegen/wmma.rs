@@ -16,11 +16,10 @@
 //! [`Caps`]. The renderer never asks which target it renders. Spellings
 //! come from the dialect's fields; mechanisms key on its caps:
 //!
-//! * **`cp_async`** — the `cp.async` staging, its waits and the 1-D
+//! * **`cp_async`** — the `cp.async` staging, its wait and the 1-D
 //!   gather copy, or (CDNA has no global→LDS copy that bypasses the
-//!   register file) the staged copy, with `s_waitcnt` before a
-//!   double-buffered slot is read and a note where the plan asked for
-//!   the async copy.
+//!   register file) the staged copy, with a note where the plan asked
+//!   for the async copy.
 //! * **`sparse_mma`** — the `mma.sp` chains and their compressed tables,
 //!   or (no f64 structured sparsity on CDNA) the dense chain, annotated
 //!   with the fallback.
@@ -30,9 +29,9 @@
 //! occupies lanes 0..31 of CDNA's 64-wide wave (the HIP capability
 //! header says so).
 
-use super::{banner, lit, tile_name, Caps, ChainLower, Cx, EmitState, Target};
+use super::{banner, lit, Caps, ChainLower, Cx, EmitState, Target};
 use crate::rdg::{build_u_frags, build_v_frags};
-use crate::schedule::{AccFold, AccSplit, BackendKind, Op, Schedule, Staging};
+use crate::schedule::{AccFold, AccSplit, BackendKind, Op, Schedule};
 use std::fmt::Write as _;
 use tcu_sim::{CopyMode, FragASp, MMA_K};
 
@@ -252,14 +251,11 @@ fn emit_banded_table(sched: &Schedule, out: &mut String) {
 }
 
 /// Emit the global→shared staging of one S×S window (2-D/3-D
-/// [`Op::Stage`]); `src` names the input pointer being staged and
-/// `slot` the shared window the copy lands in.
-fn emit_stage(d: &Dialect, sched: &Schedule, src: &str, slot: u8, out: &mut String) {
+/// [`Op::Stage`]); `src` names the input pointer being staged.
+fn emit_stage(d: &Dialect, sched: &Schedule, src: &str, out: &mut String) {
     let s = sched.geo.s;
     let h = sched.h;
     let lane = d.lane;
-    let tile = tile_name(sched, slot);
-    let double = sched.staging == Staging::Double;
     if sched.copy_mode == CopyMode::Async && d.caps.cp_async {
         writeln!(out, "  // §IV-B: cp.async global->shared copy, bypassing the register file")
             .unwrap();
@@ -270,16 +266,10 @@ fn emit_stage(d: &Dialect, sched: &Schedule, src: &str, slot: u8, out: &mut Stri
         )
         .unwrap();
         writeln!(out, "    asm volatile(\"cp.async.ca.shared.global [%0], [%1], 8;\" ::").unwrap();
-        writeln!(out, "      \"r\"(&{tile}[e / {s}][e % {s}]), \"l\"(&{src}[rr * cols + cc]));")
+        writeln!(out, "      \"r\"(&tile[e / {s}][e % {s}]), \"l\"(&{src}[rr * cols + cc]));")
             .unwrap();
         writeln!(out, "  }}").unwrap();
-        if double {
-            writeln!(out, "  // no wait here: the copy drains while the live slot's MMA").unwrap();
-            writeln!(out, "  // chain runs (cp.async.wait_group before this slot is read)")
-                .unwrap();
-        } else {
-            writeln!(out, "  asm volatile(\"cp.async.wait_all;\");").unwrap();
-        }
+        writeln!(out, "  asm volatile(\"cp.async.wait_all;\");").unwrap();
     } else {
         if sched.copy_mode == CopyMode::Async {
             writeln!(
@@ -288,30 +278,21 @@ fn emit_stage(d: &Dialect, sched: &Schedule, src: &str, slot: u8, out: &mut Stri
                 d.arch, d.shared
             )
             .unwrap();
-            if double {
-                writeln!(
-                    out,
-                    "  // (the prefetch overlap now relies on the compiler hoisting these"
-                )
-                .unwrap();
-                writeln!(out, "  //  loads across the live slot's MMA chain)").unwrap();
-            }
         } else {
             writeln!(out, "  // staged copy: global -> registers -> {}", d.shared).unwrap();
         }
         writeln!(out, "  for (int e = {lane}; e < {s}*{s}; e += 32)").unwrap();
-        writeln!(out, "    {tile}[e / {s}][e % {s}] = {src}[mod(r0 - {h} + e / {s}, rows) * cols + mod(c0 - {h} + e % {s}, cols)];").unwrap();
+        writeln!(out, "    tile[e / {s}][e % {s}] = {src}[mod(r0 - {h} + e / {s}, rows) * cols + mod(c0 - {h} + e % {s}, cols)];").unwrap();
     }
     writeln!(out, "  {};", d.barrier).unwrap();
 }
 
-/// Emit the X fragment loads ([`Op::FragBuild`], Eq. 12) from shared
-/// window `slot`.
-fn emit_frag_build(d: &Dialect, sched: &Schedule, slot: u8, declared: &mut bool, out: &mut String) {
+/// Emit the X fragment loads ([`Op::FragBuild`], Eq. 12) from the
+/// shared window.
+fn emit_frag_build(d: &Dialect, sched: &Schedule, declared: &mut bool, out: &mut String) {
     let geo = sched.geo;
     let s = geo.s;
     let ns = d.ns;
-    let tile = tile_name(sched, slot);
     writeln!(out).unwrap();
     writeln!(
         out,
@@ -331,19 +312,9 @@ fn emit_frag_build(d: &Dialect, sched: &Schedule, slot: u8, declared: &mut bool,
         .unwrap();
         *declared = true;
     }
-    if sched.staging == Staging::Double && sched.copy_mode == CopyMode::Async {
-        if d.caps.cp_async {
-            writeln!(out, "  asm volatile(\"cp.async.wait_group 1;\"); // slot {slot} is landed")
-                .unwrap();
-        } else {
-            writeln!(out, "  __builtin_amdgcn_s_waitcnt(0); // vmcnt(0): slot {slot} loads landed")
-                .unwrap();
-        }
-    }
     writeln!(out, "  for (int rb = 0; rb < {}; ++rb)", geo.row_blocks()).unwrap();
     writeln!(out, "    for (int cb = 0; cb < {}; ++cb)", geo.col_blocks()).unwrap();
-    writeln!(out, "      {ns}::load_matrix_sync(X[rb][cb], &{tile}[4 * rb][8 * cb], {s});")
-        .unwrap();
+    writeln!(out, "      {ns}::load_matrix_sync(X[rb][cb], &tile[4 * rb][8 * cb], {s});").unwrap();
 }
 
 /// Emit one RDG matrix chain ([`Op::MmaChain`]) on the selected backend.
@@ -501,21 +472,11 @@ fn emit_tip(d: &Dialect, sched: &Schedule, weight: f64, out: &mut String) {
     }
 }
 
-/// Declare the shared input window(s): one per warp, or a two-slot
-/// ping-pong array under double-buffered staging.
+/// Declare the shared input window: one per warp.
 fn emit_tile_decl(d: &Dialect, sched: &Schedule, out: &mut String) {
     let s = sched.geo.s;
-    let warp = d.warp;
-    if sched.staging == Staging::Double {
-        writeln!(
-            out,
-            "  __shared__ double tile[2][{s}][{s}];   // double-buffered window slots per {warp}"
-        )
+    writeln!(out, "  __shared__ double tile[{s}][{s}];   // one input window per {}", d.warp)
         .unwrap();
-    } else {
-        writeln!(out, "  __shared__ double tile[{s}][{s}];   // one input window per {warp}")
-            .unwrap();
-    }
 }
 
 /// Emit the fused 1-D segment pack + banded gather ([`Op::RdgGather`],
@@ -673,34 +634,23 @@ impl super::Emitter for Dialect {
         let sched = cx.sched;
         let h = sched.h;
         match *op {
-            Op::Stage { dz, slot } => {
+            Op::Stage { dz } => {
                 writeln!(out).unwrap();
                 let src = if sched.dims == 3 {
-                    if sched.staging == Staging::Double {
-                        let (how, chain) = if self.caps.cp_async {
-                            ("overlaps the live", "slot's MMA chain; ")
-                        } else {
-                            ("software-pipelined;", "")
-                        };
-                        writeln!(out, "  // ---- prefetch plane dz={dz} into slot {slot} ({how}")
-                            .unwrap();
-                        writeln!(out, "  //      {chain}Algorithm 2 line 8) ----").unwrap();
-                    } else {
-                        writeln!(
-                            out,
-                            "  // ---- plane dz={dz}: 2-D dependency gathering (Algorithm 2 line 8) ----"
-                        )
-                        .unwrap();
-                    }
+                    writeln!(
+                        out,
+                        "  // ---- plane dz={dz}: 2-D dependency gathering (Algorithm 2 line 8) ----"
+                    )
+                    .unwrap();
                     writeln!(out, "  const double* in{dz} = planes[mod(z + {dz} - {h}, nz)];")
                         .unwrap();
                     format!("in{dz}")
                 } else {
                     "in".to_string()
                 };
-                emit_stage(self, sched, &src, slot, out);
+                emit_stage(self, sched, &src, out);
             }
-            Op::FragBuild { slot } => emit_frag_build(self, sched, slot, &mut st.x_declared, out),
+            Op::FragBuild => emit_frag_build(self, sched, &mut st.x_declared, out),
             Op::RdgGather => emit_gather_1d(self, sched, out),
             Op::MmaChain { term } => emit_chain(self, cx, term as usize, out),
             Op::Pointwise { weight } => emit_tip(self, sched, weight, out),
@@ -766,10 +716,8 @@ impl super::Emitter for Dialect {
     fn op_anchor(&self, cx: &Cx, i: usize, op: &Op) -> Option<String> {
         let sched = cx.sched;
         match *op {
-            Op::Stage { slot, .. } => {
-                Some(format!("{}[e / {}]", tile_name(sched, slot), sched.geo.s))
-            }
-            Op::FragBuild { .. } => Some("Eq. 12".to_string()),
+            Op::Stage { .. } => Some(format!("tile[e / {}]", sched.geo.s)),
+            Op::FragBuild => Some("Eq. 12".to_string()),
             Op::RdgGather => Some("fragB(V1D[blk])".to_string()),
             Op::MmaChain { term } => Some(format!("---- RDG term {term} ")),
             Op::Pointwise { weight } => (weight != 0.0).then(|| "pyramid tip".to_string()),

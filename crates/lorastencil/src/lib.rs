@@ -46,7 +46,6 @@
 #![allow(clippy::needless_range_loop)]
 
 pub mod analysis;
-pub mod autotune;
 pub mod bvs;
 pub mod checkpoint;
 pub mod codegen;
@@ -61,4 +60,4 @@ pub use decompose::{decompose, Decomposition, RankOneTerm, Strategy};
 pub use exec::LoRaStencil;
 pub use plan::{DeviceBackend, ExecConfig, Plan, PlanKind, PlaneOp};
 pub use rdg::{RdgGeometry, XFragments, TILE_M};
-pub use schedule::{ExecSession, Schedule, ScheduleParams, Staging, Workspace};
+pub use schedule::{ExecSession, Schedule, ScheduleParams, Workspace};

@@ -19,7 +19,7 @@
 use crate::decompose::{self, Decomposition};
 use crate::fusion;
 use crate::rdg::RdgGeometry;
-use crate::schedule::{ScheduleParams, Staging};
+use crate::schedule::ScheduleParams;
 use stencil_core::{StencilKernel, WeightMatrix};
 use tcu_sim::BlockResources;
 
@@ -354,30 +354,6 @@ impl Plan {
         (fused, rem)
     }
 
-    /// Plan a 2-D kernel with cost-model-driven decomposition selection
-    /// (see [`crate::autotune`]): like [`Plan::new`], but the strategy is
-    /// chosen by modeled per-tile cost rather than structural precedence
-    /// — cheaper when the weight matrix's true rank is below the
-    /// pyramid's term count.
-    pub fn new_autotuned(kernel: &StencilKernel, config: ExecConfig) -> Self {
-        let _plan = foundation::obs::span("plan");
-        assert_eq!(kernel.dims(), 2, "autotuned planning covers 2-D kernels");
-        let (exec_kernel, fusion) = fuse(kernel, config);
-        let decomp = {
-            let _decompose = foundation::obs::span("decompose");
-            crate::autotune::choose(exec_kernel.weights_2d(), 1e-12)
-        };
-        let geo = RdgGeometry::for_radius(exec_kernel.radius);
-        Plan {
-            exec_kernel,
-            fusion,
-            geo,
-            config,
-            params: ScheduleParams::default(),
-            kind: PlanKind::D2 { decomp },
-        }
-    }
-
     /// A 2-D plan assembled from explicit parts (ablation sweeps that
     /// pin the fusion factor or try candidate decompositions).
     pub fn custom_2d(
@@ -441,11 +417,10 @@ impl Plan {
         self.block_resources_with(&self.params)
     }
 
-    /// [`Plan::block_resources`] under other tile and staging `params`
-    /// on this plan's geometry.
+    /// [`Plan::block_resources`] under other tile `params` on this
+    /// plan's geometry.
     pub fn block_resources_with(&self, params: &ScheduleParams) -> BlockResources {
-        let buffers =
-            if self.config.use_async_copy || params.staging == Staging::Double { 2 } else { 1 };
+        let buffers = if self.config.use_async_copy { 2 } else { 1 };
         let shared_per_warp = match &self.kind {
             PlanKind::D1 { seg_len } => (8 * seg_len * 8) as u32,
             _ => {
@@ -569,23 +544,6 @@ mod tests {
         let p = Plan::new(&kernels::p5_1d(), ExecConfig::full());
         assert_eq!(p.fusion, 1);
         assert_eq!(p.seg_len(), 12); // 8 + 4
-    }
-
-    #[test]
-    fn autotuned_plan_never_costs_more() {
-        use crate::autotune;
-        for k in kernels::all_kernels() {
-            if k.dims() != 2 {
-                continue;
-            }
-            let a = Plan::new_autotuned(&k, ExecConfig::full());
-            let d = Plan::new(&k, ExecConfig::full());
-            assert!(
-                autotune::tile_cost(a.decomp(), a.geo) <= autotune::tile_cost(d.decomp(), d.geo),
-                "{}",
-                k.name
-            );
-        }
     }
 
     #[test]

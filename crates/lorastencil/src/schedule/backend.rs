@@ -17,7 +17,7 @@
 //!   identical bits and differ only in `cuda_flops`.
 //!
 //! Every schedule of every backend runs on one job loop
-//! (`stepper::run_unit`): 2-D and 3-D on strips, 1-D as one staged span
+//! (`workspace::run_unit`): 2-D and 3-D on strips, 1-D as one staged span
 //! per job. The per-sub-tile fragment walk is only the tests' reference.
 //!
 //! Note what is *not* here: BVS. The butterfly split is baked into the

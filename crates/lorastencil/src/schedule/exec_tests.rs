@@ -211,10 +211,9 @@ fn cuda_only_config_matches_reference_too() {
 
 #[test]
 fn explicit_schedule_params_stay_bit_identical() {
-    // the tuner's core invariant: tile extents, staging discipline and
-    // MMA batching are pure schedule knobs — values and the
-    // analytically-pinned counters never move
-    use crate::schedule::{self, ScheduleParams, Staging};
+    // the chooser's core invariant: tile extents are a pure schedule
+    // knob — values and the analytically-pinned counters never move
+    use crate::schedule::{self, ScheduleParams};
     use tcu_sim::GlobalArray;
     let wavy = |rows: usize, cols: usize, salt: usize| {
         GlobalArray::from_vec(
@@ -232,9 +231,9 @@ fn explicit_schedule_params_stay_bit_identical() {
         (kernels::box_3d27p(), (0..4).map(|z| wavy(9, 9, z + 9)).collect()),
     ];
     let grid = [
-        ScheduleParams { tile_rows: 16, tile_cols: 16, staging: Staging::Double },
-        ScheduleParams { tile_rows: 32, tile_cols: 8, ..ScheduleParams::default() },
-        ScheduleParams { tile_rows: 64, tile_cols: 64, staging: Staging::Double },
+        ScheduleParams { tile_rows: 16, tile_cols: 16 },
+        ScheduleParams { tile_rows: 32, tile_cols: 8 },
+        ScheduleParams { tile_rows: 64, tile_cols: 64 },
     ];
     for (k, planes) in &cases {
         let (base, bc, _) = schedule::run(k, ExecConfig::full(), planes.clone(), 3);

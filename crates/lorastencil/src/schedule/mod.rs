@@ -12,7 +12,7 @@
 //! ([`Schedule::lower`]): 1-D is one banded MM, 2-D one decomposition,
 //! and 3-D a superposition of 2-D planes (§IV-C, Algorithm 2). The
 //! interpreter has one path for all of them: a 2-D or 3-D job row runs
-//! one 8-row strip at a time, a 1-D job one staged span (see `stepper`).
+//! one 8-row strip at a time, a 1-D job one staged span (see `workspace`).
 //!
 //! Lowering is where every [`ExecConfig`] toggle is resolved:
 //!
@@ -43,16 +43,16 @@ mod params;
 mod planes;
 mod scratch;
 mod session;
-mod stepper;
 #[cfg(test)]
 mod walk;
+mod workspace;
 
 pub use backend::band_fallbacks;
-pub use params::{ScheduleParams, Staging};
+pub use params::ScheduleParams;
 pub(crate) use planes::plane_extents;
 pub use planes::{grid_to_planes, planes_to_grid};
 pub use session::{run, run_tuned, ExecSession};
-pub use stepper::{apply_once, host_isa, RunCharges, Workspace};
+pub use workspace::{apply_once, host_isa, RunCharges, Workspace};
 
 use crate::decompose::{Decomposition, RankOneTerm};
 use crate::plan::{Plan, PlanKind, PlaneOp};
@@ -66,23 +66,16 @@ use tcu_sim::{CopyMode, FragB, MMA_K, MMA_N};
 /// always address it through `dz = h`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Op {
-    /// Stage the input window of plane `dz` into shared-memory slot
-    /// `slot` (global → shared, `cp.async` or register-staged per
-    /// [`Schedule::copy_mode`]). Single-staged schedules always use slot
-    /// 0; double-staged schedules ping-pong between the two slots so the
-    /// next plane's halo loads overlap the live slot's MMA chain.
+    /// Stage the input window of plane `dz` into the shared-memory
+    /// window (global → shared, `cp.async` or register-staged per
+    /// [`Schedule::copy_mode`]).
     Stage {
         /// Relative input plane (`h` = center).
         dz: usize,
-        /// Shared-memory window slot (0 or 1).
-        slot: u8,
     },
-    /// Load the staged tile's B fragments from shared-memory slot `slot`
+    /// Load the staged tile's B fragments from the shared-memory window
     /// (shared → registers), charging the Eq. 12 shared-load requests.
-    FragBuild {
-        /// Shared-memory window slot to read (0 or 1).
-        slot: u8,
-    },
+    FragBuild,
     /// The fused 1-D stage+gather (§IV-C): pack 8 overlapping
     /// `seg_len`-long segments as matrix rows and gather them with the
     /// single banded MM — no dimension residue, so no separate
@@ -130,7 +123,7 @@ impl Op {
     pub fn mnemonic(&self) -> &'static str {
         match self {
             Op::Stage { .. } => "stage",
-            Op::FragBuild { .. } => "frag_build",
+            Op::FragBuild => "frag_build",
             Op::RdgGather => "rdg_gather",
             Op::MmaChain { .. } => "mma_chain",
             Op::Pointwise { .. } => "pointwise",
@@ -224,8 +217,6 @@ pub struct Schedule {
     /// Job-tile width in grid columns ([`ScheduleParams::tile_cols`];
     /// 1-D jobs cover `8 · tile_w` points).
     pub tile_w: usize,
-    /// Staging discipline (how many shared window slots the ops use).
-    pub staging: params::Staging,
     /// Temporal steps one application advances (`allow_fusion` lowered).
     pub fuse_steps: usize,
     /// Step-2 accumulator split (`use_bvs` lowered).
@@ -251,13 +242,6 @@ impl Schedule {
     pub fn lower(plan: &Plan) -> Schedule {
         let use_tcu = plan.config.use_tcu();
         let dims = plan.dims();
-        // Double staging exists to overlap the next window's halo loads
-        // with the live MMA chain — the 1-D gather has no Stage op and
-        // the scalar backend has no tensor pipeline to overlap (and its
-        // single accumulator would make the pipelined plane regrouping
-        // visible in FP bits), so both resolve to Single.
-        let staging =
-            if dims >= 2 && use_tcu { plan.params.staging } else { params::Staging::Single };
         let mut sched = Schedule {
             dims,
             h: plan.exec_kernel.radius,
@@ -266,7 +250,6 @@ impl Schedule {
             copy_mode: if plan.config.use_async_copy { CopyMode::Async } else { CopyMode::Staged },
             tile_h: plan.params.tile_rows,
             tile_w: plan.params.tile_cols,
-            staging,
             fuse_steps: plan.fusion,
             split: if plan.config.use_bvs { AccSplit::Bvs } else { AccSplit::Shuffle },
             // the 1-D gather is a single banded MM — running it anywhere
@@ -295,9 +278,6 @@ impl Schedule {
         match &plan.kind {
             PlanKind::D1 { seg_len } => sched.lower_1d(*seg_len),
             PlanKind::D2 { decomp } => sched.lower_2d(decomp),
-            PlanKind::D3 { plane_ops } if staging == params::Staging::Double => {
-                sched.lower_3d_double(plane_ops)
-            }
             PlanKind::D3 { plane_ops } => sched.lower_3d(plane_ops),
         }
         {
@@ -333,12 +313,10 @@ impl Schedule {
     }
 
     /// 2-D rule: stage the (single) plane, build the X fragments, then
-    /// the decomposition. 2-D has one plane per job, so double staging
-    /// shows up as cross-job slot parity in the interpreter, not in the
-    /// op list: slot 0 here.
+    /// the decomposition.
     fn lower_2d(&mut self, decomp: &Decomposition) {
-        self.ops.push(Op::Stage { dz: self.h, slot: 0 });
-        self.ops.push(Op::FragBuild { slot: 0 });
+        self.ops.push(Op::Stage { dz: self.h });
+        self.ops.push(Op::FragBuild);
         self.push_decomp(decomp);
     }
 
@@ -353,41 +331,11 @@ impl Schedule {
                 PlaneOp::Skip => self.ops.push(Op::SkipPlane { dz }),
                 PlaneOp::Pointwise(w) => self.ops.push(Op::PointwisePlane { dz, weight: *w }),
                 PlaneOp::Rdg(decomp) => {
-                    self.ops.push(Op::Stage { dz, slot: 0 });
-                    self.ops.push(Op::FragBuild { slot: 0 });
+                    self.ops.push(Op::Stage { dz });
+                    self.ops.push(Op::FragBuild);
                     self.push_decomp(decomp);
                 }
             }
-        }
-    }
-
-    /// The 3-D rule under [`Staging::Double`]: the RDG planes are
-    /// software-pipelined, staging the next plane's window into the idle
-    /// slot before the current slot's fragments are consumed, so the
-    /// halo loads overlap the MMA chain. Scalar planes come first, in
-    /// plane order (their accumulator is separate from the MMA fragment,
-    /// so regrouping keeps every FP addition order — and therefore every
-    /// output bit — intact), then `Stage(p₀ → slot 0); for each RDG plane
-    /// i: Stage(p_{i+1} → slot (i+1)&1) if any, FragBuild(slot i&1),
-    /// chains, tip`.
-    fn lower_3d_double(&mut self, plane_ops: &[PlaneOp]) {
-        let mut rdg = Vec::new();
-        for (dz, op) in plane_ops.iter().enumerate() {
-            match op {
-                PlaneOp::Skip => self.ops.push(Op::SkipPlane { dz }),
-                PlaneOp::Pointwise(w) => self.ops.push(Op::PointwisePlane { dz, weight: *w }),
-                PlaneOp::Rdg(decomp) => rdg.push((dz, decomp)),
-            }
-        }
-        if let Some(&(dz0, _)) = rdg.first() {
-            self.ops.push(Op::Stage { dz: dz0, slot: 0 });
-        }
-        for (i, &(_, decomp)) in rdg.iter().enumerate() {
-            if let Some(&(dz_next, _)) = rdg.get(i + 1) {
-                self.ops.push(Op::Stage { dz: dz_next, slot: ((i + 1) & 1) as u8 });
-            }
-            self.ops.push(Op::FragBuild { slot: (i & 1) as u8 });
-            self.push_decomp(decomp);
         }
     }
 
@@ -454,7 +402,7 @@ mod tests {
         let n = plan.decomp().num_terms();
         assert_eq!(s.terms.len(), n);
         assert!(s.terms.iter().all(|t| t.frags.is_some()));
-        let mut want = vec![Op::Stage { dz: s.h, slot: 0 }, Op::FragBuild { slot: 0 }];
+        let mut want = vec![Op::Stage { dz: s.h }, Op::FragBuild];
         want.extend((0..n as u16).map(|t| Op::MmaChain { term: t }));
         want.push(Op::Pointwise { weight: plan.decomp().pointwise });
         assert_eq!(s.ops, want);
@@ -528,57 +476,14 @@ mod tests {
     }
 
     #[test]
-    fn double_staged_3d_schedule_pipelines_the_rdg_planes() {
-        let params = ScheduleParams { staging: Staging::Double, ..ScheduleParams::default() };
-        // Box-3D27P: three RDG planes, no scalar ones
-        let plan = Plan::new_with_params(&kernels::box_3d27p(), ExecConfig::full(), params);
-        let s = Schedule::lower(&plan);
-        assert_eq!(s.staging, Staging::Double);
-        let PlanKind::D3 { plane_ops } = &plan.kind else { panic!("3-D plan") };
-        let decomps: Vec<&Decomposition> = plane_ops
-            .iter()
-            .map(|op| match op {
-                PlaneOp::Rdg(d) => d,
-                _ => panic!("every Box-3D27P plane gathers in 2-D"),
-            })
-            .collect();
-        let mut want = Vec::new();
-        let mut term = 0u16;
-        let mut decomp = |want: &mut Vec<Op>, d: &Decomposition| {
-            for _ in &d.terms {
-                want.push(Op::MmaChain { term });
-                term += 1;
-            }
-            want.push(Op::Pointwise { weight: d.pointwise });
-        };
-        want.extend([Op::Stage { dz: 0, slot: 0 }, Op::Stage { dz: 1, slot: 1 }]);
-        want.push(Op::FragBuild { slot: 0 });
-        decomp(&mut want, decomps[0]);
-        want.extend([Op::Stage { dz: 2, slot: 0 }, Op::FragBuild { slot: 1 }]);
-        decomp(&mut want, decomps[1]);
-        want.push(Op::FragBuild { slot: 0 });
-        decomp(&mut want, decomps[2]);
-        assert_eq!(s.ops, want);
-
-        // Heat-3D: the scalar planes come first, in plane order, then the
-        // one RDG plane
-        let plan = Plan::new_with_params(&kernels::heat_3d(), ExecConfig::full(), params);
-        let s = Schedule::lower(&plan);
-        assert!(matches!(s.ops[0], Op::PointwisePlane { dz: 0, .. }));
-        assert!(matches!(s.ops[1], Op::PointwisePlane { dz: 2, .. }));
-        assert_eq!(s.ops[2..4], [Op::Stage { dz: 1, slot: 0 }, Op::FragBuild { slot: 0 }]);
-        assert!(matches!(s.ops.last(), Some(Op::Pointwise { .. })));
-    }
-
-    #[test]
     fn three_d_schedule_covers_every_plane_in_order() {
         let plan = Plan::new(&kernels::heat_3d(), ExecConfig::full());
         let s = Schedule::lower(&plan);
         assert_eq!(s.fold, AccFold::Merge);
         // heat_3d: pointwise / rdg / pointwise planes
         assert!(matches!(s.ops[0], Op::PointwisePlane { dz: 0, .. }));
-        assert_eq!(s.ops[1], Op::Stage { dz: 1, slot: 0 });
-        assert_eq!(s.ops[2], Op::FragBuild { slot: 0 });
+        assert_eq!(s.ops[1], Op::Stage { dz: 1 });
+        assert_eq!(s.ops[2], Op::FragBuild);
         assert!(matches!(s.ops.last(), Some(Op::PointwisePlane { dz: 2, .. })));
         // every dz shows up exactly once as a plane-selecting op
         let planes: Vec<usize> = s

@@ -1,12 +1,11 @@
-//! The schedule space: every lowering choice PR 5 hardcoded, lifted
-//! into one [`ScheduleParams`] value.
+//! The schedule space: the job-tile extents, the one lowering choice a
+//! schedule may vary, in one [`ScheduleParams`] value.
 //!
 //! A `ScheduleParams` is pure *schedule*, never *semantics*: any valid
 //! value must produce bit-identical outputs and identical
 //! `Prediction`-class counters (MMAs, shared loads, shuffles, HBM bytes
 //! written, points) to the default schedule. Tile extents only regroup
-//! the same 8×8 sub-tiles into larger jobs, and double staging only
-//! changes which shared-memory slot a window lands in. The temporal
+//! the same 8×8 sub-tiles into larger jobs. The temporal
 //! fusion depth is not a schedule parameter: the planner chooses it from
 //! the kernel, so no value here changes the executed arithmetic. The
 //! `tune` chooser still gates every non-default winner behind a bitwise
@@ -16,31 +15,8 @@
 //! `tune` chooser's pick, a pure function of the problem on the modeled
 //! A100.
 
-/// Global→shared staging discipline for `Op::Stage`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Staging {
-    /// One shared-memory window slot; every stage overwrites it (the
-    /// PR 5 behavior).
-    #[default]
-    Single,
-    /// Two ping-pong window slots: the next plane's halo loads issue
-    /// into the idle slot while the MMA chain consumes the live one
-    /// (software pipelining; `Op::Stage`/`Op::FragBuild` carry the slot).
-    Double,
-}
-
-impl Staging {
-    /// Stable text form (as [`ScheduleParams::describe`] prints it).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Staging::Single => "single",
-            Staging::Double => "double",
-        }
-    }
-}
-
-/// The tunable knobs of one lowered schedule. `Default` reproduces the
-/// PR 5 fixed choices exactly.
+/// The tunable knobs of one lowered schedule: the job-tile extents.
+/// `Default` is one 8×8 sub-tile per job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScheduleParams {
     /// Job-tile height in grid rows (multiple of 8; 1-D schedules ignore
@@ -49,13 +25,11 @@ pub struct ScheduleParams {
     /// Job-tile width in grid columns (multiple of 8; 1-D jobs cover
     /// `8 · tile_cols` points).
     pub tile_cols: usize,
-    /// Staging discipline for `Op::Stage`.
-    pub staging: Staging,
 }
 
 impl Default for ScheduleParams {
     fn default() -> Self {
-        ScheduleParams { tile_rows: 8, tile_cols: 8, staging: Staging::Single }
+        ScheduleParams { tile_rows: 8, tile_cols: 8 }
     }
 }
 
@@ -79,9 +53,12 @@ impl ScheduleParams {
         Ok(())
     }
 
-    /// Compact human-readable form for reports (`32x16/double`).
+    /// Compact human-readable form for reports (`32x16/single`). Every
+    /// schedule stages its windows through one shared-memory window, and
+    /// the `/single` suffix keeps saying so in the form reports and
+    /// pinned tables have always printed.
     pub fn describe(&self) -> String {
-        format!("{}x{}/{}", self.tile_rows, self.tile_cols, self.staging.as_str())
+        format!("{}x{}/single", self.tile_rows, self.tile_cols)
     }
 }
 
@@ -90,10 +67,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_params_are_the_pr5_fixed_choices() {
+    fn default_params_are_one_sub_tile_per_job() {
         let p = ScheduleParams::default();
         assert_eq!((p.tile_rows, p.tile_cols), (8, 8));
-        assert_eq!(p.staging, Staging::Single);
         p.validate().unwrap();
     }
 
@@ -103,15 +79,13 @@ mod tests {
         assert!(ScheduleParams { tile_rows: 12, ..ok }.validate().is_err());
         assert!(ScheduleParams { tile_rows: 0, ..ok }.validate().is_err());
         assert!(ScheduleParams { tile_cols: 7, ..ok }.validate().is_err());
-        assert!(ScheduleParams { tile_rows: 64, tile_cols: 16, staging: Staging::Double }
-            .validate()
-            .is_ok());
+        assert!(ScheduleParams { tile_rows: 64, tile_cols: 16 }.validate().is_ok());
     }
 
     #[test]
-    fn describe_names_tiles_and_staging() {
-        let p = ScheduleParams { tile_rows: 32, tile_cols: 16, staging: Staging::Double };
-        assert_eq!(p.describe(), "32x16/double");
+    fn describe_names_the_tiles() {
+        let p = ScheduleParams { tile_rows: 32, tile_cols: 16 };
+        assert_eq!(p.describe(), "32x16/single");
         assert_eq!(ScheduleParams::default().describe(), "8x8/single");
     }
 }

@@ -15,15 +15,15 @@ use crate::rdg::{strip_tt_len, RdgGeometry, StripWindow, STRIP_ACC_T_LEN, TILE_M
 use std::cell::RefCell;
 use tcu_sim::MMA_M;
 
-/// The buffers one job row's strips reuse: a staged window per `Stage`
-/// slot; the scalar kernel's `Tᵀ` of the whole strip; the strip's term and point-wise-plane
+/// The buffers one job row's strips reuse: the staged window; the
+/// scalar kernel's `Tᵀ` of the whole strip; the strip's term and point-wise-plane
 /// accumulators (the second only under `AccFold::Merge`), each 8 rows by
 /// the strip's width; the tensor-core kernel's column-block `Tᵀ` and
 /// `accᵀ`; and a 1-D job's staged span. A strip whose only chain group
 /// the tensor-core kernel stores straight into the output never touches
 /// `acc`.
 pub(crate) struct StripScratch {
-    pub windows: [StripWindow; 2],
+    pub window: StripWindow,
     pub t: Vec<f64>,
     pub acc: Vec<f64>,
     pub vals: Vec<f64>,
@@ -53,7 +53,7 @@ impl StripScratch {
 
 thread_local! {
     static SCRATCH: RefCell<StripScratch> = RefCell::new(StripScratch {
-        windows: [StripWindow::new(), StripWindow::new()],
+        window: StripWindow::new(),
         t: Vec::new(),
         acc: Vec::new(),
         vals: Vec::new(),

@@ -16,7 +16,7 @@
 //! re-runs jobs with **zero heap allocation** after the first call.
 
 use super::planes::plane_extents;
-use super::stepper::{RunCharges, Workspace};
+use super::workspace::{RunCharges, Workspace};
 use super::ScheduleParams;
 use crate::plan::ExecConfig;
 use std::convert::Infallible;
@@ -73,7 +73,7 @@ impl ExecSession {
     /// The [`with_params`](Self::with_params) session, built from the
     /// plans (and the lowerings) a schedule choice already made for its
     /// kernel, config and extents: nothing is planned, decomposed or,
-    /// for a staging the choice priced, lowered again. The serve daemon's
+    /// once the choice priced a schedule, lowered again. The serve daemon's
     /// on-miss path uses this after ranking schedules.
     pub fn from_charges(charges: RunCharges, params: ScheduleParams) -> Self {
         let (nplanes, rows, cols) = match *charges.extents() {
@@ -238,7 +238,6 @@ pub fn run_tuned(
 mod tests {
     use super::*;
     use crate::plan::Plan;
-    use crate::schedule::Staging;
     use stencil_core::kernels;
 
     fn seed_fn(seed: u64) -> impl Fn(u64) -> f64 {
@@ -337,8 +336,8 @@ mod tests {
         let kernel = kernels::by_name("Box-2D9P").unwrap();
         let config = ExecConfig::default();
         for params in [
-            ScheduleParams { tile_rows: 16, tile_cols: 16, ..ScheduleParams::default() },
-            ScheduleParams { tile_rows: 32, tile_cols: 8, staging: Staging::Double },
+            ScheduleParams { tile_rows: 16, tile_cols: 16 },
+            ScheduleParams { tile_rows: 32, tile_cols: 8 },
         ] {
             let mut sess = ExecSession::with_params(&kernel, config, &[40, 48], params);
             assert_eq!(sess.params(), params);
@@ -375,17 +374,16 @@ mod tests {
     #[test]
     fn from_charges_matches_with_params_bitwise() {
         // fused and unfused kernels, 2-D and 3-D, tensor-core and scalar
-        // configs, default and non-default tilings on both stagings;
-        // the charges are priced for some stagings first (reused
-        // lowerings) and for none on the others (lowered on the spot)
+        // configs, default and non-default tilings; the charges are
+        // priced first (reused lowerings) or not at all (lowered on the
+        // spot)
         let roster = ExecConfig::ablation_roster();
-        let tiled =
-            |tile_rows, tile_cols, staging| ScheduleParams { tile_rows, tile_cols, staging };
+        let tiled = |tile_rows, tile_cols| ScheduleParams { tile_rows, tile_cols };
         let cases: [(&str, Vec<usize>, ScheduleParams); 5] = [
             ("Box-2D9P", vec![40, 48], ScheduleParams::default()),
-            ("Heat-2D", vec![37, 44], tiled(16, 32, Staging::Double)),
-            ("Box-2D49P", vec![24, 40], tiled(16, 8, Staging::Single)),
-            ("Heat-3D", vec![4, 16, 24], tiled(8, 16, Staging::Double)),
+            ("Heat-2D", vec![37, 44], tiled(16, 32)),
+            ("Box-2D49P", vec![24, 40], tiled(16, 8)),
+            ("Heat-3D", vec![4, 16, 24], tiled(8, 16)),
             ("Box-3D27P", vec![3, 16, 16], ScheduleParams::default()),
         ];
         for (name, extents, params) in &cases {

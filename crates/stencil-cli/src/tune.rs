@@ -2,7 +2,7 @@
 //! serve daemon's on-miss path share [`choose`].
 //!
 //! Per `(kernel, config, extents, iterations)` the chooser enumerates
-//! the candidate tilings (tile extents × staging, [`candidate_space`]),
+//! the candidate tilings (tile extents, [`candidate_space`]),
 //! and ranks every one the modeled A100 can launch by
 //! `CostModel::a100().estimate(counters, block).total`. The counters are
 //! those a run would charge, from their closed forms
@@ -30,7 +30,7 @@
 //! `run`, `profile`, checkpoints and [`lorastencil::LoRaStencil`] always
 //! run the default schedule, whose modeled figures are pinned.
 
-use lorastencil::schedule::{self, grid_to_planes, RunCharges, ScheduleParams, Staging};
+use lorastencil::schedule::{self, grid_to_planes, RunCharges, ScheduleParams};
 use lorastencil::{ExecConfig, ExecSession, Plan};
 use stencil_core::StencilKernel;
 use tcu_sim::{
@@ -39,9 +39,8 @@ use tcu_sim::{
 
 /// Every tiling the chooser considers, launchable or not: tile extents
 /// clamped to the grid (a job larger than the grid is the same schedule
-/// as one exactly covering it) and staging only where the lowering can
-/// honor it, the default first.
-fn tilings(kernel: &StencilKernel, config: ExecConfig, extents: &[usize]) -> Vec<ScheduleParams> {
+/// as one exactly covering it), the default first.
+fn tilings(kernel: &StencilKernel, extents: &[usize]) -> Vec<ScheduleParams> {
     let clamp = |e: usize| e.div_ceil(8) * 8;
     let (row_cap, col_cap) = match *extents {
         [n] => (8, clamp(n.div_ceil(8))),
@@ -52,19 +51,12 @@ fn tilings(kernel: &StencilKernel, config: ExecConfig, extents: &[usize]) -> Vec
     let tiles = [8usize, 16, 32, 64];
     // 1-D jobs are tile_cols-driven; tile_rows is inert
     let rows = if kernel.dims() == 1 { 8 } else { row_cap };
-    let stagings: &[Staging] = if kernel.dims() >= 2 && config.use_tcu() {
-        &[Staging::Single, Staging::Double]
-    } else {
-        &[Staging::Single]
-    };
     let mut out = Vec::new();
     for &tile_rows in tiles.iter().filter(|&&t| t == 8 || t <= rows) {
         for &tile_cols in tiles.iter().filter(|&&t| t == 8 || t <= col_cap) {
-            for &staging in stagings {
-                let p = ScheduleParams { tile_rows, tile_cols, staging };
-                debug_assert!(p.validate().is_ok());
-                out.push(p);
-            }
+            let p = ScheduleParams { tile_rows, tile_cols };
+            debug_assert!(p.validate().is_ok());
+            out.push(p);
         }
     }
     out
@@ -79,7 +71,7 @@ pub fn candidate_space(
     extents: &[usize],
 ) -> Vec<ScheduleParams> {
     let plan = Plan::new(kernel, config);
-    tilings(kernel, config, extents)
+    tilings(kernel, extents)
         .into_iter()
         .filter(|p| launches(&plan.block_resources_with(p)))
         .collect()
@@ -99,11 +91,10 @@ pub fn launches(block: &BlockResources) -> bool {
 fn model_tilings(
     charges: &RunCharges,
     kernel: &StencilKernel,
-    config: ExecConfig,
     iterations: usize,
 ) -> Vec<(ScheduleParams, Option<Estimate>)> {
     let model = CostModel::a100();
-    tilings(kernel, config, charges.extents())
+    tilings(kernel, charges.extents())
         .into_iter()
         .map(|p| {
             let block = charges.block(&p);
@@ -124,7 +115,7 @@ pub fn choose(
     iterations: usize,
 ) -> ScheduleParams {
     let charges = RunCharges::new(kernel, config, extents);
-    fastest(&model_tilings(&charges, kernel, config, iterations)).0
+    fastest(&model_tilings(&charges, kernel, iterations)).0
 }
 
 /// The launchable row with the least modeled time, and that time; the
@@ -232,7 +223,7 @@ fn choose_on_miss(
         return (default, None);
     }
     let charges = RunCharges::new(kernel, config, extents);
-    let win = fastest(&model_tilings(&charges, kernel, config, iters)).0;
+    let win = fastest(&model_tilings(&charges, kernel, iters)).0;
     // a short gate run: bit identity is shape-driven, not
     // iteration-count-driven
     let kept = win == default || passes_gate(kernel, config, extents, seed, iters.clamp(1, 2), win);
@@ -274,7 +265,7 @@ pub fn tune_report(
         dims,
         iters,
     );
-    let rows = model_tilings(&RunCharges::new(kernel, config, dims), kernel, config, iters);
+    let rows = model_tilings(&RunCharges::new(kernel, config, dims), kernel, iters);
     let launchable = rows.iter().filter(|(_, e)| e.is_some()).count();
     report.push_str(&format!(
         "candidate space: {} tilings, {launchable} launch on the modeled A100\n\n",
@@ -337,7 +328,6 @@ mod tests {
         let wide = candidate_space(&k, ExecConfig::full(), &[128, 128]);
         assert!(wide.iter().any(|p| p.tile_rows == 8 && p.tile_cols == 64));
         assert!(wide.iter().any(|p| p.tile_rows == 64 && p.tile_cols == 8));
-        assert!(wide.iter().any(|p| p.staging == Staging::Double));
         for p in &wide {
             p.validate().unwrap();
         }
@@ -370,7 +360,7 @@ mod tests {
                     );
                 }
                 if k.dims() == 2 {
-                    let big = ScheduleParams { tile_rows: 64, tile_cols: 64, ..Default::default() };
+                    let big = ScheduleParams { tile_rows: 64, tile_cols: 64 };
                     assert!(!launches(&plan.block_resources_with(&big)), "{} {spec}", k.name);
                     assert!(!space.contains(&big), "{} {spec}", k.name);
                 }
@@ -456,7 +446,7 @@ mod tests {
         let config = crate::parse_config("no-async").unwrap();
         assert_eq!(choose(&k, config, &[16, 16], 0), ScheduleParams::default());
         let charges = RunCharges::new(&k, config, &[16, 16]);
-        let p = ScheduleParams { tile_rows: 16, tile_cols: 16, ..Default::default() };
+        let p = ScheduleParams { tile_rows: 16, tile_cols: 16 };
         assert_eq!(charges.counters(&p, 0), PerfCounters::new());
     }
 
@@ -480,7 +470,7 @@ mod tests {
             assert!(r.contains(want), "{want}: {r}");
         }
         // one line per tiling, launchable or not
-        let rows = tilings(&k, ExecConfig::full(), &[128, 128]);
+        let rows = tilings(&k, &[128, 128]);
         for p in &rows {
             assert!(r.lines().any(|l| l.trim_start().starts_with(&p.describe())), "{r}");
         }
@@ -488,7 +478,7 @@ mod tests {
         // the default wins
         let k = find_kernel("Heat-1D").unwrap();
         let r = tune_report(&k, ExecConfig::full(), &[512], 2, 7).unwrap();
-        for p in &tilings(&k, ExecConfig::full(), &[512]) {
+        for p in &tilings(&k, &[512]) {
             assert!(r.lines().any(|l| l.trim_start().starts_with(&p.describe())), "{r}");
         }
         assert!(r.contains("winner: 8x8/single,") && r.contains("(1.00x vs default"), "{r}");
@@ -544,7 +534,7 @@ mod tests {
         // invariant counter fails its comparison
         let k = find_kernel("Heat-2D").unwrap();
         let config = ExecConfig::full();
-        let tiled = ScheduleParams { tile_rows: 16, tile_cols: 32, ..Default::default() };
+        let tiled = ScheduleParams { tile_rows: 16, tile_cols: 32 };
         assert!(passes_gate(&k, config, &[32, 32], 7, 3, tiled));
         let planes = grid_to_planes(&crate::make_grid(&[32, 32], 7));
         let (out, counters, _) = schedule::run_tuned(&k, config, tiled, planes, 3);

@@ -26,7 +26,7 @@
 //! the fused kernel (radius `h·f`) plus `iters mod f` base applications;
 //! both sides of the split use the same per-application forms. The
 //! fusion depth is the planner's: the forms take no schedule inputs,
-//! since tile extents and staging move no counter.
+//! since tile extents move no counter.
 
 use baselines::ConvStencil;
 use lorastencil::rdg::{term_is_sparse, CUDA_RDG_ISSUE_OVERHEAD, SIMD_RDG_ISSUE_OVERHEAD};
@@ -201,8 +201,8 @@ fn app_3d(plan: &Plan, jobs: u64, points: u64) -> Prediction {
 ///
 /// Plans are [`Plan::new`]'s, with the default
 /// [`ScheduleParams`](lorastencil::ScheduleParams), as the executors
-/// plan them. Tile extents and staging are counter-invariant by
-/// construction, so the closed forms hold for any tiling too.
+/// plan them. Tile extents are counter-invariant by construction, so
+/// the closed forms hold for any tiling too.
 pub fn predict_lora(
     kernel: &StencilKernel,
     extents: &[usize],

@@ -2,7 +2,7 @@
 //! [`ScheduleParams`].
 //!
 //! The schedule IR's contract is that every valid `ScheduleParams`
-//! value (tile regrouping, double-buffered staging) is pure *schedule* —
+//! value (a job-tile regrouping) is pure *schedule* —
 //! bit-identical output values and identical `Prediction`-class
 //! counters against the default lowering, on every kernel, shape and
 //! feature configuration. This module samples a
@@ -13,7 +13,7 @@
 //! point runs the default schedule's arithmetic.
 
 use foundation::rng::Xoshiro256pp;
-use lorastencil::schedule::{self, grid_to_planes, ScheduleParams, Staging};
+use lorastencil::schedule::{self, grid_to_planes, ScheduleParams};
 use lorastencil::ExecConfig;
 use tcu_sim::GlobalArray;
 
@@ -28,10 +28,11 @@ pub fn sample_params(case: &Case) -> (ScheduleParams, ExecConfig) {
     let params = ScheduleParams {
         tile_rows: tiles[rng.range_usize(0, tiles.len())],
         tile_cols: tiles[rng.range_usize(0, tiles.len())],
-        staging: if rng.range_usize(0, 2) == 0 { Staging::Single } else { Staging::Double },
     };
-    // the draw that once picked an MMA batch width: kept, so every case
-    // samples the same config as before
+    // the draws that once picked a staging discipline and an MMA batch
+    // width: kept, so every case samples the same tiles and config as
+    // before
+    rng.range_usize(0, 2);
     rng.range_usize(0, 6);
     debug_assert!(params.validate().is_ok());
     let roster = ExecConfig::ablation_roster();

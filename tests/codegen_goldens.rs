@@ -1,14 +1,12 @@
 //! Listing goldens: `emit --target cuda` pinned for **every** registry
 //! kernel × feature config × device backend (`emit_cuda.tsv`), and every
-//! target × kernel × config × backend × staging discipline
-//! (`emit_targets.tsv`).
+//! target × kernel × config × backend (`emit_targets.tsv`).
 //!
 //! The snapshots in `tests/snapshots/` pin a handful of full listings;
 //! these tables pin the whole matrix cheaply as `(crc32, length)` pairs,
 //! so any byte of drift in any listing turns a test red. The second
 //! table also reaches the branches the first cannot: the staged-copy
-//! path, the double-buffered prefetch and its waits, and the HIP and
-//! WGSL emitters.
+//! path and the HIP and WGSL emitters.
 //!
 //! Regenerate after an intentional emitter change:
 //!
@@ -19,7 +17,7 @@
 
 use foundation::crc::crc32;
 use lorastencil::codegen::{self, Target};
-use lorastencil::{DeviceBackend, ExecConfig, Plan, ScheduleParams, Staging};
+use lorastencil::{DeviceBackend, ExecConfig, Plan};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use stencil_core::kernels;
@@ -89,26 +87,22 @@ fn current_targets_table() -> String {
     // the three configs above plus the staged-copy path
     let no_async: (&str, fn() -> ExecConfig) =
         ("no-async-copy", || ExecConfig { use_async_copy: false, ..ExecConfig::full() });
-    let mut out = String::from("# target\tkernel\tconfig\tbackend\tstaging\tcrc32\tbytes\n");
+    let mut out = String::from("# target\tkernel\tconfig\tbackend\tcrc32\tbytes\n");
     for target in Target::ALL {
         for kernel in kernels::all_kernels() {
             for (cname, cfg) in CONFIGS.into_iter().chain([no_async]) {
                 for backend in DeviceBackend::all() {
-                    for staging in [Staging::Single, Staging::Double] {
-                        let config = ExecConfig { backend, ..cfg() };
-                        let params = ScheduleParams { staging, ..ScheduleParams::default() };
-                        let plan = Plan::new_with_params(&kernel, config, params);
-                        let text = codegen::emit(&plan, target);
-                        writeln!(
-                            out,
-                            "{}\t{}\t{cname}\t{backend:?}\t{staging:?}\t{:08x}\t{}",
-                            target.name(),
-                            kernel.name,
-                            crc32(text.as_bytes()),
-                            text.len()
-                        )
-                        .unwrap();
-                    }
+                    let plan = Plan::new(&kernel, ExecConfig { backend, ..cfg() });
+                    let text = codegen::emit(&plan, target);
+                    writeln!(
+                        out,
+                        "{}\t{}\t{cname}\t{backend:?}\t{:08x}\t{}",
+                        target.name(),
+                        kernel.name,
+                        crc32(text.as_bytes()),
+                        text.len()
+                    )
+                    .unwrap();
                 }
             }
         }

@@ -52,10 +52,9 @@ fn counter_model_is_exact_on_generated_shapes() {
 }
 
 /// Schedule-space neutrality: a randomly sampled `ScheduleParams` point
-/// (tiles and staging — the `tune` candidate space — plus batching,
-/// without the semantics-changing fusion override) must stay bit-identical in
-/// values and invariant in modeled counters against the default
-/// lowering on every generated kernel.
+/// (a job-tile shape, the `tune` candidate space) must stay
+/// bit-identical in values and invariant in modeled counters against
+/// the default lowering on every generated kernel.
 #[test]
 fn sampled_schedule_params_are_bit_identical_to_the_default() {
     check_with(&verify_config(PARAMS_GRID_CASES), "params_grid", &CaseGen, |case| {

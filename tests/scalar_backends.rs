@@ -16,7 +16,7 @@
 use foundation::crc::crc32;
 use lorastencil::fusion::fuse_kernel;
 use lorastencil::schedule::run_tuned;
-use lorastencil::{decompose, DeviceBackend, ExecConfig, Plan, ScheduleParams, Staging, Workspace};
+use lorastencil::{decompose, DeviceBackend, ExecConfig, Plan, ScheduleParams, Workspace};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use stencil_core::{kernels, kernels_ext, StencilKernel};
@@ -28,9 +28,9 @@ const BACKENDS: [DeviceBackend; 2] = [DeviceBackend::CudaCore, DeviceBackend::Si
 const CONFIGS: [(&str, bool); 2] = [("full", true), ("no-fusion", false)];
 
 const SHAPES: [(&str, ScheduleParams); 3] = [
-    ("default", ScheduleParams { tile_rows: 8, tile_cols: 8, staging: Staging::Single }),
-    ("64x64", ScheduleParams { tile_rows: 64, tile_cols: 64, staging: Staging::Single }),
-    ("16x16-double", ScheduleParams { tile_rows: 16, tile_cols: 16, staging: Staging::Double }),
+    ("default", ScheduleParams { tile_rows: 8, tile_cols: 8 }),
+    ("64x64", ScheduleParams { tile_rows: 64, tile_cols: 64 }),
+    ("16x16", ScheduleParams { tile_rows: 16, tile_cols: 16 }),
 ];
 
 fn golden_path() -> PathBuf {

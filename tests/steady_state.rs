@@ -152,7 +152,7 @@ fn steady_state_steps_allocate_nothing_and_spawn_nothing() {
     // The strip evaluator's windows, step-1 rows and accumulators grow
     // once per worker to the widest plane it has run: both tensor-core
     // backends on a 512-wide Box-2D49P grid, and the 3-D plane ops under
-    // 64×64 and double-staged 16×16 macro tiles.
+    // 64×64 and 16×16 macro tiles.
     let wide_grid = GlobalArray::from_vec(
         16,
         512,
@@ -169,8 +169,8 @@ fn steady_state_steps_allocate_nothing_and_spawn_nothing() {
         .collect();
     let tcu = [DeviceBackend::TcuF64, DeviceBackend::SparseTcu];
     let shapes = [
-        ScheduleParams { tile_rows: 64, tile_cols: 64, ..ScheduleParams::default() },
-        ScheduleParams { tile_rows: 16, tile_cols: 16, staging: lorastencil::Staging::Double },
+        ScheduleParams { tile_rows: 64, tile_cols: 64 },
+        ScheduleParams { tile_rows: 16, tile_cols: 16 },
     ];
     let mut strip_runs: Vec<(String, ExecSession)> = tcu
         .iter()

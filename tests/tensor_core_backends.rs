@@ -18,7 +18,7 @@
 
 use foundation::crc::crc32;
 use lorastencil::schedule::run_tuned;
-use lorastencil::{DeviceBackend, ExecConfig, ScheduleParams, Staging};
+use lorastencil::{DeviceBackend, ExecConfig, ScheduleParams};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use stencil_core::{kernels, kernels_ext, StencilKernel};
@@ -31,9 +31,9 @@ const CONFIGS: [(&str, bool, bool); 3] =
     [("full", true, true), ("no-fusion", false, true), ("no-bvs", true, false)];
 
 const SHAPES: [(&str, ScheduleParams); 3] = [
-    ("default", ScheduleParams { tile_rows: 8, tile_cols: 8, staging: Staging::Single }),
-    ("64x64", ScheduleParams { tile_rows: 64, tile_cols: 64, staging: Staging::Single }),
-    ("16x16-double", ScheduleParams { tile_rows: 16, tile_cols: 16, staging: Staging::Double }),
+    ("default", ScheduleParams { tile_rows: 8, tile_cols: 8 }),
+    ("64x64", ScheduleParams { tile_rows: 64, tile_cols: 64 }),
+    ("16x16", ScheduleParams { tile_rows: 16, tile_cols: 16 }),
 ];
 
 /// The planted-cell inputs besides `plain`.
