@@ -375,10 +375,11 @@ mod tests {
 
     #[test]
     fn convstencil_occupies_more_shared_memory_than_lora() {
-        use lorastencil::{ExecConfig, Plan};
+        use lorastencil::{ExecConfig, Plan, ScheduleParams};
         let plan = Plan::new(&kernels::box_2d49p(), ExecConfig::full());
         let conv_block = block_resources_2d(3, 7);
-        assert!(conv_block.shared_bytes > plan.block_resources().shared_bytes);
+        let lora_block = plan.block_resources(&ScheduleParams::default());
+        assert!(conv_block.shared_bytes > lora_block.shared_bytes);
     }
 
     #[test]

@@ -17,7 +17,7 @@ use crate::workloads;
 use lorastencil::decompose::{self, eigen, pyramid, star, svd, Decomposition};
 use lorastencil::rdg::RdgGeometry;
 use lorastencil::schedule::apply_once;
-use lorastencil::{fusion, ExecConfig, LoRaStencil, Plan};
+use lorastencil::{fusion, ExecConfig, LoRaStencil, Plan, ScheduleParams};
 use stencil_core::{kernels, Grid2D, WeightMatrix};
 use tcu_sim::{CostModel, GlobalArray, PerfCounters};
 
@@ -61,7 +61,7 @@ pub fn decomposition_ablation(model: &CostModel) -> String {
             }
             let plan = base_plan.with_decomposition(cand.clone());
             let counters = run_plan(&plan, 64);
-            let est = model.estimate(&counters, &plan.block_resources());
+            let est = model.estimate(&counters, &plan.block_resources(&ScheduleParams::default()));
             rows.push(vec![
                 fused.name.clone(),
                 format!("{:?}", cand.strategy),
@@ -93,7 +93,7 @@ pub fn fusion_sweep(model: &CostModel) -> String {
         let geo = RdgGeometry::for_radius(fused.radius);
         let plan = Plan::custom_2d(fused.clone(), t, decomp.clone(), ExecConfig::full());
         let counters = run_plan(&plan, 96);
-        let est = model.estimate(&counters, &plan.block_resources());
+        let est = model.estimate(&counters, &plan.block_resources(&ScheduleParams::default()));
         rows.push(vec![
             format!("{t}x"),
             fused.radius.to_string(),

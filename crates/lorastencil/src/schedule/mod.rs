@@ -49,8 +49,8 @@ mod workspace;
 
 pub use backend::band_fallbacks;
 pub use params::ScheduleParams;
-pub(crate) use planes::plane_extents;
 pub use planes::{grid_to_planes, planes_to_grid};
+pub(crate) use planes::{plane_extents, plane_shape};
 pub use session::{run, run_tuned, ExecSession};
 pub use workspace::{apply_once, host_isa, RunCharges, Workspace};
 
@@ -211,12 +211,6 @@ pub struct Schedule {
     pub seg_len: usize,
     /// Global→shared staging mode (`use_async_copy` lowered).
     pub copy_mode: CopyMode,
-    /// Job-tile height in grid rows ([`ScheduleParams::tile_rows`]; the
-    /// interpreter still computes 8×8 sub-tiles inside each job).
-    pub tile_h: usize,
-    /// Job-tile width in grid columns ([`ScheduleParams::tile_cols`];
-    /// 1-D jobs cover `8 · tile_w` points).
-    pub tile_w: usize,
     /// Temporal steps one application advances (`allow_fusion` lowered).
     pub fuse_steps: usize,
     /// Step-2 accumulator split (`use_bvs` lowered).
@@ -248,8 +242,6 @@ impl Schedule {
             geo: plan.geo,
             seg_len: 0,
             copy_mode: if plan.config.use_async_copy { CopyMode::Async } else { CopyMode::Staged },
-            tile_h: plan.params.tile_rows,
-            tile_w: plan.params.tile_cols,
             fuse_steps: plan.fusion,
             split: if plan.config.use_bvs { AccSplit::Bvs } else { AccSplit::Shuffle },
             // the 1-D gather is a single banded MM — running it anywhere

@@ -51,6 +51,17 @@ pub(crate) fn plane_extents(planes: &[GlobalArray], dims: usize) -> Vec<usize> {
     }
 }
 
+/// The plane list of a grid of `extents` as `[planes, rows, cols]`: a
+/// 1-D array is one `1 × n` plane, a 2-D grid one plane.
+pub(crate) fn plane_shape(extents: &[usize]) -> [usize; 3] {
+    match *extents {
+        [n] => [1, 1, n],
+        [rows, cols] => [1, rows, cols],
+        [nz, ny, nx] => [nz, ny, nx],
+        _ => panic!("grids are 1-, 2- or 3-dimensional"),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -15,7 +15,7 @@
 //! thousands of times builds its session once, remainder included, and
 //! re-runs jobs with **zero heap allocation** after the first call.
 
-use super::planes::plane_extents;
+use super::planes::{plane_extents, plane_shape};
 use super::workspace::{RunCharges, Workspace};
 use super::ScheduleParams;
 use crate::plan::ExecConfig;
@@ -76,12 +76,7 @@ impl ExecSession {
     /// once the choice priced a schedule, lowered again. The serve daemon's
     /// on-miss path uses this after ranking schedules.
     pub fn from_charges(charges: RunCharges, params: ScheduleParams) -> Self {
-        let (nplanes, rows, cols) = match *charges.extents() {
-            [n] => (1, 1, n),
-            [rows, cols] => (1, rows, cols),
-            [nz, ny, nx] => (nz, ny, nx),
-            _ => unreachable!("grids are 1-, 2- or 3-dimensional"),
-        };
+        let [nplanes, rows, cols] = plane_shape(charges.extents());
         let planes = (0..nplanes).map(|_| GlobalArray::new(rows, cols)).collect();
         Self::over_planes(charges, params, planes)
     }
@@ -105,14 +100,14 @@ impl ExecSession {
     /// its current grid.
     fn over_planes(charges: RunCharges, params: ScheduleParams, cur: Vec<GlobalArray>) -> Self {
         let extents = charges.extents().to_vec();
-        let (plan, ws, rem_ws) = charges.into_workspaces(params);
+        let (plan, ws, rem_ws) = charges.into_workspaces(&params);
         let next = cur.iter().map(|p| GlobalArray::new(p.rows(), p.cols())).collect();
         ExecSession {
             ws,
             rem_ws,
             fusion: plan.fusion,
             params,
-            block: plan.block_resources(),
+            block: plan.block_resources(&params),
             extents,
             cur,
             next,
@@ -259,12 +254,7 @@ mod tests {
         iters: usize,
         seed: u64,
     ) -> (Vec<f64>, PerfCounters) {
-        let (nplanes, rows, cols) = match *extents {
-            [n] => (1, 1, n),
-            [rows, cols] => (1, rows, cols),
-            [nz, ny, nx] => (nz, ny, nx),
-            _ => unreachable!(),
-        };
+        let [nplanes, rows, cols] = plane_shape(extents);
         let f = seed_fn(seed);
         let mut cur: Vec<GlobalArray> = (0..nplanes)
             .map(|z| {
@@ -273,13 +263,12 @@ mod tests {
             })
             .collect();
         let mut next = cur.clone();
-        let fused = Plan::new_with_params(kernel, config, params);
-        let unfused =
-            Plan::new_with_params(kernel, ExecConfig { allow_fusion: false, ..config }, params);
+        let fused = Plan::new(kernel, config);
+        let unfused = Plan::new(kernel, ExecConfig { allow_fusion: false, ..config });
         let mut counters = PerfCounters::new();
         let f = fused.fusion;
         for (plan, n) in [(&fused, iters / f), (&unfused, iters % f)] {
-            let mut ws = Workspace::new(plan, extents);
+            let mut ws = Workspace::new(plan, extents, &params);
             for _ in 0..n {
                 counters.merge(&ws.apply_planes(&cur, &mut next));
                 std::mem::swap(&mut cur, &mut next);

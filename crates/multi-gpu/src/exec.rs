@@ -11,7 +11,7 @@
 
 use crate::partition::{partition, Slab, ALIGN};
 use lorastencil::checkpoint::{check_resumable, Checkpointer, CkptPolicy, CkptRunError};
-use lorastencil::{ExecConfig, Plan, Workspace};
+use lorastencil::{ExecConfig, Plan, ScheduleParams, Workspace};
 use stencil_core::checkpoint::{CheckpointStore, Plane, Snapshot};
 use stencil_core::{
     ExecError, ExecOutcome, Grid2D, GridData, Problem, StencilExecutor, StencilKernel,
@@ -251,12 +251,12 @@ fn run_inner(
     // parallelism inside `Workspace::apply` — and each device
     // ping-pongs its local grid pair, so the steady-state loop allocates
     // nothing.
-    let mut ws_fused: Vec<Workspace> =
-        devices.iter().map(|d| Workspace::new(&plan, &[d.local.rows(), cols])).collect();
-    let mut ws_unfused: Vec<Workspace> = match &unfused {
-        Some(p) => devices.iter().map(|d| Workspace::new(p, &[d.local.rows(), cols])).collect(),
-        None => Vec::new(),
+    let params = ScheduleParams::default();
+    let workspaces = |p: &Plan| -> Vec<Workspace> {
+        devices.iter().map(|d| Workspace::new(p, &[d.local.rows(), cols], &params)).collect()
     };
+    let mut ws_fused = workspaces(&plan);
+    let mut ws_unfused = unfused.as_ref().map_or_else(Vec::new, workspaces);
 
     let step = |devices: &mut Vec<Device>,
                 per_device: &mut Vec<PerfCounters>,
@@ -314,7 +314,7 @@ fn run_inner(
             per_device,
             nvlink_bytes,
             applies,
-            block: plan.block_resources(),
+            block: plan.block_resources(&params),
         },
         written,
     ))

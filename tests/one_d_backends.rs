@@ -120,7 +120,8 @@ fn fused_once(
     let plan = Plan::custom_2d(exec, fuse, decomp, config);
     let (rows, cols) = (input.rows(), input.cols());
     let mut out = vec![GlobalArray::new(rows, cols)];
-    let counters = Workspace::new(&plan, &[rows, cols]).apply_planes(&[input], &mut out);
+    let counters = Workspace::new(&plan, &[rows, cols], &ScheduleParams::default())
+        .apply_planes(&[input], &mut out);
     (out, counters)
 }
 

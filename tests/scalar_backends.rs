@@ -91,7 +91,8 @@ fn fused_once(
     let planes = input(kernel, non_finite);
     let (rows, cols) = (planes[0].rows(), planes[0].cols());
     let mut out = vec![GlobalArray::new(rows, cols)];
-    let counters = Workspace::new(&plan, &[rows, cols]).apply_planes(&planes, &mut out);
+    let counters = Workspace::new(&plan, &[rows, cols], &ScheduleParams::default())
+        .apply_planes(&planes, &mut out);
     (out, counters)
 }
 

@@ -1,8 +1,8 @@
 //! Zero-allocation steady-state executor loop: once an [`ExecSession`]
 //! is warmed up, further time steps perform **no heap allocation** and
 //! spawn **no threads** — the double-buffered grids, the tiling, the
-//! weight fragments, the counter slots and the per-worker scratch are
-//! all reused, and the worker pool persists (see DESIGN.md, "Host-side
+//! weight fragments, the output-pointer table and the per-worker scratch
+//! are all reused, and the worker pool persists (see DESIGN.md, "Host-side
 //! performance model"). The serve daemon extends the guarantee to whole
 //! requests: a warm plan-cache hit answers without allocating or
 //! spawning either.
@@ -14,7 +14,7 @@
 use foundation::alloc_counter::{allocation_count, CountingAllocator};
 use foundation::par::threads_spawned;
 use lorastencil::fusion::fuse_kernel;
-use lorastencil::{DeviceBackend, ExecConfig, ExecSession, ScheduleParams};
+use lorastencil::{DeviceBackend, ExecConfig, ExecSession, Plan, ScheduleParams, Workspace};
 use stencil_core::{kernels, StencilKernel};
 use tcu_sim::GlobalArray;
 
@@ -68,7 +68,7 @@ fn steady_state_steps_allocate_nothing_and_spawn_nothing() {
     // only the single-lane loop has a deterministic allocation profile.
     std::env::set_var("FOUNDATION_THREADS", "1");
     step(&mut sess);
-    step(&mut sess); // warm-up: counter slots, main-thread scratch
+    step(&mut sess); // warm-up: main-thread scratch
     let allocs = allocation_count();
     for _ in 0..8 {
         step(&mut sess);
@@ -207,6 +207,32 @@ fn steady_state_steps_allocate_nothing_and_spawn_nothing() {
         );
     }
     drop(strip_runs);
+
+    // A workspace sizes its buffers and fixes its counters when it is
+    // built, so even its first application allocates nothing once the
+    // worker's strip scratch is warm (the runs above warmed it on these
+    // plans and grids): one 2-D plane, and a volume's four planes.
+    for (kernel, planes) in
+        [(kernels::box_2d9p(), sess.planes().to_vec()), (kernels::heat_3d(), volume.clone())]
+    {
+        let plan = Plan::new(&kernel, ExecConfig::full());
+        let (rows, cols) = (planes[0].rows(), planes[0].cols());
+        let extents = match kernel.dims() {
+            2 => vec![rows, cols],
+            _ => vec![planes.len(), rows, cols],
+        };
+        let mut fresh = Workspace::new(&plan, &extents, &ScheduleParams::default());
+        let mut out: Vec<GlobalArray> =
+            planes.iter().map(|_| GlobalArray::new(rows, cols)).collect();
+        let allocs = allocation_count();
+        fresh.apply_planes(&planes, &mut out);
+        assert_eq!(
+            allocation_count(),
+            allocs,
+            "{}: the first application of a fresh workspace must not allocate",
+            kernel.name
+        );
+    }
 
     // Checkpointing must not poison the hot loop: capturing and
     // persisting a snapshot allocates (it clones the live planes and
