@@ -83,11 +83,6 @@ impl RdgGeometry {
     pub fn mma_per_term(&self) -> u64 {
         (self.row_blocks() * self.col_blocks() + self.row_blocks()) as u64
     }
-
-    /// Shared-memory bytes of the input tile.
-    pub fn tile_bytes(&self) -> u32 {
-        (self.s * self.s * std::mem::size_of::<f64>()) as u32
-    }
 }
 
 /// The input tile's B fragments, loaded once per tile and re-used by every
@@ -876,11 +871,6 @@ impl TermFrags {
     /// 2:4-compressed).
     pub fn is_sparse(&self) -> bool {
         self.u_sp.is_some()
-    }
-
-    /// Build the fragments for every term of a decomposition.
-    pub fn build_all(terms: &[RankOneTerm], geo: RdgGeometry, use_bvs: bool) -> Vec<TermFrags> {
-        terms.iter().map(|t| TermFrags::build(t, geo, use_bvs)).collect()
     }
 
     /// Charge the counters this term's chain costs one sub-tile on the

@@ -170,9 +170,9 @@ fn counters_and_model(c: &PerfCounters, block: &BlockResources) -> String {
 }
 
 /// The checkpointed `run` path (`--checkpoint-dir`): LoRAStencil with
-/// periodic crash-consistent snapshots. Checkpointing is wired through
-/// the LoRAStencil stepper, so other methods are a hard error rather
-/// than silently running without snapshots.
+/// periodic crash-consistent snapshots. Only LoRAStencil runs take
+/// snapshots, so other methods are a hard error rather than silently
+/// running without them.
 #[allow(clippy::too_many_arguments)]
 pub fn run_checkpointed_report(
     kernel: &StencilKernel,
@@ -189,7 +189,7 @@ pub fn run_checkpointed_report(
     if !method_name.eq_ignore_ascii_case("lorastencil") {
         return Err(format!(
             "--checkpoint-dir requires --method LoRAStencil \
-             (checkpoint/resume is wired through the LoRAStencil stepper), got {method_name:?}"
+             (only LoRAStencil runs checkpoint and resume), got {method_name:?}"
         ));
     }
     let dims = &broadcast_dims(dims, kernel.dims())[..];
@@ -893,6 +893,30 @@ weights1d:
         let t = analyze_text(3);
         assert!(t.contains("3.250x"));
         assert!(t.contains("69.23%"));
+    }
+
+    #[test]
+    fn checkpointing_rejects_other_methods_before_touching_the_store() {
+        let dir = std::env::temp_dir().join("lorastencil-ckpt-other-method");
+        let _ = std::fs::remove_dir_all(&dir);
+        let k = find_kernel("Box-2D9P").unwrap();
+        let dir_name = dir.to_str().unwrap();
+        let e = run_checkpointed_report(
+            &k,
+            ExecConfig::full(),
+            "ConvStencil",
+            &[16, 16],
+            2,
+            1,
+            false,
+            dir_name,
+            1,
+            2,
+        )
+        .unwrap_err();
+        assert!(e.starts_with("--checkpoint-dir requires --method LoRAStencil"), "{e}");
+        assert!(e.ends_with("got \"ConvStencil\""), "{e}");
+        assert!(!dir.exists(), "a rejected run must not create its checkpoint directory");
     }
 
     #[test]

@@ -15,27 +15,14 @@ use crate::trace::{Trace, TraceEvent};
 pub struct SimContext {
     /// Counters charged by every operation issued through this context.
     pub counters: PerfCounters,
-    /// Shared-memory bytes this block has allocated (for occupancy).
-    pub shared_bytes_per_block: u32,
-    /// Threads per block (for occupancy).
-    pub threads_per_block: u32,
-    /// Registers per thread (for occupancy).
-    pub regs_per_thread: u32,
     /// Optional instruction trace (see [`crate::trace`]).
     pub(crate) trace: Option<Trace>,
 }
 
 impl SimContext {
-    /// A fresh context with zeroed counters and default block shape
-    /// (256 threads, 64 registers — typical for the paper's kernels).
+    /// A fresh context with zeroed counters.
     pub fn new() -> Self {
-        SimContext {
-            counters: PerfCounters::new(),
-            shared_bytes_per_block: 0,
-            threads_per_block: 256,
-            regs_per_thread: 64,
-            trace: None,
-        }
+        SimContext { counters: PerfCounters::new(), trace: None }
     }
 
     /// Issue one `mma.m8n8k4.f64`: `D = A × B + C`.
@@ -132,14 +119,6 @@ impl SimContext {
     #[inline]
     pub fn points(&mut self, n: u64) {
         self.counters.points_updated += n;
-    }
-
-    /// Declare the block shape used by this context's kernel so the cost
-    /// model can compute occupancy.
-    pub fn set_block_shape(&mut self, shared_bytes: u32, threads: u32, regs_per_thread: u32) {
-        self.shared_bytes_per_block = shared_bytes;
-        self.threads_per_block = threads;
-        self.regs_per_thread = regs_per_thread;
     }
 }
 
